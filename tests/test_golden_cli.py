@@ -1,0 +1,196 @@
+"""Golden CLI corpus: a fixed command list replayed against recorded output.
+
+For each command `golden_cli.json` holds the exit code, the sha256 of
+stdout and the stderr text.  A change meant to keep behaviour must leave
+every entry as recorded; a change meant to alter an output re-records
+the data and says which entries moved.  Re-record with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+
+The corpus covers all eight subcommands on three small slopes, every
+intercept form the CLI accepts, the three output formats, `--binary`,
+and refusals with exit codes 2 and 3.
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from sturmian.cli import main
+
+DATA = os.path.join(os.path.dirname(__file__), "golden_cli.json")
+
+
+def _slope(pre, per, horizon):
+    return json.dumps({"preperiod": pre, "period": per, "horizon": horizon},
+                      separators=(",", ":"))
+
+
+def _intercept(obj):
+    return ["--intercept", json.dumps(obj, separators=(",", ":"))]
+
+
+# slope JSON, base, intercepts by name, m > 1 degenerate pair, sigma values
+SLOPES = {
+    "golden": dict(
+        slope=_slope([1], [1], 16), base="2",
+        digits=[0, 1, 0, 0, 1], open_digits=[0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0],
+        m=(3, 2), sigma="1/5", sigma_pair=[1, "-1/2"], encode="100",
+    ),
+    "532": dict(
+        slope=_slope([5, 3, 2], [5, 3, 2], 8), base="3",
+        digits=[1, 0, 2, 0, 1], open_digits=[1, 0, 2, 0, 1, 1, 0],
+        m=(3, 1), sigma="1/2", sigma_pair=[1, "-1/5"], encode="1000",
+    ),
+    "213-14": dict(
+        slope=_slope([2, 1, 3], [1, 4], 10), base="5",
+        digits=[1, 0, 3, 0, 2], open_digits=[1, 0, 3, 0, 2, 0, 3, 0],
+        m=(3, 1), sigma="1/3", sigma_pair=[1, "-1/2"], encode="2000",
+    ),
+}
+
+
+def _intercepts(s):
+    m, p = s["m"]
+    return {
+        "characteristic": [],
+        "characteristic-named": ["--intercept", "characteristic"],
+        "digits": _intercept({"digits": s["digits"]}),
+        "digits-open": _intercept({"digits": s["open_digits"],
+                                   "terminating": False}),
+        "m1": _intercept({"m": 1, "p": 0}),
+        "m1-upper": _intercept({"m": 1, "p": 0}) + ["--upper"],
+        "m": _intercept({"m": m, "p": p}),
+        "m-upper": _intercept({"m": m, "p": p}) + ["--upper"],
+        "sigma": _intercept({"sigma": s["sigma"]}),
+        "sigma-pair": _intercept({"sigma_pair": s["sigma_pair"]}),
+    }
+
+
+SUBCOMMANDS = [
+    ["word", "--length", "40"],
+    ["--format", "text", "word", "--length", "40"],
+    ["--format", "rle", "word", "--length", "40"],
+    ["word", "--binary", "--length", "45"],
+    ["cf"],
+    ["--format", "text", "cf", "--terms", "4"],
+    ["convergents"],
+    ["--format", "text", "convergents", "--terms", "3"],
+    ["exponent"],
+    ["--format", "text", "exponent"],
+    ["verify"],
+    ["verify", "--terms", "4"],
+    ["--format", "text", "boehmer", "--terms", "4"],
+    ["boehmer", "--check"],
+]
+
+
+def corpus() -> list[list[str]]:
+    cmds = []
+    for s in SLOPES.values():
+        head = ["--slope", s["slope"], "--base", s["base"]]
+        for intercept in _intercepts(s).values():
+            for sub in SUBCOMMANDS:
+                cmds.append(head + intercept + sub)
+        sl = ["--slope", s["slope"]]
+        pair = ",".join(str(x) for x in s["sigma_pair"])
+        cmds += [
+            sl + ["ostrowski-int", "--encode", s["encode"]],
+            sl + ["--format", "text", "ostrowski-int", "--encode", s["encode"]],
+            sl + ["ostrowski-int", "--digits", "1,0,1"],
+            sl + ["ostrowski-real", "--sigma", s["sigma"]],
+            sl + ["--format", "text", "ostrowski-real", "--sigma=-1/7"],
+            sl + ["ostrowski-real", "--sigma-pair", pair],
+            sl + ["ostrowski-real", "--digits", ",".join(map(str, s["digits"]))],
+            sl + ["--format", "text", "ostrowski-real", "--digits", "0,0,1"],
+            sl + ["--horizon", "5", "cf"],
+            # exit 3: beyond the slope horizon
+            sl + ["word", "--length", "100000"],
+            sl + ["ostrowski-int", "--encode", "10000000"],
+        ]
+    golden = SLOPES["golden"]["slope"]
+    g = ["--slope", golden]
+    cmds += [
+        # exit 2: bad configuration or digits
+        ["--slope", _slope([1], [1], 3), "word", "--length", "5"],
+        g + _intercept({"digits": [1, 1]}) + ["word", "--length", "5"],
+        g + _intercept({"digits": [0, 1], "m": 1}) + ["cf"],
+        g + _intercept({"sigma": "1/0"}) + ["cf"],
+        g + _intercept({"sigma": "5/4"}) + ["cf"],
+        g + _intercept({"sigma_pair": [1, "0"]}) + ["cf"],
+        g + _intercept({"sigma_pair": [-1, "1"]}) + ["cf"],
+        g + _intercept({"m": 0, "p": 0}) + ["cf"],
+        g + _intercept({"m": 1, "p": 1}) + ["cf"],
+        g + ["--intercept", "bogus", "cf"],
+        g + ["--base", "1", "cf"],
+        g + ["word"],
+        g + ["ostrowski-int"],
+        g + ["ostrowski-int", "--digits", "1,1"],
+        g + ["ostrowski-real"],
+        g + ["ostrowski-real", "--sigma", "x/2"],
+        ["--config", "no-such-config.json", "cf"],
+        ["cf"],
+        # exit 3: horizon exhausted
+        g + _intercept({"m": 5000, "p": 3090}) + ["cf"],
+        g + _intercept({"digits": [0, 1], "terminating": False})
+        + ["word", "--length", "30"],
+    ]
+    return cmds
+
+
+def execute(argv):
+    """(exit code, stdout bytes, stderr text) of `sturmian.cli.main(argv)`."""
+    buf = io.BytesIO()
+    real_out, real_err = sys.stdout, sys.stderr
+    sys.stdout = io.TextIOWrapper(buf, encoding="utf-8")
+    sys.stderr = io.StringIO()
+    try:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        sys.stdout.flush()
+        err = sys.stderr.getvalue()
+    finally:
+        sys.stdout.detach()
+        sys.stdout, sys.stderr = real_out, real_err
+    return code, buf.getvalue(), err
+
+
+def record(argv):
+    code, out, err = execute(argv)
+    return {"argv": argv, "exit": code,
+            "stdout_sha256": hashlib.sha256(out).hexdigest(), "stderr": err}
+
+
+def _load():
+    # missing data (before the first recording) fails the corpus test below
+    if not os.path.exists(DATA):
+        return []
+    with open(DATA) as fh:
+        return json.load(fh)
+
+
+RECORDED = _load()
+
+
+def test_corpus_matches_recorded_commands():
+    assert [e["argv"] for e in RECORDED] == corpus()
+
+
+@pytest.mark.parametrize(
+    "entry", [pytest.param(e, id=f"{i:03d}") for i, e in enumerate(RECORDED)])
+def test_golden_output(entry):
+    assert record(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    entries = [json.dumps(record(argv)) for argv in corpus()]
+    with open(DATA, "w") as fh:
+        fh.write("[\n" + ",\n".join(entries) + "\n]\n")
