@@ -197,7 +197,8 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
         levels = spec.system.levels
     pipeline = continued_fraction(spec, levels).values()
     horizon = spec.system.table.horizon
-    n_max = spec.system.q(horizon) - 1  # deepest letter the table can serve
+    # deepest letter the known intercept digits can serve
+    n_max = spec.system.q(min(spec.system.levels, horizon)) - 1
     n = min(4 * spec.system.q(min(levels - 1, horizon - 1)), n_max)
     prev_len = -1
     prefix: list[int] = []

@@ -12,12 +12,14 @@ from sturmian import (
     certified_cf_prefix,
     continued_fraction,
     enclose_value,
+    encode_real,
     exponent_bracket,
     family_fraction,
     legendre_check,
 )
 from sturmian.cfrac import NumberSpec
 from sturmian.oracle import ValueEnclosure, verify_agreement
+from sturmian.ostrowski import InterceptDigits
 from sturmian.words import WordSystem
 
 from conftest import golden_table, random_digits, random_slope_table, word_system
@@ -137,6 +139,17 @@ def test_verify_agreement_golden_and_random(rng):
         spec = NumberSpec(rng.choice([2, 3, 10]), word_system(t, digs))
         rep = verify_agreement(spec, min_terms=6, levels=8)
         assert rep.matches, (t.spec.preperiod, digs, rep)
+
+
+def test_verify_agreement_non_terminating_intercepts():
+    # a digit prefix serves letters below q_levels only, so N stays there
+    table = golden_table(16)
+    open_digits = InterceptDigits((0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0), False)
+    for digits in (encode_real(Fraction(1, 5), table), open_digits):
+        system = WordSystem.from_digits(table, digits)
+        rep = verify_agreement(NumberSpec(2, system))
+        assert rep.matches and rep.overlap >= 10
+        assert rep.digits_used < table.q(system.levels)
 
 
 def test_oracle_convergents_fold():
