@@ -151,7 +151,7 @@ def term_block(spec: NumberSpec, k: int) -> TermBlock:
     sys_, b = spec.system, spec.base
     t, r = sys_.offset(k), sys_.suffix_len(k)
     qk, qk1 = sys_.q(k), sys_.table.q(k - 1)
-    gap = sys_.a(k + 1) - sys_.digit(k + 1)
+    gap = sys_.gap(k + 1)
     if gap < 0:
         raise DigitRuleError(k + 1, "digit exceeds partial quotient")
     if gap == 0:
@@ -230,29 +230,23 @@ def eliminate_zeros(stream: TermStream) -> TermStream:
     Merged terms take the family of their rightmost part; pair deletions
     leave their neighbours' identities untouched.  Only trailing zeros
     may survive (the truncation step removes them).
+
+    One left-to-right stack pass: a zero run of odd length leaves its
+    last zero, which folds its neighbours once the next term arrives
+    (terms are nonnegative after rule (i), so a fold makes no new zero).
     """
     if stream.stage != "nonneg":
         raise ConfigError("rule (ii) applies after rule (i)")
-    items = list(stream.terms)
-    changed = True
-    while changed:
-        changed = False
-        # adjacent zero pairs act as the identity matrix
-        for i in range(len(items) - 1):
-            if items[i].value == 0 and items[i + 1].value == 0:
-                del items[i: i + 2]
-                changed = True
-                break
-        if changed:
-            continue
-        for i in range(1, len(items) - 1):
-            if items[i].value == 0:
-                x, z, y = items[i - 1], items[i], items[i + 1]
-                items[i - 1: i + 2] = [
-                    Term(x.value + y.value, x.parts + z.parts + y.parts)
-                ]
-                changed = True
-                break
+    items: list[Term] = []
+    for t in stream.terms:
+        if items and items[-1].value == 0:
+            if t.value == 0:
+                items.pop()  # adjacent zero pairs act as the identity matrix
+                continue
+            if len(items) >= 2:
+                z, x = items.pop(), items.pop()
+                t = Term(x.value + t.value, x.parts + z.parts + t.parts)
+        items.append(t)
     for i, t in enumerate(items):
         if t.value == 0 and i + 1 < len(items):
             raise InternalError("a non-trailing zero survived exhaustive rewriting")
@@ -303,6 +297,7 @@ def convergents(stream: TermStream, base: int) -> list[ConvergentPair]:
     return pairs
 
 
+# height of each family's approximant at level k, shared with `exponent`
 _HEIGHT = {
     "1": lambda s, k: s.suffix_len(k + 1),
     "2-1": lambda s, k: s.suffix_len(k + 1) + s.offset(k),

@@ -6,6 +6,14 @@ intercept; flags override.  Data goes to stdout, diagnostics to stderr;
 all numeric payloads are decimal strings.  Exit codes: 0 success,
 2 invalid config/digits, 3 horizon or precision exhaustion, 4 internal
 invariant failure.
+
+The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4}.
+The intercept (parsed by `WordSystem.from_spec`) is "characteristic", the
+default, or an object with exactly one of {"digits": [b_1, ...]} (plus
+"terminating": false for a digit prefix), {"m": m, "p": p} (the
+degenerate rho = -(m-1)*theta + p), {"sigma": "u/v"} (sigma = rho - theta)
+or {"sigma_pair": [u, "v"]} (sigma = u*theta + v); `--upper` picks the
+upper word of a degenerate intercept.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
-from .errors import ConfigError, SturmianError
+from .errors import ConfigError, HorizonError, InternalError, SturmianError
 
 # payloads are decimal strings of numbers at the scale b**q_k; lift the
 # interpreter's int-to-str conversion cap accordingly
@@ -26,16 +34,6 @@ if hasattr(sys, "set_int_max_str_digits"):
 
 def _fr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 
 
 def _load_config(args) -> dict:
@@ -62,7 +60,7 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _build_system(cfg) -> tuple[slope.ConvergentTable, words.WordSystem]:
+def _build_system(cfg) -> words.WordSystem:
     if "slope" not in cfg:
         raise ConfigError("config needs a 'slope' object")
     sl = cfg["slope"]
@@ -73,46 +71,18 @@ def _build_system(cfg) -> tuple[slope.ConvergentTable, words.WordSystem]:
     )
     if spec.horizon < 4:
         raise ConfigError("horizon must be at least 4")
-    table = slope.build_table(spec)
-    intercept = cfg.get("intercept", "characteristic")
-    upper = bool(cfg.get("upper", False))
-    if intercept == "characteristic":
-        return table, words.WordSystem.characteristic(table, upper=upper)
-    if not isinstance(intercept, dict):
-        raise ConfigError(f"bad intercept spec {intercept!r}")
-    forms = [key for key in ("digits", "m", "sigma", "sigma_pair") if key in intercept]
-    if len(forms) != 1:
-        raise ConfigError("intercept must carry exactly one of digits/m,p/sigma/sigma_pair")
-    if "digits" in intercept:
-        digs = tuple(int(d) for d in intercept["digits"])
-        terminating = bool(intercept.get("terminating", True))
-        return table, words.WordSystem.from_digits(
-            table, digs, terminating=terminating, upper=upper
-        )
-    if "m" in intercept:
-        deg = ostrowski.degenerate_expansions(
-            int(intercept["m"]), int(intercept.get("p", 0)), table
-        )
-        return table, words.WordSystem.from_degenerate(table, deg, upper=upper)
-    if "sigma" in intercept:
-        sigma = _parse_fraction(str(intercept["sigma"]))
-        digs = ostrowski.encode_real(sigma, table)
-    else:
-        u, v = intercept["sigma_pair"]
-        digs = ostrowski.encode_real((int(u), _parse_fraction(str(v))), table)
-    return table, words.WordSystem.from_digits(table, digs, upper=upper)
+    return words.WordSystem.from_spec(
+        slope.build_table(spec), cfg.get("intercept", "characteristic"),
+        upper=bool(cfg.get("upper", False)))
 
 
-def _emit(payload: dict, fmt: str, text_value: str | None = None):
-    if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write((text_value if text_value is not None else str(payload)) + "\n")
+def _emit(payload: dict, fmt: str, text: str):
+    """The payload as sorted JSON, or `text` for the text and rle formats."""
+    sys.stdout.write((json.dumps(payload, sort_keys=True) if fmt == "json" else text)
+                     + "\n")
 
 
-def cmd_word(args):
-    cfg = _load_config(args)
-    _, system = _build_system(cfg)
+def cmd_word(args, cfg, system):
     length = args.length if args.length is not None else int(cfg.get("length", 0))
     if length < 1:
         raise ConfigError("word command needs --length >= 1")
@@ -128,15 +98,11 @@ def cmd_word(args):
         out.flush()
         return
     payload = {"length": str(length), "word": word, "rle": words.run_length(word)}
-    if args.format == "rle":
-        _emit(payload, "text", payload["rle"])
-    else:
-        _emit(payload, args.format, word)
+    _emit(payload, args.format, payload["rle"] if args.format == "rle" else word)
 
 
-def cmd_ostrowski_int(args):
-    cfg = _load_config(args)
-    table, _ = _build_system(cfg)
+def cmd_ostrowski_int(args, cfg, system):
+    table = system.table
     if args.encode is not None:
         digits = ostrowski.encode_integer(int(args.encode), table)
         payload = {"n": str(args.encode), "digits": [str(d) for d in digits.digits]}
@@ -150,14 +116,13 @@ def cmd_ostrowski_int(args):
         raise ConfigError("ostrowski-int needs --encode N or --digits d1,d2,...")
 
 
-def cmd_ostrowski_real(args):
-    cfg = _load_config(args)
-    table, _ = _build_system(cfg)
+def cmd_ostrowski_real(args, cfg, system):
+    table = system.table
     if args.sigma is not None:
-        digits = ostrowski.encode_real(_parse_fraction(args.sigma), table)
+        digits = ostrowski.encode_real(ostrowski.parse_fraction(args.sigma), table)
     elif args.sigma_pair is not None:
         u, v = args.sigma_pair.split(",")
-        digits = ostrowski.encode_real((int(u), _parse_fraction(v)), table)
+        digits = ostrowski.encode_real((int(u), ostrowski.parse_fraction(v)), table)
     elif args.digits:
         seq = tuple(int(d) for d in args.digits.split(","))
         lo, hi = ostrowski.decode_real(seq, table)
@@ -176,15 +141,12 @@ def cmd_ostrowski_real(args):
     _emit(payload, args.format, ",".join(payload["digits"]))
 
 
-def _number_spec(cfg, args) -> cfrac.NumberSpec:
-    _, system = _build_system(cfg)
-    base = int(cfg.get("base", 2))
-    return cfrac.NumberSpec(base, system)
+def _number_spec(cfg, system) -> cfrac.NumberSpec:
+    return cfrac.NumberSpec(int(cfg.get("base", 2)), system)
 
 
-def cmd_cf(args):
-    cfg = _load_config(args)
-    spec = _number_spec(cfg, args)
+def cmd_cf(args, cfg, system):
+    spec = _number_spec(cfg, system)
     stream = cfrac.continued_fraction(spec)
     terms = stream.terms[: args.terms] if args.terms else stream.terms
     payload = {
@@ -198,9 +160,8 @@ def cmd_cf(args):
     _emit(payload, args.format, " ".join(str(t.value) for t in terms))
 
 
-def cmd_convergents(args):
-    cfg = _load_config(args)
-    spec = _number_spec(cfg, args)
+def cmd_convergents(args, cfg, system):
+    spec = _number_spec(cfg, system)
     stream = cfrac.continued_fraction(spec)
     pairs = cfrac.convergents(stream, spec.base)
     if args.terms:
@@ -217,10 +178,8 @@ def cmd_convergents(args):
           " ".join(f"{c.p}/{c.q}" for c in pairs))
 
 
-def cmd_exponent(args):
-    cfg = _load_config(args)
-    spec = _number_spec(cfg, args)
-    system = spec.system
+def cmd_exponent(args, cfg, system):
+    spec = _number_spec(cfg, system)
     upto = system.levels - 2
     rows = exponent.nu_table(system, upto)
     est = exponent.irrationality_estimate(system, upto)
@@ -228,7 +187,9 @@ def cmd_exponent(args):
     for k in range(2, upto + 1):
         try:
             records = exponent.classify_families(spec, k)
-        except (ConfigError, SturmianError):
+        except (ConfigError, HorizonError):
+            # levels outside the dispatch's domain, or whose digit window
+            # runs past the known digits, carry no verdict
             continue
         for r in records:
             strong.append({
@@ -257,9 +218,8 @@ def cmd_exponent(args):
     _emit(payload, args.format, f"mu ~= {float(est.mu_estimate):.6f}")
 
 
-def cmd_verify(args):
-    cfg = _load_config(args)
-    spec = _number_spec(cfg, args)
+def cmd_verify(args, cfg, system):
+    spec = _number_spec(cfg, system)
     rep = oracle.verify_agreement(spec, min_terms=args.terms or 10)
     payload = {
         "N": str(rep.digits_used),
@@ -274,10 +234,8 @@ def cmd_verify(args):
         sys.exit(4)
 
 
-def cmd_boehmer(args):
-    cfg = _load_config(args)
-    spec = _number_spec(cfg, args)
-    system = spec.system
+def cmd_boehmer(args, cfg, system):
+    spec = _number_spec(cfg, system)
     if any(system.digit(k) != 0 for k in range(1, system.levels + 1)):
         raise ConfigError("closed-form terms need the characteristic intercept")
     upto = args.terms or (system.table.horizon - 4)
@@ -286,7 +244,7 @@ def cmd_boehmer(args):
         stream = cfrac.continued_fraction(spec).values()
         overlap = min(len(stream), len(closed))
         if list(closed[:overlap]) != list(stream[:overlap]):
-            raise SturmianError("closed form disagrees with the pipeline")
+            raise InternalError("closed form disagrees with the pipeline")
     payload = {"terms": [str(a) for a in closed]}
     _emit(payload, args.format, " ".join(str(a) for a in closed))
 
@@ -371,7 +329,8 @@ def main(argv=None) -> int:
         if not hasattr(args, key):
             setattr(args, key, value)
     try:
-        args.func(args)
+        cfg = _load_config(args)
+        args.func(args, cfg, _build_system(cfg))
     except SturmianError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -38,8 +38,6 @@ class AmbiguousExpansionError(ConfigError):
     pair that identifies the degenerate intercept.
     """
 
-    exit_code = 2
-
     def __init__(self, prefix, branch_digits, m=None, p=None):
         self.prefix = tuple(prefix)
         self.branch_digits = tuple(branch_digits)
@@ -72,5 +70,3 @@ class MaterializeCapError(SturmianError):
 
 class InternalError(SturmianError):
     """An internal invariant failed; indicates a bug, not bad input."""
-
-    exit_code = 4

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import NumberSpec
+from .cfrac import _HEIGHT, NumberSpec
 from .errors import ConfigError, HorizonError, InternalError
 from .ostrowski import InterceptDigits, validate_real_digits
 from .slope import ConvergentTable
@@ -62,9 +62,6 @@ class EstimateReport:
     tail_max: dict[int, Fraction | None]
     mu_estimate: Fraction
 
-    def mu_float(self) -> float:
-        return float(self.mu_estimate)
-
 
 @dataclass(frozen=True)
 class LiouvilleReport:
@@ -101,14 +98,6 @@ def nu_table(system: WordSystem, upto: int) -> list[NuRow]:
     return [nu_row(system, k) for k in range(upto + 1)]
 
 
-_HEIGHTS = {
-    "1": lambda s, k: s.suffix_len(k + 1),
-    "2": lambda s, k: s.suffix_len(k + 1) + s.offset(k),
-    "3": lambda s, k: s.suffix_len(k + 1) + s.q(k),
-    "4": lambda s, k: s.q(k + 1),
-}
-
-
 def classify_families(spec: NumberSpec, k: int) -> list[StrongRecord]:
     """The acceptance dispatch for the four families at level k.
 
@@ -124,19 +113,11 @@ def classify_families(spec: NumberSpec, k: int) -> list[StrongRecord]:
             "use the pipeline classification for characteristic heads"
         )
 
-    def a(j):
-        return s.a(j)
-
-    def b(j):
-        return s.digit(j)
-
-    def gap(j):
-        return a(j) - b(j)
-
+    a, b, gap = s.a, s.digit, s.gap
     records = []
 
     def emit(fam, accepted, rule, mu):
-        h = _HEIGHTS[fam](s, k)
+        h = _HEIGHT[fam](s, k)
         err = mu * h if mu is not None else None
         if err is not None and err.denominator != 1:
             raise InternalError(f"error exponent for ({fam})_{k} is not integral")
@@ -198,10 +179,7 @@ def ordered_strong_sequence(spec: NumberSpec, k_lo: int, k_hi: int):
     are skipped, so only the interior of the window is meaningful.
     """
     s = spec.system
-
-    def gap(j):
-        return s.a(j) - s.digit(j)
-
+    gap = s.gap
     order = [(fam, k) for k in range(k_lo, k_hi + 1) for fam in "1234"]
     group_of: dict[tuple[str, int], list] = {}
     removed: set[tuple[str, int]] = set()
@@ -264,10 +242,7 @@ def irrationality_estimate(system: WordSystem, upto: int) -> EstimateReport:
     """
     rows = nu_table(system, upto)
     tail_lo = upto // 2
-
-    def gap(j):
-        return system.a(j) - system.digit(j)
-
+    gap = system.gap
     eligible = {
         1: lambda k: gap(k + 1) >= 1 and gap(k + 2) >= 1,
         2: lambda k: gap(k + 2) >= 1,
@@ -306,7 +281,7 @@ def liouville_diagnostic(system: WordSystem, upto: int) -> LiouvilleReport:
     return LiouvilleReport("inconclusive", max(seen), witness)
 
 
-def extremal_intercept(table: ConvergentTable, upto: int | None = None) -> ExtremalIntercept:
+def extremal_intercept(table: ConvergentTable) -> ExtremalIntercept:
     """Digit stream pushing the exponent to its slope-determined maximum.
 
     Sparse maximal digits are placed at levels k_j + 1, where k_j is the
@@ -317,9 +292,7 @@ def extremal_intercept(table: ConvergentTable, upto: int | None = None) -> Extre
     spec = table.spec
     if not spec.period:
         raise ConfigError("the construction needs a periodic (bounded) slope")
-    K = table.horizon if upto is None else upto
-    if K > table.horizon:
-        raise HorizonError(f"requested {K} digits but horizon is {table.horizon}")
+    K = table.horizon
     s, period_len = len(spec.preperiod), len(spec.period)
 
     # Phase of k (mod period) with the largest ratio q_k/q_{k-1} near the end.

@@ -96,22 +96,19 @@ def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
     rational endpoints.  Returns the quotients a_1, a_2, ... without the
     leading integer part.
     """
-    if enc.lower == enc.upper:  # degenerate: exact rational
-        common = cf_of_rational(enc.lower)
-    else:
-        if not 0 <= enc.lower < 1:
-            raise ConfigError("expected an enclosure inside [0, 1)")
-        common = [0]
-        n1, d1 = enc.lower.numerator, enc.lower.denominator
-        n2, d2 = enc.upper.numerator, enc.upper.denominator
-        while n1 and n2:
-            a1, r1 = divmod(d1, n1)
-            a2, r2 = divmod(d2, n2)
-            if a1 != a2:
-                break
-            common.append(a1)
-            d1, n1 = n1, r1
-            d2, n2 = n2, r2
+    if not 0 <= enc.lower < 1:
+        raise ConfigError("expected an enclosure inside [0, 1)")
+    common = [0]
+    n1, d1 = enc.lower.numerator, enc.lower.denominator
+    n2, d2 = enc.upper.numerator, enc.upper.denominator
+    while n1 and n2:
+        a1, r1 = divmod(d1, n1)
+        a2, r2 = divmod(d2, n2)
+        if a1 != a2:
+            break
+        common.append(a1)
+        d1, n1 = n1, r1
+        d2, n2 = n2, r2
     if len(common) <= 2:
         raise PrecisionError(
             "enclosure too wide to certify any partial quotient; raise N"

@@ -97,6 +97,17 @@ class DigitReport:
     forbidden_tail_shape: bool
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational from the text "n" or "n/d"."""
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad rational {text!r}: {exc}") from exc
+
+
 def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
     """Greedy expansion of a positive integer over the weights q_0, q_1, ...
 
@@ -195,7 +206,7 @@ def digit_prefix_value(digits, table: ConvergentTable) -> tuple[int, int]:
     return u, p
 
 
-def decode_real(digits, table: ConvergentTable, level: int | None = None):
+def decode_real(digits, table: ConvergentTable):
     """Exact rational interval enclosing sum b_k theta_{k-1}.
 
     The prefix value U*theta - P is evaluated against the best available
@@ -207,10 +218,8 @@ def decode_real(digits, table: ConvergentTable, level: int | None = None):
     rep = validate_real_digits(digits, table)
     if not rep.valid:
         raise DigitRuleError(rep.violation_index, rep.message)
-    m = len(digits.digits) if level is None else min(level, len(digits.digits))
-    if m < len(digits.digits) and digits.terminating:
-        m = len(digits.digits)  # never widen a terminating expansion
-    u, p = digit_prefix_value(digits.digits[:m], table)
+    m = len(digits.digits)
+    u, p = digit_prefix_value(digits.digits, table)
     enc = theta_enclosure(table, table.horizon - 1)
     v1 = u * enc.lower - p
     v2 = u * enc.upper - p

@@ -57,9 +57,6 @@ class SlopeSpec:
             return self.preperiod[k - 1]
         return self.period[(k - s - 1) % len(self.period)]
 
-    def with_horizon(self, horizon: int) -> "SlopeSpec":
-        return SlopeSpec(self.preperiod, self.period, horizon)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -158,9 +155,6 @@ class ThetaEnclosure:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def __contains__(self, x) -> bool:
-        return self.lower < x < self.upper
-
 
 def theta_enclosure(table: ConvergentTable, level: int) -> ThetaEnclosure:
     """Bracket theta between the convergents at `level` and `level + 1`."""
@@ -170,11 +164,6 @@ def theta_enclosure(table: ConvergentTable, level: int) -> ThetaEnclosure:
     y = Fraction(table.p(level + 1), table.q(level + 1))
     lower, upper = (x, y) if x < y else (y, x)
     return ThetaEnclosure(lower, upper, level)
-
-
-def theta_k_pair(table: ConvergentTable, k: int) -> tuple[int, int]:
-    """theta_k = q_k * theta - p_k as the coefficient pair (B, A) of B*theta + A."""
-    return table.q(k), -table.p(k)
 
 
 def theta_k_enclosure(table: ConvergentTable, k: int, level: int) -> ThetaEnclosure:

@@ -25,7 +25,10 @@ from .ostrowski import (
     DegenerateIntercept,
     InterceptDigits,
     decode_real,
+    degenerate_expansions,
     digit_prefix_value,
+    encode_real,
+    parse_fraction,
     validate_real_digits,
 )
 from .slope import (
@@ -141,6 +144,42 @@ class WordSystem:
         return cls(table, stream, mode="shifted", shift=(deg.m, deg.p),
                    upper=upper, **kw)
 
+    @classmethod
+    def from_spec(cls, table: ConvergentTable, intercept="characteristic", *,
+                  upper: bool = False) -> "WordSystem":
+        """The word of an intercept in its JSON form; `upper` picks the upper word.
+
+        `intercept` is "characteristic" (rho = theta) or an object with
+        exactly one of: {"digits": [b_1, ...]} plus an optional
+        "terminating" (default true; false marks a digit prefix);
+        {"m": m, "p": p}, the degenerate rho = -(m-1)*theta + p ("p"
+        defaults to 0); {"sigma": "u/v"}, the rational sigma = rho - theta;
+        {"sigma_pair": [u, "v"]}, sigma = u*theta + v.
+        """
+        if intercept == "characteristic":
+            return cls.characteristic(table, upper=upper)
+        if not isinstance(intercept, dict):
+            raise ConfigError(f"bad intercept spec {intercept!r}")
+        forms = [key for key in ("digits", "m", "sigma", "sigma_pair")
+                 if key in intercept]
+        if len(forms) != 1:
+            raise ConfigError(
+                "intercept must carry exactly one of digits/m,p/sigma/sigma_pair")
+        if "digits" in intercept:
+            return cls.from_digits(
+                table, intercept["digits"],
+                terminating=bool(intercept.get("terminating", True)), upper=upper)
+        if "m" in intercept:
+            deg = degenerate_expansions(int(intercept["m"]),
+                                        int(intercept.get("p", 0)), table)
+            return cls.from_degenerate(table, deg, upper=upper)
+        if "sigma" in intercept:
+            sigma = parse_fraction(str(intercept["sigma"]))
+        else:
+            u, v = intercept["sigma_pair"]
+            sigma = (int(u), parse_fraction(str(v)))
+        return cls.from_digits(table, encode_real(sigma, table), upper=upper)
+
     # -- basic quantities ----------------------------------------------------
 
     def a(self, k: int) -> int:
@@ -151,6 +190,10 @@ class WordSystem:
 
     def digit(self, k: int) -> int:
         return self.digits.digit(k)
+
+    def gap(self, k: int) -> int:
+        """a_k - b_k: copies of the level-(k-1) word ahead of the level-(k-2) one."""
+        return self.a(k) - self.digit(k)
 
     @property
     def levels(self) -> int:
@@ -184,37 +227,29 @@ class WordSystem:
 
     def standard(self, k: int) -> str:
         """The standard word at level k (length q_k for k >= 0)."""
-        if k < -1:
-            raise ConfigError(f"no standard word at level {k}")
-        self._check_cap(max(k, 0))
-        top = max(self._standard)
-        while top < k:
-            top += 1
-            if top == 1:
-                w = "0" * (self.a(1) - 1) + "1"
-            else:
-                w = self._standard[top - 1] * self.a(top) + self._standard[top - 2]
-            self._standard[top] = w
-        return self._standard[k]
+        return self._grow(self._standard, "standard", k, self.a, lambda j: 0)
 
     def aligned(self, k: int) -> str:
         """The conjugate of the standard word aligned with this word's prefix."""
+        return self._grow(self._aligned, "aligned", k, self.gap, self.digit)
+
+    def _grow(self, words: dict, name: str, k: int, gap, digit) -> str:
+        """w_k = w_{k-1}^gap(k) w_{k-2} w_{k-1}^digit(k), cached in `words`.
+
+        The standard words are the aligned ones of the all-zero digits.
+        """
         if k < -1:
-            raise ConfigError(f"no aligned word at level {k}")
+            raise ConfigError(f"no {name} word at level {k}")
         self._check_cap(max(k, 0))
-        top = max(self._aligned)
+        top = max(words)
         while top < k:
             top += 1
+            g, b = gap(top), digit(top)
             if top == 1:
-                b = self.digit(1)
-                w = "0" * (self.a(1) - b - 1) + "1" + "0" * b
+                words[1] = "0" * (g - 1) + "1" + "0" * b
             else:
-                b = self.digit(top)
-                w = (self._aligned[top - 1] * (self.a(top) - b)
-                     + self._aligned[top - 2]
-                     + self._aligned[top - 1] * b)
-            self._aligned[top] = w
-        return self._aligned[k]
+                words[top] = words[top - 1] * g + words[top - 2] + words[top - 1] * b
+        return words[k]
 
     def split(self, k: int) -> tuple[str, str]:
         """(prefix, suffix) of the standard word: lengths t_k and r_k."""
@@ -224,17 +259,19 @@ class WordSystem:
 
     # -- implicit letter access ----------------------------------------------
 
-    def _descend(self, n: int, zero_digits: bool) -> int:
+    def letter(self, n: int) -> int:
+        """Letter n (1-based) of the word, via recursive descent: O(K) time."""
+        if n < 1:
+            raise ConfigError(f"letters are 1-based, got {n}")
         k = self.table.level_covering(n)
-        if not zero_digits and k > self.levels:
+        if k > self.levels:
             raise HorizonError(
                 f"letter {n} needs digits through level {k}, have {self.levels}"
             )
         m = n
         while k >= 2:
             qk1, qk2 = self.q(k - 1), self.q(k - 2)
-            b = 0 if zero_digits else self.digit(k)
-            lead = (self.a(k) - b) * qk1
+            lead = self.gap(k) * qk1
             if m <= lead:
                 m = (m - 1) % qk1 + 1
                 k -= 1
@@ -245,23 +282,10 @@ class WordSystem:
                 m = (m - lead - qk2 - 1) % qk1 + 1
                 k -= 1
         if k == 1:
-            b = 0 if zero_digits else self.digit(1)
-            return 1 if m == self.a(1) - b else 0
+            return 1 if m == self.gap(1) else 0
         if k == 0:
             return 0
         return 1  # level -1 word is "1"
-
-    def letter(self, n: int) -> int:
-        """Letter n (1-based) of the word, via recursive descent: O(K) time."""
-        if n < 1:
-            raise ConfigError(f"letters are 1-based, got {n}")
-        return self._descend(n, zero_digits=False)
-
-    def standard_letter(self, n: int) -> int:
-        """Letter n of the characteristic word (all digits zero)."""
-        if n < 1:
-            raise ConfigError(f"letters are 1-based, got {n}")
-        return self._descend(n, zero_digits=True)
 
     def prefix(self, length: int) -> str:
         """First `length` letters; built from cap-sized blocks in O(length)."""
@@ -279,8 +303,8 @@ class WordSystem:
         if self.q(k) <= self.cap:
             parts.append(self.aligned(k)[:need])
             return
-        b = self.digit(k)
-        for block_k, copies in ((k - 1, self.a(k) - b), (k - 2, 1), (k - 1, b)):
+        for block_k, copies in ((k - 1, self.gap(k)), (k - 2, 1),
+                                (k - 1, self.digit(k))):
             block_len = self.q(block_k)
             for _ in range(copies):
                 take = min(need, block_len)
@@ -291,17 +315,15 @@ class WordSystem:
 
     # -- exact floor-formula letters -----------------------------------------
 
-    def floor_letter(self, n: int, upper: bool | None = None) -> int:
+    def floor_letter(self, n: int) -> int:
         """s_n = floor(n theta + rho) - floor((n-1) theta + rho), certified.
 
-        With `upper` the ceiling variant is evaluated instead; in the
-        exact modes both variants agree except at the two indices where
-        the argument is an integer (degenerate intercepts only).
+        An upper word evaluates the ceiling variant instead; in the exact
+        modes both variants agree except at the two indices where the
+        argument is an integer (degenerate intercepts only).
         """
         if n < 1:
             raise ConfigError(f"letters are 1-based, got {n}")
-        if upper is None:
-            upper = self.upper
         if self.mode == "combo":
             u, p = self.shift
             # floor((n+1+U) theta - P) - floor((n+U) theta - P); P cancels.
@@ -310,14 +332,14 @@ class WordSystem:
         if self.mode == "shifted":
             m, p = self.shift
             x = n - m
-            if upper:
+            if self.upper:
                 return (ceil_theta_multiple(self.table, x + 1)
                         - ceil_theta_multiple(self.table, x))
             return (floor_theta_multiple(self.table, x + 1)
                     - floor_theta_multiple(self.table, x))
-        return self._floor_letter_interval(n, upper)
+        return self._floor_letter_interval(n)
 
-    def _floor_letter_interval(self, n: int, upper: bool) -> int:
+    def _floor_letter_interval(self, n: int) -> int:
         """Interval fallback when only a digit prefix is known."""
         lo, hi = decode_real(self.digits, self.table)
         enc = theta_enclosure(self.table, self.table.horizon - 1)
@@ -330,7 +352,7 @@ class WordSystem:
 
         def int_part(x):
             v_lo, v_hi = bracket(x)
-            if upper:
+            if self.upper:
                 c1 = -((-v_lo.numerator) // v_lo.denominator)
                 c2 = -((-v_hi.numerator) // v_hi.denominator)
             else:
@@ -393,23 +415,23 @@ class WordSystem:
         """
         if k < 0:
             raise ConfigError("repetition level must be >= 0")
-        a2, b2 = self.a(k + 2), self.digit(k + 2)
-        if a2 - b2 >= 2:
+        gap2 = self.gap(k + 2)
+        if gap2 >= 2:
             head = self.split(k + 1)[1]
             count = self.a(k + 1)
-        elif a2 - b2 == 1:
+        elif gap2 == 1:
             head = self.split(k + 1)[1]
             count = self.a(k + 1)
             if self.digit(k + 3) < self.a(k + 3):
                 count += 1
-        else:  # a2 == b2
+        else:  # b_{k+2} = a_{k+2}
             head = self.split(k)[1] + self.standard(k + 1)
             count = self.a(k + 1)
-            if a2 == 1:
-                if self.a(k + 3) - self.digit(k + 3) >= 2:
+            if self.a(k + 2) == 1:
+                if self.gap(k + 3) >= 2:
                     count += 1
                 elif (self.a(k + 3) == 1 and self.digit(k + 3) == 0
-                      and self.a(k + 4) == self.digit(k + 4)):
+                      and self.gap(k + 4) == 0):
                     count += 1
         mk = self.standard(k)
         mk_prev = self.standard(k - 1)

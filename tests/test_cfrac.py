@@ -5,6 +5,7 @@ import pytest
 from sturmian import (
     ConfigError,
     DigitRuleError,
+    InternalError,
     SlopeSpec,
     build_table,
     boehmer_term,
@@ -16,6 +17,8 @@ from sturmian import (
 )
 from sturmian.cfrac import (
     NumberSpec,
+    Term,
+    TermStream,
     collapse_negatives,
     eliminate_zeros,
     formal_family_fraction,
@@ -156,6 +159,60 @@ def test_zero_elimination_matrix_preserved(rng):
         final = eliminate_zeros(nonneg)
         assert stream_matrix(stream, spec.base) == stream_matrix(final, spec.base)
         assert all(v >= 1 for v in final.values()[:-1])
+
+
+def rescanning_eliminate_zeros(stream):
+    """Reference rule (ii): rescan from index 0 after every rewrite,
+    deleting the leftmost zero pair before folding the leftmost x, 0, y."""
+    items = list(stream.terms)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(items) - 1):
+            if items[i].value == 0 and items[i + 1].value == 0:
+                del items[i: i + 2]
+                changed = True
+                break
+        if changed:
+            continue
+        for i in range(1, len(items) - 1):
+            if items[i].value == 0:
+                x, z, y = items[i - 1], items[i], items[i + 1]
+                items[i - 1: i + 2] = [
+                    Term(x.value + y.value, x.parts + z.parts + y.parts)
+                ]
+                changed = True
+                break
+    for i, t in enumerate(items):
+        if t.value == 0 and i + 1 < len(items):
+            raise InternalError("a non-trailing zero survived exhaustive rewriting")
+        if t.value < 0:
+            raise InternalError("a negative term survived rewriting")
+    return TermStream("final", tuple(items))
+
+
+def test_one_pass_zero_elimination_matches_rescanning(rng):
+    # nonnegative streams (the output of rule (i)) with zero runs of
+    # length 1-4 anywhere, leading ones included; every part is distinct
+    # so any difference in how terms merge shows in `parts`
+    kinds = ("c", "d", "one", "e", "f")
+    for _ in range(3000):
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.4:
+                values = [0] * rng.randint(1, 4)
+            else:
+                values = [rng.randint(1, 9)]
+            for v in values:
+                terms.append(Term(v, ((rng.choice(kinds), len(terms)),)))
+        stream = TermStream("nonneg", tuple(terms))
+        outcomes = []
+        for rule in (eliminate_zeros, rescanning_eliminate_zeros):
+            try:
+                outcomes.append(rule(stream).terms)
+            except InternalError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], terms
 
 
 def test_golden_pipeline_equals_boehmer():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from sturmian import cfrac, exponent
 from sturmian.cli import main
+from sturmian.errors import InternalError
 
 GOLDEN = '{"preperiod":[1],"period":[1],"horizon":16}'
 S532 = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":12}'
@@ -128,6 +130,27 @@ def test_exponent_with_digits_reports_strong(capsys):
     assert code == 0
     families = {rec["family"] for rec in payload["strong"]}
     assert families  # dispatch ran on the valid window
+
+
+def test_exponent_reports_internal_errors(capsys, monkeypatch):
+    def broken(spec, k):
+        raise InternalError("dispatch invariant failed")
+
+    monkeypatch.setattr(exponent, "classify_families", broken)
+    code, _, err = run(capsys, "--slope", S532, "--intercept",
+                       '{"digits":[1,1,1,0,1,0,1,0]}', "--base", "2",
+                       "exponent")
+    assert code == 4
+    assert json.loads(err)["error"] == "InternalError"
+
+
+def test_boehmer_disagreement_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(cfrac, "boehmer_term", lambda table, base, k: 0)
+    code, _, err = run(capsys, "--slope", GOLDEN, "--base", "2",
+                       "boehmer", "--terms", "6", "--check")
+    assert code == 4
+    assert json.loads(err) == {"error": "InternalError",
+                               "message": "closed form disagrees with the pipeline"}
 
 
 def test_determinism(capsys):

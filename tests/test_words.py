@@ -11,6 +11,7 @@ from sturmian import (
     build_table,
     degenerate_expansions,
     encode_integer,
+    encode_real,
 )
 from sturmian.words import WordSystem, formal_intercept, run_length
 
@@ -22,6 +23,29 @@ from conftest import (
     theta_value,
     word_system,
 )
+
+
+def test_from_spec_forms_match_the_constructors(slope532):
+    t = slope532
+    cases = [
+        ("characteristic", False, WordSystem.characteristic(t)),
+        ({"digits": [1, 0, 2]}, False, word_system(t, (1, 0, 2))),
+        ({"digits": [1, 0, 2], "terminating": False}, False,
+         word_system(t, (1, 0, 2), terminating=False)),
+        ({"m": 3, "p": 1}, True,
+         WordSystem.from_degenerate(t, degenerate_expansions(3, 1, t), upper=True)),
+        ({"sigma": "1/2"}, False,
+         WordSystem.from_digits(t, encode_real(Fraction(1, 2), t))),
+        ({"sigma_pair": [1, "-1/5"]}, False,
+         WordSystem.from_digits(t, encode_real((1, Fraction(-1, 5)), t))),
+    ]
+    for intercept, upper, want in cases:
+        got = WordSystem.from_spec(t, intercept, upper=upper)
+        assert (got.digits, got.mode, got.shift, got.upper) == (
+            want.digits, want.mode, want.shift, want.upper)
+    for bad in ("bogus", {}, {"digits": [0], "m": 1}, {"sigma": "1/0"}):
+        with pytest.raises(ConfigError):
+            WordSystem.from_spec(t, bad)
 
 
 def floor_formula_letters(table, count, shift_u=0):
