@@ -16,18 +16,35 @@ expansion is preserved exactly at every step; tests check the matrix
 products.  Every term carries provenance: which raw parts were merged
 into it and hence which convergent family the corresponding convergent
 belongs to.
+
+The pipeline is demand-driven.  `final_terms` is one generator that
+builds the term block of level k only when the next output term needs
+it: rule (i) sees one level ahead, and rule (ii) is a left-to-right
+stack pass that releases a term as soon as the term above it on the
+stack is nonzero, since from then on no later input can fold into it.
+So `--terms N` pays only for the levels under its N terms and the one
+or two levels that settle them.  Once the last known level is built,
+the two-level stability rule applies: terms involving the last two
+levels are withheld, because a longer stream could still rewrite them,
+and a trailing zero is dropped.  Everything released is final and equal
+to the corresponding term of the expansion over all known levels.
+`raw_stream`, `collapse_negatives` and `eliminate_zeros` run the same
+per-rule code over a whole stream, one stage at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ConfigError, DigitRuleError, HorizonError, InternalError
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
 _PART_FAMILY = {"c": "1", "d": "2-1", "one": "2", "e": "3", "f": "4"}
+_KINDS = tuple(_PART_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -140,10 +157,19 @@ def word_value(word: str, base: int) -> int:
 
 
 def _geom(base: int, step: int, count: int) -> int:
-    """1 + b^step + ... + b^((count-1) step), zero when count <= 0."""
-    if count <= 0:
-        return 0
-    return (pow(base, count * step) - 1) // (pow(base, step) - 1)
+    """1 + x + ... + x^(count-1) with x = b^step, zero when count <= 0.
+
+    Multiplications only, by halving: G(2m) = G(m) (x^m + 1) and
+    G(2m+1) = G(2m) + x^(2m).
+    """
+    if count <= 1:
+        return max(count, 0)
+    half = count >> 1
+    xh = pow(base, half * step)
+    g = _geom(base, step, half) * (xh + 1)
+    if count & 1:
+        g += xh * xh
+    return g
 
 
 def term_block(spec: NumberSpec, k: int) -> TermBlock:
@@ -175,8 +201,10 @@ def boehmer_term(table, base: int, k: int) -> int:
     return pow(base, table.q(k - 2)) * _geom(base, table.q(k - 1), table.a(k))
 
 
-def raw_stream(spec: NumberSpec, levels: int) -> TermStream:
-    """The interleaved improper stream c_0, d_0, 1, e_0, f_0, c_1, ..."""
+def _level_count(spec: NumberSpec, levels: int | None) -> int:
+    """`levels` (default: every level with a known digit), checked."""
+    if levels is None:
+        levels = spec.system.levels
     if levels < 1:
         raise ConfigError("need at least one level")
     if levels > spec.system.levels:
@@ -184,13 +212,46 @@ def raw_stream(spec: NumberSpec, levels: int) -> TermStream:
             f"{levels} levels need intercept digits through {levels}, "
             f"have {spec.system.levels}"
         )
-    terms = []
-    for k in range(levels):
-        blk = term_block(spec, k)
-        for kind, value in (("c", blk.c), ("d", blk.d), ("one", 1),
-                            ("e", blk.e), ("f", blk.f)):
-            terms.append(Term(value, ((kind, k),)))
-    return TermStream("raw", tuple(terms))
+    return levels
+
+
+def _level_terms(spec: NumberSpec, k: int) -> tuple[Term, ...]:
+    """The raw terms c_k, d_k, 1, e_k, f_k of level k."""
+    blk = term_block(spec, k)
+    return tuple(Term(value, ((kind, k),)) for kind, value
+                 in zip(_KINDS, (blk.c, blk.d, 1, blk.e, blk.f)))
+
+
+def raw_stream(spec: NumberSpec, levels: int) -> TermStream:
+    """The interleaved improper stream c_0, d_0, 1, e_0, f_0, c_1, ..."""
+    levels = _level_count(spec, levels)
+    return TermStream("raw", tuple(
+        t for k in range(levels) for t in _level_terms(spec, k)))
+
+
+def _collapse(blocks: Iterator[tuple[Term, ...]]) -> Iterator[Term]:
+    """Rule (i) over 5-term level blocks, reading one level ahead."""
+    k, cur = 0, next(blocks, None)
+    while cur is not None:
+        if cur[0].value < 0:  # not folded into the window of the level below
+            if k == 0:
+                raise InternalError("leading term cannot be negative")
+            raise DigitRuleError(k, "two consecutive negative terms")
+        nxt = next(blocks, None)
+        if nxt is None or nxt[0].value >= 0:
+            yield from cur
+            cur, k = nxt, k + 1
+            continue
+        ck, dk, one_k, ek, fk = cur
+        ck1, dk1, one_k1, ek1, fk1 = nxt
+        if fk.value != 0 or dk1.value != dk.value or ck1.value != -ek.value - 1:
+            raise InternalError(f"negative-term window malformed at k={k}")
+        merged_parts = (ck.parts + dk.parts + one_k.parts + ek.parts
+                        + fk.parts + ck1.parts + dk1.parts + one_k1.parts
+                        + ek1.parts)
+        yield Term(ck.value + 1 + ek1.value, merged_parts)
+        yield fk1  # f_{k+1} survives
+        cur, k = next(blocks, None), k + 2
 
 
 def collapse_negatives(stream: TermStream) -> TermStream:
@@ -198,47 +259,30 @@ def collapse_negatives(stream: TermStream) -> TermStream:
     if stream.stage != "raw":
         raise ConfigError("rule (i) applies to the raw stream")
     terms = stream.terms
-    levels = len(terms) // 5
-    blocks = [terms[5 * k: 5 * k + 5] for k in range(levels)]
-    if blocks and blocks[0][0].value < 0:
-        raise InternalError("leading term cannot be negative")
-    out: list[Term] = []
-    k = 0
-    while k < levels:
-        if k + 1 < levels and blocks[k + 1][0].value < 0:
-            if k + 2 < levels and blocks[k + 2][0].value < 0:
-                raise DigitRuleError(k + 2, "two consecutive negative terms")
-            ck, dk, one_k, ek, fk = blocks[k]
-            ck1, dk1, one_k1, ek1 = blocks[k + 1][:4]
-            if fk.value != 0 or dk1.value != dk.value or ck1.value != -ek.value - 1:
-                raise InternalError(f"negative-term window malformed at k={k}")
-            merged_parts = (ck.parts + dk.parts + one_k.parts + ek.parts
-                            + fk.parts + ck1.parts + dk1.parts + one_k1.parts
-                            + blocks[k + 1][3].parts)
-            out.append(Term(ck.value + 1 + ek1.value, merged_parts))
-            out.append(blocks[k + 1][4])  # f_{k+1} survives
-            k += 2
-        else:
-            out.extend(blocks[k])
-            k += 1
-    return TermStream("nonneg", tuple(out))
+    blocks = (terms[5 * k: 5 * k + 5] for k in range(len(terms) // 5))
+    return TermStream("nonneg", tuple(_collapse(blocks)))
 
 
-def eliminate_zeros(stream: TermStream) -> TermStream:
-    """Rule (ii): delete adjacent zero pairs, then fold x, 0, y into x + y.
+def _settled(t: Term, last: bool) -> Term:
+    if t.value == 0 and not last:
+        raise InternalError("a non-trailing zero survived exhaustive rewriting")
+    if t.value < 0:
+        raise InternalError("a negative term survived rewriting")
+    return t
 
-    Merged terms take the family of their rightmost part; pair deletions
-    leave their neighbours' identities untouched.  Only trailing zeros
-    may survive (the truncation step removes them).
 
-    One left-to-right stack pass: a zero run of odd length leaves its
-    last zero, which folds its neighbours once the next term arrives
-    (terms are nonnegative after rule (i), so a fold makes no new zero).
+def _fold_zeros(terms: Iterable[Term]) -> Iterator[Term]:
+    """Rule (ii) as one left-to-right stack pass, releasing settled terms.
+
+    A zero run of odd length leaves its last zero, which folds its
+    neighbours once the next term arrives (terms are nonnegative after
+    rule (i), so a fold makes no new zero).  Hence a zero can only sit
+    on top of the stack or at its bottom, and a term with a nonzero
+    term above it can no longer change: it is released at once.
     """
-    if stream.stage != "nonneg":
-        raise ConfigError("rule (ii) applies after rule (i)")
     items: list[Term] = []
-    for t in stream.terms:
+    done = 0  # items[:done] are released
+    for t in terms:
         if items and items[-1].value == 0:
             if t.value == 0:
                 items.pop()  # adjacent zero pairs act as the identity matrix
@@ -247,31 +291,43 @@ def eliminate_zeros(stream: TermStream) -> TermStream:
                 z, x = items.pop(), items.pop()
                 t = Term(x.value + t.value, x.parts + z.parts + t.parts)
         items.append(t)
-    for i, t in enumerate(items):
-        if t.value == 0 and i + 1 < len(items):
-            raise InternalError("a non-trailing zero survived exhaustive rewriting")
-        if t.value < 0:
-            raise InternalError("a negative term survived rewriting")
-    return TermStream("final", tuple(items))
+        while done + 1 < len(items) and items[done + 1].value != 0:
+            yield _settled(items[done], last=False)
+            done += 1
+    for i in range(done, len(items)):
+        yield _settled(items[i], last=i + 1 == len(items))
 
 
-def continued_fraction(spec: NumberSpec, levels: int | None = None) -> TermStream:
-    """Full pipeline with the stability truncation.
+def eliminate_zeros(stream: TermStream) -> TermStream:
+    """Rule (ii): delete adjacent zero pairs, then fold x, 0, y into x + y.
 
-    Terms involving the last two built levels are withheld: a longer
-    stream could still rewrite them.  Everything kept is final.
+    Merged terms take the family of their rightmost part; pair deletions
+    leave their neighbours' identities untouched.  Only trailing zeros
+    may survive (the truncation step removes them).
     """
-    if levels is None:
-        levels = spec.system.levels
-    final = eliminate_zeros(collapse_negatives(raw_stream(spec, levels)))
-    kept = []
-    for t in final.terms:
-        if t.level > levels - 3:
-            break
-        kept.append(t)
-    while kept and kept[-1].value == 0:
-        kept.pop()
-    return TermStream("final", tuple(kept))
+    if stream.stage != "nonneg":
+        raise ConfigError("rule (ii) applies after rule (i)")
+    return TermStream("final", tuple(_fold_zeros(stream.terms)))
+
+
+def final_terms(spec: NumberSpec, levels: int | None = None) -> Iterator[Term]:
+    """The regular expansion over `levels` levels, built on demand.
+
+    Level k's block is computed only when the next term needs it.  Terms
+    involving the last two levels are withheld (a longer stream could
+    still rewrite them), and so is a trailing zero; the rest is final.
+    """
+    levels = _level_count(spec, levels)
+    blocks = (_level_terms(spec, k) for k in range(levels))
+    for t in _fold_zeros(_collapse(blocks)):
+        if t.value != 0 and t.level <= levels - 3:
+            yield t
+
+
+def continued_fraction(spec: NumberSpec, levels: int | None = None,
+                       terms: int | None = None) -> TermStream:
+    """The first `terms` terms of `final_terms` (all of them by default)."""
+    return TermStream("final", tuple(islice(final_terms(spec, levels), terms)))
 
 
 def stream_matrix(stream: TermStream, base: int):

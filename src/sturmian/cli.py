@@ -36,6 +36,21 @@ def _fr(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, as in --digits 1,0,2."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma-separated integers, got {text!r}") from exc
+
+
+def _config_int(cfg, key: str, default: int) -> int:
+    try:
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {key!r} must be an integer: {exc}") from exc
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
@@ -44,8 +59,13 @@ def _load_config(args) -> dict:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
     if args.slope:
-        cfg["slope"] = json.loads(args.slope)
+        try:
+            cfg["slope"] = json.loads(args.slope)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--slope is not valid JSON: {exc}") from exc
     if args.intercept:
         try:
             cfg["intercept"] = json.loads(args.intercept)
@@ -64,11 +84,16 @@ def _build_system(cfg) -> words.WordSystem:
     if "slope" not in cfg:
         raise ConfigError("config needs a 'slope' object")
     sl = cfg["slope"]
-    spec = slope.SlopeSpec(
-        tuple(int(a) for a in sl.get("preperiod", [])),
-        tuple(int(a) for a in sl.get("period", [])),
-        int(sl.get("horizon", 0)),
-    )
+    if not isinstance(sl, dict):
+        raise ConfigError(f"slope must be a JSON object, got {sl!r}")
+    try:
+        spec = slope.SlopeSpec(
+            tuple(int(a) for a in sl.get("preperiod", [])),
+            tuple(int(a) for a in sl.get("period", [])),
+            int(sl.get("horizon", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad slope {sl!r}: {exc}") from exc
     if spec.horizon < 4:
         raise ConfigError("horizon must be at least 4")
     return words.WordSystem.from_spec(
@@ -83,7 +108,7 @@ def _emit(payload: dict, fmt: str, text: str):
 
 
 def cmd_word(args, cfg, system):
-    length = args.length if args.length is not None else int(cfg.get("length", 0))
+    length = args.length if args.length is not None else _config_int(cfg, "length", 0)
     if length < 1:
         raise ConfigError("word command needs --length >= 1")
     word = system.prefix(length)
@@ -108,7 +133,7 @@ def cmd_ostrowski_int(args, cfg, system):
         payload = {"n": str(args.encode), "digits": [str(d) for d in digits.digits]}
         _emit(payload, args.format, ",".join(payload["digits"]))
     elif args.digits:
-        seq = tuple(int(d) for d in args.digits.split(","))
+        seq = _ints(args.digits, "--digits")
         n = ostrowski.decode_integer(seq, table)
         payload = {"digits": [str(d) for d in seq], "n": str(n)}
         _emit(payload, args.format, str(n))
@@ -121,10 +146,16 @@ def cmd_ostrowski_real(args, cfg, system):
     if args.sigma is not None:
         digits = ostrowski.encode_real(ostrowski.parse_fraction(args.sigma), table)
     elif args.sigma_pair is not None:
-        u, v = args.sigma_pair.split(",")
-        digits = ostrowski.encode_real((int(u), ostrowski.parse_fraction(v)), table)
+        try:
+            u, v = args.sigma_pair.split(",")
+            u = int(u)
+        except ValueError as exc:
+            raise ConfigError(
+                f"--sigma-pair must be u,v with an integer u, got {args.sigma_pair!r}"
+            ) from exc
+        digits = ostrowski.encode_real((u, ostrowski.parse_fraction(v)), table)
     elif args.digits:
-        seq = tuple(int(d) for d in args.digits.split(","))
+        seq = _ints(args.digits, "--digits")
         lo, hi = ostrowski.decode_real(seq, table)
         payload = {"digits": [str(d) for d in seq], "lower": _fr(lo), "upper": _fr(hi)}
         _emit(payload, args.format, f"[{_fr(lo)}, {_fr(hi)}]")
@@ -142,13 +173,12 @@ def cmd_ostrowski_real(args, cfg, system):
 
 
 def _number_spec(cfg, system) -> cfrac.NumberSpec:
-    return cfrac.NumberSpec(int(cfg.get("base", 2)), system)
+    return cfrac.NumberSpec(_config_int(cfg, "base", 2), system)
 
 
 def cmd_cf(args, cfg, system):
     spec = _number_spec(cfg, system)
-    stream = cfrac.continued_fraction(spec)
-    terms = stream.terms[: args.terms] if args.terms else stream.terms
+    terms = cfrac.continued_fraction(spec, terms=args.terms).terms
     payload = {
         "base": str(spec.base),
         "terms": [
@@ -162,10 +192,8 @@ def cmd_cf(args, cfg, system):
 
 def cmd_convergents(args, cfg, system):
     spec = _number_spec(cfg, system)
-    stream = cfrac.continued_fraction(spec)
-    pairs = cfrac.convergents(stream, spec.base)
-    if args.terms:
-        pairs = pairs[: args.terms]
+    pairs = cfrac.convergents(cfrac.continued_fraction(spec, terms=args.terms),
+                              spec.base)
     payload = {
         "base": str(spec.base),
         "convergents": [
@@ -241,7 +269,7 @@ def cmd_boehmer(args, cfg, system):
     upto = args.terms or (system.table.horizon - 4)
     closed = [cfrac.boehmer_term(system.table, spec.base, k) for k in range(1, upto + 1)]
     if args.check:
-        stream = cfrac.continued_fraction(spec).values()
+        stream = cfrac.continued_fraction(spec, terms=len(closed)).values()
         overlap = min(len(stream), len(closed))
         if list(closed[:overlap]) != list(stream[:overlap]):
             raise InternalError("closed form disagrees with the pipeline")
@@ -268,6 +296,14 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--upper", action="store_true",
                    help="use the upper (ceiling) word")
     return p
+
+
+def positive_int(text: str) -> int:
+    """argparse type of the --terms flags: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,22 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ostrowski_real)
 
     p = sub.add_parser("cf", help="continued fraction terms with provenance")
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=positive_int)
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("convergents", help="convergent pairs P_j/Q_j")
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=positive_int)
     p.set_defaults(func=cmd_convergents)
 
     p = sub.add_parser("exponent", help="irrationality exponent report")
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("verify", help="pipeline vs oracle agreement")
-    p.add_argument("--terms", type=int, help="minimum certified terms")
+    p.add_argument("--terms", type=positive_int, help="minimum certified terms")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("boehmer", help="closed-form characteristic terms")
-    p.add_argument("--terms", type=int)
+    p.add_argument("--terms", type=positive_int)
     p.add_argument("--check", action="store_true",
                    help="assert agreement with the pipeline")
     p.set_defaults(func=cmd_boehmer)

@@ -165,19 +165,27 @@ class WordSystem:
         if len(forms) != 1:
             raise ConfigError(
                 "intercept must carry exactly one of digits/m,p/sigma/sigma_pair")
+        try:
+            if "digits" in intercept:
+                digits = tuple(int(b) for b in intercept["digits"])
+            elif "m" in intercept:
+                m, p = int(intercept["m"]), int(intercept.get("p", 0))
+            elif "sigma_pair" in intercept:
+                u, v = intercept["sigma_pair"]
+                u = int(u)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad intercept spec {intercept!r}: {exc}") from exc
         if "digits" in intercept:
             return cls.from_digits(
-                table, intercept["digits"],
+                table, digits,
                 terminating=bool(intercept.get("terminating", True)), upper=upper)
         if "m" in intercept:
-            deg = degenerate_expansions(int(intercept["m"]),
-                                        int(intercept.get("p", 0)), table)
+            deg = degenerate_expansions(m, p, table)
             return cls.from_degenerate(table, deg, upper=upper)
         if "sigma" in intercept:
             sigma = parse_fraction(str(intercept["sigma"]))
         else:
-            u, v = intercept["sigma_pair"]
-            sigma = (int(u), parse_fraction(str(v)))
+            sigma = (u, parse_fraction(str(v)))
         return cls.from_digits(table, encode_real(sigma, table), upper=upper)
 
     # -- basic quantities ----------------------------------------------------

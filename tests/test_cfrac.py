@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -19,8 +20,10 @@ from sturmian.cfrac import (
     NumberSpec,
     Term,
     TermStream,
+    _geom,
     collapse_negatives,
     eliminate_zeros,
+    final_terms,
     formal_family_fraction,
     raw_stream,
     stream_matrix,
@@ -97,6 +100,23 @@ def test_boehmer_terms_golden():
             assert boehmer_term(t, b, k) % (b ** t.q(k - 2)) == 0
 
 
+def division_geom(base, step, count):
+    """Reference for _geom: the closed form (x^count - 1)/(x - 1), x = b^step."""
+    if count <= 0:
+        return 0
+    return (pow(base, count * step) - 1) // (pow(base, step) - 1)
+
+
+def test_geom_matches_division_reference():
+    for base in range(2, 10):
+        for step in range(1, 7):
+            for count in range(0, 71):
+                assert _geom(base, step, count) == division_geom(base, step, count)
+    # a Böhmer-size count: a partial quotient in the thousands
+    assert _geom(3, 100, 3001) == division_geom(3, 100, 3001)
+    assert _geom(2, 5, -1) == 0
+
+
 def test_raw_stream_shape(golden):
     spec = characteristic_spec(golden, 2)
     stream = raw_stream(spec, 6)
@@ -146,6 +166,15 @@ def test_consecutive_negatives_rejected(golden):
     fake[5] = Term(-1, (("c", 1),))
     fake[10] = Term(-1, (("c", 2),))
     with pytest.raises((DigitRuleError, Exception)):
+        collapse_negatives(TermStream("raw", tuple(fake)))
+
+
+def test_negative_after_a_collapsed_window_is_a_digit_rule_error(golden):
+    spec = characteristic_spec(golden, 2)
+    fake = list(raw_stream(spec, 8).terms)
+    fake[5] = Term(-fake[3].value - 1, (("c", 1),))  # well-formed window at k=0
+    fake[10] = Term(-1, (("c", 2),))
+    with pytest.raises(DigitRuleError, match="index 2: two consecutive"):
         collapse_negatives(TermStream("raw", tuple(fake)))
 
 
@@ -213,6 +242,55 @@ def test_one_pass_zero_elimination_matches_rescanning(rng):
             except InternalError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], terms
+
+
+def batch_continued_fraction(spec, levels):
+    """Reference pipeline: both rules over the whole raw stream of `levels`
+    levels, then the stability truncation and the trailing-zero drop.
+    Rule (ii) is the rescanning reference, so no release logic is shared."""
+    final = rescanning_eliminate_zeros(collapse_negatives(raw_stream(spec, levels)))
+    kept = []
+    for t in final.terms:
+        if t.level > levels - 3:
+            break
+        kept.append(t)
+    while kept and kept[-1].value == 0:
+        kept.pop()
+    return tuple(kept)
+
+
+def _intercepts(table, digits, sigma):
+    """Characteristic, digits, m = 1 and m = 3 (both words each) and sigma."""
+    k = table.horizon
+    p3 = 2 * table.p(k) // table.q(k) + 1  # rho = -2 theta + p3 lies in (0, 1)
+    forms = [("characteristic", False), ({"digits": digits}, False),
+             ({"sigma": sigma}, False)]
+    for m, p in ((1, 0), (3, p3)):
+        forms += [({"m": m, "p": p}, False), ({"m": m, "p": p}, True)]
+    return forms
+
+
+def test_demand_driven_prefixes_equal_full_expansion():
+    negative_c = negative_term_spec()
+    cases = [
+        (golden_table(16), 2, [0, 1, 0, 0, 1], "1/5"),
+        (table_for((5, 3, 2), horizon=8), 3, [1, 0, 2, 0, 1], "1/2"),
+        (negative_c.system.table, 2, list(negative_c.system.digits.digits), "1/3"),
+    ]
+    negative_windows = 0
+    for table, base, digits, sigma in cases:
+        for intercept, upper in _intercepts(table, digits, sigma):
+            spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
+                                                         upper=upper))
+            levels = spec.system.levels
+            raw = raw_stream(spec, levels).values()
+            negative_windows += any(v < 0 for v in raw)
+            full = continued_fraction(spec).terms
+            assert full == batch_continued_fraction(spec, levels), intercept
+            for n in range(1, len(full) + 2):
+                assert tuple(islice(final_terms(spec), n)) == full[:n]
+                assert continued_fraction(spec, terms=n).terms == full[:n]
+    assert negative_windows >= 3  # rule (i) fires in the corpus
 
 
 def test_golden_pipeline_equals_boehmer():

@@ -186,3 +186,55 @@ def test_flags_allowed_after_subcommand(capsys):
                        "--format", "text")
     assert code == 0
     assert out.strip() == "10110"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--slope", "{bad", "cf"],
+    ["--slope", "[1]", "cf"],
+    ["--slope", '{"preperiod":["a"],"period":[1],"horizon":8}', "cf"],
+    ["--slope", GOLDEN, "--intercept", '{"digits":["x"]}', "cf"],
+    ["--slope", GOLDEN, "ostrowski-int", "--digits", "a"],
+    ["--slope", GOLDEN, "ostrowski-real", "--sigma-pair", "1"],
+], ids=["slope-json", "slope-list", "slope-quotient", "intercept-digit",
+        "int-digits", "sigma-pair"])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "--terms", "-3"],
+    ["cf", "--terms", "0"],
+    ["convergents", "--terms", "0"],
+    ["verify", "--terms", "-1"],
+    ["boehmer", "--terms", "-2"],
+])
+def test_terms_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--slope", GOLDEN, *argv])
+    assert exc.value.code == 2
+    assert "--terms: must be at least 1" in capsys.readouterr().err
+
+
+def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):
+    # the 8 printed terms reach level 7; releasing the last of them takes
+    # one more level (characteristic) or the rule-(i) window of levels 8
+    # and 9 (m = 1), and the deepest level, 10, is never built
+    built = []
+    term_block = cfrac.term_block
+
+    def counted(spec, k):
+        built.append(k)
+        return term_block(spec, k)
+
+    monkeypatch.setattr(cfrac, "term_block", counted)
+    slope = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":11}'
+    for intercept, deepest in (([], 8), (["--intercept", '{"m":1,"p":0}'], 9)):
+        for sub in ("cf", "convergents"):
+            built.clear()
+            code, out, _ = run(capsys, "--slope", slope, *intercept,
+                               "--base", "3", sub, "--terms", "8")
+            assert code == 0 and len(json.loads(out)[
+                "terms" if sub == "cf" else "convergents"]) == 8
+            assert built == list(range(deepest + 1))

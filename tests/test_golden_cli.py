@@ -7,6 +7,11 @@ the data and says which entries moved.  Re-record with
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 
+and replay the corpus without pytest (on any interpreter that runs the
+package) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --check
+
 The corpus covers all eight subcommands on three small slopes, every
 intercept form the CLI accepts, the three output formats, `--binary`,
 and refusals with exit codes 2 and 3.
@@ -17,8 +22,6 @@ import io
 import json
 import os
 import sys
-
-import pytest
 
 from sturmian.cli import main
 
@@ -182,13 +185,39 @@ def test_corpus_matches_recorded_commands():
     assert [e["argv"] for e in RECORDED] == corpus()
 
 
-@pytest.mark.parametrize(
-    "entry", [pytest.param(e, id=f"{i:03d}") for i, e in enumerate(RECORDED)])
+def pytest_generate_tests(metafunc):
+    # parametrized here rather than by decorator, so that --check below
+    # needs no pytest
+    if "entry" in metafunc.fixturenames:
+        metafunc.parametrize("entry", RECORDED,
+                             ids=[f"{i:03d}" for i in range(len(RECORDED))])
+
+
 def test_golden_output(entry):
     assert record(entry["argv"]) == entry
 
 
+def check() -> int:
+    """Replay the corpus and print each differing entry; return how many
+    differ (1 when the command list itself no longer matches)."""
+    if [e["argv"] for e in RECORDED] != corpus():
+        print("golden_cli.json does not hold the current corpus")
+        return 1
+    bad = 0
+    for i, entry in enumerate(RECORDED):
+        got = record(entry["argv"])
+        if got != entry:
+            bad += 1
+            print(f"{i:03d} differs: exit {got['exit']} "
+                  f"(recorded {entry['exit']}) {' '.join(entry['argv'])}")
+    print(f"{len(RECORDED) - bad} of {len(RECORDED)} entries match "
+          f"(Python {sys.version.split()[0]})")
+    return bad
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if check() else 0)
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
     entries = [json.dumps(record(argv)) for argv in corpus()]
