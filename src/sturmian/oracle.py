@@ -1,11 +1,11 @@
 """Independent ground truth for the pipeline.
 
 Everything here goes the long way around on purpose: the number is
-enclosed by exact rational truncations of its digit expansion, continued
-fractions of rationals come from the Euclidean algorithm, and the
-certified prefix of the number's expansion is the common prefix of the
-endpoint expansions with a one-term guard.  None of it shares code with
-the term pipeline it is used to check.
+enclosed by lo/den < x < hi/den, never-reduced integers from its digit
+prefix; continued fractions come from the Euclidean algorithm, and the
+certified prefix is the common prefix of the endpoint expansions with a
+one-term guard, from one Euclid on lo that carries hi by a cofactor.
+None of it shares code with the term pipeline it is used to check.
 """
 
 from __future__ import annotations
@@ -20,33 +20,38 @@ from .errors import ConfigError, PrecisionError
 
 @dataclass(frozen=True)
 class ValueEnclosure:
-    """Exact rational bracket of the number from its first N digits."""
+    """Exact bracket lo/den < value < hi/den from N digits, kept unreduced."""
 
-    lower: Fraction
-    upper: Fraction
+    lo: int
+    hi: int
+    den: int
     digits_used: int
     base: int
 
     def __post_init__(self):
-        if not self.lower < self.upper:
-            raise ConfigError("empty enclosure")
+        if not 0 <= self.lo < self.hi <= self.den:
+            raise ConfigError("enclosure needs 0 <= lo < hi <= den")
+
+    @property
+    def lower(self) -> Fraction:
+        return Fraction(self.lo, self.den)
+
+    @property
+    def upper(self) -> Fraction:
+        return Fraction(self.hi, self.den)
 
     @property
     def width(self) -> Fraction:
-        return self.upper - self.lower
+        return Fraction(self.hi - self.lo, self.den)
 
 
 def enclose_value(spec: NumberSpec, n_digits: int) -> ValueEnclosure:
-    """Bracket the number by its digit prefix: lower = partial sum,
-    upper = lower + b^-N (strict on both sides for a non-constant word)."""
+    """Bracket the number by its digit prefix: lo = partial sum,
+    hi = lo + 1, den = b^N (strict on both sides for a non-constant word)."""
     if n_digits < 1:
         raise ConfigError("need at least one digit")
-    b = spec.base
-    word = spec.system.prefix(n_digits)
-    acc = word_value(word, b)
-    scale = pow(b, n_digits)
-    return ValueEnclosure(Fraction(acc, scale), Fraction(acc + 1, scale),
-                          n_digits, b)
+    acc = word_value(spec.system.prefix(n_digits), spec.base)
+    return ValueEnclosure(acc, acc + 1, spec.base ** n_digits, n_digits, spec.base)
 
 
 def cf_of_rational(x: Fraction) -> list[int]:
@@ -90,30 +95,36 @@ def cf_convergents(partial_quotients) -> list[Fraction]:
 def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
     """Partial quotients shared by every value inside the enclosure.
 
-    Runs the Euclidean algorithm on both endpoints in lockstep, stopping
-    at the first disagreement, and drops the last agreeing term; that
-    guard sidesteps the [..., a] vs [..., a-1, 1] boundary ambiguity of
-    rational endpoints.  Returns the quotients a_1, a_2, ... without the
-    leading integer part.
+    One Euclid on (den, lo), with remainders r_i, quotients a_i and
+    cofactors t_i (t_-1 = 0, t_0 = 1, t_i = t_(i-2) - a_i*t_(i-1)).  While
+    the quotients agree, the remainders of (den, hi) are s_i = r_i +
+    t_i*(hi - lo), and hi's i-th quotient is a_i exactly when
+    0 <= s_i < s_(i-1): one divmod per step.  Stops at the first
+    disagreement and drops the last agreeing term, a guard against the
+    [..., a] vs [..., a-1, 1] ambiguity of rational endpoints.  Returns
+    a_1, a_2, ... (unreduced endpoints give the quotients of reduced ones).
     """
-    if not 0 <= enc.lower < 1:
-        raise ConfigError("expected an enclosure inside [0, 1)")
     common = [0]
-    n1, d1 = enc.lower.numerator, enc.lower.denominator
-    n2, d2 = enc.upper.numerator, enc.upper.denominator
-    while n1 and n2:
-        a1, r1 = divmod(d1, n1)
-        a2, r2 = divmod(d2, n2)
-        if a1 != a2:
+    w = enc.hi - enc.lo
+    den, r, s, t_prev, t = enc.den, enc.lo, enc.hi, 0, 1
+    while r and s:
+        a, rem = divmod(den, r)
+        t_prev, t = t, t_prev - a * t
+        s_next = rem + t * w
+        if not 0 <= s_next < s:
             break
-        common.append(a1)
-        d1, n1 = n1, r1
-        d2, n2 = n2, r2
+        common.append(a)
+        den, r, s = r, rem, s_next
     if len(common) <= 2:
-        raise PrecisionError(
-            "enclosure too wide to certify any partial quotient; raise N"
-        )
+        raise PrecisionError("enclosure too wide to certify any partial quotient; raise N")
     return common[1:-1]
+
+
+def _offsets(p: int, q: int, enc: ValueEnclosure) -> tuple[int, int, int]:
+    """(v, e1, e2) with p/q = u/v reduced and e1, e2 = (lo, hi)*v - u*den."""
+    x = Fraction(p, q)
+    u, v = x.numerator, x.denominator
+    return v, enc.lo * v - u * enc.den, enc.hi * v - u * enc.den
 
 
 def legendre_check(p: int, q: int, enc: ValueEnclosure) -> str:
@@ -124,29 +135,25 @@ def legendre_check(p: int, q: int, enc: ValueEnclosure) -> str:
     "inconclusive" (also when the enclosure is wider than 1/(4q^2))."""
     if q < 1:
         raise ConfigError("denominator must be positive")
-    x = Fraction(p, q)
-    qq = x.denominator * x.denominator
-    if enc.width >= Fraction(1, 4 * qq):
-        return "inconclusive"
-    dmax = max(abs(enc.lower - x), abs(enc.upper - x))
-    dmin = Fraction(0) if enc.lower <= x <= enc.upper else min(
-        abs(enc.lower - x), abs(enc.upper - x))
-    if dmax < Fraction(1, 2 * qq):
-        return "yes"
-    if dmin > Fraction(1, qq):
-        return "no"
+    v, e1, e2 = _offsets(p, q, enc)
+    qq, scale = v * v, enc.den * v
+    if 4 * qq * (enc.hi - enc.lo) < enc.den:  # narrower than 1/(4q^2)
+        if 2 * qq * max(-e1, e2) < scale:
+            return "yes"
+        if qq * max(e1, -e2, 0) > scale:
+            return "no"
     return "inconclusive"
 
 
-def _ilog_floor(x: Fraction, base: int) -> int:
-    """Largest e with base^e <= x, for x >= 1."""
-    if x < 1:
+def _ilog_floor(num: int, den: int, base: int) -> int:
+    """Largest e with base^e <= num/den, for num/den >= 1."""
+    if num < den:
         raise ConfigError("x must be >= 1")
-    bits = x.numerator.bit_length() - x.denominator.bit_length()
+    bits = num.bit_length() - den.bit_length()
     e = max(int(bits / math.log2(base)) - 2, 0)
-    while pow(base, e + 1) <= x:
+    while pow(base, e + 1) * den <= num:
         e += 1
-    while e > 0 and pow(base, e) > x:
+    while e > 0 and pow(base, e) * den > num:
         e -= 1
     return e
 
@@ -157,14 +164,13 @@ def exponent_bracket(p: int, q: int, enc: ValueEnclosure) -> tuple[int, int]:
     Guarantees b^-hi <= |value - p/q| <= b^-lo.  The enclosure must
     exclude p/q; otherwise N has to be raised.
     """
-    x = Fraction(p, q)
-    if enc.lower <= x <= enc.upper:
+    v, e1, e2 = _offsets(p, q, enc)
+    if e1 <= 0 <= e2:
         raise PrecisionError("enclosure contains p/q; raise N")
-    dmin = min(abs(enc.lower - x), abs(enc.upper - x))
-    dmax = max(abs(enc.lower - x), abs(enc.upper - x))
-    lo = _ilog_floor(1 / dmax, enc.base)
-    hi = _ilog_floor(1 / dmin, enc.base)
-    if pow(enc.base, hi) * dmin.numerator < dmin.denominator:
+    dmin, dmax, scale = max(e1, -e2), max(-e1, e2), enc.den * v
+    lo = _ilog_floor(scale, dmax, enc.base)
+    hi = _ilog_floor(scale, dmin, enc.base)
+    if pow(enc.base, hi) * dmin < scale:
         hi += 1
     return lo, hi
 
@@ -204,18 +210,12 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
             prefix = certified_cf_prefix(enclose_value(spec, n))
         except PrecisionError:
             prefix = []
-        if len(prefix) >= min_terms and (prev_len >= min_terms or n == n_max):
+        if n == n_max or min(len(prefix), prev_len) >= min_terms:
             break
         prev_len = len(prefix)
-        if n == n_max:
-            break
         n = min(2 * n, n_max)
     overlap = min(len(prefix), len(pipeline))
-    mismatch = next(
-        (i for i in range(overlap) if prefix[i] != pipeline[i]), None
-    )
+    mismatch = next((i for i in range(overlap) if prefix[i] != pipeline[i]), None)
     return VerificationReport(
         n, tuple(prefix), tuple(pipeline), overlap,
-        mismatch is None and overlap >= min(min_terms, len(pipeline)),
-        mismatch,
-    )
+        mismatch is None and overlap >= min(min_terms, len(pipeline)), mismatch)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sturmian import (
     ConfigError,
     PrecisionError,
+    SlopeSpec,
+    build_table,
     cf_convergents,
     cf_of_rational,
     cf_value,
@@ -20,6 +23,7 @@ from sturmian import (
 from sturmian.cfrac import NumberSpec
 from sturmian.oracle import ValueEnclosure, verify_agreement
 from sturmian.ostrowski import InterceptDigits
+from sturmian.slope import ceil_theta_multiple
 from sturmian.words import WordSystem
 
 from conftest import golden_table, random_digits, random_slope_table, word_system
@@ -61,7 +65,7 @@ def test_cf_canonical_last_term():
     assert cf_of_rational(Fraction(3, 5)) == [0, 1, 1, 2]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6))
 def test_euclid_round_trip(p, q):
     x = Fraction(p % q, q)
@@ -79,14 +83,13 @@ def test_certified_prefix_golden():
 
 
 def test_certified_prefix_exact_rational():
-    enc = ValueEnclosure(Fraction(7, 37), Fraction(7, 37) + Fraction(1, 10 ** 9),
-                         30, 10)
+    enc = ValueEnclosure(7 * 10 ** 9, 7 * 10 ** 9 + 37, 37 * 10 ** 9, 30, 10)
     prefix = certified_cf_prefix(enc)
     assert prefix[:3] == [5, 3, 2][: len(prefix)]
 
 
 def test_certified_prefix_too_wide():
-    enc = ValueEnclosure(Fraction(1, 3), Fraction(2, 3), 1, 2)
+    enc = ValueEnclosure(1, 2, 3, 1, 2)
     with pytest.raises(PrecisionError):
         certified_cf_prefix(enc)
 
@@ -100,6 +103,75 @@ def test_certified_prefix_is_sound(rng):
         shallow = certified_cf_prefix(enclose_value(spec, 3 * t.q(6)))
         deep = certified_cf_prefix(enclose_value(spec, 12 * t.q(6)))
         assert deep[: len(shallow)] == shallow
+
+
+def test_enclosure_rejects_bad_endpoints():
+    # an upper endpoint above 1 used to surface as a PrecisionError
+    for lo, hi, den in ((1, 5, 4), (-1, 1, 4), (2, 2, 4), (3, 2, 4), (0, 1, 0)):
+        with pytest.raises(ConfigError):
+            ValueEnclosure(lo, hi, den, 1, 2)
+    enc = ValueEnclosure(0, 4, 4, 1, 2)
+    assert (enc.lower, enc.upper, enc.width) == (0, 1, 1)
+
+
+def reference_cf_prefix(lower: Fraction, upper: Fraction) -> list[int]:
+    """The two-endpoint lockstep: a reduced-fraction Euclid on each endpoint,
+    one divmod each per step, stopping at the first disagreement and
+    dropping the last agreeing quotient."""
+    if not 0 <= lower < 1:
+        raise ConfigError("expected an enclosure inside [0, 1)")
+    common = [0]
+    n1, d1 = lower.numerator, lower.denominator
+    n2, d2 = upper.numerator, upper.denominator
+    while n1 and n2:
+        a1, r1 = divmod(d1, n1)
+        a2, r2 = divmod(d2, n2)
+        if a1 != a2:
+            break
+        common.append(a1)
+        d1, n1 = n1, r1
+        d2, n2 = n2, r2
+    if len(common) <= 2:
+        raise PrecisionError(
+            "enclosure too wide to certify any partial quotient; raise N"
+        )
+    return common[1:-1]
+
+
+def _prefix_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionError:
+        return PrecisionError
+
+
+def test_certified_prefix_matches_two_endpoint_reference():
+    rng = random.Random(20261018)
+    kinds = ("random", "unit", "lo=0", "hi=den", "wide", "scaled")
+    outcomes = {kind: set() for kind in kinds}
+    for i in range(12000):
+        kind = kinds[i % len(kinds)]
+        den = rng.randint(2, 1 << rng.choice((4, 12, 40, 120)))
+        lo = 0 if kind == "lo=0" else rng.randrange(den)
+        if kind == "unit":
+            hi = lo + 1
+        elif kind == "hi=den":
+            hi = den
+        elif kind == "wide":
+            lo = rng.randrange(den // 2)
+            hi = rng.randint(lo + den // 2, den)
+        else:
+            hi = rng.randint(lo + 1, min(den, lo + rng.choice((1, 3, den))))
+        g = rng.randint(2, 10 ** 6) if kind == "scaled" else 1
+        got = _prefix_or_error(
+            certified_cf_prefix, ValueEnclosure(g * lo, g * hi, g * den, 1, 2))
+        want = _prefix_or_error(
+            reference_cf_prefix, Fraction(lo, den), Fraction(hi, den))
+        assert got == want, (lo, hi, den, g)
+        outcomes[kind].add(got is PrecisionError)
+    # an endpoint at 0 or 1, or a width above 1/2, leaves nothing to certify
+    assert all(outcomes.pop(kind) == {True} for kind in ("lo=0", "hi=den", "wide"))
+    assert all(seen == {False, True} for seen in outcomes.values()), outcomes
 
 
 def test_legendre_examples():
@@ -206,3 +278,36 @@ def test_oracle_convergents_complete_against_pipeline(rng):
             if conv.denominator < floor or conv.denominator > deepest:
                 continue
             assert conv in reduced, (t.spec.preperiod, digs, conv)
+
+
+@st.composite
+def pipeline_numbers(draw):
+    """A slope at the deepest horizon with q_K <= 3000, a characteristic,
+    valid-digit or degenerate (m, p) intercept, and a base in 2..10."""
+    pre = tuple(draw(st.lists(st.integers(1, 9), max_size=4)))
+    period = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3)))
+    deep = build_table(SlopeSpec(pre, period, 25))
+    horizon = max(k for k in range(1, 26) if deep.q(k) <= 3000)
+    table = build_table(SlopeSpec(pre, period, horizon))
+    form = draw(st.sampled_from(("characteristic", "digits", "degenerate")))
+    if form == "characteristic":
+        system = WordSystem.characteristic(table)
+    elif form == "digits":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        system = word_system(table, random_digits(rng, table, horizon),
+                             terminating=draw(st.booleans()))
+    else:
+        m = draw(st.integers(1, table.q(horizon)))
+        p = ceil_theta_multiple(table, m - 1)
+        system = WordSystem.from_spec(table, {"m": m, "p": p},
+                                      upper=draw(st.booleans()))
+    return NumberSpec(draw(st.integers(2, 10)), system)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pipeline_numbers())
+def test_pipeline_agrees_with_certified_prefix(spec):
+    rep = verify_agreement(spec)
+    overlap = rep.overlap
+    assert rep.certified_prefix[:overlap] == rep.pipeline_terms[:overlap]
+    assert rep.first_mismatch is None
