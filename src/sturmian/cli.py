@@ -83,17 +83,7 @@ def _load_config(args) -> dict:
 def _build_system(cfg) -> words.WordSystem:
     if "slope" not in cfg:
         raise ConfigError("config needs a 'slope' object")
-    sl = cfg["slope"]
-    if not isinstance(sl, dict):
-        raise ConfigError(f"slope must be a JSON object, got {sl!r}")
-    try:
-        spec = slope.SlopeSpec(
-            tuple(int(a) for a in sl.get("preperiod", [])),
-            tuple(int(a) for a in sl.get("period", [])),
-            int(sl.get("horizon", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad slope {sl!r}: {exc}") from exc
+    spec = slope.SlopeSpec.from_json(cfg["slope"])
     if spec.horizon < 4:
         raise ConfigError("horizon must be at least 4")
     return words.WordSystem.from_spec(
@@ -187,7 +177,7 @@ def cmd_cf(args, cfg, system):
             for t in terms
         ],
     }
-    _emit(payload, args.format, " ".join(str(t.value) for t in terms))
+    _emit(payload, args.format, " ".join(t["term"] for t in payload["terms"]))
 
 
 def cmd_convergents(args, cfg, system):
@@ -203,7 +193,7 @@ def cmd_convergents(args, cfg, system):
         ],
     }
     _emit(payload, args.format,
-          " ".join(f"{c.p}/{c.q}" for c in pairs))
+          " ".join(f"{c['P']}/{c['Q']}" for c in payload["convergents"]))
 
 
 def cmd_exponent(args, cfg, system):
@@ -258,8 +248,7 @@ def cmd_verify(args, cfg, system):
         "firstMismatchIndex": rep.first_mismatch,
     }
     _emit(payload, args.format, "match" if rep.matches else "MISMATCH")
-    if not rep.matches:
-        sys.exit(4)
+    return 0 if rep.matches else InternalError.exit_code
 
 
 def cmd_boehmer(args, cfg, system):
@@ -274,7 +263,7 @@ def cmd_boehmer(args, cfg, system):
         if list(closed[:overlap]) != list(stream[:overlap]):
             raise InternalError("closed form disagrees with the pipeline")
     payload = {"terms": [str(a) for a in closed]}
-    _emit(payload, args.format, " ".join(str(a) for a in closed))
+    _emit(payload, args.format, " ".join(payload["terms"]))
 
 
 _COMMON_DEFAULTS = {
@@ -359,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code (a command that returns
+    nothing succeeded)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for key, value in _COMMON_DEFAULTS.items():
@@ -366,14 +357,13 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         cfg = _load_config(args)
-        args.func(args, cfg, _build_system(cfg))
+        return args.func(args, cfg, _build_system(cfg)) or 0
     except SturmianError as exc:
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return exc.exit_code
     except BrokenPipeError:
         return 0
-    return 0
 
 
 if __name__ == "__main__":

@@ -32,8 +32,6 @@ class SlopeSpec:
     horizon: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "preperiod", tuple(int(a) for a in self.preperiod))
-        object.__setattr__(self, "period", tuple(int(a) for a in self.period))
         if not isinstance(self.horizon, int) or self.horizon < 1:
             raise ConfigError("horizon must be a positive integer")
         if not self.preperiod and not self.period:
@@ -68,16 +66,23 @@ class SlopeSpec:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "SlopeSpec":
+    def from_json(cls, obj) -> "SlopeSpec":
+        """The spec of a slope object, or of its JSON text.
+
+        The object is {"preperiod": [...], "period": [...], "horizon": K};
+        quotients and horizon are integers or decimal strings, and a
+        missing list is empty.
+        """
         try:
-            obj = json.loads(text)
-            return cls(
-                tuple(int(a) for a in obj.get("preperiod", [])),
-                tuple(int(a) for a in obj.get("period", [])),
-                int(obj["horizon"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad slope JSON: {exc}") from exc
+            if isinstance(obj, str):
+                obj = json.loads(obj)
+            if not isinstance(obj, dict):
+                raise ConfigError(f"slope must be a JSON object, got {obj!r}")
+            return cls(tuple(int(a) for a in obj.get("preperiod", [])),
+                       tuple(int(a) for a in obj.get("period", [])),
+                       int(obj.get("horizon", 0)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad slope {obj!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -156,14 +161,20 @@ class ThetaEnclosure:
         return self.upper - self.lower
 
 
+def _bracket(table: ConvergentTable, level: int) -> tuple[int, int, int, int]:
+    """(p, q, p', q') with p/q < theta < p'/q': the convergents at `level`
+    and `level + 1`, in parity order (even convergents lie below theta)."""
+    pl, ql = table.p(level), table.q(level)
+    ph, qh = table.p(level + 1), table.q(level + 1)
+    return (ph, qh, pl, ql) if level % 2 else (pl, ql, ph, qh)
+
+
 def theta_enclosure(table: ConvergentTable, level: int) -> ThetaEnclosure:
     """Bracket theta between the convergents at `level` and `level + 1`."""
     if level < 0 or level + 1 > table.horizon:
         raise HorizonError(f"enclosure level {level} needs q_{level + 1} beyond horizon")
-    x = Fraction(table.p(level), table.q(level))
-    y = Fraction(table.p(level + 1), table.q(level + 1))
-    lower, upper = (x, y) if x < y else (y, x)
-    return ThetaEnclosure(lower, upper, level)
+    pl, ql, ph, qh = _bracket(table, level)
+    return ThetaEnclosure(Fraction(pl, ql), Fraction(ph, qh), level)
 
 
 def theta_k_enclosure(table: ConvergentTable, k: int, level: int) -> ThetaEnclosure:
@@ -185,76 +196,49 @@ def theta_k_enclosure(table: ConvergentTable, k: int, level: int) -> ThetaEnclos
     return ThetaEnclosure(lower, upper, level)
 
 
-def compare_with_theta(table: ConvergentTable, x: Fraction) -> int:
-    """Certified sign of x - theta (never 0: theta is irrational).
-
-    Refines the convergent bracket until x falls outside it.
-    """
-    for level in range(table.horizon):
-        pl, ql = table.p(level), table.q(level)
-        ph, qh = table.p(level + 1), table.q(level + 1)
-        if level % 2:  # odd level: p_l/q_l above theta
-            pl, ql, ph, qh = ph, qh, pl, ql
-        # now pl/ql < theta < ph/qh
-        if x.numerator * ql <= pl * x.denominator:
-            return -1
-        if x.numerator * qh >= ph * x.denominator:
-            return 1
-    raise PrecisionError(
-        f"cannot separate {x} from theta within horizon {table.horizon}; "
-        "raise the slope horizon"
-    )
-
-
 def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
-    """Certified sign of const + coeff * theta.
+    """Certified sign of const + coeff * theta, for a rational const.
 
     Returns 0 exactly when const == coeff == 0 (the form is identically
-    zero); for coeff != 0 the value is irrational and the sign is found
-    by comparing -const/coeff against theta.
+    zero); for coeff != 0 the value is irrational.  Scaled by const's
+    denominator the form is n + c*theta, and the loop refines the
+    convergent bracket p/q < theta < p'/q' until n*q + c*p and
+    n*q' + c*p' (the form at the two ends, times q and q') share a weak
+    sign: the form at theta lies strictly between them.
     """
+    const = Fraction(const)
     if coeff == 0:
-        if const > 0:
-            return 1
-        if const < 0:
-            return -1
-        return 0
-    x = Fraction(-const, coeff) if isinstance(const, int) else -Fraction(const) / coeff
-    c = compare_with_theta(table, x)
-    return -c if coeff > 0 else c
-
-
-def floor_linear(table: ConvergentTable, const, coeff: int) -> int:
-    """Certified floor of const + coeff * theta (exact when coeff == 0)."""
-    if coeff == 0:
-        f = Fraction(const)
-        return f.numerator // f.denominator
+        return (const > 0) - (const < 0)
+    n, c = const.numerator, const.denominator * coeff
     for level in range(table.horizon):
-        enc = theta_enclosure(table, level)
-        v1 = Fraction(const) + coeff * enc.lower
-        v2 = Fraction(const) + coeff * enc.upper
-        f1 = v1.numerator // v1.denominator
-        f2 = v2.numerator // v2.denominator
-        if f1 == f2:
-            return f1
+        pl, ql, ph, qh = _bracket(table, level)
+        lo, hi = n * ql + c * pl, n * qh + c * ph
+        if lo >= 0 and hi >= 0:
+            return 1
+        if lo <= 0 and hi <= 0:
+            return -1
     raise PrecisionError(
-        f"floor of {const} + {coeff}*theta not certified within horizon "
+        f"cannot separate {-const / coeff} from theta within horizon "
         f"{table.horizon}; raise the slope horizon"
     )
 
 
 def floor_theta_multiple(table: ConvergentTable, x: int) -> int:
-    """Certified floor of x * theta for an integer x (fast integer path)."""
+    """Certified floor of x * theta for an integer x.
+
+    x*theta lies strictly between x*p/q and x*p'/q' for every convergent
+    bracket, so it has their floor once the two agree.  The brackets
+    nest, so agreement lasts to every deeper level, and the loop starts
+    one level below the first q_k > |x|.
+    """
     if x == 0:
         return 0
     start = max(table.level_covering(abs(x)) - 1, 0) if abs(x) < table.q(table.horizon) else 0
     for level in range(start, table.horizon):
-        pl, ql = table.p(level), table.q(level)
-        ph, qh = table.p(level + 1), table.q(level + 1)
-        f1 = (x * pl) // ql
-        f2 = (x * ph) // qh
-        if f1 == f2:
-            return f1
+        pl, ql, ph, qh = _bracket(table, level)
+        f = (x * pl) // ql
+        if f == (x * ph) // qh:
+            return f
     raise PrecisionError(
         f"floor of {x}*theta not certified within horizon {table.horizon}; "
         "raise the slope horizon"

@@ -81,17 +81,17 @@ def run_length(word: str) -> str:
 class WordSystem:
     """One Sturmian word: slope table + intercept digit stream.
 
-    `mode` records how the intercept is known exactly:
-      * "combo":      rho = (U+1)*theta - P exactly (terminating digits,
-                      including the characteristic word U = P = 0);
-      * "shifted":    rho = -(m-1)*theta + p exactly (degenerate case),
-                      with `upper` selecting ceiling vs floor letters;
-      * "prefix":     only a digit prefix is known; floor evaluation
-                      falls back to interval refinement and may fail.
+    `rho` is the intercept's exact form, a pair (c, d) of integers with
+    rho = c*theta + d, or None when only a digit prefix is known.
+    Terminating digits b_1..b_K give sigma = U*theta - P, so
+    rho = theta + sigma = (U+1)*theta - P (the characteristic word has
+    U = P = 0); a degenerate intercept passes rho = -(m-1)*theta + p
+    itself.  `upper` marks the upper word, whose floor formula takes
+    ceilings (`from_degenerate` also gives it the upper digit stream).
     """
 
     def __init__(self, table: ConvergentTable, digits: InterceptDigits, *,
-                 mode: str = None, shift=None, upper: bool = False,
+                 rho: tuple[int, int] | None = None, upper: bool = False,
                  cap: int = MATERIALIZE_CAP):
         rep = validate_real_digits(digits, table)
         if not rep.valid:
@@ -103,19 +103,10 @@ class WordSystem:
         self.digits = digits
         self.upper = upper
         self.cap = cap
-        if mode is None:
-            mode = "combo" if digits.terminating else "prefix"
-        self.mode = mode
-        if mode == "combo":
-            self.shift = digit_prefix_value(digits, table)  # (U, P)
-        elif mode == "shifted":
-            if shift is None:
-                raise ConfigError("shifted mode needs the (m, p) pair")
-            self.shift = shift
-        elif mode == "prefix":
-            self.shift = None
-        else:
-            raise ConfigError(f"unknown mode {mode!r}")
+        if rho is None and digits.terminating:
+            u, p = digit_prefix_value(digits, table)
+            rho = (u + 1, -p)
+        self.rho = rho
         self._aligned = {-1: "1", 0: "0"}
         self._standard = {-1: "1", 0: "0"}
         self._offsets = [0]  # t_k prefix sums, index k
@@ -141,8 +132,7 @@ class WordSystem:
     def from_degenerate(cls, table: ConvergentTable, deg: DegenerateIntercept,
                         *, upper: bool = False, **kw) -> "WordSystem":
         stream = deg.upper if upper else deg.lower
-        return cls(table, stream, mode="shifted", shift=(deg.m, deg.p),
-                   upper=upper, **kw)
+        return cls(table, stream, rho=(1 - deg.m, deg.p), upper=upper, **kw)
 
     @classmethod
     def from_spec(cls, table: ConvergentTable, intercept="characteristic", *,
@@ -326,26 +316,20 @@ class WordSystem:
     def floor_letter(self, n: int) -> int:
         """s_n = floor(n theta + rho) - floor((n-1) theta + rho), certified.
 
-        An upper word evaluates the ceiling variant instead; in the exact
-        modes both variants agree except at the two indices where the
-        argument is an integer (degenerate intercepts only).
+        With rho = c*theta + d the integer d cancels, leaving
+        floor((x+1) theta) - floor(x theta) for x = n - 1 + c.  An upper
+        word takes ceilings instead; the two differ only where x theta or
+        (x+1) theta is an integer, i.e. x = 0 or x = -1, which happens for
+        degenerate intercepts alone.  Without an exact rho the letter is
+        certified from the digit prefix's interval, or refused.
         """
         if n < 1:
             raise ConfigError(f"letters are 1-based, got {n}")
-        if self.mode == "combo":
-            u, p = self.shift
-            # floor((n+1+U) theta - P) - floor((n+U) theta - P); P cancels.
-            return (floor_theta_multiple(self.table, n + 1 + u)
-                    - floor_theta_multiple(self.table, n + u))
-        if self.mode == "shifted":
-            m, p = self.shift
-            x = n - m
-            if self.upper:
-                return (ceil_theta_multiple(self.table, x + 1)
-                        - ceil_theta_multiple(self.table, x))
-            return (floor_theta_multiple(self.table, x + 1)
-                    - floor_theta_multiple(self.table, x))
-        return self._floor_letter_interval(n)
+        if self.rho is None:
+            return self._floor_letter_interval(n)
+        x = n - 1 + self.rho[0]
+        part = ceil_theta_multiple if self.upper else floor_theta_multiple
+        return part(self.table, x + 1) - part(self.table, x)
 
     def _floor_letter_interval(self, n: int) -> int:
         """Interval fallback when only a digit prefix is known."""

@@ -111,6 +111,18 @@ def test_verify_matches(capsys):
     assert payload["firstMismatchIndex"] is None
 
 
+def test_verify_shortfall_returns_4_with_its_report(capsys):
+    code, out, err = run(capsys, "--slope",
+                         '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":10}',
+                         "--base", "3", "verify")
+    # the oracle certifies 7 of the 8 pipeline terms within its digit cap:
+    # a shortfall, not a disagreement
+    payload = json.loads(out)
+    assert (code, err) == (4, "")
+    assert (payload["matches"], payload["overlap"]) == (False, 7)
+    assert payload["firstMismatchIndex"] is None
+
+
 def test_exponent_report(capsys):
     code, out, _ = run(capsys, "--slope",
                        '{"preperiod":[1],"period":[1],"horizon":25}',

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,17 +7,13 @@ from hypothesis import given, settings, strategies as st
 from sturmian import (
     ConfigError,
     HorizonError,
+    PrecisionError,
     SlopeSpec,
     build_table,
     theta_enclosure,
     theta_k_enclosure,
 )
-from sturmian.slope import (
-    compare_with_theta,
-    floor_linear,
-    floor_theta_multiple,
-    sign_linear,
-)
+from sturmian.slope import floor_theta_multiple, sign_linear
 
 from conftest import golden_table, table_for, theta_value
 
@@ -139,8 +136,8 @@ def test_theta_k_level_preconditions(golden):
 
 def test_compare_and_sign(golden):
     theta = theta_value(golden)
-    assert compare_with_theta(golden, Fraction(1, 2)) == -1
-    assert compare_with_theta(golden, Fraction(2, 3)) == 1
+    assert sign_linear(golden, Fraction(1, 2), -1) == -1
+    assert sign_linear(golden, Fraction(2, 3), -1) == 1
     # sign of a + b*theta against the high-precision stand-in
     for a, b in [(-1, 2), (1, -2), (0, 1), (3, -5), (-3, 5), (-2, 3)]:
         expect = 1 if a + b * theta > 0 else -1
@@ -154,9 +151,127 @@ def test_floor_paths_agree_with_high_precision(golden):
     for x in list(range(-50, 51)) + [997, -997]:
         expect = (x * theta.numerator) // theta.denominator
         assert floor_theta_multiple(golden, x) == expect
-        assert floor_linear(golden, 0, x) == expect
-    assert floor_linear(golden, Fraction(7, 2), 0) == 3
-    assert floor_linear(golden, Fraction(-7, 2), 0) == -4
+
+
+# Reference bracket walks: one Fraction comparison per bracket end, with
+# the bracket ordered by comparing its two ends.
+
+
+def reference_enclosure(table, level):
+    x = Fraction(table.p(level), table.q(level))
+    y = Fraction(table.p(level + 1), table.q(level + 1))
+    return (x, y) if x < y else (y, x)
+
+
+def reference_compare_with_theta(table, x):
+    """Sign of x - theta: refine until x falls outside the bracket."""
+    for level in range(table.horizon):
+        pl, ql = table.p(level), table.q(level)
+        ph, qh = table.p(level + 1), table.q(level + 1)
+        if level % 2:  # odd level: p_l/q_l above theta
+            pl, ql, ph, qh = ph, qh, pl, ql
+        if x.numerator * ql <= pl * x.denominator:
+            return -1
+        if x.numerator * qh >= ph * x.denominator:
+            return 1
+    raise PrecisionError(
+        f"cannot separate {x} from theta within horizon {table.horizon}; "
+        "raise the slope horizon"
+    )
+
+
+def reference_sign_linear(table, const, coeff):
+    if coeff == 0:
+        if const > 0:
+            return 1
+        if const < 0:
+            return -1
+        return 0
+    x = Fraction(-const, coeff) if isinstance(const, int) else -Fraction(const) / coeff
+    c = reference_compare_with_theta(table, x)
+    return -c if coeff > 0 else c
+
+
+def reference_floor_linear(table, const, coeff):
+    """Floor of const + coeff*theta from Fraction enclosures, from level 0."""
+    if coeff == 0:
+        f = Fraction(const)
+        return f.numerator // f.denominator
+    for level in range(table.horizon):
+        lo, hi = reference_enclosure(table, level)
+        v1 = Fraction(const) + coeff * lo
+        v2 = Fraction(const) + coeff * hi
+        if v1.numerator // v1.denominator == v2.numerator // v2.denominator:
+            return v1.numerator // v1.denominator
+    raise PrecisionError(
+        f"floor of {const} + {coeff}*theta not certified within horizon "
+        f"{table.horizon}; raise the slope horizon"
+    )
+
+
+def reference_floor_theta_multiple(table, x):
+    if x == 0:
+        return 0
+    start = max(table.level_covering(abs(x)) - 1, 0) if abs(x) < table.q(table.horizon) else 0
+    for level in range(start, table.horizon):
+        pl, ql = table.p(level), table.q(level)
+        ph, qh = table.p(level + 1), table.q(level + 1)
+        f1 = (x * pl) // ql
+        f2 = (x * ph) // qh
+        if f1 == f2:
+            return f1
+    raise PrecisionError(
+        f"floor of {x}*theta not certified within horizon {table.horizon}; "
+        "raise the slope horizon"
+    )
+
+
+def _outcome(fn, *args):
+    """The result, or the PrecisionError's message."""
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
+
+
+def test_bracket_walks_match_the_fraction_references():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(60):
+        horizon = rng.randint(4, 12)
+        t = table_for([rng.randint(1, 9) for _ in range(horizon)], (), horizon)
+        qk, span = t.q(horizon), 2 * t.q(horizon)
+        for level in range(horizon):
+            enc = theta_enclosure(t, level)
+            assert (enc.lower, enc.upper) == reference_enclosure(t, level)
+        # forms vanishing at a convergent or at the mediant of the last
+        # bracket (never separable), then random ones
+        forms = []
+        for k in range(horizon + 1):
+            for j in (1, -1, 2):
+                forms += [(-j * t.p(k), j * t.q(k)), (-j * t.p(k) + 1, j * t.q(k))]
+        forms.append((-(t.p(horizon - 1) + t.p(horizon)), t.q(horizon - 1) + qk))
+        for _ in range(40):
+            coeff = rng.randint(-span, span)
+            const = Fraction(rng.randint(-span, span), rng.randint(1, span))
+            forms.append((const if rng.random() < 0.7 else const.numerator, coeff))
+        for const, coeff in forms:
+            got = _outcome(sign_linear, t, const, coeff)
+            assert got == _outcome(reference_sign_linear, t, const, coeff), (
+                t.spec.preperiod, const, coeff)
+            seen.add(("sign", isinstance(got, tuple)))
+        for x in [rng.randint(-span, span) for _ in range(40)] + [qk, -qk, 0]:
+            got = _outcome(floor_theta_multiple, t, x)
+            assert got == _outcome(reference_floor_theta_multiple, t, x), (
+                t.spec.preperiod, x)
+            if isinstance(got, int):
+                assert got == reference_floor_linear(t, 0, x)
+            else:
+                with pytest.raises(PrecisionError):
+                    reference_floor_linear(t, 0, x)
+            seen.add(("floor", isinstance(got, tuple)))
+    # both loops were seen to certify and to run out of horizon
+    assert seen == {(kind, fails) for kind in ("sign", "floor") for fails in (False, True)}
 
 
 def test_recomputed_denominator_matches_word_length(slope532):

@@ -41,8 +41,7 @@ def test_from_spec_forms_match_the_constructors(slope532):
     ]
     for intercept, upper, want in cases:
         got = WordSystem.from_spec(t, intercept, upper=upper)
-        assert (got.digits, got.mode, got.shift, got.upper) == (
-            want.digits, want.mode, want.shift, want.upper)
+        assert (got.digits, got.rho, got.upper) == (want.digits, want.rho, want.upper)
     for bad in ("bogus", {}, {"digits": [0], "m": 1}, {"sigma": "1/0"}):
         with pytest.raises(ConfigError):
             WordSystem.from_spec(t, bad)
@@ -159,10 +158,11 @@ def test_recursion_equals_floor_formula_small(rng):
     for _ in range(30):
         t = random_slope_table(rng, 9, amax=9)
         digs = random_digits(rng, t, 6)
-        ws = word_system(t, digs)
         limit = min(t.q(6) - 1, 300)
-        for n in range(1, limit + 1):
-            assert ws.letter(n) == ws.floor_letter(n), (t.spec.preperiod, digs, n)
+        for upper in (False, True):  # the upper word takes ceilings
+            ws = word_system(t, digs, upper=upper)
+            for n in range(1, limit + 1):
+                assert ws.letter(n) == ws.floor_letter(n), (t.spec.preperiod, digs, n)
 
 
 def test_prefix_mode_floor_certifies_or_raises(golden):
