@@ -61,14 +61,7 @@ from .ostrowski import (
     encode_real,
     validate_real_digits,
 )
-from .slope import (
-    ConvergentTable,
-    SlopeSpec,
-    ThetaEnclosure,
-    build_table,
-    theta_enclosure,
-    theta_k_enclosure,
-)
+from .slope import ConvergentTable, SlopeSpec, build_table
 from .words import WordSystem, formal_intercept, run_length
 
 __version__ = "0.1.0"

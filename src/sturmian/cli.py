@@ -74,7 +74,9 @@ def _load_config(args) -> dict:
     if args.base is not None:
         cfg["base"] = args.base
     if args.horizon is not None:
-        cfg.setdefault("slope", {})["horizon"] = args.horizon
+        spec = cfg.setdefault("slope", {})
+        if isinstance(spec, dict):  # SlopeSpec.from_json refuses any other slope
+            spec["horizon"] = args.horizon
     if args.upper:
         cfg["upper"] = True
     return cfg

@@ -238,7 +238,9 @@ def irrationality_estimate(system: WordSystem, upto: int) -> EstimateReport:
     nu(1) ranges over k with both gaps positive, nu(2) over k with
     gap(k+2) >= 1, nu(3) and nu(4) over all k; each is reported as the
     maximum over the trailing half of the range (plus the full-range
-    maximum for disclosure), approximating the limsup from below.
+    maximum for disclosure).  A finite maximum is no bound on the limsup
+    from either side: the golden characteristic word gives 377/144 at
+    upto = 20, above its exponent 1 + phi.
     """
     rows = nu_table(system, upto)
     tail_lo = upto // 2

@@ -24,7 +24,7 @@ from .errors import (
     InternalError,
     InvalidInterceptError,
 )
-from .slope import ConvergentTable, sign_linear, theta_enclosure
+from .slope import ConvergentTable, sign_linear
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,9 @@ def digit_prefix_value(digits, table: ConvergentTable) -> tuple[int, int]:
 def decode_real(digits, table: ConvergentTable):
     """Exact rational interval enclosing sum b_k theta_{k-1}.
 
-    The prefix value U*theta - P is evaluated against the best available
-    convergent bracket; for a non-terminating prefix the unknown tail is
-    bounded by |theta_{m-1}| < 1/q_m at the truncation index m.
+    The prefix value U*theta - P is evaluated at p_{K-1}/q_{K-1} and
+    p_K/q_K, which bracket theta; for a non-terminating prefix the unknown
+    tail is bounded by |theta_{m-1}| < 1/q_m at the truncation index m.
     """
     if not isinstance(digits, InterceptDigits):
         digits = InterceptDigits(tuple(digits))
@@ -220,9 +220,9 @@ def decode_real(digits, table: ConvergentTable):
         raise DigitRuleError(rep.violation_index, rep.message)
     m = len(digits.digits)
     u, p = digit_prefix_value(digits.digits, table)
-    enc = theta_enclosure(table, table.horizon - 1)
-    v1 = u * enc.lower - p
-    v2 = u * enc.upper - p
+    k = table.horizon
+    v1 = Fraction(u * table.p(k - 1), table.q(k - 1)) - p
+    v2 = Fraction(u * table.p(k), table.q(k)) - p
     lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
     if not digits.terminating:
         if m > table.horizon:

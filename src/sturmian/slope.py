@@ -1,12 +1,14 @@
-"""Slope data: partial quotients, convergents, certified enclosures.
+"""Slope data: partial quotients, convergents, certified theta arithmetic.
 
 The slope is an irrational number theta in (0, 1) given by its continued
 fraction expansion [0; a_1, a_2, ...].  A spec either carries a periodic
 tail (covering quadratic irrationals exactly) or is a plain finite list
-with an explicit horizon.  theta itself is never stored as a float: every
-routine that needs its value works with a pair of consecutive convergents
-bracketing it, refining the bracket until the answer is certified, and
-fails loudly when the horizon is exhausted.
+with an explicit horizon.  theta itself is never stored, as a float or
+as a rational interval: every certified question about it is a sign,
+`sign_linear`, or a floor, `floor_theta_multiple`.  Both walk the
+convergent brackets p/q < theta < p'/q' on integer cross-products until
+the answer is certified, and raise PrecisionError when the horizon is
+exhausted.
 """
 
 from __future__ import annotations
@@ -139,61 +141,12 @@ def build_table(spec: SlopeSpec) -> ConvergentTable:
     return table
 
 
-@dataclass(frozen=True)
-class ThetaEnclosure:
-    """Exact rational interval (lower, upper) bracketing a value.
-
-    For the slope itself the endpoints are the consecutive convergents
-    p_level/q_level and p_{level+1}/q_{level+1} in parity order, so the
-    width is exactly 1/(q_level * q_{level+1}).
-    """
-
-    lower: Fraction
-    upper: Fraction
-    level: int
-
-    def __post_init__(self):
-        if not self.lower < self.upper:
-            raise InternalError("empty enclosure")
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-
 def _bracket(table: ConvergentTable, level: int) -> tuple[int, int, int, int]:
     """(p, q, p', q') with p/q < theta < p'/q': the convergents at `level`
     and `level + 1`, in parity order (even convergents lie below theta)."""
     pl, ql = table.p(level), table.q(level)
     ph, qh = table.p(level + 1), table.q(level + 1)
     return (ph, qh, pl, ql) if level % 2 else (pl, ql, ph, qh)
-
-
-def theta_enclosure(table: ConvergentTable, level: int) -> ThetaEnclosure:
-    """Bracket theta between the convergents at `level` and `level + 1`."""
-    if level < 0 or level + 1 > table.horizon:
-        raise HorizonError(f"enclosure level {level} needs q_{level + 1} beyond horizon")
-    pl, ql, ph, qh = _bracket(table, level)
-    return ThetaEnclosure(Fraction(pl, ql), Fraction(ph, qh), level)
-
-
-def theta_k_enclosure(table: ConvergentTable, k: int, level: int) -> ThetaEnclosure:
-    """Certified interval around theta_k = q_k theta - p_k; sign is (-1)^k.
-
-    Requires level > k so that both endpoints already carry the sign.
-    """
-    if level <= k:
-        raise ConfigError(f"level {level} must exceed k={k}")
-    enc = theta_enclosure(table, level)
-    e1 = table.q(k) * enc.lower - table.p(k)
-    e2 = table.q(k) * enc.upper - table.p(k)
-    lower, upper = (e1, e2) if e1 < e2 else (e2, e1)
-    sign = -1 if k % 2 else 1
-    if sign > 0 and not lower > 0:
-        raise InternalError(f"theta_{k} enclosure lost its positive sign")
-    if sign < 0 and not upper < 0:
-        raise InternalError(f"theta_{k} enclosure lost its negative sign")
-    return ThetaEnclosure(lower, upper, level)
 
 
 def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
@@ -243,10 +196,3 @@ def floor_theta_multiple(table: ConvergentTable, x: int) -> int:
         f"floor of {x}*theta not certified within horizon {table.horizon}; "
         "raise the slope horizon"
     )
-
-
-def ceil_theta_multiple(table: ConvergentTable, x: int) -> int:
-    """Certified ceiling of x * theta for an integer x."""
-    if x == 0:
-        return 0
-    return -floor_theta_multiple(table, -x)

@@ -24,19 +24,13 @@ from .errors import (
 from .ostrowski import (
     DegenerateIntercept,
     InterceptDigits,
-    decode_real,
     degenerate_expansions,
     digit_prefix_value,
     encode_real,
     parse_fraction,
     validate_real_digits,
 )
-from .slope import (
-    ConvergentTable,
-    ceil_theta_multiple,
-    floor_theta_multiple,
-    theta_enclosure,
-)
+from .slope import ConvergentTable, floor_theta_multiple, sign_linear
 
 MATERIALIZE_CAP = 1 << 20
 
@@ -82,12 +76,13 @@ class WordSystem:
     """One Sturmian word: slope table + intercept digit stream.
 
     `rho` is the intercept's exact form, a pair (c, d) of integers with
-    rho = c*theta + d, or None when only a digit prefix is known.
-    Terminating digits b_1..b_K give sigma = U*theta - P, so
+    rho = c*theta + d.  Digits b_1..b_m give sigma = U*theta - P + tau,
+    where the tail tau vanishes for terminating digits, so there
     rho = theta + sigma = (U+1)*theta - P (the characteristic word has
     U = P = 0); a degenerate intercept passes rho = -(m-1)*theta + p
-    itself.  `upper` marks the upper word, whose floor formula takes
-    ceilings (`from_degenerate` also gives it the upper digit stream).
+    itself.  A digit prefix only bounds its tail, |tau| <= 1/q_m, and
+    leaves `rho` None.  `upper` marks the upper word, whose floor formula
+    takes ceilings (`from_degenerate` also gives it the upper digit stream).
     """
 
     def __init__(self, table: ConvergentTable, digits: InterceptDigits, *,
@@ -289,11 +284,8 @@ class WordSystem:
         """First `length` letters; built from cap-sized blocks in O(length)."""
         if length == 0:
             return ""
-        k = self.table.level_covering(length)
-        if self.q(k) <= self.cap:
-            return self.aligned(k)[:length]
         parts: list[str] = []
-        self._emit_prefix(k, length, parts)
+        self._emit_prefix(self.table.level_covering(length), length, parts)
         return "".join(parts)
 
     def _emit_prefix(self, k: int, need: int, parts: list[str]) -> None:
@@ -317,47 +309,35 @@ class WordSystem:
         """s_n = floor(n theta + rho) - floor((n-1) theta + rho), certified.
 
         With rho = c*theta + d the integer d cancels, leaving
-        floor((x+1) theta) - floor(x theta) for x = n - 1 + c.  An upper
-        word takes ceilings instead; the two differ only where x theta or
-        (x+1) theta is an integer, i.e. x = 0 or x = -1, which happens for
-        degenerate intercepts alone.  Without an exact rho the letter is
-        certified from the digit prefix's interval, or refused.
+        floor((x+1) theta) - floor(x theta) for x = n - 1 + c, each part
+        a `floor_theta_multiple`.  An upper word takes ceilings, which add
+        1 to every part but that of 0 theta.  A digit prefix has c = U + 1
+        up to its tail tau, so each part there is certified only when the
+        fractional part of y theta lies in (1/q_m, 1 - 1/q_m), where no
+        |tau| <= 1/q_m moves the floor: two `sign_linear` calls.  Else the
+        letter is refused.
         """
         if n < 1:
             raise ConfigError(f"letters are 1-based, got {n}")
         if self.rho is None:
-            return self._floor_letter_interval(n)
-        x = n - 1 + self.rho[0]
-        part = ceil_theta_multiple if self.upper else floor_theta_multiple
-        return part(self.table, x + 1) - part(self.table, x)
+            c = digit_prefix_value(self.digits, self.table)[0] + 1
+            tail = Fraction(1, self.q(len(self.digits)))
+        else:
+            c, tail = self.rho[0], None
 
-    def _floor_letter_interval(self, n: int) -> int:
-        """Interval fallback when only a digit prefix is known."""
-        lo, hi = decode_real(self.digits, self.table)
-        enc = theta_enclosure(self.table, self.table.horizon - 1)
-
-        def bracket(x):
-            # x*theta + rho = (x+1)*theta + sigma
-            v_lo = (x + 1) * (enc.lower if x + 1 >= 0 else enc.upper) + lo
-            v_hi = (x + 1) * (enc.upper if x + 1 >= 0 else enc.lower) + hi
-            return v_lo, v_hi
-
-        def int_part(x):
-            v_lo, v_hi = bracket(x)
-            if self.upper:
-                c1 = -((-v_lo.numerator) // v_lo.denominator)
-                c2 = -((-v_hi.numerator) // v_hi.denominator)
-            else:
-                c1 = v_lo.numerator // v_lo.denominator
-                c2 = v_hi.numerator // v_hi.denominator
-            if c1 != c2:
+        def part(y):
+            f = floor_theta_multiple(self.table, y)
+            if tail is not None and not (
+                    sign_linear(self.table, -f - tail, y) > 0
+                    and sign_linear(self.table, tail - 1 - f, y) < 0):
                 raise PrecisionError(
                     f"floor at n={n} not certified from the digit prefix; "
                     "declare the intercept exactly (terminating or degenerate)"
                 )
-            return c1
+            return f + 1 if self.upper and y else f
 
-        return int_part(n) - int_part(n - 1)
+        x = n - 1 + c
+        return part(x + 1) - part(x)
 
     # -- structural operations -----------------------------------------------
 

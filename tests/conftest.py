@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sturmian import SlopeSpec, build_table
+from sturmian import PrecisionError, SlopeSpec, build_table
 from sturmian.words import WordSystem
 
 
@@ -40,6 +40,14 @@ def theta_value(table):
     a = Fraction(table.p(k - 1), table.q(k - 1))
     b = Fraction(table.p(k), table.q(k))
     return (a + b) / 2
+
+
+def outcome(fn, *args):
+    """The result, or the PrecisionError's message."""
+    try:
+        return fn(*args)
+    except PrecisionError as exc:
+        return ("PrecisionError", str(exc))
 
 
 @pytest.fixture

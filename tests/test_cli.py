@@ -207,8 +207,10 @@ def test_flags_allowed_after_subcommand(capsys):
     ["--slope", GOLDEN, "--intercept", '{"digits":["x"]}', "cf"],
     ["--slope", GOLDEN, "ostrowski-int", "--digits", "a"],
     ["--slope", GOLDEN, "ostrowski-real", "--sigma-pair", "1"],
+    ["--slope", "[1]", "--horizon", "5", "cf"],
+    ["--slope", '"x"', "--horizon", "5", "cf"],
 ], ids=["slope-json", "slope-list", "slope-quotient", "intercept-digit",
-        "int-digits", "sigma-pair"])
+        "int-digits", "sigma-pair", "slope-list-horizon", "slope-string-horizon"])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

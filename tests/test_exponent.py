@@ -137,6 +137,10 @@ def test_estimate_golden_characteristic():
     ws = WordSystem.characteristic(t)
     est = irrationality_estimate(ws, 20)
     assert abs(float(est.mu_estimate) - (1 + PHI)) < 0.02
+    # the tail maximum overshoots the limsup 1 + phi = (3 + sqrt 5)/2:
+    # 377/144 > (3 + sqrt 5)/2 <=> 322 > 144 sqrt 5 <=> 322^2 > 5 * 144^2
+    assert est.mu_estimate == Fraction(377, 144)
+    assert 2 * 377 - 3 * 144 == 322 and 322 ** 2 == 103_684 > 5 * 144 ** 2 == 103_680
 
 
 def test_estimate_stabilizes_on_periodic_data(slope532):

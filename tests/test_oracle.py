@@ -23,7 +23,7 @@ from sturmian import (
 from sturmian.cfrac import NumberSpec
 from sturmian.oracle import ValueEnclosure, verify_agreement
 from sturmian.ostrowski import InterceptDigits
-from sturmian.slope import ceil_theta_multiple
+from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
 from conftest import golden_table, random_digits, random_slope_table, word_system
@@ -298,7 +298,7 @@ def pipeline_numbers(draw):
                              terminating=draw(st.booleans()))
     else:
         m = draw(st.integers(1, table.q(horizon)))
-        p = ceil_theta_multiple(table, m - 1)
+        p = -floor_theta_multiple(table, 1 - m)  # ceil((m-1) theta)
         system = WordSystem.from_spec(table, {"m": m, "p": p},
                                       upper=draw(st.booleans()))
     return NumberSpec(draw(st.integers(2, 10)), system)

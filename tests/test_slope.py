@@ -10,12 +10,10 @@ from sturmian import (
     PrecisionError,
     SlopeSpec,
     build_table,
-    theta_enclosure,
-    theta_k_enclosure,
 )
-from sturmian.slope import floor_theta_multiple, sign_linear
+from sturmian.slope import _bracket, floor_theta_multiple, sign_linear
 
-from conftest import golden_table, table_for, theta_value
+from conftest import outcome, table_for, theta_value
 
 
 def test_fibonacci_denominators():
@@ -72,66 +70,56 @@ def test_denominators_strictly_increase(quotients):
 
 
 def test_golden_enclosure_level_2(golden):
-    enc = theta_enclosure(golden, 2)
-    assert (enc.lower, enc.upper) == (Fraction(1, 2), Fraction(2, 3))
+    assert _bracket(golden, 2) == (1, 2, 2, 3)
 
 
 def test_enclosure_width_and_nesting(golden, slope532):
     for t in (golden, slope532):
         for level in range(t.horizon - 2):
-            enc = theta_enclosure(t, level)
-            assert enc.width == Fraction(1, t.q(level) * t.q(level + 1))
-            nxt = theta_enclosure(t, level + 1)
-            assert enc.lower <= nxt.lower and nxt.upper <= enc.upper
+            pl, ql, ph, qh = _bracket(t, level)
+            assert ph * ql - pl * qh == 1  # width p'/q' - p/q = 1/(q q')
+            nl, nql, nh, nqh = _bracket(t, level + 1)
+            assert pl * nql <= nl * ql and nh * qh <= ph * nqh
 
 
 def test_paper_slope_level_1_bracket(slope532):
-    enc = theta_enclosure(slope532, 1)
-    assert (enc.lower, enc.upper) == (Fraction(3, 16), Fraction(1, 5))
+    assert _bracket(slope532, 1) == (3, 16, 1, 5)
 
 
-def test_theta_k_level_0_matches_theta(golden):
-    base = theta_enclosure(golden, 8)
-    enc = theta_k_enclosure(golden, 0, 8)
-    assert (enc.lower, enc.upper) == (base.lower, base.upper)
+def theta_k_sign(t, k, offset=0):
+    """Certified sign of theta_k - offset = q_k theta - p_k - offset."""
+    return sign_linear(t, -t.p(k) - offset, t.q(k))
 
 
 def test_theta_1_negative_golden(golden):
-    enc = theta_k_enclosure(golden, 1, 10)
-    assert enc.upper < 0
-    assert abs(float(enc.lower) + 0.382) < 1e-3
+    assert theta_k_sign(golden, 1) == -1
+    # theta_1 = theta - 1 lies within 1e-3 of -0.382
+    assert theta_k_sign(golden, 1, Fraction(-383, 1000)) == 1
+    assert theta_k_sign(golden, 1, Fraction(-381, 1000)) == -1
 
 
 def test_theta_k_signs_and_magnitudes(slope532, golden):
     for t in (slope532, golden):
-        level = t.horizon - 1
-        for k in range(level):
-            enc = theta_k_enclosure(t, k, level)
-            if k % 2:
-                assert enc.upper < 0
-            else:
-                assert enc.lower > 0
-            mag_lo = min(abs(enc.lower), abs(enc.upper))
-            mag_hi = max(abs(enc.lower), abs(enc.upper))
-            assert mag_lo >= Fraction(1, t.q(k) + t.q(k + 1))
-            assert mag_hi <= Fraction(1, t.q(k + 1))
+        for k in range(t.horizon - 1):
+            sign = -1 if k % 2 else 1
+            assert theta_k_sign(t, k) == sign
+            # 1/(q_k + q_{k+1}) < |theta_k| < 1/q_{k+1}
+            assert theta_k_sign(t, k, Fraction(sign, t.q(k) + t.q(k + 1))) == sign
+            assert theta_k_sign(t, k, Fraction(sign, t.q(k + 1))) == -sign
 
 
 def test_theta_k_interval_separation(slope532):
     t = slope532
-    level = t.horizon - 1
-    encs = [theta_k_enclosure(t, k, level) for k in range(level - 1)]
-    for k in range(1, level - 2):
-        prev_min = min(abs(encs[k - 1].lower), abs(encs[k - 1].upper))
-        cur_max = max(abs(encs[k].lower), abs(encs[k].upper))
-        assert cur_max < prev_min
+    for k in range(1, t.horizon - 3):
+        # theta_{k-1} and theta_k have opposite signs, so |theta_k| <
+        # |theta_{k-1}| exactly when their sum has theta_{k-1}'s sign
+        total = sign_linear(t, -t.p(k) - t.p(k - 1), t.q(k) + t.q(k - 1))
+        assert total == (1 if k % 2 else -1)
 
 
 def test_theta_k_level_preconditions(golden):
-    with pytest.raises(ConfigError):
-        theta_k_enclosure(golden, 3, 3)
     with pytest.raises(HorizonError):
-        theta_enclosure(golden, golden.horizon)
+        _bracket(golden, golden.horizon)
 
 
 def test_compare_and_sign(golden):
@@ -226,14 +214,6 @@ def reference_floor_theta_multiple(table, x):
     )
 
 
-def _outcome(fn, *args):
-    """The result, or the PrecisionError's message."""
-    try:
-        return fn(*args)
-    except PrecisionError as exc:
-        return ("PrecisionError", str(exc))
-
-
 def test_bracket_walks_match_the_fraction_references():
     rng = random.Random(20261018)
     seen = set()
@@ -242,8 +222,8 @@ def test_bracket_walks_match_the_fraction_references():
         t = table_for([rng.randint(1, 9) for _ in range(horizon)], (), horizon)
         qk, span = t.q(horizon), 2 * t.q(horizon)
         for level in range(horizon):
-            enc = theta_enclosure(t, level)
-            assert (enc.lower, enc.upper) == reference_enclosure(t, level)
+            pl, ql, ph, qh = _bracket(t, level)
+            assert (Fraction(pl, ql), Fraction(ph, qh)) == reference_enclosure(t, level)
         # forms vanishing at a convergent or at the mediant of the last
         # bracket (never separable), then random ones
         forms = []
@@ -256,13 +236,13 @@ def test_bracket_walks_match_the_fraction_references():
             const = Fraction(rng.randint(-span, span), rng.randint(1, span))
             forms.append((const if rng.random() < 0.7 else const.numerator, coeff))
         for const, coeff in forms:
-            got = _outcome(sign_linear, t, const, coeff)
-            assert got == _outcome(reference_sign_linear, t, const, coeff), (
+            got = outcome(sign_linear, t, const, coeff)
+            assert got == outcome(reference_sign_linear, t, const, coeff), (
                 t.spec.preperiod, const, coeff)
             seen.add(("sign", isinstance(got, tuple)))
         for x in [rng.randint(-span, span) for _ in range(40)] + [qk, -qk, 0]:
-            got = _outcome(floor_theta_multiple, t, x)
-            assert got == _outcome(reference_floor_theta_multiple, t, x), (
+            got = outcome(floor_theta_multiple, t, x)
+            assert got == outcome(reference_floor_theta_multiple, t, x), (
                 t.spec.preperiod, x)
             if isinstance(got, int):
                 assert got == reference_floor_linear(t, 0, x)

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,16 +9,19 @@ from sturmian import (
     ConfigError,
     HorizonError,
     MaterializeCapError,
+    PrecisionError,
     SlopeSpec,
     build_table,
     degenerate_expansions,
     encode_integer,
     encode_real,
 )
+from sturmian.ostrowski import decode_real
 from sturmian.words import WordSystem, formal_intercept, run_length
 
 from conftest import (
     golden_table,
+    outcome,
     random_digits,
     random_slope_table,
     table_for,
@@ -166,8 +171,6 @@ def test_recursion_equals_floor_formula_small(rng):
 
 
 def test_prefix_mode_floor_certifies_or_raises(golden):
-    from sturmian import PrecisionError
-
     digs = (0, 1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1)
     ws = word_system(golden, digs, terminating=False)
     exact = word_system(golden, digs, terminating=True)
@@ -177,6 +180,74 @@ def test_prefix_mode_floor_certifies_or_raises(golden):
     with pytest.raises(PrecisionError):
         for n in range(1, 9):
             short.floor_letter(n)
+
+
+def reference_floor_letter(ws, n, sigma):
+    """Digit-prefix letter n from Fraction intervals: sigma = (lo, hi) is
+    `decode_real` of the prefix, and theta ranges over the deepest
+    convergent bracket independently of it."""
+    t = ws.table
+    lo, hi = sigma
+    th_lo, th_hi = sorted((Fraction(t.p(t.horizon - 1), t.q(t.horizon - 1)),
+                           Fraction(t.p(t.horizon), t.q(t.horizon))))
+
+    def bracket(x):
+        # x*theta + rho = (x+1)*theta + sigma
+        v_lo = (x + 1) * (th_lo if x + 1 >= 0 else th_hi) + lo
+        v_hi = (x + 1) * (th_hi if x + 1 >= 0 else th_lo) + hi
+        return v_lo, v_hi
+
+    def int_part(x):
+        v_lo, v_hi = bracket(x)
+        if ws.upper:
+            c1 = -((-v_lo.numerator) // v_lo.denominator)
+            c2 = -((-v_hi.numerator) // v_hi.denominator)
+        else:
+            c1 = v_lo.numerator // v_lo.denominator
+            c2 = v_hi.numerator // v_hi.denominator
+        if c1 != c2:
+            raise PrecisionError(
+                f"floor at n={n} not certified from the digit prefix; "
+                "declare the intercept exactly (terminating or degenerate)"
+            )
+        return c1
+
+    return int_part(n) - int_part(n - 1)
+
+
+def test_prefix_floor_letters_match_the_interval_reference():
+    """300 prefixes b_1..b_m of random valid K-digit streams, lower and
+    upper words.  For n < q_m the letter depends on b_1..b_m alone:
+    floor_letter agrees with the reference wherever that certifies, and
+    with `letter`.  Past q_m every completion of the prefix is a possible
+    intercept, so a certified letter must also be the completed word's;
+    only this catches a tail bound that is too small."""
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(300):
+        horizon = rng.randint(6, 12)
+        t = random_slope_table(rng, horizon, amax=5)
+        full = random_digits(rng, t, horizon)
+        m = rng.randint(2, horizon - 1)
+        for upper in (False, True):
+            ws = word_system(t, full[:m], terminating=False, upper=upper)
+            done = word_system(t, full, terminating=False, upper=upper)
+            sigma = decode_real(ws.digits, t)
+            for n in range(1, min(t.q(m) - 1, 200) + 1):
+                got = outcome(ws.floor_letter, n)
+                want = outcome(reference_floor_letter, ws, n, sigma)
+                where = (t.spec.preperiod, full[:m], upper, n)
+                if isinstance(want, int):
+                    assert got == want, where
+                if isinstance(got, int):
+                    assert got == ws.letter(n), where
+                seen[isinstance(got, int), isinstance(want, int)] += 1
+            for n in range(t.q(m), min(t.q(horizon) - 1, t.q(m) + 30) + 1):
+                got = outcome(ws.floor_letter, n)
+                if isinstance(got, int):
+                    assert got == done.letter(n), (t.spec.preperiod, full, upper, n)
+    # both paths were seen to certify and to refuse
+    assert {(True, True), (False, False)} <= set(seen)
 
 
 def test_formal_intercept_round_trip(slope532, rng):
