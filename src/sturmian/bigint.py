@@ -1,0 +1,134 @@
+"""Big-integer division and decimal output, subquadratic on every CPython.
+
+Before CPython 3.12, `divmod` of large ints and `str` of a large int are
+schoolbook algorithms, quadratic in the bit size.  Partial quotients here
+have about q_k*log2(b) bits, the oracle runs its Euclid on integers of
+about N*log2(b) bits, and the CLI prints terms and convergents in decimal,
+so at the sizes the CLI serves those two built-ins dominate.
+
+* `int_divmod(a, b)` returns `divmod(a, b)`.  Divisors under 30,000
+  bits go to the built-in.  Otherwise an m-bit quotient is fixed, up to a
+  correction of one, by the top 2m + 64 bits of a over the top m + 64
+  bits of b (a quotient longer than b is split in two first); that balanced
+  division is the recursion of C. Burnikel and J. Ziegler, "Fast
+  Recursive Division" (MPI-I-98-1-022, 1998), and the remainder is
+  a - q*b.  From CPython 3.12 on the built-in is itself subquadratic and
+  faster than this recursion, so there the name is the built-in.
+* `to_decimal(n)` returns `str(n)`.  Large n are converted divide and
+  conquer (Knuth, TAOCP vol. 2, 4.4): split on bits, rebuilt exactly in
+  `decimal`, whose `str` is linear and has no digit limit.  The
+  interpreter's int-to-str limit is read, never set.
+
+Nothing here imports from the package.
+"""
+
+from __future__ import annotations
+
+import sys
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+
+# cut-overs to the built-ins, timed on CPython 3.11: under 30,000 divisor
+# bits the recursion gains little and loses on quotients longer than the
+# divisor; from there on it wins at every quotient size, even one bit
+_DIVISOR_BITS = 30_000
+_GUARD_BITS = 64  # divisor bits kept beyond the quotient's
+_BZ_LEAF_BITS = 8000  # the recursion hands n-bit quotients below this to divmod
+_STR_BITS = 10_000  # up to here the built-in str is as fast
+_DECIMAL_LEAF_BITS = 1024  # parts this small become Decimal directly
+
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    """divmod(a, b) for b of exactly n bits and 0 <= a < b << n."""
+    if n <= _BZ_LEAF_BITS:
+        return divmod(a, b)
+    if n & 1:  # even n splits b into two halves
+        q, r = _div2n1n(a << 1, b << 1, n + 1)
+        return q, r >> 1
+    h = n >> 1
+    mask = (1 << h) - 1
+    b_hi, b_lo = b >> h, b & mask
+    q_hi, r = _div3n2n(a >> h, b, b_hi, b_lo, h)
+    q_lo, r = _div3n2n(r << h | a & mask, b, b_hi, b_lo, h)
+    return q_hi << h | q_lo, r
+
+
+def _div3n2n(a: int, b: int, b_hi: int, b_lo: int, h: int) -> tuple[int, int]:
+    """divmod(a, b) for b = b_hi*2^h + b_lo of exactly 2h bits and
+    0 <= a < b << h: the top 2h bits of a over b_hi estimate the
+    quotient, at most 2 too large."""
+    top = a >> h
+    if top >> h == b_hi:
+        q = (1 << h) - 1
+        r = top - q * b_hi
+    else:
+        q, r = _div2n1n(top, b_hi, h)
+    r = (r << h | a & ((1 << h) - 1)) - q * b_lo
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
+
+
+def _divmod_nonneg(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for a >= 0 and b >= 0 (b = 0 raises in the built-in)."""
+    nb = b.bit_length()
+    m = a.bit_length() - nb + 1  # a // b < 2^m
+    if nb < _DIVISOR_BITS or m < 1:
+        return divmod(a, b)
+    if m > nb:  # the quotient outgrows the divisor: its top half first
+        k = m >> 1
+        q_hi, r = _divmod_nonneg(a >> k, b)
+        q_lo, r = _divmod_nonneg(r << k | a & ((1 << k) - 1), b)
+        return q_hi << k | q_lo, r
+    # cut both at the same bit, keeping n >= m bits of b: the quotient of
+    # the tops is never too small, and at most one too large
+    n = min(nb, m + _GUARD_BITS)
+    q = _div2n1n(a >> (nb - n), b >> (nb - n), n)[0]
+    r = a - q * b
+    if r < 0:
+        q, r = q - 1, r + b
+    return q, r
+
+
+def _int_divmod(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b), subquadratic in the operands' size."""
+    if b < 0:
+        q, r = _int_divmod(-a, -b)
+        return q, -r
+    if a < 0:  # floor division through a = ~x, x >= 0
+        q, r = _divmod_nonneg(~a, b)
+        return ~q, b + ~r
+    return _divmod_nonneg(a, b)
+
+
+int_divmod = divmod if sys.version_info >= (3, 12) else _int_divmod
+
+
+def to_decimal(n: int) -> str:
+    """str(n), converted divide and conquer once n is large or longer
+    than the interpreter's int-to-str limit allows."""
+    bits = n.bit_length()
+    limit = _max_str_digits()
+    if bits <= _STR_BITS and not (limit and bits // 3 + 1 > limit):
+        return str(n)
+    if n < 0:
+        return "-" + to_decimal(-n)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        # powers[j] = 2^(leaf * 2^j), each the square of the one before
+        powers = [Decimal(1 << _DECIMAL_LEAF_BITS)]
+        while _DECIMAL_LEAF_BITS << len(powers) < bits:
+            powers.append(powers[-1] * powers[-1])
+
+        def build(x: int, j: int) -> Decimal:
+            """x < 2^(leaf * 2^j) as a Decimal."""
+            if j == 0:
+                return Decimal(x)
+            j -= 1
+            k = _DECIMAL_LEAF_BITS << j
+            hi = x >> k
+            return build(hi, j) * powers[j] + build(x - (hi << k), j)
+
+        return str(build(n, len(powers)))

@@ -135,10 +135,17 @@ class FamilyFraction:
         return Fraction(self.numerator, self.denominator)
 
 
+# sys.int_info.str_digits_check_threshold, the lowest int-to-str limit
+# CPython allows: int(s, base) never refuses a string this short
+_LEAF_LETTERS = 640
+
+
 def _bits_as_base(word: str, base: int) -> int:
     """Positional value of a 0/1 word in base `base` (digits 0 and 1)."""
     n = len(word)
-    if n <= 512:
+    if n <= _LEAF_LETTERS:
+        if base <= 36:
+            return int(word, base) if word else 0
         v = 0
         for ch in word:
             v = v * base + (ch == "1")

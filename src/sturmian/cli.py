@@ -3,7 +3,11 @@
 Commands: word | ostrowski-int | ostrowski-real | cf | convergents |
 exponent | verify | boehmer.  A JSON config file supplies the slope and
 intercept; flags override.  Data goes to stdout, diagnostics to stderr;
-all numeric payloads are decimal strings.  Exit codes: 0 success,
+all numeric payloads are decimal strings.  The big ones (cf terms,
+convergents P/Q, boehmer terms, verify's certified prefix and pipeline)
+come from `bigint.to_decimal`, which is subquadratic and honours the
+interpreter's int-to-str digit limit without ever changing it; inputs
+(`--encode`, `--sigma`) are held to that limit.  Exit codes: 0 success,
 2 invalid config/digits, 3 horizon or precision exhaustion, 4 internal
 invariant failure.
 
@@ -24,12 +28,8 @@ import sys
 from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
+from .bigint import to_decimal
 from .errors import ConfigError, HorizonError, InternalError, SturmianError
-
-# payloads are decimal strings of numbers at the scale b**q_k; lift the
-# interpreter's int-to-str conversion cap accordingly
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(5_000_000)
 
 
 def _fr(x: Fraction) -> str:
@@ -174,7 +174,7 @@ def cmd_cf(args, cfg, system):
     payload = {
         "base": str(spec.base),
         "terms": [
-            {"term": str(t.value), "family": f"({t.family[0]})_{t.family[1]}",
+            {"term": to_decimal(t.value), "family": f"({t.family[0]})_{t.family[1]}",
              "k": str(t.family[1])}
             for t in terms
         ],
@@ -189,7 +189,7 @@ def cmd_convergents(args, cfg, system):
     payload = {
         "base": str(spec.base),
         "convergents": [
-            {"P": str(c.p), "Q": str(c.q), "j": str(c.index),
+            {"P": to_decimal(c.p), "Q": to_decimal(c.q), "j": str(c.index),
              "family": f"({c.family[0]})_{c.family[1]}"}
             for c in pairs
         ],
@@ -243,8 +243,8 @@ def cmd_verify(args, cfg, system):
     rep = oracle.verify_agreement(spec, min_terms=args.terms or 10)
     payload = {
         "N": str(rep.digits_used),
-        "certifiedPrefix": [str(t) for t in rep.certified_prefix],
-        "pipeline": [str(t) for t in rep.pipeline_terms],
+        "certifiedPrefix": [to_decimal(t) for t in rep.certified_prefix],
+        "pipeline": [to_decimal(t) for t in rep.pipeline_terms],
         "overlap": rep.overlap,
         "matches": rep.matches,
         "firstMismatchIndex": rep.first_mismatch,
@@ -264,7 +264,7 @@ def cmd_boehmer(args, cfg, system):
         overlap = min(len(stream), len(closed))
         if list(closed[:overlap]) != list(stream[:overlap]):
             raise InternalError("closed form disagrees with the pipeline")
-    payload = {"terms": [str(a) for a in closed]}
+    payload = {"terms": [to_decimal(a) for a in closed]}
     _emit(payload, args.format, " ".join(payload["terms"]))
 
 

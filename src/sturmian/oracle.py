@@ -5,7 +5,9 @@ enclosed by lo/den < x < hi/den, never-reduced integers from its digit
 prefix; continued fractions come from the Euclidean algorithm, and the
 certified prefix is the common prefix of the endpoint expansions with a
 one-term guard, from one Euclid on lo that carries hi by a cofactor.
-None of it shares code with the term pipeline it is used to check.
+None of it shares code with the term pipeline it is used to check.  The
+Euclid divides with `bigint.int_divmod`, which equals `divmod` and stays
+subquadratic on million-bit operands before CPython 3.12.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bigint import int_divmod
 from .cfrac import NumberSpec, continued_fraction, word_value
 from .errors import ConfigError, PrecisionError
 
@@ -63,7 +66,7 @@ def cf_of_rational(x: Fraction) -> list[int]:
     terms = [0]
     num, den = x.numerator, x.denominator
     while num:
-        a, rem = divmod(den, num)
+        a, rem = int_divmod(den, num)
         terms.append(a)
         den, num = num, rem
     if len(terms) > 2 and terms[-1] == 1:
@@ -108,7 +111,7 @@ def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
     w = enc.hi - enc.lo
     den, r, s, t_prev, t = enc.den, enc.lo, enc.hi, 0, 1
     while r and s:
-        a, rem = divmod(den, r)
+        a, rem = int_divmod(den, r)
         t_prev, t = t, t_prev - a * t
         s_next = rem + t * w
         if not 0 <= s_next < s:

@@ -69,15 +69,14 @@ class SlopeSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SlopeSpec":
-        """The spec of a slope object, or of its JSON text.
+        """The spec of a decoded slope object.
 
         The object is {"preperiod": [...], "period": [...], "horizon": K};
         quotients and horizon are integers or decimal strings, and a
-        missing list is empty.
+        missing list is empty.  Anything but a dict, JSON text included,
+        is refused.
         """
         try:
-            if isinstance(obj, str):
-                obj = json.loads(obj)
             if not isinstance(obj, dict):
                 raise ConfigError(f"slope must be a JSON object, got {obj!r}")
             return cls(tuple(int(a) for a in obj.get("preperiod", [])),

@@ -1,0 +1,159 @@
+"""The big-integer kernels against the built-ins they replace.
+
+`int_divmod` is the built-in `divmod` from CPython 3.12 on, so the
+recursion is also driven through `_int_divmod`, and with small cut-offs,
+on every interpreter.  Reference strings for ints past the interpreter's
+int-to-str limit are made with the limit lifted, then restored.
+"""
+
+import sys
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sturmian import bigint
+
+DIVMODS = [bigint.int_divmod, bigint._int_divmod]
+
+
+@contextmanager
+def patched(**values):
+    """Set module constants of `bigint` for the duration of the block."""
+    old = {name: getattr(bigint, name) for name in values}
+    for name, value in values.items():
+        setattr(bigint, name, value)
+    try:
+        yield
+    finally:
+        for name, value in old.items():
+            setattr(bigint, name, value)
+
+
+@contextmanager
+def int_str_limit(digits):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def reference_str(n):
+    with int_str_limit(0):
+        return str(n)
+
+
+def _near(*sizes):
+    return [s + d for s in sizes for d in (-1, 0, 1)]
+
+
+# divisor bits around the built-in cut-off, and quotient bits around the
+# recursion's leaf (m + 64 vs 8000), the guard (m + 64 vs the divisor)
+# and the split of quotients longer than the divisor (m vs the divisor)
+DIVISOR = _near(bigint._DIVISOR_BITS) + [1, 64, 31_000, 45_000]
+QUOTIENT = _near(1, 8000 - 64, 31_000 - 64, 31_000, 45_000) + [0, 32, 100_000]
+
+
+@st.composite
+def operands(draw, divisor_bits, quotient_bits):
+    """(a, b) with b of about the drawn bit size and a // b of about the
+    other, shaped as a random dividend, a multiple of b, one below the next
+    multiple, a power of two, 0 or a dividend below b."""
+    nb = draw(divisor_bits)
+    m = draw(quotient_bits)
+    b = draw(st.integers(1 << (nb - 1), (1 << nb) - 1))
+    q = draw(st.integers(0, (1 << m) - 1)) if m else 0
+    shape = draw(st.sampled_from(
+        ["random", "multiple", "below", "power", "zero", "small"]))
+    if shape == "random":
+        a = q * b + draw(st.integers(0, b - 1))
+    elif shape == "multiple":
+        a = q * b
+    elif shape == "below":
+        a = q * b + b - 1
+    elif shape == "power":
+        a, b = 1 << (nb + m), 1 << (nb - 1)
+    elif shape == "zero":
+        a = 0
+    else:
+        a = draw(st.integers(0, b - 1))
+    return a, b
+
+
+def _signed(a, b, signs):
+    return (-a if signs & 1 else a), (-b if signs & 2 else b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(operands(st.sampled_from(DIVISOR), st.sampled_from(QUOTIENT)), st.integers(0, 3))
+def test_int_divmod_equals_divmod_around_each_cutoff(ab, signs):
+    a, b = _signed(*ab, signs)
+    for fn in DIVMODS:
+        assert fn(a, b) == divmod(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operands(st.integers(1, 400), st.integers(0, 900)), st.integers(0, 3))
+def test_recursion_with_small_cutoffs(ab, signs):
+    # every branch on small ints: the top-bits cut, the split of long
+    # quotients and several levels of Burnikel-Ziegler with odd sizes
+    a, b = _signed(*ab, signs)
+    with patched(_DIVISOR_BITS=2, _GUARD_BITS=3, _BZ_LEAF_BITS=4):
+        assert bigint._int_divmod(a, b) == divmod(a, b)
+
+
+def test_div2n1n_exhaustive_at_small_sizes():
+    # some of these need the second correction of a 3n/2n step
+    with patched(_BZ_LEAF_BITS=1):
+        for n in range(1, 7):
+            for b in range(1 << (n - 1), 1 << n):
+                for a in range(b << n):
+                    assert bigint._div2n1n(a, b, n) == divmod(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.data())
+def test_div2n1n_with_a_small_leaf(n, data):
+    b = data.draw(st.integers(1 << (n - 1), (1 << n) - 1))
+    a = data.draw(st.integers(0, (b << n) - 1) | st.just((b << n) - 1))
+    with patched(_BZ_LEAF_BITS=2):
+        assert bigint._div2n1n(a, b, n) == divmod(a, b)
+
+
+@pytest.mark.parametrize("a", [0, 5, -5, 1 << 100_000, -(1 << 100_000)],
+                         ids=["0", "5", "-5", "2^100000", "-2^100000"])
+def test_zero_divisor_raises(a):
+    for fn in DIVMODS:
+        with pytest.raises(ZeroDivisionError):
+            fn(a, 0)
+
+
+def test_to_decimal_fixed_values():
+    values = [0, 1, -1, 9, 10]
+    for k in (1, 640, 3010, 3011, 4300, 4301, 20_000):
+        values += [10 ** k - 1, 10 ** k, -(10 ** k)]
+    want = [reference_str(n) for n in values]
+    for limit in (0, 640, 4300):
+        with int_str_limit(limit):
+            assert [bigint.to_decimal(n) for n in values] == want
+            assert sys.get_int_max_str_digits() == limit
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(_near(3 * 640, 3 * 4300, bigint._STR_BITS, 40_000)),
+       st.data(), st.sampled_from([0, 640, 4300]), st.booleans())
+def test_to_decimal_equals_str_around_its_thresholds(bits, data, limit, negative):
+    n = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    n = -n if negative else n
+    want = reference_str(n)
+    with int_str_limit(limit):
+        assert bigint.to_decimal(n) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(-(1 << 3000), 1 << 3000))
+def test_to_decimal_recursion_with_a_small_leaf(n):
+    with patched(_STR_BITS=0, _DECIMAL_LEAF_BITS=7):
+        assert bigint.to_decimal(n) == reference_str(n)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -20,6 +21,7 @@ from sturmian.cfrac import (
     NumberSpec,
     Term,
     TermStream,
+    _bits_as_base,
     _geom,
     collapse_negatives,
     eliminate_zeros,
@@ -450,3 +452,16 @@ def test_word_value():
     assert word_value("101", 10) == 909
     assert word_value("", 7) == 0
     assert word_value("1", 37) == 36
+
+
+def test_bits_as_base_matches_the_digit_loop():
+    # int(word, base) leaves up to 640 letters for bases <= 36, the loop
+    # beyond; longer words split in halves
+    rng = random.Random(640)
+    for n in (0, 1, 640, 641, 5000):
+        word = "".join(rng.choice("01") for _ in range(n))
+        for base in range(2, 41):
+            v = 0
+            for ch in word:
+                v = v * base + (ch == "1")
+            assert _bits_as_base(word, base) == v, (n, base)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sturmian
 from sturmian import cfrac, exponent
 from sturmian.cli import main
 from sturmian.errors import InternalError
@@ -209,8 +213,11 @@ def test_flags_allowed_after_subcommand(capsys):
     ["--slope", GOLDEN, "ostrowski-real", "--sigma-pair", "1"],
     ["--slope", "[1]", "--horizon", "5", "cf"],
     ["--slope", '"x"', "--horizon", "5", "cf"],
+    ["--slope", '"x"', "cf"],
+    ["--slope", json.dumps(GOLDEN), "cf"],
 ], ids=["slope-json", "slope-list", "slope-quotient", "intercept-digit",
-        "int-digits", "sigma-pair", "slope-list-horizon", "slope-string-horizon"])
+        "int-digits", "sigma-pair", "slope-list-horizon", "slope-string-horizon",
+        "slope-string", "slope-json-text"])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -252,3 +259,13 @@ def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):
             assert code == 0 and len(json.loads(out)[
                 "terms" if sub == "cf" else "convergents"]) == 8
             assert built == list(range(deepest + 1))
+
+
+def test_import_leaves_the_int_str_limit_alone():
+    src = os.path.dirname(os.path.dirname(sturmian.__file__))
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": src}
+    probe = ("import sys; before = sys.get_int_max_str_digits(); "
+             "import sturmian.cli; print(before, sys.get_int_max_str_digits())")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["640", "640"]

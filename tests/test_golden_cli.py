@@ -21,8 +21,10 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 
+import sturmian
 from sturmian.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "golden_cli.json")
@@ -195,6 +197,17 @@ def pytest_generate_tests(metafunc):
 
 def test_golden_output(entry):
     assert record(entry["argv"]) == entry
+
+
+def test_corpus_replays_under_the_lowest_int_str_limit():
+    # 640 is the lowest int-to-str limit CPython accepts; the payloads past
+    # it must print as recorded without the CLI lifting the limit
+    src = os.path.dirname(os.path.dirname(sturmian.__file__))
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, __file__, "--check"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout
+    assert f"{len(RECORDED)} of {len(RECORDED)} entries match" in done.stdout
 
 
 def check() -> int:

@@ -2,9 +2,11 @@
 
 The oracle stays independent of the term pipeline: from the package it
 takes only the number spec, `continued_fraction` and `word_value` from
-`cfrac`, and errors.  Certified theta arithmetic has one owner: the
-modules that need theta take from `slope` only the convergent table and
-its two certifying loops.
+`cfrac`, `int_divmod` from `bigint`, and errors.  The big-integer
+kernels in `bigint` import nothing from the package, and the pipeline
+and theta modules take nothing from them.  Certified theta arithmetic
+has one owner: the modules that need theta take from `slope` only the
+convergent table and its two certifying loops.
 """
 
 import ast
@@ -47,8 +49,18 @@ def test_package_imports_sees_every_form():
 
 def test_oracle_takes_only_values_from_the_pipeline():
     imports = package_imports("oracle")
-    assert set(imports) <= {"cfrac", "errors"}
+    assert set(imports) <= {"bigint", "cfrac", "errors"}
     assert imports["cfrac"] <= {"NumberSpec", "continued_fraction", "word_value"}
+    assert imports.get("bigint", set()) <= {"int_divmod"}
+
+
+def test_bigint_imports_nothing_from_the_package():
+    assert package_imports("bigint") == {}
+
+
+@pytest.mark.parametrize("module", ["cfrac", "words", "slope", "ostrowski", "exponent"])
+def test_pipeline_and_theta_modules_take_nothing_from_bigint(module):
+    assert "bigint" not in package_imports(module)
 
 
 @pytest.mark.parametrize("module", ["words", "ostrowski", "exponent"])

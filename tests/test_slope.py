@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -50,7 +51,9 @@ def test_finite_spec_horizon_error():
 
 def test_slope_json_round_trip():
     spec = SlopeSpec((5, 3, 2), (7,), 9)
-    assert SlopeSpec.from_json(spec.to_json()) == spec
+    assert SlopeSpec.from_json(json.loads(spec.to_json())) == spec
+    with pytest.raises(ConfigError, match="slope must be a JSON object, got '"):
+        SlopeSpec.from_json(spec.to_json())  # text is not decoded a second time
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
