@@ -17,19 +17,26 @@ products.  Every term carries provenance: which raw parts were merged
 into it and hence which convergent family the corresponding convergent
 belongs to.
 
-The pipeline is demand-driven.  `final_terms` is one generator that
-builds the term block of level k only when the next output term needs
-it: rule (i) sees one level ahead, and rule (ii) is a left-to-right
-stack pass that releases a term as soon as the term above it on the
-stack is nonzero, since from then on no later input can fold into it.
-So `--terms N` pays only for the levels under its N terms and the one
-or two levels that settle them.  Once the last known level is built,
-the two-level stability rule applies: terms involving the last two
-levels are withheld, because a longer stream could still rewrite them,
-and a trailing zero is dropped.  Everything released is final and equal
-to the corresponding term of the expansion over all known levels.
-`raw_stream`, `collapse_negatives` and `eliminate_zeros` run the same
-per-rule code over a whole stream, one stage at a time.
+The rules look only at signs, and every sign is fixed by the digits:
+c_k < 0 iff a_{k+1} = b_{k+1}, c_k = 0 iff a_{k+1} - b_{k+1} = 1,
+d_k = 0 iff t_k = 0, e_k >= 1, and f_k = 0 iff b_{k+1} = 0.  So the
+rewrite runs on signs, and each term it builds carries its value as a
+constant plus references to term-block entries (c_k + 1 + e_{k+1} for
+rule (i), x + y for rule (ii)), evaluated only when the term is released.
+
+`final_terms` is one generator: rule (i) sees one level ahead, and rule
+(ii) is a left-to-right stack pass that releases a term as soon as the
+term above it on the stack is nonzero, since from then on no later input
+can fold into it.  Once the last known level is read, the two-level
+stability rule applies: terms involving the last two levels are
+withheld, because a longer stream could still rewrite them, and a
+trailing zero is dropped.  Everything released is final and equal to the
+corresponding term of the expansion over all known levels.  A level's
+term block is built only when a released term reads it, so `--terms N`
+pays only for the levels under its N terms, and no expansion ever builds
+its last two levels.  `raw_stream`, `collapse_negatives` and
+`eliminate_zeros` run the same per-rule code over a whole stream of
+concrete values, one stage at a time.
 """
 
 from __future__ import annotations
@@ -222,42 +229,105 @@ def _level_count(spec: NumberSpec, levels: int | None) -> int:
     return levels
 
 
-def _level_terms(spec: NumberSpec, k: int) -> tuple[Term, ...]:
-    """The raw terms c_k, d_k, 1, e_k, f_k of level k."""
-    blk = term_block(spec, k)
-    return tuple(Term(value, ((kind, k),)) for kind, value
-                 in zip(_KINDS, (blk.c, blk.d, 1, blk.e, blk.f)))
-
-
 def raw_stream(spec: NumberSpec, levels: int) -> TermStream:
     """The interleaved improper stream c_0, d_0, 1, e_0, f_0, c_1, ..."""
     levels = _level_count(spec, levels)
+    blocks = (term_block(spec, k) for k in range(levels))
     return TermStream("raw", tuple(
-        t for k in range(levels) for t in _level_terms(spec, k)))
+        Term(value, ((kind, blk.k),)) for blk in blocks
+        for kind, value in zip(_KINDS, (blk.c, blk.d, 1, blk.e, blk.f))))
 
 
-def _collapse(blocks: Iterator[tuple[Term, ...]]) -> Iterator[Term]:
-    """Rule (i) over 5-term level blocks, reading one level ahead."""
+@dataclass(frozen=True)
+class _Pending:
+    """A term inside the rewrite: its sign, and its value as `const` plus
+    the term-block entries named in `refs`, (kind, level) pairs."""
+
+    sign: int
+    const: int
+    refs: tuple[tuple[str, int], ...]
+    parts: tuple[tuple[str, int], ...]
+
+    @property
+    def level(self) -> int:
+        return max(k for _, k in self.parts)
+
+
+def _sign(v: int) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _concrete(t: Term) -> _Pending:
+    return _Pending(_sign(t.value), t.value, (), t.parts)
+
+
+def _level_signs(spec: NumberSpec, k: int) -> tuple[_Pending, ...]:
+    """The raw terms of level k, signed from the digits, values deferred.
+
+    c_k < 0 iff a_{k+1} = b_{k+1} and c_k = 0 iff a_{k+1} - b_{k+1} = 1;
+    d_k = 0 iff t_k = 0; e_k >= 1 since r_k >= 1; f_k = 0 iff b_{k+1} = 0.
+    """
+    sys_ = spec.system
+    t = sys_.offset(k)
+    sys_.suffix_len(k)  # raises unless r_k >= 1
+    gap = sys_.gap(k + 1)
+    if gap < 0:
+        raise DigitRuleError(k + 1, "digit exceeds partial quotient")
+    signs = (-1 if gap == 0 else int(gap > 1), int(t > 0), 1, 1,
+             int(sys_.digit(k + 1) > 0))
+    # a zero part is the constant 0, so it names no block entry
+    return tuple(_Pending(1, 1, (), ((kind, k),)) if kind == "one"
+                 else _Pending(sign, 0, ((kind, k),) if sign else (), ((kind, k),))
+                 for kind, sign in zip(_KINDS, signs))
+
+
+def _merge(terms: tuple[_Pending, ...], const: int, parts) -> _Pending:
+    """The sum of `terms` and `const` as one term with provenance `parts`."""
+    const += sum(t.const for t in terms)
+    refs = tuple(r for t in terms for r in t.refs)
+    if not refs:
+        return _Pending(_sign(const), const, (), parts)
+    # deferred addends are never negative here (rule (i) has run), so the
+    # sum is positive as soon as one addend is
+    return _Pending(max(_sign(const), *(t.sign for t in terms)), const, refs, parts)
+
+
+def _values_fit(k: int, cur, nxt) -> bool:
+    """Rule (i)'s window on values: f_k = 0, d_{k+1} = d_k, c_{k+1} = -e_k - 1."""
+    return (cur[4].const == 0 and nxt[1].const == cur[1].const
+            and nxt[0].const == -cur[3].const - 1)
+
+
+def _exponents_fit(sys_: WordSystem, k: int) -> bool:
+    """The same window on exponents: b_{k+1} = 0, t_{k+1} = t_k and
+    r_{k+1} + q_k - q_{k+1} = r_k."""
+    return (sys_.digit(k + 1) == 0 and sys_.offset(k + 1) == sys_.offset(k)
+            and sys_.suffix_len(k + 1) + sys_.q(k) - sys_.q(k + 1)
+            == sys_.suffix_len(k))
+
+
+def _collapse(blocks: Iterator[tuple[_Pending, ...]], fits) -> Iterator[_Pending]:
+    """Rule (i) over 5-term level blocks, reading one level ahead.
+
+    `fits(k, cur, nxt)` checks the shape of a window whose c_{k+1} < 0.
+    """
     k, cur = 0, next(blocks, None)
     while cur is not None:
-        if cur[0].value < 0:  # not folded into the window of the level below
+        if cur[0].sign < 0:  # not folded into the window of the level below
             if k == 0:
                 raise InternalError("leading term cannot be negative")
             raise DigitRuleError(k, "two consecutive negative terms")
         nxt = next(blocks, None)
-        if nxt is None or nxt[0].value >= 0:
+        if nxt is None or nxt[0].sign >= 0:
             yield from cur
             cur, k = nxt, k + 1
             continue
-        ck, dk, one_k, ek, fk = cur
-        ck1, dk1, one_k1, ek1, fk1 = nxt
-        if fk.value != 0 or dk1.value != dk.value or ck1.value != -ek.value - 1:
+        if not fits(k, cur, nxt):
             raise InternalError(f"negative-term window malformed at k={k}")
-        merged_parts = (ck.parts + dk.parts + one_k.parts + ek.parts
-                        + fk.parts + ck1.parts + dk1.parts + one_k1.parts
-                        + ek1.parts)
-        yield Term(ck.value + 1 + ek1.value, merged_parts)
-        yield fk1  # f_{k+1} survives
+        # c_k, ..., f_k, c_{k+1}, d_{k+1}, 1, e_{k+1} -> c_k + 1 + e_{k+1}
+        yield _merge((cur[0], nxt[3]), 1,
+                     tuple(p for t in cur + nxt[:4] for p in t.parts))
+        yield nxt[4]  # f_{k+1} survives
         cur, k = next(blocks, None), k + 2
 
 
@@ -265,20 +335,21 @@ def collapse_negatives(stream: TermStream) -> TermStream:
     """Rule (i): fold each negative c term with its two neighbour levels."""
     if stream.stage != "raw":
         raise ConfigError("rule (i) applies to the raw stream")
-    terms = stream.terms
+    terms = tuple(map(_concrete, stream.terms))
     blocks = (terms[5 * k: 5 * k + 5] for k in range(len(terms) // 5))
-    return TermStream("nonneg", tuple(_collapse(blocks)))
+    return TermStream("nonneg", tuple(
+        Term(t.const, t.parts) for t in _collapse(blocks, _values_fit)))
 
 
-def _settled(t: Term, last: bool) -> Term:
-    if t.value == 0 and not last:
+def _settled(t: _Pending, last: bool) -> _Pending:
+    if t.sign == 0 and not last:
         raise InternalError("a non-trailing zero survived exhaustive rewriting")
-    if t.value < 0:
+    if t.sign < 0:
         raise InternalError("a negative term survived rewriting")
     return t
 
 
-def _fold_zeros(terms: Iterable[Term]) -> Iterator[Term]:
+def _fold_zeros(terms: Iterable[_Pending]) -> Iterator[_Pending]:
     """Rule (ii) as one left-to-right stack pass, releasing settled terms.
 
     A zero run of odd length leaves its last zero, which folds its
@@ -287,18 +358,18 @@ def _fold_zeros(terms: Iterable[Term]) -> Iterator[Term]:
     on top of the stack or at its bottom, and a term with a nonzero
     term above it can no longer change: it is released at once.
     """
-    items: list[Term] = []
+    items: list[_Pending] = []
     done = 0  # items[:done] are released
     for t in terms:
-        if items and items[-1].value == 0:
-            if t.value == 0:
+        if items and items[-1].sign == 0:
+            if t.sign == 0:
                 items.pop()  # adjacent zero pairs act as the identity matrix
                 continue
             if len(items) >= 2:
                 z, x = items.pop(), items.pop()
-                t = Term(x.value + t.value, x.parts + z.parts + t.parts)
+                t = _merge((x, t), 0, x.parts + z.parts + t.parts)
         items.append(t)
-        while done + 1 < len(items) and items[done + 1].value != 0:
+        while done + 1 < len(items) and items[done + 1].sign != 0:
             yield _settled(items[done], last=False)
             done += 1
     for i in range(done, len(items)):
@@ -314,21 +385,34 @@ def eliminate_zeros(stream: TermStream) -> TermStream:
     """
     if stream.stage != "nonneg":
         raise ConfigError("rule (ii) applies after rule (i)")
-    return TermStream("final", tuple(_fold_zeros(stream.terms)))
+    return TermStream("final", tuple(
+        Term(t.const, t.parts) for t in _fold_zeros(map(_concrete, stream.terms))))
 
 
 def final_terms(spec: NumberSpec, levels: int | None = None) -> Iterator[Term]:
     """The regular expansion over `levels` levels, built on demand.
 
-    Level k's block is computed only when the next term needs it.  Terms
-    involving the last two levels are withheld (a longer stream could
-    still rewrite them), and so is a trailing zero; the rest is final.
+    The rewrite runs on the digit-fixed signs of every level; a level's
+    term block is computed when the first released term reads it and
+    dropped once no later term can.  Terms involving the last two levels
+    are withheld (a longer stream could still rewrite them), and so is a
+    trailing zero; the rest is final.
     """
     levels = _level_count(spec, levels)
-    blocks = (_level_terms(spec, k) for k in range(levels))
-    for t in _fold_zeros(_collapse(blocks)):
-        if t.value != 0 and t.level <= levels - 3:
-            yield t
+    sys_ = spec.system
+    signed = (_level_signs(spec, k) for k in range(levels))
+    blocks: dict[int, TermBlock] = {}
+    for t in _fold_zeros(_collapse(signed, lambda k, cur, nxt: _exponents_fit(sys_, k))):
+        if t.sign == 0 or t.level > levels - 3:
+            continue
+        value = t.const
+        for kind, k in t.refs:
+            if k not in blocks:
+                blocks[k] = term_block(spec, k)
+            value += getattr(blocks[k], kind)
+        for k in [k for k in blocks if k < t.level]:  # later terms start at t.level
+            del blocks[k]
+        yield Term(value, t.parts)
 
 
 def continued_fraction(spec: NumberSpec, levels: int | None = None,

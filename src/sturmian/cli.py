@@ -23,6 +23,7 @@ upper word of a degenerate intercept.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -297,7 +298,9 @@ def positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing leaves it unchanged)."""
     common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="sturmian",

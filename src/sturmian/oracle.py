@@ -7,7 +7,10 @@ certified prefix is the common prefix of the endpoint expansions with a
 one-term guard, from one Euclid on lo that carries hi by a cofactor.
 None of it shares code with the term pipeline it is used to check.  The
 Euclid divides with `bigint.int_divmod`, which equals `divmod` and stays
-subquadratic on million-bit operands before CPython 3.12.
+subquadratic on million-bit operands before CPython 3.12, and skips the
+division whose quotient would be thrown away: when the quotient ranges
+of the two endpoints, read from the divisors' top 64 bits, are disjoint,
+the walk ends there (the top-bits early exit).
 """
 
 from __future__ import annotations
@@ -95,6 +98,19 @@ def cf_convergents(partial_quotients) -> list[Fraction]:
     return out
 
 
+def _floor_range(y: int, *addends: int) -> tuple[int, int]:
+    """Bounds lo <= floor(x/y) <= hi for x = sum(addends) >= 0, y >= 1.
+
+    Read from the top bits: with s = max(0, bitlen(y) - 64), x >> s lies
+    in [X, X + n - 1] for X the sum of the n shifted addends, and
+    Y 2^s <= y < (Y + 1) 2^s for Y = y >> s >= 1, so X / (Y + 1) < x/y
+    < (X + n) / Y and floor(x/y) lies in [X // (Y + 1), (X + n - 1) // Y].
+    """
+    shift = max(0, y.bit_length() - 64)
+    x, y = sum(a >> shift for a in addends), y >> shift
+    return x // (y + 1), (x + len(addends) - 1) // y
+
+
 def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
     """Partial quotients shared by every value inside the enclosure.
 
@@ -102,15 +118,24 @@ def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
     cofactors t_i (t_-1 = 0, t_0 = 1, t_i = t_(i-2) - a_i*t_(i-1)).  While
     the quotients agree, the remainders of (den, hi) are s_i = r_i +
     t_i*(hi - lo), and hi's i-th quotient is a_i exactly when
-    0 <= s_i < s_(i-1): one divmod per step.  Stops at the first
-    disagreement and drops the last agreeing term, a guard against the
-    [..., a] vs [..., a-1, 1] ambiguity of rational endpoints.  Returns
-    a_1, a_2, ... (unreduced endpoints give the quotients of reduced ones).
+    0 <= s_i < s_(i-1): one divmod per step.  Before it, both quotients
+    are bounded from the top 64 bits of their divisors, and the walk
+    stops without dividing when the two ranges are disjoint (the last
+    step's quotient, thrown away, is often the largest).  Stops at the
+    first disagreement and drops the last agreeing term, a guard against
+    the [..., a] vs [..., a-1, 1] ambiguity of rational endpoints.
+    Returns a_1, a_2, ... (unreduced endpoints give the quotients of
+    reduced ones).
     """
     common = [0]
     w = enc.hi - enc.lo
     den, r, s, t_prev, t = enc.den, enc.lo, enc.hi, 0, 1
     while r and s:
+        lo_min, lo_max = _floor_range(r, den)
+        # hi's dividend s_(i-2) is den + t_prev*w
+        hi_min, hi_max = _floor_range(s, den, t_prev * w)
+        if lo_max < hi_min or hi_max < lo_min:
+            break
         a, rem = int_divmod(den, r)
         t_prev, t = t, t_prev - a * t
         s_next = rem + t * w

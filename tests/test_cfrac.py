@@ -17,12 +17,14 @@ from sturmian import (
     degenerate_expansions,
     family_fraction,
 )
+from sturmian import cfrac
 from sturmian.cfrac import (
     NumberSpec,
     Term,
     TermStream,
     _bits_as_base,
     _geom,
+    _level_signs,
     collapse_negatives,
     eliminate_zeros,
     final_terms,
@@ -293,6 +295,85 @@ def test_demand_driven_prefixes_equal_full_expansion():
                 assert tuple(islice(final_terms(spec), n)) == full[:n]
                 assert continued_fraction(spec, terms=n).terms == full[:n]
     assert negative_windows >= 3  # rule (i) fires in the corpus
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+def test_level_signs_match_term_block_values():
+    # the rewrite reads signs from the digits alone; each must be the sign
+    # of the value term_block computes, for every level, kind and form
+    rng = random.Random(20261018)
+    seen = {"c<0": 0, "c=0": 0, "d=0": 0, "f=0": 0}
+    for _ in range(12):
+        table = random_slope_table(rng, 6, amax=5)
+        digits = list(random_digits(rng, table, 6))
+        sigma = f"1/{rng.randint(2, 9)}"
+        for intercept, upper in _intercepts(table, digits, sigma):
+            base = rng.randint(2, 10)
+            spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
+                                                         upper=upper))
+            for k in range(spec.system.levels):
+                blk = term_block(spec, k)
+                values = (blk.c, blk.d, 1, blk.e, blk.f)
+                signs = [t.sign for t in _level_signs(spec, k)]
+                assert signs == [_sign(v) for v in values], (intercept, k)
+                seen["c<0"] += blk.c < 0
+                seen["c=0"] += blk.c == 0
+                seen["d=0"] += blk.d == 0
+                seen["f=0"] += blk.f == 0
+    assert min(seen.values()) >= 3, seen
+
+
+def _value_levels(raw, terms):
+    """Levels whose term block a released term's value reads: its parts,
+    less the constant 1s, the zero parts and the interior of a rule-(i)
+    window (whose value is c_k + 1 + e_{k+1}); `raw` maps each part to
+    its raw value."""
+    levels = set()
+    for t in terms:
+        parts = set(t.parts)
+        for kind, k in t.parts:
+            if kind == "c" and raw[kind, k] < 0:
+                parts -= {("d", k - 1), ("e", k - 1), ("f", k - 1),
+                          ("c", k), ("d", k)}
+        levels |= {k for kind, k in parts if kind != "one" and raw[kind, k] != 0}
+    return sorted(levels)
+
+
+def test_only_the_levels_of_released_values_are_built(monkeypatch):
+    built = []
+    original = term_block
+
+    def counted(spec, k):
+        built.append(k)
+        return original(spec, k)
+
+    negative_c = negative_term_spec()
+    cases = [
+        (golden_table(16), 2, [0, 1, 0, 0, 1], "1/5"),
+        (table_for((5, 3, 2), horizon=8), 3, [1, 0, 2, 0, 1], "1/2"),
+        (negative_c.system.table, 2, list(negative_c.system.digits.digits), "1/3"),
+    ]
+    for table, base, digits, sigma in cases:
+        for intercept, upper in _intercepts(table, digits, sigma):
+            spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
+                                                         upper=upper))
+            levels = spec.system.levels
+            full = continued_fraction(spec).terms
+            raw = {t.parts[0]: t.value for t in raw_stream(spec, levels).terms}
+            with monkeypatch.context() as m:
+                m.setattr(cfrac, "term_block", counted)
+                for n in range(1, len(full) + 2):
+                    built.clear()
+                    got = continued_fraction(spec, terms=n).terms
+                    assert got == full[:n]
+                    assert built == _value_levels(raw, got), (intercept, n)
+                    assert max(built, default=-1) <= max(
+                        (t.level for t in got), default=-1)
+            # a full expansion never reads the two withheld levels
+            assert levels - 2 not in built and levels - 1 not in built
 
 
 def test_golden_pipeline_equals_boehmer():

@@ -239,9 +239,10 @@ def test_terms_must_be_positive(capsys, argv):
 
 
 def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):
-    # the 8 printed terms reach level 7; releasing the last of them takes
-    # one more level (characteristic) or the rule-(i) window of levels 8
-    # and 9 (m = 1), and the deepest level, 10, is never built
+    # the 8 printed terms reach level 7; the levels that settle the last
+    # of them (one more level, characteristic, or the rule-(i) window of
+    # levels 8 and 9, m = 1) are read for their signs only, so no block
+    # past level 7 is built
     built = []
     term_block = cfrac.term_block
 
@@ -251,14 +252,34 @@ def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):
 
     monkeypatch.setattr(cfrac, "term_block", counted)
     slope = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":11}'
-    for intercept, deepest in (([], 8), (["--intercept", '{"m":1,"p":0}'], 9)):
+    for intercept in ([], ["--intercept", '{"m":1,"p":0}']):
         for sub in ("cf", "convergents"):
             built.clear()
             code, out, _ = run(capsys, "--slope", slope, *intercept,
                                "--base", "3", sub, "--terms", "8")
             assert code == 0 and len(json.loads(out)[
                 "terms" if sub == "cf" else "convergents"]) == 8
-            assert built == list(range(deepest + 1))
+            assert built == list(range(8))
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    # the parser is built once per process: a parse error, then a text
+    # command, then a default (JSON) one must each print what a fresh
+    # process prints
+    src = os.path.dirname(os.path.dirname(sturmian.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["--slope", GOLDEN, "cf", "--terms", "0"],
+                 ["--slope", GOLDEN, "--format", "text", "cf", "--terms", "5"],
+                 ["--slope", GOLDEN, "convergents", "--terms", "3"]):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "sturmian.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == (2 if argv[-1] == "0" else 0)
 
 
 def test_import_leaves_the_int_str_limit_alone():

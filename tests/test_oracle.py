@@ -21,7 +21,8 @@ from sturmian import (
     legendre_check,
 )
 from sturmian.cfrac import NumberSpec
-from sturmian.oracle import ValueEnclosure, verify_agreement
+from sturmian import oracle
+from sturmian.oracle import ValueEnclosure, _floor_range, verify_agreement
 from sturmian.ostrowski import InterceptDigits
 from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
@@ -103,6 +104,106 @@ def test_certified_prefix_is_sound(rng):
         shallow = certified_cf_prefix(enclose_value(spec, 3 * t.q(6)))
         deep = certified_cf_prefix(enclose_value(spec, 12 * t.q(6)))
         assert deep[: len(shallow)] == shallow
+
+
+def _check_floor_range(x, y, *addends):
+    lo, hi = _floor_range(y, *addends)
+    q = x // y
+    assert lo <= q <= hi, (x, y, addends)
+    if y >= 2 ** 63:  # from 64 top bits: about q / 2^63 wide, plus slack
+        assert hi - lo <= (q >> 61) + 3
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 400), st.integers(1, 2 ** 200), st.integers(-2 ** 150, 2 ** 150))
+def test_floor_range_brackets_the_quotient(x, y, split):
+    _check_floor_range(x, y, x)
+    # two addends, one of them negative, as hi's dividend den + t_prev*w
+    _check_floor_range(x, y, x - split, split)
+
+
+def test_floor_range_edge_cases():
+    for y in (1, 2, 3, 2 ** 63 - 1, 2 ** 64 - 1):  # below 2^64: no shift
+        for x in (0, 1, y - 1, y, 5 * y, 10 ** 30 + 7):
+            _check_floor_range(x, y, x)
+    for k in (0, 1, 63, 64, 65, 200, 3000):  # y = 2^k
+        y = 2 ** k
+        for x in (0, y - 1, y, 3 * y + 1, 2 ** (2 * k + 7) - 1):
+            _check_floor_range(x, y, x)
+    for y in (3 ** 100, 2 ** 64 + 1, 2 ** 500 - 1):  # x/y an exact integer
+        for q in (1, 2, 2 ** 64, 7 ** 200):
+            lo, hi = _check_floor_range(q * y, y, q * y)
+            _check_floor_range(q * y, y, q * y + 5, -5)
+
+
+def _euclid_divisions(monkeypatch, spec):
+    """(divisions, certified terms) of the Euclid at the N verify settles on."""
+    enc = enclose_value(spec, verify_agreement(spec).digits_used)
+    calls = []
+    real = oracle.int_divmod
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "int_divmod", counted)
+        prefix = certified_cf_prefix(enc)
+    return len(calls), len(prefix)
+
+
+def test_euclid_skips_the_division_whose_quotient_is_discarded(monkeypatch):
+    # one division per agreeing step, i.e. per certified term plus the
+    # dropped guard term; without the early exit there is one more
+    for pre, per, horizon, base in (((1,), (1,), 28, 2), ((2, 1, 3), (1, 4), 16, 5)):
+        table = build_table(SlopeSpec(pre, per, horizon))
+        spec = NumberSpec(base, WordSystem.characteristic(table))
+        divisions, certified = _euclid_divisions(monkeypatch, spec)
+        assert divisions == certified + 1, (pre, divisions, certified)
+    # the (5,3,2) K=10 b=3 shortfall: lo's and hi's quotients differ by
+    # exactly 1 there, so the ranges overlap and the division runs
+    table = build_table(SlopeSpec((5, 3, 2), (5, 3, 2), 10))
+    spec = NumberSpec(3, WordSystem.characteristic(table))
+    divisions, certified = _euclid_divisions(monkeypatch, spec)
+    assert divisions == certified + 2
+
+
+def test_early_exit_fires_exactly_when_the_quotient_ranges_are_disjoint(monkeypatch):
+    # two plain Euclids on (den, lo) and (den, hi) find the step where
+    # the quotients part; the oracle divides there unless the top-bits
+    # ranges of the two true quotients are disjoint (the oracle bounds
+    # hi's dividend from two addends, a range at most one unit wider,
+    # and no seeded case sits on that edge)
+    rng = random.Random(20261019)
+    fired = 0
+    calls = []
+    real = oracle.int_divmod
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "int_divmod", counted)
+    for _ in range(1500):
+        bits = rng.choice((100, 300, 900))
+        den = rng.randint(2, 1 << bits)
+        lo = rng.randrange(den)
+        hi = min(den, lo + rng.randint(1, 1 << rng.randint(0, bits)))
+        if hi <= lo:
+            continue
+        (d1, n1), (d2, n2), steps = (den, lo), (den, hi), 0
+        while n1 and n2 and d1 // n1 == d2 // n2:
+            (d1, n1), (d2, n2), steps = (n1, d1 % n1), (n2, d2 % n2), steps + 1
+        parted = n1 and n2
+        if parted:
+            (a1, b1), (a2, b2) = _floor_range(n1, d1), _floor_range(n2, d2)
+            disjoint = b1 < a2 or b2 < a1
+            fired += disjoint
+        calls.clear()
+        _prefix_or_error(certified_cf_prefix, ValueEnclosure(lo, hi, den, 1, 2))
+        assert len(calls) == steps + (parted and not disjoint), (lo, hi, den)
+    assert fired >= 100
 
 
 def test_enclosure_rejects_bad_endpoints():
