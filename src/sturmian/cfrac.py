@@ -41,6 +41,7 @@ concrete values, one stage at a time.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,8 +148,13 @@ class FamilyFraction:
 _LEAF_LETTERS = 640
 
 
-def _bits_as_base(word: str, base: int) -> int:
-    """Positional value of a 0/1 word in base `base` (digits 0 and 1)."""
+def _bits_as_base(word: str, base: int, power=None) -> int:
+    """Positional value of a 0/1 word in base `base` (digits 0 and 1), by
+    halving.  The halves at one depth differ in length by at most one, so
+    `power`, a cache of base^e shared by the whole recursion, computes
+    each power once.  It is passed down, not closed over: a recursive
+    closure is a reference cycle that keeps the powers alive past the
+    call until the cyclic GC runs."""
     n = len(word)
     if n <= _LEAF_LETTERS:
         if base <= 36:
@@ -157,10 +163,10 @@ def _bits_as_base(word: str, base: int) -> int:
         for ch in word:
             v = v * base + (ch == "1")
         return v
+    power = power or functools.cache(functools.partial(pow, base))
     mid = n // 2
-    return _bits_as_base(word[:mid], base) * pow(base, n - mid) + _bits_as_base(
-        word[mid:], base
-    )
+    return (_bits_as_base(word[:mid], base, power) * power(n - mid)
+            + _bits_as_base(word[mid:], base, power))
 
 
 def word_value(word: str, base: int) -> int:

@@ -242,10 +242,12 @@ def cmd_exponent(args, cfg, system):
 def cmd_verify(args, cfg, system):
     spec = _number_spec(cfg, system)
     rep = oracle.verify_agreement(spec, min_terms=args.terms or 10)
+    # the two lists share most terms: convert each value once
+    decimal = {t: to_decimal(t) for t in {*rep.certified_prefix, *rep.pipeline_terms}}
     payload = {
         "N": str(rep.digits_used),
-        "certifiedPrefix": [to_decimal(t) for t in rep.certified_prefix],
-        "pipeline": [to_decimal(t) for t in rep.pipeline_terms],
+        "certifiedPrefix": [decimal[t] for t in rep.certified_prefix],
+        "pipeline": [decimal[t] for t in rep.pipeline_terms],
         "overlap": rep.overlap,
         "matches": rep.matches,
         "firstMismatchIndex": rep.first_mismatch,

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import islice
@@ -546,3 +547,30 @@ def test_bits_as_base_matches_the_digit_loop():
             for ch in word:
                 v = v * base + (ch == "1")
             assert _bits_as_base(word, base) == v, (n, base)
+
+
+def test_bits_as_base_computes_each_power_once_and_frees_it(monkeypatch):
+    # halves at one depth differ by at most one letter, so the recursion
+    # needs two powers per depth; a reference cycle (a self-recursive
+    # closure) would keep them alive past the call until the cyclic GC
+    exponents = []
+
+    def counted(b, e):
+        exponents.append(e)
+        return b ** e
+
+    monkeypatch.setattr(cfrac, "pow", counted, raising=False)
+    word = "".join(random.Random(5001).choice("01") for _ in range(5001))
+    v = 0
+    for ch in word:
+        v = v * 3 + (ch == "1")
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert _bits_as_base(word, 3) == v
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert sorted(exponents) == [625, 626, 1250, 1251, 2501]

@@ -7,6 +7,7 @@ import pytest
 
 import sturmian
 from sturmian import cfrac, exponent
+from sturmian.bigint import to_decimal
 from sturmian.cli import main
 from sturmian.errors import InternalError
 
@@ -125,6 +126,23 @@ def test_verify_shortfall_returns_4_with_its_report(capsys):
     assert (code, err) == (4, "")
     assert (payload["matches"], payload["overlap"]) == (False, 7)
     assert payload["firstMismatchIndex"] is None
+
+
+def test_verify_prints_each_pipeline_term_from_its_own_value(capsys, monkeypatch):
+    # equal terms share one decimal string; a mismatch must not borrow
+    # the certified term's, and the terms after it agree again
+    big = 7 ** 300
+    prefix = (3, big, 5, 2 ** 200)
+    terms = (3, big + 1, 5, 2 ** 200 - 1, 11)
+    monkeypatch.setattr(sturmian.oracle, "verify_agreement",
+                        lambda spec, min_terms: sturmian.oracle.VerificationReport(
+                            99, prefix, terms, 4, False, 1))
+    code, out, _ = run(capsys, "--slope", GOLDEN, "verify")
+    payload = json.loads(out)
+    assert code == InternalError.exit_code
+    assert payload["certifiedPrefix"] == [to_decimal(t) for t in prefix]
+    assert payload["pipeline"] == [to_decimal(t) for t in terms]
+    assert payload["firstMismatchIndex"] == 1
 
 
 def test_exponent_report(capsys):

@@ -27,7 +27,8 @@ from sturmian.ostrowski import InterceptDigits
 from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
-from conftest import golden_table, random_digits, random_slope_table, word_system
+from conftest import (golden_table, random_digits, random_slope_table, table_for,
+                      word_system)
 
 
 def golden_char_spec(base=2):
@@ -323,6 +324,105 @@ def test_verify_agreement_non_terminating_intercepts():
         rep = verify_agreement(NumberSpec(2, system))
         assert rep.matches and rep.overlap >= 10
         assert rep.digits_used < table.q(system.levels)
+
+
+def reference_verify_agreement(spec, min_terms=10, levels=None):
+    """`verify_agreement` before the two-pass skip: every schedule starts
+    at n_0, so a first pass whose successor is n_max still runs."""
+    if levels is None:
+        levels = spec.system.levels
+    pipeline = continued_fraction(spec, levels).values()
+    horizon = spec.system.table.horizon
+    n_max = spec.system.q(min(spec.system.levels, horizon)) - 1
+    n = min(4 * spec.system.q(min(levels - 1, horizon - 1)), n_max)
+    prev_len = -1
+    prefix = []
+    for _ in range(12):
+        try:
+            prefix = certified_cf_prefix(oracle.enclose_value(spec, n))
+        except PrecisionError:
+            prefix = []
+        if n == n_max or min(len(prefix), prev_len) >= min_terms:
+            break
+        prev_len = len(prefix)
+        n = min(2 * n, n_max)
+    overlap = min(len(prefix), len(pipeline))
+    mismatch = next((i for i in range(overlap) if prefix[i] != pipeline[i]), None)
+    return oracle.VerificationReport(
+        n, tuple(prefix), tuple(pipeline), overlap,
+        mismatch is None and overlap >= min(min_terms, len(pipeline)), mismatch)
+
+
+def _enclosures(monkeypatch, verify, spec, **kw):
+    """(report, digit counts enclosed) of one verify run."""
+    calls = []
+    real = oracle.enclose_value
+
+    def counted(s, n):
+        calls.append(n)
+        return real(s, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "enclose_value", counted)
+        rep = verify(spec, **kw)
+    return rep, calls
+
+
+def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
+    # the same report on 1-, 2- and >=3-pass schedules; only a two-pass
+    # schedule ending at n_max loses its first enclosure
+    rng = random.Random(20261020)
+    # 3 and 4 passes, and n_max = q_2 - 1 = 8 q_1 = 2 n_0 exactly
+    cases = [(table_for((2,), (9,), 5), None, 3, 3),
+             (table_for((3,), (20,), 4), None, 3, 3),
+             (table_for((3,), (8,), 2), None, 2, 3)]
+    quotients = (1, 2, 3, 5, 9, 14)
+    for _ in range(60):
+        pre = tuple(rng.choice(quotients) for _ in range(rng.randint(0, 2)))
+        period = tuple(rng.choice(quotients) for _ in range(rng.randint(1, 2)))
+        deep = build_table(SlopeSpec(pre, period, 25))
+        horizon = max(k for k in range(2, 26) if deep.q(k) <= 20000)
+        table = table_for(pre, period, horizon)
+        digits = rng.choice((None, random_digits(rng, table, horizon)))
+        cases.append((table, digits, rng.randint(2, 5), rng.randint(1, 12)))
+    seen = set()
+    for table, digits, base, min_terms in cases:
+        system = (WordSystem.characteristic(table) if digits is None else
+                  word_system(table, digits, terminating=rng.random() < 0.5))
+        spec = NumberSpec(base, system)
+        rep, calls = _enclosures(monkeypatch, verify_agreement, spec,
+                                 min_terms=min_terms)
+        want, want_calls = _enclosures(monkeypatch, reference_verify_agreement,
+                                       spec, min_terms=min_terms)
+        assert rep == want, (table.spec, digits, base, min_terms)
+        n_max = system.q(min(system.levels, table.horizon)) - 1
+        dead = len(want_calls) == 2 and want_calls[1] == n_max
+        assert calls == want_calls[dead:], (table.spec, digits, want_calls)
+        seen.add((min(len(want_calls), 3), dead, digits is None, rep.matches))
+    assert {(1, False), (2, True), (2, False), (3, False)} == {s[:2] for s in seen}
+    assert {s[2] for s in seen} == {s[3] for s in seen} == {False, True}, seen
+
+
+def test_verify_encloses_once_on_the_two_pass_commands(monkeypatch):
+    # both (5,3,2) K=10 b=3 benchmark commands: N = 237,108 was enclosed
+    # and certified, then discarded for N = 322,000
+    table = table_for((5, 3, 2), horizon=10)
+    for digits, min_terms in ((None, 10), ((1, 0, 2, 0, 1), 6)):
+        system = (WordSystem.characteristic(table) if digits is None
+                  else word_system(table, digits))
+        spec = NumberSpec(3, system)
+        rep, calls = _enclosures(monkeypatch, verify_agreement, spec,
+                                 min_terms=min_terms)
+        want, want_calls = _enclosures(monkeypatch, reference_verify_agreement,
+                                       spec, min_terms=min_terms)
+        assert rep == want
+        assert (calls, want_calls) == ([322000], [237108, 322000])
+
+
+def test_verify_agreement_needs_a_positive_term_count():
+    for min_terms in (0, -1):
+        with pytest.raises(ConfigError):
+            verify_agreement(golden_char_spec(), min_terms=min_terms)
 
 
 def test_oracle_convergents_fold():
