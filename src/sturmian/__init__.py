@@ -16,7 +16,6 @@ from .cfrac import (
     continued_fraction,
     convergents,
     family_fraction,
-    raw_stream,
     term_block,
     word_value,
 )

@@ -121,14 +121,15 @@ def to_decimal(n: int) -> str:
         powers = [Decimal(1 << _DECIMAL_LEAF_BITS)]
         while _DECIMAL_LEAF_BITS << len(powers) < bits:
             powers.append(powers[-1] * powers[-1])
+        return str(_as_decimal(n, len(powers), powers))
 
-        def build(x: int, j: int) -> Decimal:
-            """x < 2^(leaf * 2^j) as a Decimal."""
-            if j == 0:
-                return Decimal(x)
-            j -= 1
-            k = _DECIMAL_LEAF_BITS << j
-            hi = x >> k
-            return build(hi, j) * powers[j] + build(x - (hi << k), j)
 
-        return str(build(n, len(powers)))
+def _as_decimal(x: int, j: int, powers: list[Decimal]) -> Decimal:
+    """x < 2^(leaf * 2^j) as a Decimal.  `powers` is passed down, not closed
+    over, so no reference cycle keeps the ladder alive after the call."""
+    if j == 0:
+        return Decimal(x)
+    j -= 1
+    k = _DECIMAL_LEAF_BITS << j
+    hi = x >> k
+    return _as_decimal(hi, j, powers) * powers[j] + _as_decimal(x - (hi << k), j, powers)

@@ -34,9 +34,7 @@ trailing zero is dropped.  Everything released is final and equal to the
 corresponding term of the expansion over all known levels.  A level's
 term block is built only when a released term reads it, so `--terms N`
 pays only for the levels under its N terms, and no expansion ever builds
-its last two levels.  `raw_stream`, `collapse_negatives` and
-`eliminate_zeros` run the same per-rule code over a whole stream of
-concrete values, one stage at a time.
+its last two levels.
 """
 
 from __future__ import annotations
@@ -104,7 +102,6 @@ class Term:
 
 @dataclass(frozen=True)
 class TermStream:
-    stage: str  # "raw" | "nonneg" | "final"
     terms: tuple[Term, ...]
 
     def values(self) -> tuple[int, ...]:
@@ -235,15 +232,6 @@ def _level_count(spec: NumberSpec, levels: int | None) -> int:
     return levels
 
 
-def raw_stream(spec: NumberSpec, levels: int) -> TermStream:
-    """The interleaved improper stream c_0, d_0, 1, e_0, f_0, c_1, ..."""
-    levels = _level_count(spec, levels)
-    blocks = (term_block(spec, k) for k in range(levels))
-    return TermStream("raw", tuple(
-        Term(value, ((kind, blk.k),)) for blk in blocks
-        for kind, value in zip(_KINDS, (blk.c, blk.d, 1, blk.e, blk.f))))
-
-
 @dataclass(frozen=True)
 class _Pending:
     """A term inside the rewrite: its sign, and its value as `const` plus
@@ -261,10 +249,6 @@ class _Pending:
 
 def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
-
-
-def _concrete(t: Term) -> _Pending:
-    return _Pending(_sign(t.value), t.value, (), t.parts)
 
 
 def _level_signs(spec: NumberSpec, k: int) -> tuple[_Pending, ...]:
@@ -298,25 +282,16 @@ def _merge(terms: tuple[_Pending, ...], const: int, parts) -> _Pending:
     return _Pending(max(_sign(const), *(t.sign for t in terms)), const, refs, parts)
 
 
-def _values_fit(k: int, cur, nxt) -> bool:
-    """Rule (i)'s window on values: f_k = 0, d_{k+1} = d_k, c_{k+1} = -e_k - 1."""
-    return (cur[4].const == 0 and nxt[1].const == cur[1].const
-            and nxt[0].const == -cur[3].const - 1)
-
-
 def _exponents_fit(sys_: WordSystem, k: int) -> bool:
-    """The same window on exponents: b_{k+1} = 0, t_{k+1} = t_k and
-    r_{k+1} + q_k - q_{k+1} = r_k."""
+    """Rule (i)'s window (f_k = 0, d_{k+1} = d_k, c_{k+1} = -e_k - 1) on
+    exponents: b_{k+1} = 0, t_{k+1} = t_k, r_{k+1} + q_k - q_{k+1} = r_k."""
     return (sys_.digit(k + 1) == 0 and sys_.offset(k + 1) == sys_.offset(k)
             and sys_.suffix_len(k + 1) + sys_.q(k) - sys_.q(k + 1)
             == sys_.suffix_len(k))
 
 
-def _collapse(blocks: Iterator[tuple[_Pending, ...]], fits) -> Iterator[_Pending]:
-    """Rule (i) over 5-term level blocks, reading one level ahead.
-
-    `fits(k, cur, nxt)` checks the shape of a window whose c_{k+1} < 0.
-    """
+def _collapse(sys_: WordSystem, blocks: Iterator) -> Iterator[_Pending]:
+    """Rule (i) over the 5-term level blocks of `sys_`, one level ahead."""
     k, cur = 0, next(blocks, None)
     while cur is not None:
         if cur[0].sign < 0:  # not folded into the window of the level below
@@ -328,23 +303,13 @@ def _collapse(blocks: Iterator[tuple[_Pending, ...]], fits) -> Iterator[_Pending
             yield from cur
             cur, k = nxt, k + 1
             continue
-        if not fits(k, cur, nxt):
+        if not _exponents_fit(sys_, k):
             raise InternalError(f"negative-term window malformed at k={k}")
         # c_k, ..., f_k, c_{k+1}, d_{k+1}, 1, e_{k+1} -> c_k + 1 + e_{k+1}
         yield _merge((cur[0], nxt[3]), 1,
                      tuple(p for t in cur + nxt[:4] for p in t.parts))
         yield nxt[4]  # f_{k+1} survives
         cur, k = next(blocks, None), k + 2
-
-
-def collapse_negatives(stream: TermStream) -> TermStream:
-    """Rule (i): fold each negative c term with its two neighbour levels."""
-    if stream.stage != "raw":
-        raise ConfigError("rule (i) applies to the raw stream")
-    terms = tuple(map(_concrete, stream.terms))
-    blocks = (terms[5 * k: 5 * k + 5] for k in range(len(terms) // 5))
-    return TermStream("nonneg", tuple(
-        Term(t.const, t.parts) for t in _collapse(blocks, _values_fit)))
 
 
 def _settled(t: _Pending, last: bool) -> _Pending:
@@ -382,33 +347,21 @@ def _fold_zeros(terms: Iterable[_Pending]) -> Iterator[_Pending]:
         yield _settled(items[i], last=i + 1 == len(items))
 
 
-def eliminate_zeros(stream: TermStream) -> TermStream:
-    """Rule (ii): delete adjacent zero pairs, then fold x, 0, y into x + y.
-
-    Merged terms take the family of their rightmost part; pair deletions
-    leave their neighbours' identities untouched.  Only trailing zeros
-    may survive (the truncation step removes them).
-    """
-    if stream.stage != "nonneg":
-        raise ConfigError("rule (ii) applies after rule (i)")
-    return TermStream("final", tuple(
-        Term(t.const, t.parts) for t in _fold_zeros(map(_concrete, stream.terms))))
+def _rewrite(spec: NumberSpec, levels: int) -> Iterator[_Pending]:
+    """Rules (i) and (ii) over levels 0..levels-1, nothing withheld."""
+    signed = (_level_signs(spec, k) for k in range(levels))
+    return _fold_zeros(_collapse(spec.system, signed))
 
 
 def final_terms(spec: NumberSpec, levels: int | None = None) -> Iterator[Term]:
-    """The regular expansion over `levels` levels, built on demand.
-
-    The rewrite runs on the digit-fixed signs of every level; a level's
-    term block is computed when the first released term reads it and
-    dropped once no later term can.  Terms involving the last two levels
-    are withheld (a longer stream could still rewrite them), and so is a
-    trailing zero; the rest is final.
-    """
+    """The regular expansion over `levels` levels, built on demand: the
+    terms of `_rewrite` less those involving the last two levels (a longer
+    stream could still rewrite them) and a trailing zero.  A level's term
+    block is computed when the first released term reads it and dropped
+    once no later term can."""
     levels = _level_count(spec, levels)
-    sys_ = spec.system
-    signed = (_level_signs(spec, k) for k in range(levels))
     blocks: dict[int, TermBlock] = {}
-    for t in _fold_zeros(_collapse(signed, lambda k, cur, nxt: _exponents_fit(sys_, k))):
+    for t in _rewrite(spec, levels):
         if t.sign == 0 or t.level > levels - 3:
             continue
         value = t.const
@@ -424,22 +377,11 @@ def final_terms(spec: NumberSpec, levels: int | None = None) -> Iterator[Term]:
 def continued_fraction(spec: NumberSpec, levels: int | None = None,
                        terms: int | None = None) -> TermStream:
     """The first `terms` terms of `final_terms` (all of them by default)."""
-    return TermStream("final", tuple(islice(final_terms(spec, levels), terms)))
-
-
-def stream_matrix(stream: TermStream, base: int):
-    """Seeded 2x2 product over the stream; invariant under both rules."""
-    m = ((0, base - 1), (base - 1, 0))
-    for t in stream.terms:
-        a, b_, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
-        m = ((a * t.value + b_, a), (c * t.value + d, c))
-    return m
+    return TermStream(tuple(islice(final_terms(spec, levels), terms)))
 
 
 def convergents(stream: TermStream, base: int) -> list[ConvergentPair]:
     """Numerator/denominator pairs along the final stream."""
-    if stream.stage != "final":
-        raise ConfigError("convergents are read off the final stream")
     pairs = []
     p_prev, q_prev = base - 1, 0  # index -1
     p_cur, q_cur = 0, base - 1  # index 0

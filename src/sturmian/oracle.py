@@ -246,12 +246,12 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
         n = n_max
     prev_len = -1
     prefix: list[int] = []
-    for _ in range(12):
+    for passes in range(1, 13):
         try:
             prefix = certified_cf_prefix(enclose_value(spec, n))
         except PrecisionError:
             prefix = []
-        if n == n_max or min(len(prefix), prev_len) >= min_terms:
+        if passes == 12 or n == n_max or min(len(prefix), prev_len) >= min_terms:
             break
         prev_len = len(prefix)
         n = min(2 * n, n_max)

@@ -143,8 +143,10 @@ def build_table(spec: SlopeSpec) -> ConvergentTable:
 def _bracket(table: ConvergentTable, level: int) -> tuple[int, int, int, int]:
     """(p, q, p', q') with p/q < theta < p'/q': the convergents at `level`
     and `level + 1`, in parity order (even convergents lie below theta)."""
-    pl, ql = table.p(level), table.q(level)
-    ph, qh = table.p(level + 1), table.q(level + 1)
+    if level + 2 >= len(table.qs):  # the walks stop below the horizon
+        raise HorizonError(f"no convergent bracket at level {level}")
+    pl, ql = table.ps[level + 1], table.qs[level + 1]
+    ph, qh = table.ps[level + 2], table.qs[level + 2]
     return (ph, qh, pl, ql) if level % 2 else (pl, ql, ph, qh)
 
 

@@ -1,9 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from sturmian import PrecisionError, SlopeSpec, build_table
+from sturmian.cfrac import Term, term_block
 from sturmian.words import WordSystem
 
 
@@ -68,3 +70,32 @@ def slope532():
 
 def word_system(table, digits, terminating=True, **kw):
     return WordSystem.from_digits(table, digits, terminating=terminating, **kw)
+
+
+def raw_terms(spec, levels):
+    """The improper stream c_0, d_0, 1, e_0, f_0, c_1, ... of `levels`
+    levels as concrete terms, each from its level's `term_block`."""
+    out = []
+    for k in range(levels):
+        blk = term_block(spec, k)
+        for kind, value in zip(("c", "d", "one", "e", "f"),
+                               (blk.c, blk.d, 1, blk.e, blk.f)):
+            out.append(Term(value, ((kind, k),)))
+    return out
+
+
+def evaluated(spec, pending):
+    """Concrete terms of rewrite terms: each one's constant plus the
+    term-block entries it names."""
+    block = functools.cache(functools.partial(term_block, spec))
+    return [Term(t.const + sum(getattr(block(k), kind) for kind, k in t.refs),
+                 t.parts) for t in pending]
+
+
+def stream_matrix(terms, base):
+    """Seeded 2x2 product over a term sequence; invariant under both rules."""
+    m = ((0, base - 1), (base - 1, 0))
+    for t in terms:
+        a, b_, c, d = m[0][0], m[0][1], m[1][0], m[1][1]
+        m = ((a * t.value + b_, a), (c * t.value + d, c))
+    return m

@@ -212,8 +212,8 @@ def test_criterion_5_recurrence_and_matrix_identities():
     """Componentwise recurrences and the 2x2 identities, k <= 10."""
     ok = False
     try:
-        from sturmian.cfrac import (collapse_negatives, eliminate_zeros,
-                                    raw_stream, stream_matrix)
+        from sturmian.cfrac import _rewrite
+        from conftest import evaluated, raw_terms, stream_matrix
 
         def mat(x):
             return ((x, 1), (1, 0))
@@ -243,9 +243,9 @@ def test_criterion_5_recurrence_and_matrix_identities():
             spec = NumberSpec(base, word_of(table, digs))
             for k in range(0, 11):
                 assert all(check_family_recurrences(spec, k).values())
-            raw = raw_stream(spec, 12)
-            final = eliminate_zeros(collapse_negatives(raw))
-            assert stream_matrix(raw, base) == stream_matrix(final, base)
+            final = evaluated(spec, _rewrite(spec, 12))
+            assert (stream_matrix(raw_terms(spec, 12), base)
+                    == stream_matrix(final, base))
             pairs = convergents(continued_fraction(spec, 12), base)
             for i in range(len(pairs) - 1):
                 det = pairs[i + 1].p * pairs[i].q - pairs[i].p * pairs[i + 1].q

@@ -6,6 +6,7 @@ on every interpreter.  Reference strings for ints past the interpreter's
 int-to-str limit are made with the limit lifted, then restored.
 """
 
+import gc
 import sys
 from contextlib import contextmanager
 
@@ -157,3 +158,21 @@ def test_to_decimal_equals_str_around_its_thresholds(bits, data, limit, negative
 def test_to_decimal_recursion_with_a_small_leaf(n):
     with patched(_STR_BITS=0, _DECIMAL_LEAF_BITS=7):
         assert bigint.to_decimal(n) == reference_str(n)
+
+
+def test_to_decimal_frees_its_power_ladder():
+    # the ladder of Decimal powers is passed down the recursion, not closed
+    # over: a self-recursive closure is a reference cycle that would keep
+    # it alive past the call until the cyclic GC
+    n = 7 ** 40_000
+    assert n.bit_length() > bigint._STR_BITS
+    want = reference_str(n)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert bigint.to_decimal(n) == want
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

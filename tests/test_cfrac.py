@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -22,25 +23,28 @@ from sturmian import cfrac
 from sturmian.cfrac import (
     NumberSpec,
     Term,
-    TermStream,
     _bits_as_base,
+    _collapse,
+    _exponents_fit,
+    _fold_zeros,
     _geom,
     _level_signs,
-    collapse_negatives,
-    eliminate_zeros,
+    _Pending,
+    _rewrite,
     final_terms,
     formal_family_fraction,
-    raw_stream,
-    stream_matrix,
     term_block,
     word_value,
 )
 from sturmian.words import WordSystem
 
 from conftest import (
+    evaluated,
     golden_table,
     random_digits,
     random_slope_table,
+    raw_terms,
+    stream_matrix,
     table_for,
     word_system,
 )
@@ -123,13 +127,18 @@ def test_geom_matches_division_reference():
 
 
 def test_raw_stream_shape(golden):
+    # the improper stream the rewrite reads: five signed parts per level,
+    # each naming its own term-block entry unless it is a constant
     spec = characteristic_spec(golden, 2)
-    stream = raw_stream(spec, 6)
-    assert len(stream.terms) == 30
-    kinds = [t.parts[0][0] for t in stream.terms[:5]]
+    signed = [t for k in range(6) for t in _level_signs(spec, k)]
+    assert len(signed) == 30
+    kinds = [t.parts[0][0] for t in signed[:5]]
     assert kinds == ["c", "d", "one", "e", "f"]
-    values = stream.values()
+    values = [t.value for t in evaluated(spec, signed)]
+    assert values == [t.value for t in raw_terms(spec, 6)]
     assert values[1] == 0 and values[2] == 1 and values[4] == 0
+    for t, v in zip(signed, values):
+        assert t.refs == (() if v == 0 or t.parts[0][0] == "one" else t.parts)
 
 
 def test_matrix_identities_7_1_and_7_2():
@@ -143,62 +152,102 @@ def test_matrix_identities_7_1_and_7_2():
         assert lhs == ((0, 1), (1, 1))
 
 
+def collapsed(spec, levels, negative_c=()):
+    """Rule (i) alone over the signed levels of `spec`, with the c term of
+    each level in `negative_c` made negative."""
+    blocks = (tuple(dataclasses.replace(t, sign=-1) if k in negative_c
+                    and t.parts == (("c", k),) else t
+                    for t in _level_signs(spec, k)) for k in range(levels))
+    return list(_collapse(spec.system, blocks))
+
+
 def test_negative_window_shape_and_collapse():
     spec = negative_term_spec()
-    stream = raw_stream(spec, 8)
-    vals = stream.values()
+    raw = raw_terms(spec, 8)
+    vals = [t.value for t in raw]
     # septuple d_k, 1, e_k, 0, -e_k-1, d_{k+1}, 1 around the negative c
     i = next(j for j, v in enumerate(vals) if v < 0)
     d, one, e, f = vals[i - 4], vals[i - 3], vals[i - 2], vals[i - 1]
     assert (d, one, f) == (vals[i + 1], 1, 0)
     assert vals[i] == -e - 1
-    collapsed = collapse_negatives(stream)
-    assert all(v >= 0 for v in collapsed.values())
+    nonneg = evaluated(spec, collapsed(spec, 8))
+    assert all(t.value >= 0 for t in nonneg)
+    assert len(nonneg) == len(raw) - 8
     # matrix value preserved
-    assert stream_matrix(stream, spec.base) == stream_matrix(collapsed, spec.base)
+    assert stream_matrix(raw, spec.base) == stream_matrix(nonneg, spec.base)
     # the merged term value is c_k + 1 + e_{k+1}
     blk2, blk3 = term_block(spec, 2), term_block(spec, 3)
-    assert blk2.c + 1 + blk3.e in collapsed.values()
+    assert blk2.c + 1 + blk3.e in [t.value for t in nonneg]
 
 
-def test_consecutive_negatives_rejected(golden):
-    spec = characteristic_spec(golden, 2)
-    stream = raw_stream(spec, 8)
-    # splice in an impossible double-negative to hit the guard
-    from sturmian.cfrac import Term, TermStream
+def test_consecutive_negatives_rejected():
+    # b_1 = 1, so no rule-(i) window fits at k = 0: the window of a
+    # negative c_1 is malformed, and that is found before c_2 is read
+    t = table_for((2, 3, 2, 3), horizon=14)
+    spec = NumberSpec(2, word_system(t, (1,) + (0,) * 11))
+    assert not _exponents_fit(spec.system, 0)
+    with pytest.raises(InternalError,
+                       match=r"^negative-term window malformed at k=0$"):
+        collapsed(spec, 8, negative_c=(1, 2))
 
-    fake = list(stream.terms)
-    fake[5] = Term(-1, (("c", 1),))
-    fake[10] = Term(-1, (("c", 2),))
-    with pytest.raises((DigitRuleError, Exception)):
-        collapse_negatives(TermStream("raw", tuple(fake)))
+
+def test_negative_leading_term_is_an_internal_error():
+    t = table_for((2, 3, 2, 3), horizon=14)
+    spec = NumberSpec(2, word_system(t, (1,) + (0,) * 11))
+    for negative_c in ((0,), (0, 1)):
+        with pytest.raises(InternalError,
+                           match=r"^leading term cannot be negative$"):
+            collapsed(spec, 8, negative_c)
 
 
 def test_negative_after_a_collapsed_window_is_a_digit_rule_error(golden):
     spec = characteristic_spec(golden, 2)
-    fake = list(raw_stream(spec, 8).terms)
-    fake[5] = Term(-fake[3].value - 1, (("c", 1),))  # well-formed window at k=0
-    fake[10] = Term(-1, (("c", 2),))
+    assert _exponents_fit(spec.system, 0)  # a negative c_1 collapses at k=0
     with pytest.raises(DigitRuleError, match="index 2: two consecutive"):
-        collapse_negatives(TermStream("raw", tuple(fake)))
+        collapsed(spec, 8, negative_c=(1, 2))
 
 
 def test_zero_elimination_matrix_preserved(rng):
+    # the whole sign-driven rewrite over every level, nothing withheld,
+    # keeps the matrix of the raw stream
+    negative_windows = 0
     for _ in range(10):
         t = random_slope_table(rng, 8, amax=3)
         digs = random_digits(rng, t, 7)
         spec = NumberSpec(rng.choice([2, 3, 10]), word_system(t, digs))
-        stream = raw_stream(spec, 6)
-        nonneg = collapse_negatives(stream)
-        final = eliminate_zeros(nonneg)
-        assert stream_matrix(stream, spec.base) == stream_matrix(final, spec.base)
-        assert all(v >= 1 for v in final.values()[:-1])
+        raw = raw_terms(spec, 6)
+        negative_windows += any(t.value < 0 for t in raw)
+        final = evaluated(spec, _rewrite(spec, 6))
+        assert stream_matrix(raw, spec.base) == stream_matrix(final, spec.base)
+        assert all(t.value >= 1 for t in final[:-1])
+    assert negative_windows >= 2  # rule (i) fires
 
 
-def rescanning_eliminate_zeros(stream):
+def rescanning_collapse_negatives(terms):
+    """Reference rule (i) on values: rescan from index 0 after every
+    rewrite, replacing the nine terms c_k, d_k, 1, e_k, f_k, c_{k+1},
+    d_{k+1}, 1, e_{k+1} around the leftmost negative term c_{k+1} with
+    c_k + 1 + e_{k+1}, once the window is f_k = 0, d_{k+1} = d_k and
+    c_{k+1} = -e_k - 1."""
+    items = list(terms)
+    while True:
+        i = next((j for j, t in enumerate(items) if t.value < 0), None)
+        if i is None:
+            return items
+        window = items[i - 5: i + 4] if i >= 5 else []
+        if len(window) < 9:
+            raise InternalError("negative term without a full window")
+        c, d, one, e, f, neg, d1, one1, e1 = (t.value for t in window)
+        if (one, f, one1, d1, neg) != (1, 0, 1, d, -e - 1):
+            raise InternalError("negative-term window malformed")
+        items[i - 5: i + 4] = [
+            Term(c + 1 + e1, tuple(p for t in window for p in t.parts))]
+
+
+def rescanning_eliminate_zeros(terms):
     """Reference rule (ii): rescan from index 0 after every rewrite,
     deleting the leftmost zero pair before folding the leftmost x, 0, y."""
-    items = list(stream.terms)
+    items = list(terms)
     changed = True
     while changed:
         changed = False
@@ -222,7 +271,7 @@ def rescanning_eliminate_zeros(stream):
             raise InternalError("a non-trailing zero survived exhaustive rewriting")
         if t.value < 0:
             raise InternalError("a negative term survived rewriting")
-    return TermStream("final", tuple(items))
+    return tuple(items)
 
 
 def test_one_pass_zero_elimination_matches_rescanning(rng):
@@ -239,23 +288,30 @@ def test_one_pass_zero_elimination_matches_rescanning(rng):
                 values = [rng.randint(1, 9)]
             for v in values:
                 terms.append(Term(v, ((rng.choice(kinds), len(terms)),)))
-        stream = TermStream("nonneg", tuple(terms))
         outcomes = []
-        for rule in (eliminate_zeros, rescanning_eliminate_zeros):
+        for rule in (one_pass_eliminate_zeros, rescanning_eliminate_zeros):
             try:
-                outcomes.append(rule(stream).terms)
+                outcomes.append(rule(terms))
             except InternalError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], terms
 
 
+def one_pass_eliminate_zeros(terms):
+    """The pipeline's rule (ii), `_fold_zeros`, on concrete terms."""
+    pending = (_Pending(_sign(t.value), t.value, (), t.parts) for t in terms)
+    return tuple(Term(t.const, t.parts) for t in _fold_zeros(pending))
+
+
 def batch_continued_fraction(spec, levels):
     """Reference pipeline: both rules over the whole raw stream of `levels`
     levels, then the stability truncation and the trailing-zero drop.
-    Rule (ii) is the rescanning reference, so no release logic is shared."""
-    final = rescanning_eliminate_zeros(collapse_negatives(raw_stream(spec, levels)))
+    Both rules are the rescanning references on values, so no rewrite
+    code is shared with the sign-driven pipeline."""
+    final = rescanning_eliminate_zeros(
+        rescanning_collapse_negatives(raw_terms(spec, levels)))
     kept = []
-    for t in final.terms:
+    for t in final:
         if t.level > levels - 3:
             break
         kept.append(t)
@@ -288,8 +344,7 @@ def test_demand_driven_prefixes_equal_full_expansion():
             spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
                                                          upper=upper))
             levels = spec.system.levels
-            raw = raw_stream(spec, levels).values()
-            negative_windows += any(v < 0 for v in raw)
+            negative_windows += any(t.value < 0 for t in raw_terms(spec, levels))
             full = continued_fraction(spec).terms
             assert full == batch_continued_fraction(spec, levels), intercept
             for n in range(1, len(full) + 2):
@@ -363,7 +418,7 @@ def test_only_the_levels_of_released_values_are_built(monkeypatch):
                                                          upper=upper))
             levels = spec.system.levels
             full = continued_fraction(spec).terms
-            raw = {t.parts[0]: t.value for t in raw_stream(spec, levels).terms}
+            raw = {t.parts[0]: t.value for t in raw_terms(spec, levels)}
             with monkeypatch.context() as m:
                 m.setattr(cfrac, "term_block", counted)
                 for n in range(1, len(full) + 2):
@@ -415,9 +470,9 @@ def test_convergent_seeds_and_determinant(rng):
         digs = (1, 0, 2, 0, 1, 0, 0, 1, 0, 0)
         spec = NumberSpec(base, word_system(t, digs))
         # raw-stream recurrence gives the seed pair of the improper stream
-        raw = raw_stream(spec, 4).values()
-        p1 = raw[0] * 0 + (base - 1)
-        q1 = raw[0] * (base - 1) + 0
+        c0 = term_block(spec, 0).c
+        p1 = c0 * 0 + (base - 1)
+        q1 = c0 * (base - 1) + 0
         assert p1 == base - 1
         assert q1 == base ** (t.a(1) - digs[0]) - base
         stream = continued_fraction(spec, 10)

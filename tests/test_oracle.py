@@ -337,12 +337,12 @@ def reference_verify_agreement(spec, min_terms=10, levels=None):
     n = min(4 * spec.system.q(min(levels - 1, horizon - 1)), n_max)
     prev_len = -1
     prefix = []
-    for _ in range(12):
+    for passes in range(1, 13):
         try:
             prefix = certified_cf_prefix(oracle.enclose_value(spec, n))
         except PrecisionError:
             prefix = []
-        if n == n_max or min(len(prefix), prev_len) >= min_terms:
+        if passes == 12 or n == n_max or min(len(prefix), prev_len) >= min_terms:
             break
         prev_len = len(prefix)
         n = min(2 * n, n_max)
@@ -417,6 +417,16 @@ def test_verify_encloses_once_on_the_two_pass_commands(monkeypatch):
                                        spec, min_terms=min_terms)
         assert rep == want
         assert (calls, want_calls) == ([322000], [237108, 322000])
+
+
+def test_verify_reports_the_last_enclosed_n_when_the_pass_cap_ends_it(monkeypatch):
+    # (2)(9000) K=2: n_0 = 8 and n_max = q_2 - 1 = 18,000, so the twelfth
+    # pass ends the doubling at 8 * 2^11 with neither bound reached
+    table = table_for((2,), (9000,), 2)
+    spec = NumberSpec(2, WordSystem.characteristic(table))
+    rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
+    assert calls == [8 << i for i in range(12)]
+    assert rep.digits_used == calls[-1] == 16384
 
 
 def test_verify_agreement_needs_a_positive_term_count():
