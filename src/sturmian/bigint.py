@@ -18,6 +18,17 @@ so at the sizes the CLI serves those two built-ins dominate.
   conquer (Knuth, TAOCP vol. 2, 4.4): split on bits, rebuilt exactly in
   `decimal`, whose `str` is linear and has no digit limit.  The
   interpreter's int-to-str limit is read, never set.
+* `continuants_to_decimal(terms, starts)` returns the strings of the
+  continuants x_j = t_j*x_{j-1} + x_{j-2}, such as the convergents P_j and
+  Q_j of a continued fraction.  Converting each x_j from binary would cost
+  O(M(n) log n) apiece; instead each term is converted once and the
+  recurrence runs in `decimal`, one multiplication per step (libmpdec
+  multiplies large operands by number-theoretic transform), so no x_j is
+  ever converted from binary.
+
+Both decimal paths compute in one exact context (precision and exponent
+at their maxima, `Inexact` and `Rounded` trapped), so a rounding raises
+rather than passing silently, and the caller's context is left as it was.
 
 Nothing here imports from the package.
 """
@@ -25,7 +36,9 @@ Nothing here imports from the package.
 from __future__ import annotations
 
 import sys
-from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+from collections.abc import Sequence
+from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 
 # cut-overs to the built-ins, timed on CPython 3.11: under 30,000 divisor
 # bits the recursion gains little and loses on quotients longer than the
@@ -35,6 +48,11 @@ _GUARD_BITS = 64  # divisor bits kept beyond the quotient's
 _BZ_LEAF_BITS = 8000  # the recursion hands n-bit quotients below this to divmod
 _STR_BITS = 10_000  # up to here the built-in str is as fast
 _DECIMAL_LEAF_BITS = 1024  # parts this small become Decimal directly
+
+# exact decimal arithmetic: a result that would need rounding raises
+# instead (`localcontext` copies this, so it is never changed)
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
 
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
@@ -115,13 +133,48 @@ def to_decimal(n: int) -> str:
         return str(n)
     if n < 0:
         return "-" + to_decimal(-n)
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
-        # powers[j] = 2^(leaf * 2^j), each the square of the one before
-        powers = [Decimal(1 << _DECIMAL_LEAF_BITS)]
-        while _DECIMAL_LEAF_BITS << len(powers) < bits:
-            powers.append(powers[-1] * powers[-1])
-        return str(_as_decimal(n, len(powers), powers))
+    with localcontext(_EXACT):
+        return str(_exact(n, _ladder(bits)))
+
+
+def continuants_to_decimal(terms: Sequence[int],
+                           starts: Sequence[tuple[int, int]]) -> list[list[str]]:
+    """For each seed pair (x_{-1}, x_0) in `starts`, the decimal strings of
+    x_1, ..., x_n, where x_j = t_j*x_{j-1} + x_{j-2} over the terms t_j.
+
+    Terms and seeds must be >= 0.  Each is converted once, through one
+    power ladder; the recurrence then runs in exact `decimal`."""
+    values = [*terms, *(x for pair in starts for x in pair)]
+    if min(values, default=0) < 0:
+        raise ValueError("continuant terms and seeds must be >= 0")
+    with localcontext(_EXACT):
+        powers = _ladder(max(values, default=0).bit_length())
+        pairs = [(_exact(a, powers), _exact(b, powers)) for a, b in starts]
+        out: list[list[str]] = [[] for _ in pairs]
+        for t in terms:
+            d = _exact(t, powers)
+            for i, (prev, cur) in enumerate(pairs):
+                nxt = d * cur + prev
+                pairs[i] = cur, nxt
+                out[i].append(str(nxt))
+        return out
+
+
+def _ladder(bits: int) -> list[Decimal]:
+    """powers[j] = 2^(leaf * 2^j), each the square of the one before, for
+    j < L, the least L >= 1 with leaf * 2^L >= bits."""
+    powers = [Decimal(1 << _DECIMAL_LEAF_BITS)]
+    while _DECIMAL_LEAF_BITS << len(powers) < bits:
+        powers.append(powers[-1] * powers[-1])
+    return powers
+
+
+def _exact(n: int, powers: list[Decimal]) -> Decimal:
+    """n >= 0 as a Decimal, split on bits down the ladder `powers`, which
+    must reach n's size.  Call it inside the `_EXACT` context."""
+    # the least j with leaf * 2^j >= n's bits
+    j = (max(n.bit_length() - 1, 0) // _DECIMAL_LEAF_BITS).bit_length()
+    return _as_decimal(n, j, powers)
 
 
 def _as_decimal(x: int, j: int, powers: list[Decimal]) -> Decimal:

@@ -381,7 +381,11 @@ def continued_fraction(spec: NumberSpec, levels: int | None = None,
 
 
 def convergents(stream: TermStream, base: int) -> list[ConvergentPair]:
-    """Numerator/denominator pairs along the final stream."""
+    """Numerator/denominator pairs along the final stream.
+
+    The CLI prints P_j, Q_j from the same recurrence run in decimal
+    (`bigint.continuants_to_decimal`); this int version is the reference
+    its output is tested against."""
     pairs = []
     p_prev, q_prev = base - 1, 0  # index -1
     p_cur, q_cur = 0, base - 1  # index 0

@@ -3,13 +3,15 @@
 Commands: word | ostrowski-int | ostrowski-real | cf | convergents |
 exponent | verify | boehmer.  A JSON config file supplies the slope and
 intercept; flags override.  Data goes to stdout, diagnostics to stderr;
-all numeric payloads are decimal strings.  The big ones (cf terms,
-convergents P/Q, boehmer terms, verify's certified prefix and pipeline)
-come from `bigint.to_decimal`, which is subquadratic and honours the
-interpreter's int-to-str digit limit without ever changing it; inputs
-(`--encode`, `--sigma`) are held to that limit.  Exit codes: 0 success,
-2 invalid config/digits, 3 horizon or precision exhaustion, 4 internal
-invariant failure.
+all numeric payloads are decimal strings.  The big ones come from
+`bigint`: cf terms, boehmer terms and verify's certified prefix and
+pipeline from `to_decimal`, one value at a time; convergents P/Q from
+`continuants_to_decimal`, which runs the recurrence of
+`cfrac.convergents` in decimal over the printed terms.  Both are
+subquadratic and never change the interpreter's int-to-str digit limit;
+inputs (`--encode`, `--sigma`) are held to that limit.  Exit codes:
+0 success, 2 invalid config/digits, 3 horizon or precision exhaustion,
+4 internal invariant failure.
 
 The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4}.
 The intercept (parsed by `WordSystem.from_spec`) is "characteristic", the
@@ -29,7 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
-from .bigint import to_decimal
+from .bigint import continuants_to_decimal, to_decimal
 from .errors import ConfigError, HorizonError, InternalError, SturmianError
 
 
@@ -185,14 +187,15 @@ def cmd_cf(args, cfg, system):
 
 def cmd_convergents(args, cfg, system):
     spec = _number_spec(cfg, system)
-    pairs = cfrac.convergents(cfrac.continued_fraction(spec, terms=args.terms),
-                              spec.base)
+    terms = cfrac.continued_fraction(spec, terms=args.terms).terms
+    # P_j and Q_j by the recurrence of `cfrac.convergents`, run in decimal
+    b1 = spec.base - 1
+    ps, qs = continuants_to_decimal([t.value for t in terms], [(b1, 0), (0, b1)])
     payload = {
         "base": str(spec.base),
         "convergents": [
-            {"P": to_decimal(c.p), "Q": to_decimal(c.q), "j": str(c.index),
-             "family": f"({c.family[0]})_{c.family[1]}"}
-            for c in pairs
+            {"P": p, "Q": q, "j": str(j), "family": f"({t.family[0]})_{t.family[1]}"}
+            for j, (t, p, q) in enumerate(zip(terms, ps, qs), start=1)
         ],
     }
     _emit(payload, args.format,

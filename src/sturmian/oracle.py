@@ -228,10 +228,10 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
     q_L - 1, the deepest letter the known intercept digits serve
     (L = min(word levels, horizon)), from n_0 = 4 q_j with
     j = min(levels, horizon) - 1.  It stops at n_max, at the first N
-    whose prefix and the previous N's both reach `min_terms`, or after
-    12 passes.  A first pass can never stop it, so when 2 n_0 >= n_max
-    (its second pass would be n_max) it starts at n_max: one pass, not
-    two.  Each prefix is certified regardless, so the schedule only
+    whose prefix and the previous N's both reach min(`min_terms`,
+    pipeline length), or after 12 passes.  A first pass can never stop
+    it, so when 2 n_0 >= n_max (its second pass would be n_max) it starts
+    at n_max: one pass, not two.  Each prefix is certified regardless, so the schedule only
     affects how many terms get compared.  `min_terms` must be >= 1.
     """
     if min_terms < 1:
@@ -244,6 +244,7 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
     n = 4 * spec.system.q(min(levels - 1, horizon - 1))
     if 2 * n >= n_max:
         n = n_max
+    wanted = min(min_terms, len(pipeline))  # more could not be compared
     prev_len = -1
     prefix: list[int] = []
     for passes in range(1, 13):
@@ -251,7 +252,7 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
             prefix = certified_cf_prefix(enclose_value(spec, n))
         except PrecisionError:
             prefix = []
-        if passes == 12 or n == n_max or min(len(prefix), prev_len) >= min_terms:
+        if passes == 12 or n == n_max or min(len(prefix), prev_len) >= wanted:
             break
         prev_len = len(prefix)
         n = min(2 * n, n_max)
@@ -259,4 +260,4 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10,
     mismatch = next((i for i in range(overlap) if prefix[i] != pipeline[i]), None)
     return VerificationReport(
         n, tuple(prefix), tuple(pipeline), overlap,
-        mismatch is None and overlap >= min(min_terms, len(pipeline)), mismatch)
+        mismatch is None and overlap >= wanted, mismatch)

@@ -6,6 +6,7 @@ on every interpreter.  Reference strings for ints past the interpreter's
 int-to-str limit are made with the limit lifted, then restored.
 """
 
+import decimal
 import gc
 import sys
 from contextlib import contextmanager
@@ -172,6 +173,91 @@ def test_to_decimal_frees_its_power_ladder():
     gc.disable()
     try:
         assert bigint.to_decimal(n) == want
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def reference_continuants(terms, starts):
+    """The recurrence x_j = t_j x_{j-1} + x_{j-2} on ints, as strings."""
+    out = []
+    for prev, cur in starts:
+        strings = []
+        for t in terms:
+            prev, cur = cur, t * cur + prev
+            strings.append(reference_str(cur))
+        out.append(strings)
+    return out
+
+
+# the CLI's seeds for P and Q, in base 3, plus a pair of large seeds
+SEEDS = [(2, 0), (0, 2), (1 << 20_000, 3 ** 5000)]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_near(bigint._STR_BITS, 1024, 1) + [0]), min_size=1,
+                max_size=6), st.data(), st.sampled_from([0, 640]))
+def test_continuants_equal_the_int_recurrence_around_str_bits(sizes, data, limit):
+    terms = [data.draw(st.integers(1 << (s - 1), (1 << s) - 1)) if s else 0
+             for s in sizes]
+    want = reference_continuants(terms, SEEDS)
+    with int_str_limit(limit):
+        assert bigint.continuants_to_decimal(terms, SEEDS) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 1 << 300), max_size=12),
+       st.lists(st.tuples(st.integers(0, 1 << 200), st.integers(0, 1 << 200)),
+                max_size=3))
+def test_continuants_with_a_small_leaf(terms, starts):
+    with patched(_STR_BITS=0, _DECIMAL_LEAF_BITS=7):
+        assert bigint.continuants_to_decimal(terms, starts) == \
+            reference_continuants(terms, starts)
+
+
+def test_continuants_with_a_zero_first_term():
+    # a number below 1 opens its expansion with 0: x_1 = x_{-1}
+    terms = [0, 1, 2, 7 ** 5000, 1]
+    assert bigint.continuants_to_decimal(terms, SEEDS) == \
+        reference_continuants(terms, SEEDS)
+    assert bigint.continuants_to_decimal([0], [(4, 9)]) == [["4"]]
+    assert bigint.continuants_to_decimal([], [(4, 9)]) == [[]]
+
+
+def test_continuants_refuse_negative_values():
+    for terms, starts in (([1, -1], [(1, 0)]), ([1], [(0, -1)])):
+        with pytest.raises(ValueError):
+            bigint.continuants_to_decimal(terms, starts)
+
+
+def test_continuants_leave_the_callers_decimal_context_alone():
+    # the kernel runs in its own exact context whatever the caller's is,
+    # and a rounding there would raise, not pass silently
+    terms = [7 ** 3000, 5, 11 ** 2000]
+    want = reference_continuants(terms, SEEDS)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = 5, 10
+        ctx.traps[decimal.Inexact] = False
+        before = (ctx.prec, ctx.Emax, dict(ctx.traps))
+        assert bigint.continuants_to_decimal(terms, SEEDS) == want
+        assert bigint.to_decimal(7 ** 40_000) == reference_str(7 ** 40_000)
+        ctx = decimal.getcontext()
+        assert (ctx.prec, ctx.Emax, dict(ctx.traps)) == before
+    inexact = bigint._EXACT.copy()
+    inexact.prec = 50
+    with patched(_EXACT=inexact), pytest.raises((decimal.Inexact, decimal.Rounded)):
+        bigint.continuants_to_decimal(terms, SEEDS)
+
+
+def test_continuants_free_their_power_ladder():
+    terms = [7 ** 5000, 3, 5 ** 4000]  # a ladder of several powers
+    want = reference_continuants(terms, SEEDS)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert bigint.continuants_to_decimal(terms, SEEDS) == want
         assert gc.collect() == 0
     finally:
         if enabled:

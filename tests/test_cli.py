@@ -1,15 +1,25 @@
+import contextlib
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sturmian
-from sturmian import cfrac, exponent
+from sturmian import SlopeSpec, bigint, build_table, cfrac, exponent
 from sturmian.bigint import to_decimal
 from sturmian.cli import main
-from sturmian.errors import InternalError
+from sturmian.errors import InternalError, SturmianError
+from sturmian.slope import floor_theta_multiple
+from sturmian.words import WordSystem
+
+from conftest import random_digits
 
 GOLDEN = '{"preperiod":[1],"period":[1],"horizon":16}'
 S532 = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":12}'
@@ -308,3 +318,91 @@ def test_import_leaves_the_int_str_limit_alone():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == ["640", "640"]
+
+
+INTERCEPT_FORMS = ("characteristic", "digits", "prefix", "m", "sigma", "sigma_pair")
+
+
+@st.composite
+def convergents_commands(draw, form):
+    """(slope, intercept or None, upper, base, terms or None) with an
+    intercept of the given form, over slopes with q_K <= 2000 and bases 2..9."""
+    pre = draw(st.lists(st.integers(1, 9), max_size=3))
+    period = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))
+    deep = build_table(SlopeSpec(tuple(pre), tuple(period), 25))
+    horizon = max(k for k in range(4, 26) if deep.q(k) <= 2000 or k == 4)
+    table = build_table(SlopeSpec(tuple(pre), tuple(period), horizon))
+    theta = Fraction(table.p(horizon), table.q(horizon))
+    upper = False
+    if form == "characteristic":
+        intercept = None
+    elif form in ("digits", "prefix"):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        digits = random_digits(rng, table, draw(st.integers(1, horizon)))
+        intercept = {"digits": digits, "terminating": form == "digits"}
+    elif form == "m":
+        m = draw(st.integers(1, table.q(horizon)))
+        intercept = {"m": m, "p": -floor_theta_multiple(table, 1 - m)}
+        upper = draw(st.booleans())
+    else:  # u*theta + v inside (-theta, 1 - theta), u = 0 for sigma
+        u = draw(st.integers(-2, 2)) if form == "sigma_pair" else 0
+        den = draw(st.integers(2, 30))
+        lo, hi = -(u + 1) * theta * den, (1 - (u + 1) * theta) * den
+        v = str(Fraction(draw(st.integers(math.floor(lo) + 1, math.ceil(hi) - 1)), den))
+        intercept = {"sigma": v} if form == "sigma" else {"sigma_pair": [u, v]}
+    return ({"preperiod": pre, "period": period, "horizon": horizon}, intercept,
+            upper, draw(st.integers(2, 9)), draw(st.none() | st.integers(1, 12)))
+
+
+def reference_convergents(slope, intercept, upper, base, terms):
+    """The payload's pairs from the int recurrence of `cfrac.convergents`."""
+    system = WordSystem.from_spec(build_table(SlopeSpec.from_json(slope)),
+                                  intercept or "characteristic", upper=upper)
+    spec = cfrac.NumberSpec(base, system)
+    return [{"P": str(c.p), "Q": str(c.q), "j": str(c.index),
+             "family": f"({c.family[0]})_{c.family[1]}"}
+            for c in cfrac.convergents(cfrac.continued_fraction(spec, terms=terms),
+                                       base)]
+
+
+def run_convergents(slope, intercept, upper, base, terms):
+    """(exit code, stdout, stderr) of one in-process `convergents` command."""
+    argv = ["--slope", json.dumps(slope), "--base", str(base)]
+    argv += ["--intercept", json.dumps(intercept)] if intercept else []
+    argv += ["--upper"] if upper else []
+    argv += ["convergents"] + (["--terms", str(terms)] if terms else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("form", INTERCEPT_FORMS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_convergents_payload_equals_the_int_recurrence(form, data):
+    command = data.draw(convergents_commands(form))
+    code, out, err = run_convergents(*command)
+    try:
+        want = reference_convergents(*command)
+    except SturmianError as exc:  # refused alike, e.g. sigma too close to theta
+        assert (code, json.loads(err)["error"]) == (exc.exit_code, type(exc).__name__)
+        return
+    assert code == 0
+    assert json.loads(out)["convergents"] == want
+
+
+def test_convergents_past_str_bits_under_a_low_int_str_limit():
+    # P/Q of golden K=22 b=2 reach about 10,900 bits, past bigint._STR_BITS
+    # and 3,300 digits, so the CLI prints them past a 640-digit limit
+    command = ({"preperiod": [1], "period": [1], "horizon": 22}, None, False, 2, None)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = reference_convergents(*command)
+        sys.set_int_max_str_digits(640)
+        code, out, _ = run_convergents(*command)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 0 and json.loads(out)["convergents"] == want
+    assert len(want[-1]["Q"]) > bigint._STR_BITS * math.log10(2)

@@ -335,6 +335,7 @@ def reference_verify_agreement(spec, min_terms=10, levels=None):
     horizon = spec.system.table.horizon
     n_max = spec.system.q(min(spec.system.levels, horizon)) - 1
     n = min(4 * spec.system.q(min(levels - 1, horizon - 1)), n_max)
+    wanted = min(min_terms, len(pipeline))
     prev_len = -1
     prefix = []
     for passes in range(1, 13):
@@ -342,7 +343,7 @@ def reference_verify_agreement(spec, min_terms=10, levels=None):
             prefix = certified_cf_prefix(oracle.enclose_value(spec, n))
         except PrecisionError:
             prefix = []
-        if passes == 12 or n == n_max or min(len(prefix), prev_len) >= min_terms:
+        if passes == 12 or n == n_max or min(len(prefix), prev_len) >= wanted:
             break
         prev_len = len(prefix)
         n = min(2 * n, n_max)
@@ -350,7 +351,7 @@ def reference_verify_agreement(spec, min_terms=10, levels=None):
     mismatch = next((i for i in range(overlap) if prefix[i] != pipeline[i]), None)
     return oracle.VerificationReport(
         n, tuple(prefix), tuple(pipeline), overlap,
-        mismatch is None and overlap >= min(min_terms, len(pipeline)), mismatch)
+        mismatch is None and overlap >= wanted, mismatch)
 
 
 def _enclosures(monkeypatch, verify, spec, **kw):
@@ -420,11 +421,13 @@ def test_verify_encloses_once_on_the_two_pass_commands(monkeypatch):
 
 
 def test_verify_reports_the_last_enclosed_n_when_the_pass_cap_ends_it(monkeypatch):
-    # (2)(9000) K=2: n_0 = 8 and n_max = q_2 - 1 = 18,000, so the twelfth
-    # pass ends the doubling at 8 * 2^11 with neither bound reached
-    table = table_for((2,), (9000,), 2)
+    # (1,1)(9000) K=3: n_0 = 4 q_2 = 8 and n_max = q_3 - 1 = 18,000, and no
+    # N up to 16,384 certifies the one pipeline term, so the twelfth pass
+    # ends the doubling at 8 * 2^11 with neither bound reached
+    table = table_for((1, 1), (9000,), 3)
     spec = NumberSpec(2, WordSystem.characteristic(table))
     rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
+    assert len(rep.pipeline_terms) == 1 and rep.certified_prefix == ()
     assert calls == [8 << i for i in range(12)]
     assert rep.digits_used == calls[-1] == 16384
 
@@ -522,3 +525,12 @@ def test_pipeline_agrees_with_certified_prefix(spec):
     overlap = rep.overlap
     assert rep.certified_prefix[:overlap] == rep.pipeline_terms[:overlap]
     assert rep.first_mismatch is None
+
+
+def test_verify_stops_once_the_whole_pipeline_is_covered(monkeypatch):
+    # an empty pipeline leaves nothing to compare: two passes, not the
+    # 12-pass cap (N = 8 ... 16,384) that `min_terms` alone would ask for
+    spec = NumberSpec(2, WordSystem.characteristic(table_for((2,), (9000,), 2)))
+    rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
+    assert rep.pipeline_terms == () and rep.matches
+    assert len(calls) <= 2
