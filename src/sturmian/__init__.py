@@ -4,6 +4,15 @@ Builds arbitrary Sturmian words from slope/intercept data, computes the
 continued fraction expansion of the base-b numbers whose digits they
 form, and evaluates irrationality exponents, cross-verifying everything
 against independent brute-force oracles.
+
+The records (`SlopeSpec`, `ConvergentTable`, `NumberSpec`, `Term`,
+`ValueEnclosure`, ...) are immutable `typing.NamedTuple`s.  A record
+equals the plain tuple of its fields, iterates and unpacks, and `len` of
+it counts fields (an `InterceptDigits` has `len(x.digits)` digits).
+`record._replace(field=value)` makes a changed copy, validated as the
+constructor validates; assigning to a field raises `AttributeError`.
+The fields `ConvergentPair.index`, `Repetition.count` and
+`FactorCountReport.count` shadow the tuple methods of those names.
 """
 
 from .cfrac import (
@@ -41,9 +50,7 @@ from .exponent import (
 )
 from .oracle import (
     ValueEnclosure,
-    cf_convergents,
     cf_of_rational,
-    cf_value,
     certified_cf_prefix,
     enclose_value,
     exponent_bracket,

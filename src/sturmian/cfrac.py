@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
-from .errors import ConfigError, DigitRuleError, HorizonError, InternalError
+from .errors import ConfigError, DigitRuleError, HorizonError, InternalError, validated
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
@@ -53,20 +53,19 @@ _PART_FAMILY = {"c": "1", "d": "2-1", "one": "2", "e": "3", "f": "4"}
 _KINDS = tuple(_PART_FAMILY)
 
 
-@dataclass(frozen=True)
-class NumberSpec:
+@validated
+class NumberSpec(NamedTuple):
     """A Sturmian number: base b >= 2 digits over {0, b-1} from a word."""
 
     base: int
     system: WordSystem
 
-    def __post_init__(self):
+    def _check(self):
         if self.base < 2:
             raise ConfigError(f"base must be >= 2, got {self.base}")
 
 
-@dataclass(frozen=True)
-class TermBlock:
+class TermBlock(NamedTuple):
     """The four per-level integers feeding the improper expansion.
 
     c = b^(r_k + q_{k-1}) (b^((a_{k+1}-b_{k+1}-1) q_k) - 1)/(b^(q_k) - 1),
@@ -82,8 +81,7 @@ class TermBlock:
     f: int
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One stream term plus the raw parts merged into it."""
 
     value: int
@@ -100,16 +98,14 @@ class Term:
         return _PART_FAMILY[kind], k
 
 
-@dataclass(frozen=True)
-class TermStream:
+class TermStream(NamedTuple):
     terms: tuple[Term, ...]
 
     def values(self) -> tuple[int, ...]:
         return tuple(t.value for t in self.terms)
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
+class ConvergentPair(NamedTuple):
     """Numerator/denominator pair P_j, Q_j of the expansion, unreduced.
 
     Both are divisible by b-1; the reduced fraction is the actual
@@ -126,8 +122,7 @@ class ConvergentPair:
         return Fraction(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class FamilyFraction:
+class FamilyFraction(NamedTuple):
     """One of the candidate approximant families, as an exact fraction."""
 
     numerator: int
@@ -232,8 +227,7 @@ def _level_count(spec: NumberSpec, levels: int | None) -> int:
     return levels
 
 
-@dataclass(frozen=True)
-class _Pending:
+class _Pending(NamedTuple):
     """A term inside the rewrite: its sign, and its value as `const` plus
     the term-block entries named in `refs`, (kind, level) pairs."""
 

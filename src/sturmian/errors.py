@@ -1,9 +1,29 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the hook that validates records.
 
 Exit-code mapping used by the CLI: bad configuration or bad digit data
 is exit 2, running out of horizon/precision is exit 3, and a violated
 internal invariant is exit 4.
 """
+
+import functools
+
+
+def validated(cls):
+    """Class decorator for a NamedTuple record with a `_check` method:
+    every instance made by the constructor or by `_make` (which
+    `_replace` calls) goes through `_check`, which raises the record's
+    typed error."""
+    new, make = cls.__new__, cls._make.__func__
+
+    def checked(record):
+        record._check()
+        return record
+
+    cls.__new__ = staticmethod(functools.wraps(new)(
+        lambda cls_, *args, **kwargs: checked(new(cls_, *args, **kwargs))))
+    cls._make = classmethod(functools.wraps(make)(
+        lambda cls_, iterable: checked(make(cls_, iterable))))
+    return cls
 
 
 class SturmianError(Exception):

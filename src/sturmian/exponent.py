@@ -10,8 +10,8 @@ extrapolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import _HEIGHT, NumberSpec
 from .errors import ConfigError, HorizonError, InternalError
@@ -20,8 +20,7 @@ from .slope import ConvergentTable
 from .words import WordSystem
 
 
-@dataclass(frozen=True)
-class NuRow:
+class NuRow(NamedTuple):
     """The four growth ratios at one level, as exact rationals."""
 
     k: int
@@ -31,11 +30,10 @@ class NuRow:
     nu4: Fraction
 
     def nu(self, j: int) -> Fraction:
-        return (self.nu1, self.nu2, self.nu3, self.nu4)[j - 1]
+        return self[j]  # the fields are k, nu1, ..., nu4
 
 
-@dataclass(frozen=True)
-class StrongRecord:
+class StrongRecord(NamedTuple):
     """Verdict for one family at one level.
 
     `mu` is the approximation exponent when accepted; `error_exponent`
@@ -52,8 +50,7 @@ class StrongRecord:
     error_exponent: Fraction | None
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """Finite-horizon exponent estimate: tail-window maxima, never limits."""
 
     window_full: tuple[int, int]
@@ -63,15 +60,13 @@ class EstimateReport:
     mu_estimate: Fraction
 
 
-@dataclass(frozen=True)
-class LiouvilleReport:
+class LiouvilleReport(NamedTuple):
     verdict: str  # "not_liouville" | "inconclusive"
     max_partial_quotient: int
     witness: tuple[Fraction, ...]  # growth of nu_{k-2}(4) = 1 + r_k/q_{k-1}
 
 
-@dataclass(frozen=True)
-class ExtremalIntercept:
+class ExtremalIntercept(NamedTuple):
     digits: InterceptDigits
     spikes: tuple[int, ...]  # levels k_j; the bumped digit sits at k_j + 1
 

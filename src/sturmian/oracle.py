@@ -21,16 +21,16 @@ would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bigint import int_divmod
 from .cfrac import NumberSpec, continued_fraction, word_value
-from .errors import ConfigError, PrecisionError
+from .errors import ConfigError, PrecisionError, validated
 
 
-@dataclass(frozen=True)
-class ValueEnclosure:
+@validated
+class ValueEnclosure(NamedTuple):
     """Exact bracket lo/den < value < hi/den from N digits, kept unreduced."""
 
     lo: int
@@ -39,21 +39,9 @@ class ValueEnclosure:
     digits_used: int
     base: int
 
-    def __post_init__(self):
+    def _check(self):
         if not 0 <= self.lo < self.hi <= self.den:
             raise ConfigError("enclosure needs 0 <= lo < hi <= den")
-
-    @property
-    def lower(self) -> Fraction:
-        return Fraction(self.lo, self.den)
-
-    @property
-    def upper(self) -> Fraction:
-        return Fraction(self.hi, self.den)
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.hi - self.lo, self.den)
 
 
 def enclose_value(spec: NumberSpec, n_digits: int) -> ValueEnclosure:
@@ -81,26 +69,6 @@ def cf_of_rational(x: Fraction) -> list[int]:
         terms.pop()
         terms[-1] += 1
     return terms
-
-
-def cf_value(terms) -> Fraction:
-    """Fold a continued fraction [a0; a1, ...] back into a fraction."""
-    value = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        value = a + (1 / value if value else Fraction(0))
-    return value
-
-
-def cf_convergents(partial_quotients) -> list[Fraction]:
-    """Convergents of [0; a_1, a_2, ...] (no leading integer part)."""
-    out = []
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1
-    for a in partial_quotients:
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        out.append(Fraction(p, q))
-    return out
 
 
 def _floor_range(y: int, *addends: int) -> tuple[int, int]:
@@ -208,8 +176,7 @@ def exponent_bracket(p: int, q: int, enc: ValueEnclosure) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Pipeline-vs-oracle agreement on the shared expansion prefix."""
 
     digits_used: int

@@ -13,8 +13,8 @@ admissible expansions; those are either produced explicitly by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousExpansionError,
@@ -23,23 +23,23 @@ from .errors import (
     HorizonError,
     InternalError,
     InvalidInterceptError,
+    validated,
 )
 from .slope import ConvergentTable, sign_linear
 
 
-@dataclass(frozen=True)
-class IntegerDigits:
+@validated
+class IntegerDigits(NamedTuple):
     """Digits d_1..d_{r+1} of a positive integer, most significant last."""
 
     digits: tuple[int, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.digits or self.digits[-1] <= 0:
             raise DigitRuleError(len(self.digits), "top digit must be positive")
 
 
-@dataclass(frozen=True)
-class InterceptDigits:
+class InterceptDigits(NamedTuple):
     """Digit prefix b_1..b_K of a real expansion.
 
     `terminating` marks the prefix as the complete expansion (all later
@@ -51,20 +51,17 @@ class InterceptDigits:
     digits: tuple[int, ...]
     terminating: bool = False
 
-    def __len__(self):
-        return len(self.digits)
-
     def digit(self, k: int) -> int:
         """b_k, reading 0 beyond the prefix when terminating."""
-        if 1 <= k <= len(self.digits):
-            return self.digits[k - 1]
+        digits = self.digits
+        if 1 <= k <= len(digits):
+            return digits[k - 1]
         if self.terminating:
             return 0
-        raise HorizonError(f"digit b_{k} beyond stored prefix of length {len(self.digits)}")
+        raise HorizonError(f"digit b_{k} beyond stored prefix of length {len(digits)}")
 
 
-@dataclass(frozen=True)
-class DegenerateIntercept:
+class DegenerateIntercept(NamedTuple):
     """The two digit streams of an intercept with rho - theta = -m*theta + p.
 
     `level` is the l with q_l < m <= q_{l+1} (l = 0 when m = 1).  Which
@@ -87,8 +84,7 @@ class DegenerateIntercept:
         return self.stream_alt if self.level % 2 == 1 else self.stream
 
 
-@dataclass(frozen=True)
-class DigitReport:
+class DigitReport(NamedTuple):
     """Outcome of validating a real digit prefix."""
 
     valid: bool
@@ -183,18 +179,9 @@ def validate_real_digits(digits, table: ConvergentTable) -> DigitReport:
             return report(k, "digit before a maximal digit must vanish")
 
     # Forbidden tail: the suffix alternates a_j, 0, a_{j+2}, 0, ... to the end.
-    tail = False
-    n = len(seq)
-    if n >= 2:
-        for start in range(n - 1):
-            j = start + 1
-            ok = all(
-                seq[i] == (table.a(i + 1) if (i - start) % 2 == 0 else 0)
-                for i in range(start, n)
-            )
-            if ok and seq[start] == table.a(j):
-                tail = True
-                break
+    tail = any(all(seq[i] == (table.a(i + 1) if (i - start) % 2 == 0 else 0)
+                   for i in range(start, len(seq)))
+               for start in range(len(seq) - 1))
     return DigitReport(True, None, "ok", tail)
 
 
@@ -317,9 +304,7 @@ def encode_real(sigma, table: ConvergentTable, horizon: int | None = None) -> In
         const += b_k * table.p(k - 1)
         coeff -= b_k * table.q(k - 1)
         prev = b_k
-    if coeff == 0 and const == 0:
-        return InterceptDigits(tuple(digits), True)
-    return InterceptDigits(tuple(digits), False)
+    return InterceptDigits(tuple(digits), coeff == 0 and const == 0)
 
 
 def _raise_ambiguous(digits, branches, coeff, const):

@@ -13,16 +13,15 @@ exhausted.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ConfigError, HorizonError, InternalError, PrecisionError
+from .errors import ConfigError, HorizonError, InternalError, PrecisionError, validated
 
 
-@dataclass(frozen=True)
-class SlopeSpec:
+@validated
+class SlopeSpec(NamedTuple):
     """Partial quotients a_1..a_K, optionally periodic after a preperiod.
 
     For k > len(preperiod) the quotient repeats period cyclically; with an
@@ -33,39 +32,31 @@ class SlopeSpec:
     period: tuple[int, ...] = ()
     horizon: int = 0
 
-    def __post_init__(self):
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+    def _check(self):
+        preperiod, period, horizon = self
+        if not isinstance(horizon, int) or horizon < 1:
             raise ConfigError("horizon must be a positive integer")
-        if not self.preperiod and not self.period:
+        if not preperiod and not period:
             raise ConfigError("at least one partial quotient is required")
-        if any(a < 1 for a in self.preperiod + self.period):
+        if any(a < 1 for a in preperiod + period):
             raise ConfigError("every partial quotient must be >= 1")
-        if not self.period and self.horizon > len(self.preperiod):
+        if not period and horizon > len(preperiod):
             raise HorizonError(
-                f"horizon {self.horizon} exceeds the {len(self.preperiod)} "
+                f"horizon {horizon} exceeds the {len(preperiod)} "
                 "available partial quotients and no period was given"
             )
 
     def partial_quotient(self, k: int) -> int:
         """a_k for 1 <= k <= horizon."""
+        preperiod, period, horizon = self
         if k < 1:
             raise ConfigError(f"partial quotient index {k} out of range")
-        if k > self.horizon:
-            raise HorizonError(f"a_{k} requested but horizon is {self.horizon}")
-        s = len(self.preperiod)
+        if k > horizon:
+            raise HorizonError(f"a_{k} requested but horizon is {horizon}")
+        s = len(preperiod)
         if k <= s:
-            return self.preperiod[k - 1]
-        return self.period[(k - s - 1) % len(self.period)]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "preperiod": [str(a) for a in self.preperiod],
-                "period": [str(a) for a in self.period],
-                "horizon": str(self.horizon),
-            },
-            sort_keys=True,
-        )
+            return preperiod[k - 1]
+        return period[(k - s - 1) % len(period)]
 
     @classmethod
     def from_json(cls, obj) -> "SlopeSpec":
@@ -86,12 +77,13 @@ class SlopeSpec:
             raise ConfigError(f"bad slope {obj!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ConvergentTable:
+class ConvergentTable(NamedTuple):
     """Convergents p_k/q_k for k = -1..K with the usual seeds.
 
     q_{-1} = 0, q_0 = 1, p_{-1} = 1, p_0 = 0 and
-    q_k = a_k q_{k-1} + q_{k-2}, likewise for p.
+    q_k = a_k q_{k-1} + q_{k-2}, likewise for p; `ps` and `qs` hold
+    indices -1..K.  `p` and `q` run in every certified loop, so each
+    reads its field once.
     """
 
     spec: SlopeSpec
@@ -106,14 +98,16 @@ class ConvergentTable:
         return self.spec.partial_quotient(k)
 
     def p(self, k: int) -> int:
-        if k < -1 or k > self.horizon:
+        ps = self.ps
+        if not 0 <= k + 1 < len(ps):
             raise HorizonError(f"p_{k} outside table range -1..{self.horizon}")
-        return self.ps[k + 1]
+        return ps[k + 1]
 
     def q(self, k: int) -> int:
-        if k < -1 or k > self.horizon:
+        qs = self.qs
+        if not 0 <= k + 1 < len(qs):
             raise HorizonError(f"q_{k} outside table range -1..{self.horizon}")
-        return self.qs[k + 1]
+        return qs[k + 1]
 
     def level_covering(self, n: int) -> int:
         """Smallest k >= 1 with q_k > n."""
@@ -143,10 +137,11 @@ def build_table(spec: SlopeSpec) -> ConvergentTable:
 def _bracket(table: ConvergentTable, level: int) -> tuple[int, int, int, int]:
     """(p, q, p', q') with p/q < theta < p'/q': the convergents at `level`
     and `level + 1`, in parity order (even convergents lie below theta)."""
-    if level + 2 >= len(table.qs):  # the walks stop below the horizon
+    ps, qs = table.ps, table.qs
+    if level + 2 >= len(qs):  # the walks stop below the horizon
         raise HorizonError(f"no convergent bracket at level {level}")
-    pl, ql = table.ps[level + 1], table.qs[level + 1]
-    ph, qh = table.ps[level + 2], table.qs[level + 2]
+    pl, ql = ps[level + 1], qs[level + 1]
+    ph, qh = ps[level + 2], qs[level + 2]
     return (ph, qh, pl, ql) if level % 2 else (pl, ql, ph, qh)
 
 

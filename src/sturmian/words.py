@@ -11,8 +11,8 @@ from the intercept directly, with every floor certified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     ConfigError,
@@ -35,8 +35,7 @@ from .slope import ConvergentTable, floor_theta_multiple, sign_linear
 MATERIALIZE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class Repetition:
+class Repetition(NamedTuple):
     """Initial repetition data: the word is head + block^(count+1) + ...
 
     `head` is a suffix of the level-k standard blocks, `count` is the
@@ -48,8 +47,7 @@ class Repetition:
     count: int
 
 
-@dataclass(frozen=True)
-class FactorCountReport:
+class FactorCountReport(NamedTuple):
     """Distinct factor count of a prefix, with the validity margin."""
 
     length: int
@@ -191,7 +189,7 @@ class WordSystem:
     @property
     def levels(self) -> int:
         """Number of levels with a known intercept digit."""
-        return self.table.horizon if self.digits.terminating else len(self.digits)
+        return self.table.horizon if self.digits.terminating else len(self.digits.digits)
 
     def offset(self, k: int) -> int:
         """t_k = b_1 + b_2 q_1 + ... + b_k q_{k-1}: length of the prefix part."""
@@ -321,7 +319,7 @@ class WordSystem:
             raise ConfigError(f"letters are 1-based, got {n}")
         if self.rho is None:
             c = digit_prefix_value(self.digits, self.table)[0] + 1
-            tail = Fraction(1, self.q(len(self.digits)))
+            tail = Fraction(1, self.q(len(self.digits.digits)))
         else:
             c, tail = self.rho[0], None
 
@@ -348,13 +346,8 @@ class WordSystem:
         criterion (the prefix fails exactly for one extremal pattern).
         """
         direct = self.aligned(k + 1)[: self.q(k)] == self.aligned(k)
-        pattern = True
-        for j in range(1, k + 2):
-            want = self._extremal_pattern_digit(j, k)
-            if self.digit(j) != want:
-                pattern = False
-                break
-        criterion = not pattern
+        criterion = any(self._extremal_pattern_digit(j, k) != self.digit(j)
+                        for j in range(1, k + 2))
         if direct != criterion:
             raise InternalError(
                 f"prefix criterion mismatch at k={k}: direct={direct}"
@@ -388,13 +381,10 @@ class WordSystem:
         if k < 0:
             raise ConfigError("repetition level must be >= 0")
         gap2 = self.gap(k + 2)
-        if gap2 >= 2:
+        if gap2 >= 1:
             head = self.split(k + 1)[1]
             count = self.a(k + 1)
-        elif gap2 == 1:
-            head = self.split(k + 1)[1]
-            count = self.a(k + 1)
-            if self.digit(k + 3) < self.a(k + 3):
+            if gap2 == 1 and self.digit(k + 3) < self.a(k + 3):
                 count += 1
         else:  # b_{k+2} = a_{k+2}
             head = self.split(k)[1] + self.standard(k + 1)

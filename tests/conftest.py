@@ -1,10 +1,11 @@
 import functools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from sturmian import PrecisionError, SlopeSpec, build_table
+from sturmian import PrecisionError, SlopeSpec, SturmianError, build_table
 from sturmian.cfrac import Term, term_block
 from sturmian.words import WordSystem
 
@@ -33,6 +34,66 @@ def random_digits(rng, table, n, allow_max=True):
         digs.append(d)
         prev = d
     return tuple(digs)
+
+
+def replace_raises_as_built(record, **changes):
+    """`record._replace(**changes)`, and `_make` over the same fields,
+    raise the error its constructor raises there, type and message."""
+    cls, fields = type(record), {**record._asdict(), **changes}
+    with pytest.raises(SturmianError) as built:
+        cls(**fields)
+    for remake in (lambda: record._replace(**changes), lambda: cls._make(fields.values())):
+        with pytest.raises(SturmianError) as got:
+            remake()
+        assert (type(got.value), str(got.value)) == (type(built.value), str(built.value))
+
+
+def slope_json(spec):
+    """The slope object of `spec` as JSON text, numbers as decimal strings
+    (the form `SlopeSpec.from_json` reads back once decoded)."""
+    return json.dumps(
+        {
+            "preperiod": [str(a) for a in spec.preperiod],
+            "period": [str(a) for a in spec.period],
+            "horizon": str(spec.horizon),
+        },
+        sort_keys=True,
+    )
+
+
+def lower(enc):
+    """The lower end lo/den of a `ValueEnclosure`, as a Fraction."""
+    return Fraction(enc.lo, enc.den)
+
+
+def upper(enc):
+    """The upper end hi/den of a `ValueEnclosure`, as a Fraction."""
+    return Fraction(enc.hi, enc.den)
+
+
+def width(enc):
+    """The width (hi - lo)/den of a `ValueEnclosure`, as a Fraction."""
+    return Fraction(enc.hi - enc.lo, enc.den)
+
+
+def cf_value(terms):
+    """Fold a continued fraction [a0; a1, ...] back into a fraction."""
+    value = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        value = a + (1 / value if value else Fraction(0))
+    return value
+
+
+def cf_convergents(partial_quotients):
+    """Convergents of [0; a_1, a_2, ...] (no leading integer part)."""
+    out = []
+    p_prev, q_prev = 1, 0
+    p, q = 0, 1
+    for a in partial_quotients:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        out.append(Fraction(p, q))
+    return out
 
 
 def theta_value(table):

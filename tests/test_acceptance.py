@@ -14,9 +14,7 @@ from sturmian import (
     SlopeSpec,
     build_table,
     boehmer_term,
-    cf_convergents,
     cf_of_rational,
-    cf_value,
     certified_cf_prefix,
     check_family_recurrences,
     classify_families,
@@ -37,6 +35,8 @@ from sturmian.cfrac import NumberSpec, formal_family_fraction
 from sturmian.oracle import verify_agreement
 from sturmian.ostrowski import digit_prefix_value
 from sturmian.words import WordSystem, run_length
+
+from conftest import cf_convergents
 
 SEED = 109
 
@@ -415,10 +415,10 @@ def test_criterion_9_exponent_estimates():
         ws = WordSystem.from_digits(t30, ex.digits, terminating=False)
         for j, k in enumerate(ex.spikes, start=1):
             assert j * ws.suffix_len(k) >= (j - 1) * t30.q(k)  # exact rationals
-            if k + 2 <= len(ex.digits):
+            if k + 2 <= len(ex.digits.digits):
                 assert nu_row(ws, k).nu2 >= 2 + Fraction((j - 1) * t30.q(k),
                                                          j * t30.q(k - 1))
-        last = max(k for k in ex.spikes if k + 2 <= len(ex.digits))
+        last = max(k for k in ex.spikes if k + 2 <= len(ex.digits.digits))
         tail_ratios = [Fraction(t30.q(k), t30.q(k - 1)) for k in range(15, 31)]
         target = 2 + Fraction(9, 10) * max(tail_ratios)
         assert nu_row(ws, last).nu2 >= target

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 from fractions import Fraction
@@ -44,6 +43,7 @@ from conftest import (
     random_digits,
     random_slope_table,
     raw_terms,
+    replace_raises_as_built,
     stream_matrix,
     table_for,
     word_system,
@@ -71,6 +71,13 @@ def negative_term_spec(base=2):
     digs = [0] * 12
     digs[3] = t.a(4)
     return NumberSpec(base, word_system(t, tuple(digs)))
+
+
+def test_number_spec_replace_validates_as_the_constructor_does(golden):
+    spec = characteristic_spec(golden, 3)
+    for base in (1, 0, -2):
+        replace_raises_as_built(spec, base=base)
+    assert spec._replace(base=2).base == 2
 
 
 def test_term_block_level_zero(golden, slope532):
@@ -155,7 +162,7 @@ def test_matrix_identities_7_1_and_7_2():
 def collapsed(spec, levels, negative_c=()):
     """Rule (i) alone over the signed levels of `spec`, with the c term of
     each level in `negative_c` made negative."""
-    blocks = (tuple(dataclasses.replace(t, sign=-1) if k in negative_c
+    blocks = (tuple(t._replace(sign=-1) if k in negative_c
                     and t.parts == (("c", k),) else t
                     for t in _level_signs(spec, k)) for k in range(levels))
     return list(_collapse(spec.system, blocks))

@@ -19,10 +19,11 @@ from sturmian import (
 )
 from sturmian.cfrac import NumberSpec, formal_family_fraction
 from sturmian.exponent import ExtremalIntercept
-from sturmian.oracle import certified_cf_prefix, cf_convergents, exponent_bracket
+from sturmian.oracle import certified_cf_prefix, exponent_bracket
 from sturmian.words import WordSystem
 
-from conftest import golden_table, random_digits, random_slope_table, table_for, word_system
+from conftest import (cf_convergents, golden_table, random_digits, random_slope_table,
+                      table_for, word_system)
 
 PHI = (1 + 5 ** 0.5) / 2
 
@@ -186,7 +187,7 @@ def test_extremal_intercept_golden():
         assert j * ws.suffix_len(k) >= (j - 1) * t.q(k)
     # nu_k(2) at the spikes reaches the scheduled bound
     for j, k in enumerate(ex.spikes, start=1):
-        if k + 2 > len(digs):
+        if k + 2 > len(digs.digits):
             continue
         row = nu_row(ws, k)
         assert row.nu2 == 2 + Fraction(ws.suffix_len(k), t.q(k - 1))
@@ -197,7 +198,7 @@ def test_extremal_reaches_fraction_of_limsup():
     t = golden_table(30)
     ex = extremal_intercept(t)
     ws = word_system(t, ex.digits, terminating=False)
-    last = max(k for k in ex.spikes if k + 2 <= len(ex.digits))
+    last = max(k for k in ex.spikes if k + 2 <= len(ex.digits.digits))
     nu2 = nu_row(ws, last).nu2
     # tail estimate of limsup q_k/q_{k-1}
     ratios = [Fraction(t.q(k), t.q(k - 1)) for k in range(15, 30)]

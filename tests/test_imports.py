@@ -7,9 +7,16 @@ kernels in `bigint` import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
 convergent table and its two certifying loops.
+
+The records are NamedTuples, so importing the CLI generates no dataclass
+code and loads neither `dataclasses` nor the `inspect` it pulls in, and
+every record stays immutable.
 """
 
 import ast
+import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +74,50 @@ def test_pipeline_and_theta_modules_take_nothing_from_bigint(module):
 def test_theta_arithmetic_comes_from_the_two_slope_loops(module):
     taken = package_imports(module).get("slope", set())
     assert taken <= {"ConvergentTable", "sign_linear", "floor_theta_multiple"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps `site` from loading either module first
+    code = ("import sys, sturmian.cli; "
+            "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-E", "-S", "-c", code], cwd=PACKAGE.parent,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
+RECORDS = {
+    "cfrac": {"NumberSpec", "TermBlock", "Term", "TermStream", "ConvergentPair",
+              "FamilyFraction"},
+    "exponent": {"NuRow", "StrongRecord", "EstimateReport", "LiouvilleReport",
+                 "ExtremalIntercept"},
+    "oracle": {"ValueEnclosure", "VerificationReport"},
+    "ostrowski": {"IntegerDigits", "InterceptDigits", "DegenerateIntercept",
+                  "DigitReport"},
+    "slope": {"SlopeSpec", "ConvergentTable"},
+    "words": {"Repetition", "FactorCountReport"},
+}
+
+
+def test_the_public_records_are_the_listed_namedtuples():
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        mod = importlib.import_module(f"sturmian.{path.stem}")
+        names = {name for name, obj in vars(mod).items()
+                 if isinstance(obj, type) and issubclass(obj, tuple)
+                 and hasattr(obj, "_fields") and obj.__module__ == mod.__name__
+                 and not name.startswith("_")}
+        if names:
+            found[path.stem] = names
+    assert found == RECORDS
+
+
+@pytest.mark.parametrize("module, name", sorted(
+    (module, name) for module, names in RECORDS.items() for name in names))
+def test_record_fields_cannot_be_assigned(module, name):
+    cls = getattr(importlib.import_module(f"sturmian.{module}"), name)
+    record = tuple.__new__(cls, range(len(cls._fields)))  # any values will do
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        record.other = 0  # no instance dict to take new attributes

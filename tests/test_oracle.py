@@ -9,9 +9,7 @@ from sturmian import (
     PrecisionError,
     SlopeSpec,
     build_table,
-    cf_convergents,
     cf_of_rational,
-    cf_value,
     certified_cf_prefix,
     continued_fraction,
     enclose_value,
@@ -27,8 +25,9 @@ from sturmian.ostrowski import InterceptDigits
 from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
-from conftest import (golden_table, random_digits, random_slope_table, table_for,
-                      word_system)
+from conftest import (cf_convergents, cf_value, golden_table, lower, random_digits,
+                      random_slope_table, replace_raises_as_built, table_for, upper,
+                      width, word_system)
 
 
 def golden_char_spec(base=2):
@@ -39,8 +38,8 @@ def test_enclosure_golden_n8():
     enc = enclose_value(golden_char_spec(), 8)
     want = Fraction(1, 2) + Fraction(1, 8) + Fraction(1, 16) + Fraction(1, 64) \
         + Fraction(1, 256)
-    assert enc.lower == want
-    assert enc.upper - enc.lower == Fraction(1, 256)
+    assert lower(enc) == want
+    assert upper(enc) - lower(enc) == Fraction(1, 256)
 
 
 def test_enclosures_nested_and_in_unit_interval():
@@ -48,9 +47,9 @@ def test_enclosures_nested_and_in_unit_interval():
     prev = None
     for n in (5, 9, 16, 30):
         enc = enclose_value(spec, n)
-        assert 0 < enc.lower < enc.upper < 1
+        assert 0 < lower(enc) < upper(enc) < 1
         if prev is not None:
-            assert prev.lower <= enc.lower and enc.upper <= prev.upper
+            assert lower(prev) <= lower(enc) and upper(enc) <= upper(prev)
         prev = enc
 
 
@@ -213,7 +212,10 @@ def test_enclosure_rejects_bad_endpoints():
         with pytest.raises(ConfigError):
             ValueEnclosure(lo, hi, den, 1, 2)
     enc = ValueEnclosure(0, 4, 4, 1, 2)
-    assert (enc.lower, enc.upper, enc.width) == (0, 1, 1)
+    assert (lower(enc), upper(enc), width(enc)) == (0, 1, 1)
+    for lo, hi, den in ((1, 5, 4), (-1, 1, 4), (2, 2, 4), (3, 2, 4), (0, 1, 0)):
+        replace_raises_as_built(enc, lo=lo, hi=hi, den=den)
+    assert enc._replace(lo=3) == ValueEnclosure(3, 4, 4, 1, 2)
 
 
 def reference_cf_prefix(lower: Fraction, upper: Fraction) -> list[int]:
@@ -290,7 +292,7 @@ def test_exponent_bracket_tight_power():
     spec = golden_char_spec()
     enc = enclose_value(spec, 50)
     # a rational at distance about 2^-20 from the value
-    x = enc.lower + Fraction(1, 2 ** 20)
+    x = lower(enc) + Fraction(1, 2 ** 20)
     lo, hi = exponent_bracket(x.numerator, x.denominator, enc)
     assert lo <= 20 <= hi
     assert hi - lo <= 2
@@ -299,7 +301,7 @@ def test_exponent_bracket_tight_power():
 def test_exponent_bracket_requires_separation():
     spec = golden_char_spec()
     enc = enclose_value(spec, 12)
-    mid = (enc.lower + enc.upper) / 2
+    mid = (lower(enc) + upper(enc)) / 2
     with pytest.raises(PrecisionError):
         exponent_bracket(mid.numerator, mid.denominator, enc)
 
@@ -467,7 +469,7 @@ def test_every_pipeline_pair_is_high_quality(rng):
         enc = enclose_value(spec, 6 * t.q(7))
         for pair in pairs[:-1]:
             red = pair.reduced()
-            dist = max(abs(enc.lower - red), abs(enc.upper - red))
+            dist = max(abs(lower(enc) - red), abs(upper(enc) - red))
             assert dist < Fraction(1, red.denominator ** 2), (
                 t.spec.preperiod, digs, pair.index
             )

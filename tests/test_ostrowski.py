@@ -18,9 +18,10 @@ from sturmian import (
     encode_real,
     validate_real_digits,
 )
-from sturmian.ostrowski import InterceptDigits, digit_prefix_value
+from sturmian.ostrowski import IntegerDigits, InterceptDigits, digit_prefix_value
 
-from conftest import golden_table, random_digits, table_for, theta_value
+from conftest import (golden_table, random_digits, replace_raises_as_built, table_for,
+                      theta_value)
 
 
 def brute_force_expansions(n, table, top):
@@ -77,6 +78,22 @@ def test_decode_zero_and_errors(golden, slope532):
         encode_integer(10 ** 9, slope532)
     with pytest.raises(ConfigError):
         encode_integer(0, golden)
+
+
+def test_integer_digits_need_a_positive_top_digit():
+    for digits in ((), (1, 0), (2, -1)):
+        with pytest.raises(DigitRuleError) as err:
+            IntegerDigits(digits)
+        assert err.value.index == len(digits)
+        replace_raises_as_built(IntegerDigits((1, 2)), digits=digits)
+    assert IntegerDigits((1, 2))._replace(digits=(3,)) == IntegerDigits((3,))
+
+
+def test_intercept_digits_replace_keeps_the_digits():
+    # the record's length is its field count, so _replace needs no __len__
+    d = InterceptDigits((1, 0, 2))
+    assert d._replace(terminating=True) == InterceptDigits((1, 0, 2), True)
+    assert len(d) == 2 and len(d.digits) == 3
 
 
 def test_exhaustive_uniqueness_small(golden, slope532, rng):

@@ -14,7 +14,7 @@ from sturmian import (
 )
 from sturmian.slope import _bracket, floor_theta_multiple, sign_linear
 
-from conftest import outcome, table_for, theta_value
+from conftest import outcome, replace_raises_as_built, slope_json, table_for, theta_value
 
 
 def test_fibonacci_denominators():
@@ -49,11 +49,19 @@ def test_finite_spec_horizon_error():
         SlopeSpec((1,), (1,), 0)
 
 
+def test_replace_validates_as_the_constructor_does():
+    spec = SlopeSpec((1, 2), (), 2)
+    for changes in ({"horizon": 0}, {"horizon": 5}, {"preperiod": ()},
+                    {"preperiod": (0, 2)}):
+        replace_raises_as_built(spec, **changes)
+    assert spec._replace(horizon=1) == SlopeSpec((1, 2), (), 1)
+
+
 def test_slope_json_round_trip():
     spec = SlopeSpec((5, 3, 2), (7,), 9)
-    assert SlopeSpec.from_json(json.loads(spec.to_json())) == spec
+    assert SlopeSpec.from_json(json.loads(slope_json(spec))) == spec
     with pytest.raises(ConfigError, match="slope must be a JSON object, got '"):
-        SlopeSpec.from_json(spec.to_json())  # text is not decoded a second time
+        SlopeSpec.from_json(slope_json(spec))  # text is not decoded a second time
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
