@@ -13,6 +13,11 @@ it counts fields (an `InterceptDigits` has `len(x.digits)` digits).
 constructor validates; assigning to a field raises `AttributeError`.
 The fields `ConvergentPair.index`, `Repetition.count` and
 `FactorCountReport.count` shadow the tuple methods of those names.
+
+`validate_real_digits`, like `decode_integer`, raises `DigitRuleError` at
+the first broken digit rule.  `liouville_diagnostic`,
+`ordered_strong_sequence` and `formal_intercept` are library API that no
+command prints, as are the paper results the acceptance tests check.
 """
 
 from .cfrac import (

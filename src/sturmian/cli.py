@@ -13,13 +13,15 @@ inputs (`--encode`, `--sigma`) are held to that limit.  Exit codes:
 0 success, 2 invalid config/digits, 3 horizon or precision exhaustion,
 4 internal invariant failure.
 
-The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4}.
-The intercept (parsed by `WordSystem.from_spec`) is "characteristic", the
-default, or an object with exactly one of {"digits": [b_1, ...]} (plus
-"terminating": false for a digit prefix), {"m": m, "p": p} (the
-degenerate rho = -(m-1)*theta + p), {"sigma": "u/v"} (sigma = rho - theta)
-or {"sigma_pair": [u, "v"]} (sigma = u*theta + v); `--upper` picks the
-upper word of a degenerate intercept.
+The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4},
+its numbers integers or decimal strings.  The intercept (parsed by
+`WordSystem.from_spec`) is "characteristic", the default, or an object
+with exactly one of {"digits": [b_1, ...]} (plus "terminating": false
+for a digit prefix), {"m": m, "p": p} (the degenerate
+rho = -(m-1)*theta + p), {"sigma": "u/v"} (sigma = rho - theta) or
+{"sigma_pair": [u, "v"]} (sigma = u*theta + v); `--upper` (or the
+config's "upper": true) picks the upper word of a degenerate intercept.
+"terminating" and "upper" are JSON booleans.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ def _build_system(cfg) -> words.WordSystem:
     spec = slope.SlopeSpec.from_json(cfg["slope"])
     if spec.horizon < 4:
         raise ConfigError("horizon must be at least 4")
+    upper = cfg.get("upper", False)
+    if not isinstance(upper, bool):
+        raise ConfigError(f"config 'upper' must be a JSON boolean, got {upper!r}")
     return words.WordSystem.from_spec(
-        slope.build_table(spec), cfg.get("intercept", "characteristic"),
-        upper=bool(cfg.get("upper", False)))
+        slope.build_table(spec), cfg.get("intercept", "characteristic"), upper=upper)
 
 
 def _emit(payload: dict, fmt: str, text: str):

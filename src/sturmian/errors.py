@@ -44,6 +44,7 @@ class DigitRuleError(ConfigError):
     def __init__(self, index, message):
         super().__init__(f"digit rule violated at index {index}: {message}")
         self.index = index
+        self.rule = message
 
 
 class InvalidInterceptError(ConfigError):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .cfrac import _HEIGHT, NumberSpec
-from .errors import ConfigError, HorizonError, InternalError
+from .errors import ConfigError, DigitRuleError, HorizonError, InternalError
 from .ostrowski import InterceptDigits, validate_real_digits
 from .slope import ConvergentTable
 from .words import WordSystem
@@ -321,7 +321,8 @@ def extremal_intercept(table: ConvergentTable) -> ExtremalIntercept:
             f"horizon {K} too small to place two maximal digits"
         )
     out = InterceptDigits(tuple(digits), False)
-    rep = validate_real_digits(out, table)
-    if not rep.valid:
-        raise InternalError(f"extremal digits violate the rules: {rep.message}")
+    try:
+        validate_real_digits(out, table)
+    except DigitRuleError as exc:
+        raise InternalError(f"extremal digits violate the rules: {exc.rule}") from exc
     return ExtremalIntercept(out, tuple(spikes))

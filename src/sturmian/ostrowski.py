@@ -84,15 +84,6 @@ class DegenerateIntercept(NamedTuple):
         return self.stream_alt if self.level % 2 == 1 else self.stream
 
 
-class DigitReport(NamedTuple):
-    """Outcome of validating a real digit prefix."""
-
-    valid: bool
-    violation_index: int | None
-    message: str
-    forbidden_tail_shape: bool
-
-
 def parse_fraction(text: str) -> Fraction:
     """An exact rational from the text "n" or "n/d"."""
     try:
@@ -128,9 +119,9 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
     return IntegerDigits(tuple(digits))
 
 
-def validate_integer_digits(digits, table: ConvergentTable) -> None:
-    """Raise DigitRuleError at the first index violating the integer rules."""
-    seq = tuple(digits)
+def _check_digit_rules(seq, table: ConvergentTable, leading: str) -> None:
+    """Raise DigitRuleError at the first digit breaking d_1 < a_1, d_j <= a_j
+    or the adjacency rule; `leading` is the text of the first rule."""
     if len(seq) > table.horizon:
         raise HorizonError(f"{len(seq)} digits exceed horizon {table.horizon}")
     for j, d in enumerate(seq, start=1):
@@ -139,50 +130,24 @@ def validate_integer_digits(digits, table: ConvergentTable) -> None:
         if d > table.a(j):
             raise DigitRuleError(j, f"digit {d} exceeds a_{j} = {table.a(j)}")
     if seq and seq[0] >= table.a(1):
-        raise DigitRuleError(1, f"leading digit {seq[0]} must be < a_1 = {table.a(1)}")
+        raise DigitRuleError(1, f"leading digit {seq[0]} must be {leading}")
     for j in range(1, len(seq)):
         if seq[j] == table.a(j + 1) and seq[j - 1] != 0:
-            raise DigitRuleError(j, f"digit before a maximal digit must vanish")
+            raise DigitRuleError(j, "digit before a maximal digit must vanish")
 
 
 def decode_integer(digits, table: ConvergentTable) -> int:
     """Sum d_j q_{j-1} after validating the digit rules."""
     seq = digits.digits if isinstance(digits, IntegerDigits) else tuple(digits)
-    validate_integer_digits(seq, table)
+    _check_digit_rules(seq, table, f"< a_1 = {table.a(1)}")
     return sum(d * table.q(j - 1) for j, d in enumerate(seq, start=1))
 
 
-def validate_real_digits(digits, table: ConvergentTable) -> DigitReport:
-    """Check b_1 <= a_1 - 1, b_k <= a_k and the adjacency rule.
-
-    Canonical form additionally requires infinitely many odd and even
-    indices with b_k < a_k, which a finite prefix cannot certify; instead
-    the report flags whether the prefix ends in the forbidden tail shape
-    a_j, 0, a_{j+2}, 0, ...
-    """
+def validate_real_digits(digits, table: ConvergentTable) -> None:
+    """Raise DigitRuleError unless b_1 <= a_1 - 1, b_k <= a_k and the
+    adjacency rule hold (no finite prefix can certify canonical form)."""
     seq = digits.digits if isinstance(digits, InterceptDigits) else tuple(digits)
-    if len(seq) > table.horizon:
-        raise HorizonError(f"{len(seq)} digits exceed horizon {table.horizon}")
-
-    def report(idx, msg):
-        return DigitReport(False, idx, msg, False)
-
-    for k, b in enumerate(seq, start=1):
-        if b < 0:
-            return report(k, f"negative digit {b}")
-        if b > table.a(k):
-            return report(k, f"digit {b} exceeds a_{k} = {table.a(k)}")
-    if seq and seq[0] > table.a(1) - 1:
-        return report(1, f"leading digit {seq[0]} must be <= a_1 - 1")
-    for k in range(1, len(seq)):
-        if seq[k] == table.a(k + 1) and seq[k - 1] != 0:
-            return report(k, "digit before a maximal digit must vanish")
-
-    # Forbidden tail: the suffix alternates a_j, 0, a_{j+2}, 0, ... to the end.
-    tail = any(all(seq[i] == (table.a(i + 1) if (i - start) % 2 == 0 else 0)
-                   for i in range(start, len(seq)))
-               for start in range(len(seq) - 1))
-    return DigitReport(True, None, "ok", tail)
+    _check_digit_rules(seq, table, "<= a_1 - 1")
 
 
 def digit_prefix_value(digits, table: ConvergentTable) -> tuple[int, int]:
@@ -202,19 +167,14 @@ def decode_real(digits, table: ConvergentTable):
     """
     if not isinstance(digits, InterceptDigits):
         digits = InterceptDigits(tuple(digits))
-    rep = validate_real_digits(digits, table)
-    if not rep.valid:
-        raise DigitRuleError(rep.violation_index, rep.message)
-    m = len(digits.digits)
+    validate_real_digits(digits, table)
     u, p = digit_prefix_value(digits.digits, table)
     k = table.horizon
     v1 = Fraction(u * table.p(k - 1), table.q(k - 1)) - p
     v2 = Fraction(u * table.p(k), table.q(k)) - p
     lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
     if not digits.terminating:
-        if m > table.horizon:
-            raise HorizonError(f"tail bound needs q_{m} beyond horizon")
-        tail = Fraction(1, table.q(m))
+        tail = Fraction(1, table.q(len(digits.digits)))
         lo, hi = lo - tail, hi + tail
     return lo, hi
 
@@ -280,26 +240,20 @@ def encode_real(sigma, table: ConvergentTable, horizon: int | None = None) -> In
             raise InvalidInterceptError(
                 f"value beyond the top of the digit range at digit {k}"
             )
-        if cap == 0:
-            b_k = 0
-        else:
-            s1 = above(1)
-            if s1 == 0:
-                _raise_ambiguous(digits, (0, 1), orig_coeff, orig_const)
-            if s1 < 0:
-                b_k = 0
+        # the largest b <= cap with the residual beyond boundary b (the
+        # bottom check certifies b = 0); boundaries increase with b, so
+        # the search cannot end below boundary j without probing it
+        lo, hi = 0, cap
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            s = above(mid)
+            if s == 0:
+                _raise_ambiguous(digits, (mid - 1, mid), orig_coeff, orig_const)
+            if s > 0:
+                lo = mid
             else:
-                lo, hi = 1, cap  # predicate holds at lo
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    s = above(mid)
-                    if s == 0:
-                        _raise_ambiguous(digits, (mid - 1, mid), orig_coeff, orig_const)
-                    if s > 0:
-                        lo = mid
-                    else:
-                        hi = mid - 1
-                b_k = lo
+                hi = mid - 1
+        b_k = lo
         digits.append(b_k)
         const += b_k * table.p(k - 1)
         coeff -= b_k * table.q(k - 1)
@@ -316,14 +270,10 @@ def _raise_ambiguous(digits, branches, coeff, const):
     raise AmbiguousExpansionError(digits, branches, m=m, p=p)
 
 
-def _alternating_tail(table: ConvergentTable, first: int, length: int, start_max: bool):
-    """Digits a_first, 0, a_{first+2}, 0, ... (or starting with the 0)."""
-    out = []
-    for i in range(length):
-        k = first + i
-        maxed = (i % 2 == 0) if start_max else (i % 2 == 1)
-        out.append(table.a(k) if maxed else 0)
-    return out
+def _alternating_tail(table: ConvergentTable, first: int) -> list[int]:
+    """Digits 0, a_{first+1}, 0, a_{first+3}, ... at indices first..K."""
+    return [table.a(k) if (k - first) % 2 else 0
+            for k in range(first, table.horizon + 1)]
 
 
 def degenerate_expansions(m: int, p: int, table: ConvergentTable) -> DegenerateIntercept:
@@ -342,8 +292,8 @@ def degenerate_expansions(m: int, p: int, table: ConvergentTable) -> DegenerateI
         if p != 0:
             raise InvalidInterceptError(f"m = 1 requires p = 0 for rho in [0,1), got p={p}")
         level = 0
-        b = [table.a(1) - 1] + _alternating_tail(table, 2, K - 1, start_max=False)
-        b_alt = [0] + _alternating_tail(table, 2, K - 1, start_max=True)
+        b = [table.a(1) - 1] + _alternating_tail(table, 2)
+        b_alt = _alternating_tail(table, 1)
     else:
         # rho = -(m-1) theta + p must land in (0, 1)
         if sign_linear(table, p, -(m - 1)) <= 0:
@@ -358,16 +308,16 @@ def degenerate_expansions(m: int, p: int, table: ConvergentTable) -> DegenerateI
         head += [0] * (level + 1 - len(head))
         if head[level] > table.a(level + 1) - 1:
             raise InternalError("head digit b_{l+1} out of range")
-        b = head + _alternating_tail(table, level + 2, K - level - 1, start_max=False)
+        b = head + _alternating_tail(table, level + 2)
         b_alt = list(head)
         b_alt[level] += 1
         if level + 2 <= K:
-            b_alt += [table.a(level + 2) - 1]
-            b_alt += _alternating_tail(table, level + 3, K - level - 2, start_max=False)
-    for seq in (b, b_alt):
-        rep = validate_real_digits(seq, table)
-        if not rep.valid:
-            raise InternalError(f"degenerate stream breaks digit rules: {rep.message}")
+            b_alt += [table.a(level + 2) - 1] + _alternating_tail(table, level + 3)
+    try:
+        for seq in (b, b_alt):
+            validate_real_digits(seq, table)
+    except DigitRuleError as exc:
+        raise InternalError(f"degenerate stream breaks digit rules: {exc.rule}") from exc
     return DegenerateIntercept(
         m, p, level, InterceptDigits(tuple(b)), InterceptDigits(tuple(b_alt))
     )

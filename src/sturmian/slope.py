@@ -34,12 +34,15 @@ class SlopeSpec(NamedTuple):
 
     def _check(self):
         preperiod, period, horizon = self
-        if not isinstance(horizon, int) or horizon < 1:
+        if type(horizon) is not int or horizon < 1:  # a bool is no horizon
             raise ConfigError("horizon must be a positive integer")
         if not preperiod and not period:
             raise ConfigError("at least one partial quotient is required")
-        if any(a < 1 for a in preperiod + period):
-            raise ConfigError("every partial quotient must be >= 1")
+        for a in preperiod + period:
+            if type(a) is not int:
+                raise ConfigError(f"partial quotient {a!r} is not an integer")
+            if a < 1:
+                raise ConfigError("every partial quotient must be >= 1")
         if not period and horizon > len(preperiod):
             raise HorizonError(
                 f"horizon {horizon} exceeds the {len(preperiod)} "
@@ -65,14 +68,17 @@ class SlopeSpec(NamedTuple):
         The object is {"preperiod": [...], "period": [...], "horizon": K};
         quotients and horizon are integers or decimal strings, and a
         missing list is empty.  Anything but a dict, JSON text included,
-        is refused.
+        is refused, and so are floats and booleans, by the constructor.
         """
+        def read(x):
+            return int(x) if isinstance(x, str) else x
+
         try:
             if not isinstance(obj, dict):
                 raise ConfigError(f"slope must be a JSON object, got {obj!r}")
-            return cls(tuple(int(a) for a in obj.get("preperiod", [])),
-                       tuple(int(a) for a in obj.get("period", [])),
-                       int(obj.get("horizon", 0)))
+            return cls(tuple(map(read, obj.get("preperiod", []))),
+                       tuple(map(read, obj.get("period", []))),
+                       read(obj.get("horizon", 0)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad slope {obj!r}: {exc}") from exc
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import (
     ConfigError,
+    DigitRuleError,
     HorizonError,
     InternalError,
     MaterializeCapError,
@@ -86,12 +87,11 @@ class WordSystem:
     def __init__(self, table: ConvergentTable, digits: InterceptDigits, *,
                  rho: tuple[int, int] | None = None, upper: bool = False,
                  cap: int = MATERIALIZE_CAP):
-        rep = validate_real_digits(digits, table)
-        if not rep.valid:
+        try:
+            validate_real_digits(digits, table)
+        except DigitRuleError as exc:
             raise ConfigError(
-                f"invalid intercept digits at index {rep.violation_index}: "
-                f"{rep.message}"
-            )
+                f"invalid intercept digits at index {exc.index}: {exc.rule}") from exc
         self.table = table
         self.digits = digits
         self.upper = upper
@@ -134,7 +134,7 @@ class WordSystem:
 
         `intercept` is "characteristic" (rho = theta) or an object with
         exactly one of: {"digits": [b_1, ...]} plus an optional
-        "terminating" (default true; false marks a digit prefix);
+        boolean "terminating" (default true; false marks a digit prefix);
         {"m": m, "p": p}, the degenerate rho = -(m-1)*theta + p ("p"
         defaults to 0); {"sigma": "u/v"}, the rational sigma = rho - theta;
         {"sigma_pair": [u, "v"]}, sigma = u*theta + v.
@@ -159,9 +159,11 @@ class WordSystem:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad intercept spec {intercept!r}: {exc}") from exc
         if "digits" in intercept:
-            return cls.from_digits(
-                table, digits,
-                terminating=bool(intercept.get("terminating", True)), upper=upper)
+            terminating = intercept.get("terminating", True)
+            if not isinstance(terminating, bool):
+                raise ConfigError(
+                    f"intercept 'terminating' must be a JSON boolean, got {terminating!r}")
+            return cls.from_digits(table, digits, terminating=terminating, upper=upper)
         if "m" in intercept:
             deg = degenerate_expansions(m, p, table)
             return cls.from_degenerate(table, deg, upper=upper)

@@ -243,11 +243,24 @@ def test_flags_allowed_after_subcommand(capsys):
     ["--slope", '"x"', "--horizon", "5", "cf"],
     ["--slope", '"x"', "cf"],
     ["--slope", json.dumps(GOLDEN), "cf"],
+    ["--slope", '{"preperiod":[1.5],"period":[1],"horizon":8}', "cf"],
+    ["--slope", '{"preperiod":[1],"period":[true],"horizon":8}', "cf"],
+    ["--slope", '{"preperiod":[1],"period":[1],"horizon":1e3}', "cf"],
+    ["--slope", GOLDEN, "--intercept", '{"digits":[0,1],"terminating":"false"}',
+     "word", "--length", "5"],
+    ["--config", {"slope": json.loads(GOLDEN), "upper": "false"}, "word", "--length", "5"],
 ], ids=["slope-json", "slope-list", "slope-quotient", "intercept-digit",
         "int-digits", "sigma-pair", "slope-list-horizon", "slope-string-horizon",
-        "slope-string", "slope-json-text"])
-def test_malformed_input_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+        "slope-string", "slope-json-text", "slope-float-quotient",
+        "slope-bool-quotient", "slope-float-horizon", "terminating-string",
+        "upper-string"])
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    config = tmp_path / "config.json"
+    for arg in argv:
+        if isinstance(arg, dict):  # a config object, passed as its file
+            config.write_text(json.dumps(arg))
+    code, out, err = run(capsys, *(str(config) if isinstance(arg, dict) else arg
+                                   for arg in argv))
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ConfigError"
 

@@ -143,6 +143,11 @@ def corpus() -> list[list[str]]:
         g + _intercept({"m": 5000, "p": 3090}) + ["cf"],
         g + _intercept({"digits": [0, 1], "terminating": False})
         + ["word", "--length", "30"],
+        # exit 2: a JSON float or boolean where an integer or boolean belongs
+        ["--slope", _slope([1.5], [1], 8), "cf"],
+        ["--slope", _slope([1], [True], 8), "cf"],
+        g + _intercept({"digits": [0, 1], "terminating": "false"})
+        + ["word", "--length", "5"],
     ]
     return cmds
 

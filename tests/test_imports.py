@@ -91,8 +91,7 @@ RECORDS = {
     "exponent": {"NuRow", "StrongRecord", "EstimateReport", "LiouvilleReport",
                  "ExtremalIntercept"},
     "oracle": {"ValueEnclosure", "VerificationReport"},
-    "ostrowski": {"IntegerDigits", "InterceptDigits", "DegenerateIntercept",
-                  "DigitReport"},
+    "ostrowski": {"IntegerDigits", "InterceptDigits", "DegenerateIntercept"},
     "slope": {"SlopeSpec", "ConvergentTable"},
     "words": {"Repetition", "FactorCountReport"},
 }

@@ -9,6 +9,7 @@ from sturmian import (
     DigitRuleError,
     HorizonError,
     InvalidInterceptError,
+    PrecisionError,
     SlopeSpec,
     build_table,
     decode_integer,
@@ -18,10 +19,12 @@ from sturmian import (
     encode_real,
     validate_real_digits,
 )
-from sturmian.ostrowski import IntegerDigits, InterceptDigits, digit_prefix_value
+from sturmian.ostrowski import (IntegerDigits, InterceptDigits, _raise_ambiguous,
+                                 _window_boundary, digit_prefix_value)
+from sturmian.slope import sign_linear
 
-from conftest import (golden_table, random_digits, replace_raises_as_built, table_for,
-                      theta_value)
+from conftest import (golden_table, random_digits, random_slope_table,
+                      replace_raises_as_built, table_for, theta_value)
 
 
 def brute_force_expansions(n, table, top):
@@ -114,16 +117,30 @@ def test_integer_round_trip(n):
 
 
 def test_validate_real_digits(slope532):
-    assert validate_real_digits((0, 0, 0, 0), slope532).valid
-    rep = validate_real_digits((1, 3, 0), slope532)  # b_2 = a_2 with b_1 != 0
-    assert not rep.valid and rep.violation_index == 1
-    rep = validate_real_digits((4, 0, 2, 0), slope532)
-    assert rep.valid
-    assert rep.forbidden_tail_shape  # suffix 2, 0 == a_3, 0 pattern
-    rep = validate_real_digits((5, 0), slope532)
-    assert not rep.valid and rep.violation_index == 1
-    rep = validate_real_digits((0, 1, 0, 2), slope532)
-    assert rep.valid and not rep.forbidden_tail_shape
+    for digits in ((0, 0, 0, 0), (4, 0, 2, 0), (0, 1, 0, 2)):
+        validate_real_digits(digits, slope532)
+    for digits in ((1, 3, 0),  # b_2 = a_2 with b_1 != 0
+                   (5, 0)):
+        with pytest.raises(DigitRuleError) as err:
+            validate_real_digits(digits, slope532)
+        assert err.value.index == 1
+
+
+def test_integer_and_real_rules_differ_only_in_the_leading_digit(slope532):
+    for check, leading in ((decode_integer, "< a_1 = 5"),
+                           (validate_real_digits, "<= a_1 - 1")):
+        with pytest.raises(DigitRuleError) as err:
+            check((5, 0), slope532)
+        assert (err.value.index, err.value.rule) == (1, f"leading digit 5 must be {leading}")
+        assert str(err.value) == f"digit rule violated at index 1: {err.value.rule}"
+        for digits, index, rule in (((1, -1), 2, "negative digit -1"),
+                                    ((1, 4), 2, "digit 4 exceeds a_2 = 3"),
+                                    ((1, 3), 1, "digit before a maximal digit must vanish")):
+            with pytest.raises(DigitRuleError) as err:
+                check(digits, slope532)
+            assert (err.value.index, err.value.rule) == (index, rule)
+        with pytest.raises(HorizonError):
+            check((0,) * 13, slope532)
 
 
 def test_decode_real_examples(golden, slope532):
@@ -178,6 +195,130 @@ def test_encode_real_ambiguous_cases(golden, slope532):
     assert (err.value.m, err.value.p) == (7, 2)
 
 
+def reference_encode_real(sigma, table, horizon=None):
+    """`encode_real` with the digit search it had before: a separate probe
+    of boundary 1 settles digit 0, and a step with cap 0 skips the search."""
+    if isinstance(sigma, float):
+        raise ConfigError("float intercepts are rejected; pass a Fraction or (u, v) pair")
+    if isinstance(sigma, tuple):
+        coeff, const = int(sigma[0]), Fraction(sigma[1])
+    else:
+        coeff, const = 0, Fraction(sigma)
+    orig_coeff, orig_const = coeff, const
+    limit = max(table.horizon - 2, 1) if horizon is None else horizon
+    if limit > table.horizon:
+        raise HorizonError(f"requested {limit} digits but horizon is {table.horizon}")
+
+    digits = []
+    prev = 1
+    for k in range(1, limit + 1):
+        if coeff == 0 and const == 0:
+            return InterceptDigits(tuple(digits + [0] * (limit - len(digits))), True)
+        cap = table.a(k) - 1 if prev >= 1 else table.a(k)
+        direction = 1 if k % 2 == 1 else -1
+
+        def above(b):
+            bc, bk = _window_boundary(table, k, b)
+            s = sign_linear(table, const - bc, coeff - bk)
+            return s * direction
+
+        s_bot = direction * sign_linear(table, const - table.p(k - 1), coeff + table.q(k - 1))
+        if s_bot == 0:
+            _raise_ambiguous(digits, (0, 0), orig_coeff, orig_const)
+        if s_bot < 0:
+            raise InvalidInterceptError(
+                f"value below -theta at digit {k}; not in [-theta, 1-theta]"
+            )
+        s_top = above(cap + 1)
+        if s_top == 0:
+            _raise_ambiguous(digits, (cap, cap), orig_coeff, orig_const)
+        if s_top > 0:
+            raise InvalidInterceptError(
+                f"value beyond the top of the digit range at digit {k}"
+            )
+        if cap == 0:
+            b_k = 0
+        else:
+            s1 = above(1)
+            if s1 == 0:
+                _raise_ambiguous(digits, (0, 1), orig_coeff, orig_const)
+            if s1 < 0:
+                b_k = 0
+            else:
+                lo, hi = 1, cap
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    s = above(mid)
+                    if s == 0:
+                        _raise_ambiguous(digits, (mid - 1, mid), orig_coeff, orig_const)
+                    if s > 0:
+                        lo = mid
+                    else:
+                        hi = mid - 1
+                b_k = lo
+        digits.append(b_k)
+        const += b_k * table.p(k - 1)
+        coeff -= b_k * table.q(k - 1)
+        prev = b_k
+    return InterceptDigits(tuple(digits), coeff == 0 and const == 0)
+
+
+def encode_outcome(encode, sigma, table, limit):
+    """The digits, or the error with its message and branches; a
+    PrecisionError by type only, since the probe order decides which
+    boundary its message names."""
+    try:
+        return encode(sigma, table, limit)
+    except PrecisionError:
+        return "PrecisionError"
+    except AmbiguousExpansionError as exc:
+        return ("ambiguous", str(exc), exc.prefix, exc.branch_digits, exc.m, exc.p)
+    except InvalidInterceptError as exc:
+        return ("invalid", str(exc))
+
+
+def _kind(result):
+    if isinstance(result, InterceptDigits):
+        return "digits"
+    if result[0] != "ambiguous":
+        return result if result == "PrecisionError" else "invalid"
+    low, high = result[3]
+    if low == high:
+        return "(cap, cap)" if low else "(0, 0)"
+    return "(0, 1)" if high == 1 else "(j-1, j)"
+
+
+def test_digit_search_matches_the_reference(rng):
+    seen = set()
+    for _ in range(60):
+        t = random_slope_table(rng, rng.randint(4, 14))
+        K = t.horizon
+        sigmas = []
+        for _ in range(10):  # rationals inside and just outside [-theta, 1-theta]
+            d = rng.randint(1, 10 ** rng.randint(1, 6))
+            n = round(theta_value(t) * d)
+            sigmas.append(Fraction(rng.randint(-n - d // 10 - 1, d - n + d // 10 + 1), d))
+        for _ in range(4):  # u*theta + v near anything
+            sigmas.append((rng.randint(-t.q(K), t.q(K)),
+                           Fraction(rng.randint(-t.q(K), t.q(K)), rng.randint(1, 9))))
+        for _ in range(16):  # a valid prefix, then a boundary of the window at step k
+            k = rng.randint(1, max(K - 2, 1))
+            prefix = random_digits(rng, t, k - 1)
+            cap = t.a(k) - 1 if k == 1 or prefix[-1] else t.a(k)
+            j = rng.randint(0, cap + 1)
+            const, coeff = (t.p(k - 1), -t.q(k - 1)) if j == 0 else _window_boundary(t, k, j)
+            u, p = digit_prefix_value(prefix, t)
+            sigmas.append((u + coeff, const - p))
+        for sigma in sigmas:
+            limit = rng.choice((None, K))
+            got = encode_outcome(encode_real, sigma, t, limit)
+            assert got == encode_outcome(reference_encode_real, sigma, t, limit), (
+                t.spec, sigma, limit)
+            seen.add(_kind(got))
+    assert seen == {"digits", "invalid", "PrecisionError",
+                    "(0, 0)", "(0, 1)", "(j-1, j)", "(cap, cap)"}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_encode_decode_round_trip_on_digit_vectors(data):
@@ -227,7 +368,7 @@ def test_degenerate_level_bounds(golden, slope532):
             assert p is not None, (t.spec.preperiod, m)
             assert t.q(deg.level) < m <= t.q(deg.level + 1)
             for stream in (deg.stream, deg.stream_alt):
-                assert validate_real_digits(stream, t).valid
+                validate_real_digits(stream, t)
 
 
 def test_degenerate_streams_enclose_same_value(slope532):

@@ -49,10 +49,37 @@ def test_finite_spec_horizon_error():
         SlopeSpec((1,), (1,), 0)
 
 
+def test_quotients_and_horizon_are_integers():
+    for bad in (1.5, 2.0, True, "2", Fraction(2)):
+        with pytest.raises(ConfigError, match="is not an integer"):
+            SlopeSpec((bad,), (2,), 4)
+        with pytest.raises(ConfigError, match="is not an integer"):
+            SlopeSpec((1,), (2, bad), 4)
+        with pytest.raises(ConfigError, match="horizon must be a positive integer"):
+            SlopeSpec((1,), (2,), bad)
+    with pytest.raises(ConfigError, match="horizon must be a positive integer"):
+        SlopeSpec((1,), (2,), 1e3)
+
+
+def test_from_json_refuses_floats_and_booleans():
+    for obj in ({"preperiod": [1.5], "period": [1], "horizon": 8},
+                {"preperiod": [1], "period": [True], "horizon": 8},
+                {"preperiod": [1], "period": [1], "horizon": 1e3},
+                {"preperiod": [1], "period": [1], "horizon": 8.0},
+                {"preperiod": [1], "period": [1], "horizon": False}):
+        with pytest.raises(ConfigError):
+            SlopeSpec.from_json(obj)
+    # decimal strings stay accepted, and read as the integers they spell
+    assert (SlopeSpec.from_json({"preperiod": ["5", 3], "period": ["2"], "horizon": "9"})
+            == SlopeSpec((5, 3), (2,), 9))
+    with pytest.raises(ConfigError, match="bad slope"):
+        SlopeSpec.from_json({"preperiod": ["1.5"], "period": [1], "horizon": 8})
+
+
 def test_replace_validates_as_the_constructor_does():
     spec = SlopeSpec((1, 2), (), 2)
     for changes in ({"horizon": 0}, {"horizon": 5}, {"preperiod": ()},
-                    {"preperiod": (0, 2)}):
+                    {"preperiod": (0, 2)}, {"preperiod": (1.5, 2)}, {"horizon": True}):
         replace_raises_as_built(spec, **changes)
     assert spec._replace(horizon=1) == SlopeSpec((1, 2), (), 1)
 
