@@ -21,7 +21,8 @@ for a digit prefix), {"m": m, "p": p} (the degenerate
 rho = -(m-1)*theta + p), {"sigma": "u/v"} (sigma = rho - theta) or
 {"sigma_pair": [u, "v"]} (sigma = u*theta + v); `--upper` (or the
 config's "upper": true) picks the upper word of a degenerate intercept.
-"terminating" and "upper" are JSON booleans.
+"terminating" and "upper" are JSON booleans; digits, m, p, u and the
+config's "base" and "length" are integers or decimal strings.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
 from .bigint import continuants_to_decimal, to_decimal
-from .errors import ConfigError, HorizonError, InternalError, SturmianError
+from .errors import ConfigError, HorizonError, InternalError, SturmianError, read_int
 
 
 def _fr(x: Fraction) -> str:
@@ -51,8 +52,8 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
 
 def _config_int(cfg, key: str, default: int) -> int:
     try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
+        return read_int(cfg.get(key, default), f"config {key!r}")
+    except ValueError as exc:
         raise ConfigError(f"config {key!r} must be an integer: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy, and the hook that validates records.
+"""Exception hierarchy, the hook that validates records, and the one
+reader of integers from JSON input.
 
 Exit-code mapping used by the CLI: bad configuration or bad digit data
 is exit 2, running out of horizon/precision is exit 3, and a violated
@@ -91,3 +92,14 @@ class MaterializeCapError(SturmianError):
 
 class InternalError(SturmianError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+def read_int(x, what: str) -> int:
+    """x as an int, for a JSON integer or a decimal string; a float, a
+    boolean or any other type raises ConfigError.  A string that spells
+    no integer raises int()'s ValueError, for the caller to wrap."""
+    if isinstance(x, str):
+        return int(x)
+    if type(x) is not int:
+        raise ConfigError(f"{what} {x!r} is not an integer")
+    return x

@@ -205,8 +205,9 @@ def encode_real(sigma, table: ConvergentTable, horizon: int | None = None) -> In
     else:
         coeff, const = 0, Fraction(sigma)
     orig_coeff, orig_const = coeff, const
-    # certifying digit k compares rationals of convergent scale k + 2, so
-    # by default leave two levels of bracket headroom
+    # digit k compares theta with rationals of convergent scale k + 2, and
+    # the last convergent pair separates theta from every rational of
+    # denominator below q_{K-1} + q_K: by default stop two levels short
     limit = max(table.horizon - 2, 1) if horizon is None else horizon
     if limit > table.horizon:
         raise HorizonError(f"requested {limit} digits but horizon is {table.horizon}")
@@ -302,7 +303,7 @@ def degenerate_expansions(m: int, p: int, table: ConvergentTable) -> DegenerateI
             raise InvalidInterceptError(f"rho = -({m}-1)theta + {p} is not below 1")
         if m > table.q(K):
             raise HorizonError(f"m = {m} exceeds q_{K} = {table.q(K)}")
-        level = next(l for l in range(K) if table.q(l) < m <= table.q(l + 1))
+        level = table.level_covering(m - 1) - 1  # q_level < m <= q_{level+1}
         x = table.q(level + 1) - m
         head = list(encode_integer(x, table).digits) if x else []
         head += [0] * (level + 1 - len(head))

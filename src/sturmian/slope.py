@@ -5,10 +5,11 @@ fraction expansion [0; a_1, a_2, ...].  A spec either carries a periodic
 tail (covering quadratic irrationals exactly) or is a plain finite list
 with an explicit horizon.  theta itself is never stored, as a float or
 as a rational interval: every certified question about it is a sign,
-`sign_linear`, or a floor, `floor_theta_multiple`.  Both walk the
-convergent brackets p/q < theta < p'/q' on integer cross-products until
-the answer is certified, and raise PrecisionError when the horizon is
-exhausted.
+`sign_linear`, or a floor, `floor_theta_multiple`.  Both read the last
+convergent pair p_{K-1}/q_{K-1}, p_K/q_K, which encloses theta.  The
+brackets of consecutive convergents nest, so whatever a shallower pair
+certifies the last pair certifies with the same answer, and when the
+last pair cannot, PrecisionError asks for a deeper horizon.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ConfigError, HorizonError, InternalError, PrecisionError, validated
+from .errors import (ConfigError, HorizonError, InternalError, PrecisionError, read_int,
+                     validated)
 
 
 @validated
@@ -38,7 +40,7 @@ class SlopeSpec(NamedTuple):
             raise ConfigError("horizon must be a positive integer")
         if not preperiod and not period:
             raise ConfigError("at least one partial quotient is required")
-        for a in preperiod + period:
+        for a in (*preperiod, *period):
             if type(a) is not int:
                 raise ConfigError(f"partial quotient {a!r} is not an integer")
             if a < 1:
@@ -66,19 +68,18 @@ class SlopeSpec(NamedTuple):
         """The spec of a decoded slope object.
 
         The object is {"preperiod": [...], "period": [...], "horizon": K};
-        quotients and horizon are integers or decimal strings, and a
-        missing list is empty.  Anything but a dict, JSON text included,
-        is refused, and so are floats and booleans, by the constructor.
+        quotients and horizon are integers or decimal strings
+        (`errors.read_int`), and a missing list is empty.  Anything but a
+        dict, JSON text included, is refused.
         """
-        def read(x):
-            return int(x) if isinstance(x, str) else x
+        def quotients(key):
+            return tuple(read_int(a, "partial quotient") for a in obj.get(key, []))
 
         try:
             if not isinstance(obj, dict):
                 raise ConfigError(f"slope must be a JSON object, got {obj!r}")
-            return cls(tuple(map(read, obj.get("preperiod", []))),
-                       tuple(map(read, obj.get("period", []))),
-                       read(obj.get("horizon", 0)))
+            return cls(quotients("preperiod"), quotients("period"),
+                       read_int(obj.get("horizon", 0), "horizon"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad slope {obj!r}: {exc}") from exc
 
@@ -88,8 +89,7 @@ class ConvergentTable(NamedTuple):
 
     q_{-1} = 0, q_0 = 1, p_{-1} = 1, p_0 = 0 and
     q_k = a_k q_{k-1} + q_{k-2}, likewise for p; `ps` and `qs` hold
-    indices -1..K.  `p` and `q` run in every certified loop, so each
-    reads its field once.
+    indices -1..K, so `ps[-2:]` and `qs[-2:]` are the last pair.
     """
 
     spec: SlopeSpec
@@ -125,30 +125,17 @@ class ConvergentTable(NamedTuple):
 
 
 def build_table(spec: SlopeSpec) -> ConvergentTable:
-    """Evaluate the convergent recurrence through the spec horizon."""
+    """Evaluate the convergent recurrence through the spec horizon,
+    checking p_k q_{k-1} - p_{k-1} q_k = (-1)^(k-1) at each step."""
     ps = [1, 0]
     qs = [0, 1]
     for k in range(1, spec.horizon + 1):
         a = spec.partial_quotient(k)
         ps.append(a * ps[-1] + ps[-2])
         qs.append(a * qs[-1] + qs[-2])
-    table = ConvergentTable(spec, tuple(ps), tuple(qs))
-    for k in range(1, spec.horizon + 1):
-        det = table.p(k) * table.q(k - 1) - table.p(k - 1) * table.q(k)
-        if det != (-1) ** (k - 1):
+        if ps[-1] * qs[-2] - ps[-2] * qs[-1] != (-1) ** (k - 1):
             raise InternalError(f"determinant identity failed at k={k}")
-    return table
-
-
-def _bracket(table: ConvergentTable, level: int) -> tuple[int, int, int, int]:
-    """(p, q, p', q') with p/q < theta < p'/q': the convergents at `level`
-    and `level + 1`, in parity order (even convergents lie below theta)."""
-    ps, qs = table.ps, table.qs
-    if level + 2 >= len(qs):  # the walks stop below the horizon
-        raise HorizonError(f"no convergent bracket at level {level}")
-    pl, ql = ps[level + 1], qs[level + 1]
-    ph, qh = ps[level + 2], qs[level + 2]
-    return (ph, qh, pl, ql) if level % 2 else (pl, ql, ph, qh)
+    return ConvergentTable(spec, tuple(ps), tuple(qs))
 
 
 def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
@@ -156,22 +143,20 @@ def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
 
     Returns 0 exactly when const == coeff == 0 (the form is identically
     zero); for coeff != 0 the value is irrational.  Scaled by const's
-    denominator the form is n + c*theta, and the loop refines the
-    convergent bracket p/q < theta < p'/q' until n*q + c*p and
-    n*q' + c*p' (the form at the two ends, times q and q') share a weak
-    sign: the form at theta lies strictly between them.
+    denominator the form is n + c*theta; n*q + c*p at each convergent
+    of the last pair is q times the form there, so when the two share a
+    weak sign (never both 0) the form at theta, strictly between, has it.
     """
     const = Fraction(const)
     if coeff == 0:
         return (const > 0) - (const < 0)
     n, c = const.numerator, const.denominator * coeff
-    for level in range(table.horizon):
-        pl, ql, ph, qh = _bracket(table, level)
-        lo, hi = n * ql + c * pl, n * qh + c * ph
-        if lo >= 0 and hi >= 0:
-            return 1
-        if lo <= 0 and hi <= 0:
-            return -1
+    (p0, p1), (q0, q1) = table.ps[-2:], table.qs[-2:]
+    lo, hi = n * q0 + c * p0, n * q1 + c * p1
+    if lo >= 0 and hi >= 0:
+        return 1
+    if lo <= 0 and hi <= 0:
+        return -1
     raise PrecisionError(
         f"cannot separate {-const / coeff} from theta within horizon "
         f"{table.horizon}; raise the slope horizon"
@@ -181,19 +166,13 @@ def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
 def floor_theta_multiple(table: ConvergentTable, x: int) -> int:
     """Certified floor of x * theta for an integer x.
 
-    x*theta lies strictly between x*p/q and x*p'/q' for every convergent
-    bracket, so it has their floor once the two agree.  The brackets
-    nest, so agreement lasts to every deeper level, and the loop starts
-    one level below the first q_k > |x|.
+    x*theta lies strictly between x*p/q and x*p'/q' at the last pair,
+    so it has their floor when the two agree.
     """
-    if x == 0:
-        return 0
-    start = max(table.level_covering(abs(x)) - 1, 0) if abs(x) < table.q(table.horizon) else 0
-    for level in range(start, table.horizon):
-        pl, ql, ph, qh = _bracket(table, level)
-        f = (x * pl) // ql
-        if f == (x * ph) // qh:
-            return f
+    (p0, p1), (q0, q1) = table.ps[-2:], table.qs[-2:]
+    f = (x * p0) // q0
+    if f == (x * p1) // q1:
+        return f
     raise PrecisionError(
         f"floor of {x}*theta not certified within horizon {table.horizon}; "
         "raise the slope horizon"

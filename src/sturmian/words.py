@@ -21,6 +21,7 @@ from .errors import (
     InternalError,
     MaterializeCapError,
     PrecisionError,
+    read_int,
 )
 from .ostrowski import (
     DegenerateIntercept,
@@ -137,7 +138,8 @@ class WordSystem:
         boolean "terminating" (default true; false marks a digit prefix);
         {"m": m, "p": p}, the degenerate rho = -(m-1)*theta + p ("p"
         defaults to 0); {"sigma": "u/v"}, the rational sigma = rho - theta;
-        {"sigma_pair": [u, "v"]}, sigma = u*theta + v.
+        {"sigma_pair": [u, "v"]}, sigma = u*theta + v.  Digits, m, p
+        and u are integers or decimal strings (`errors.read_int`).
         """
         if intercept == "characteristic":
             return cls.characteristic(table, upper=upper)
@@ -150,12 +152,13 @@ class WordSystem:
                 "intercept must carry exactly one of digits/m,p/sigma/sigma_pair")
         try:
             if "digits" in intercept:
-                digits = tuple(int(b) for b in intercept["digits"])
+                digits = tuple(read_int(b, "intercept digit") for b in intercept["digits"])
             elif "m" in intercept:
-                m, p = int(intercept["m"]), int(intercept.get("p", 0))
+                m = read_int(intercept["m"], "intercept m")
+                p = read_int(intercept.get("p", 0), "intercept p")
             elif "sigma_pair" in intercept:
                 u, v = intercept["sigma_pair"]
-                u = int(u)
+                u = read_int(u, "sigma_pair u")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad intercept spec {intercept!r}: {exc}") from exc
         if "digits" in intercept:

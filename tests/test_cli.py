@@ -249,11 +249,20 @@ def test_flags_allowed_after_subcommand(capsys):
     ["--slope", GOLDEN, "--intercept", '{"digits":[0,1],"terminating":"false"}',
      "word", "--length", "5"],
     ["--config", {"slope": json.loads(GOLDEN), "upper": "false"}, "word", "--length", "5"],
+    ["--slope", GOLDEN, "--intercept", '{"digits":[0.9,1.7]}', "word", "--length", "12"],
+    ["--slope", GOLDEN, "--intercept", '{"m":true,"p":false}', "cf"],
+    ["--slope", GOLDEN, "--intercept", '{"m":2,"p":false}', "cf"],
+    ["--slope", GOLDEN, "--intercept", '{"sigma_pair":[1.9,"-1/2"]}', "cf"],
+    ["--config", {"slope": json.loads(GOLDEN), "base": 2.9, "length": 5.5}, "cf"],
+    ["--config", {"slope": json.loads(GOLDEN), "base": 2.9, "length": 5.5}, "word"],
+    ["--config", {"slope": json.loads(GOLDEN), "base": True}, "cf"],
 ], ids=["slope-json", "slope-list", "slope-quotient", "intercept-digit",
         "int-digits", "sigma-pair", "slope-list-horizon", "slope-string-horizon",
         "slope-string", "slope-json-text", "slope-float-quotient",
         "slope-bool-quotient", "slope-float-horizon", "terminating-string",
-        "upper-string"])
+        "upper-string", "intercept-float-digit", "intercept-bool-m",
+        "intercept-bool-p", "sigma-pair-float-u", "config-float-base",
+        "config-float-length", "config-bool-base"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     config = tmp_path / "config.json"
     for arg in argv:

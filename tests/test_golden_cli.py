@@ -14,7 +14,8 @@ package) with
 
 The corpus covers all eight subcommands on three small slopes, every
 intercept form the CLI accepts, the three output formats, `--binary`,
-and refusals with exit codes 2 and 3.
+and refusals with exit codes 2 and 3.  Commands run in this directory,
+so a config file the corpus names is one kept here.
 """
 
 import hashlib
@@ -27,7 +28,8 @@ import sys
 import sturmian
 from sturmian.cli import main
 
-DATA = os.path.join(os.path.dirname(__file__), "golden_cli.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DATA = os.path.join(HERE, "golden_cli.json")
 
 
 def _slope(pre, per, horizon):
@@ -148,6 +150,9 @@ def corpus() -> list[list[str]]:
         ["--slope", _slope([1], [True], 8), "cf"],
         g + _intercept({"digits": [0, 1], "terminating": "false"})
         + ["word", "--length", "5"],
+        g + _intercept({"digits": [0.9, 1.7]}) + ["word", "--length", "12"],
+        g + _intercept({"m": True, "p": False}) + ["cf"],
+        ["--config", "golden_float_base_config.json"] + g + ["cf"],
     ]
     return cmds
 
@@ -155,9 +160,10 @@ def corpus() -> list[list[str]]:
 def execute(argv):
     """(exit code, stdout bytes, stderr text) of `sturmian.cli.main(argv)`."""
     buf = io.BytesIO()
-    real_out, real_err = sys.stdout, sys.stderr
+    real_out, real_err, cwd = sys.stdout, sys.stderr, os.getcwd()
     sys.stdout = io.TextIOWrapper(buf, encoding="utf-8")
     sys.stderr = io.StringIO()
+    os.chdir(HERE)
     try:
         try:
             code = main(list(argv))
@@ -166,6 +172,7 @@ def execute(argv):
         sys.stdout.flush()
         err = sys.stderr.getvalue()
     finally:
+        os.chdir(cwd)
         sys.stdout.detach()
         sys.stdout, sys.stderr = real_out, real_err
     return code, buf.getvalue(), err

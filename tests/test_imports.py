@@ -6,7 +6,7 @@ takes only the number spec, `continued_fraction` and `word_value` from
 kernels in `bigint` import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
-convergent table and its two certifying loops.
+convergent table and its two certifying functions.
 
 The records are NamedTuples, so importing the CLI generates no dataclass
 code and loads neither `dataclasses` nor the `inspect` it pulls in, and

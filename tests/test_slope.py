@@ -12,9 +12,16 @@ from sturmian import (
     SlopeSpec,
     build_table,
 )
-from sturmian.slope import _bracket, floor_theta_multiple, sign_linear
+from sturmian.slope import floor_theta_multiple, sign_linear
 
-from conftest import outcome, replace_raises_as_built, slope_json, table_for, theta_value
+from conftest import (
+    golden_table,
+    outcome,
+    replace_raises_as_built,
+    slope_json,
+    table_for,
+    theta_value,
+)
 
 
 def test_fibonacci_denominators():
@@ -79,9 +86,12 @@ def test_from_json_refuses_floats_and_booleans():
 def test_replace_validates_as_the_constructor_does():
     spec = SlopeSpec((1, 2), (), 2)
     for changes in ({"horizon": 0}, {"horizon": 5}, {"preperiod": ()},
-                    {"preperiod": (0, 2)}, {"preperiod": (1.5, 2)}, {"horizon": True}):
+                    {"preperiod": (0, 2)}, {"preperiod": (1.5, 2)}, {"horizon": True},
+                    {"preperiod": [1.5, 2]}, {"preperiod": [1, 2], "horizon": 3}):
         replace_raises_as_built(spec, **changes)
     assert spec._replace(horizon=1) == SlopeSpec((1, 2), (), 1)
+    # a list preperiod with a tuple period is checked as one sequence
+    assert build_table(SlopeSpec([1], (1,), 4)).qs == golden_table(4).qs
 
 
 def test_slope_json_round_trip():
@@ -108,20 +118,22 @@ def test_denominators_strictly_increase(quotients):
 
 
 def test_golden_enclosure_level_2(golden):
-    assert _bracket(golden, 2) == (1, 2, 2, 3)
+    assert reference_enclosure(golden, 2) == (Fraction(1, 2), Fraction(2, 3))
 
 
 def test_enclosure_width_and_nesting(golden, slope532):
+    # the nesting is why `sign_linear` and `floor_theta_multiple` read
+    # only the last pair
     for t in (golden, slope532):
-        for level in range(t.horizon - 2):
-            pl, ql, ph, qh = _bracket(t, level)
-            assert ph * ql - pl * qh == 1  # width p'/q' - p/q = 1/(q q')
-            nl, nql, nh, nqh = _bracket(t, level + 1)
-            assert pl * nql <= nl * ql and nh * qh <= ph * nqh
+        brackets = [reference_enclosure(t, level) for level in range(t.horizon)]
+        for level, (lo, hi) in enumerate(brackets):
+            assert hi - lo == Fraction(1, t.q(level) * t.q(level + 1))
+        for (lo, hi), (nlo, nhi) in zip(brackets, brackets[1:]):
+            assert lo <= nlo and nhi <= hi
 
 
 def test_paper_slope_level_1_bracket(slope532):
-    assert _bracket(slope532, 1) == (3, 16, 1, 5)
+    assert reference_enclosure(slope532, 1) == (Fraction(3, 16), Fraction(1, 5))
 
 
 def theta_k_sign(t, k, offset=0):
@@ -153,11 +165,6 @@ def test_theta_k_interval_separation(slope532):
         # |theta_{k-1}| exactly when their sum has theta_{k-1}'s sign
         total = sign_linear(t, -t.p(k) - t.p(k - 1), t.q(k) + t.q(k - 1))
         assert total == (1 if k % 2 else -1)
-
-
-def test_theta_k_level_preconditions(golden):
-    with pytest.raises(HorizonError):
-        _bracket(golden, golden.horizon)
 
 
 def test_compare_and_sign(golden):
@@ -259,9 +266,9 @@ def test_bracket_walks_match_the_fraction_references():
         horizon = rng.randint(4, 12)
         t = table_for([rng.randint(1, 9) for _ in range(horizon)], (), horizon)
         qk, span = t.q(horizon), 2 * t.q(horizon)
-        for level in range(horizon):
-            pl, ql, ph, qh = _bracket(t, level)
-            assert (Fraction(pl, ql), Fraction(ph, qh)) == reference_enclosure(t, level)
+        brackets = [reference_enclosure(t, level) for level in range(horizon)]
+        for (lo, hi), (nlo, nhi) in zip(brackets, brackets[1:]):
+            assert lo <= nlo and nhi <= hi
         # forms vanishing at a convergent or at the mediant of the last
         # bracket (never separable), then random ones
         forms = []
@@ -288,7 +295,7 @@ def test_bracket_walks_match_the_fraction_references():
                 with pytest.raises(PrecisionError):
                     reference_floor_linear(t, 0, x)
             seen.add(("floor", isinstance(got, tuple)))
-    # both loops were seen to certify and to run out of horizon
+    # both functions were seen to certify and to run out of horizon
     assert seen == {(kind, fails) for kind in ("sign", "floor") for fails in (False, True)}
 
 
