@@ -14,6 +14,10 @@ constructor validates; assigning to a field raises `AttributeError`.
 The fields `ConvergentPair.index`, `Repetition.count` and
 `FactorCountReport.count` shadow the tuple methods of those names.
 
+A number's depth is its word system's `levels`, the count of known
+intercept digits; the term pipeline and the oracle take no depth of
+their own, and a shallower number is a shorter digit prefix.
+
 `validate_real_digits`, like `decode_integer`, raises `DigitRuleError` at
 the first broken digit rule.  `liouville_diagnostic`,
 `ordered_strong_sequence` and `formal_intercept` are library API that no

@@ -34,7 +34,9 @@ trailing zero is dropped.  Everything released is final and equal to the
 corresponding term of the expansion over all known levels.  A level's
 term block is built only when a released term reads it, so `--terms N`
 pays only for the levels under its N terms, and no expansion ever builds
-its last two levels.
+its last two levels.  The depth belongs to the word system: one level per
+known intercept digit (`WordSystem.levels`), so a shallower number is a
+shorter digit prefix.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import ConfigError, DigitRuleError, HorizonError, InternalError, validated
+from .errors import ConfigError, DigitRuleError, InternalError, validated
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
@@ -190,8 +192,6 @@ def term_block(spec: NumberSpec, k: int) -> TermBlock:
     t, r = sys_.offset(k), sys_.suffix_len(k)
     qk, qk1 = sys_.q(k), sys_.table.q(k - 1)
     gap = sys_.gap(k + 1)
-    if gap < 0:
-        raise DigitRuleError(k + 1, "digit exceeds partial quotient")
     if gap == 0:
         # b_k = 0 here, so r_{k-1} = r_k + q_{k-1} - q_k
         c = -pow(b, r + qk1 - qk)
@@ -211,20 +211,6 @@ def boehmer_term(table, base: int, k: int) -> int:
     if k < 1:
         raise ConfigError("closed-form terms start at k = 1")
     return pow(base, table.q(k - 2)) * _geom(base, table.q(k - 1), table.a(k))
-
-
-def _level_count(spec: NumberSpec, levels: int | None) -> int:
-    """`levels` (default: every level with a known digit), checked."""
-    if levels is None:
-        levels = spec.system.levels
-    if levels < 1:
-        raise ConfigError("need at least one level")
-    if levels > spec.system.levels:
-        raise HorizonError(
-            f"{levels} levels need intercept digits through {levels}, "
-            f"have {spec.system.levels}"
-        )
-    return levels
 
 
 class _Pending(NamedTuple):
@@ -255,8 +241,6 @@ def _level_signs(spec: NumberSpec, k: int) -> tuple[_Pending, ...]:
     t = sys_.offset(k)
     sys_.suffix_len(k)  # raises unless r_k >= 1
     gap = sys_.gap(k + 1)
-    if gap < 0:
-        raise DigitRuleError(k + 1, "digit exceeds partial quotient")
     signs = (-1 if gap == 0 else int(gap > 1), int(t > 0), 1, 1,
              int(sys_.digit(k + 1) > 0))
     # a zero part is the constant 0, so it names no block entry
@@ -341,21 +325,23 @@ def _fold_zeros(terms: Iterable[_Pending]) -> Iterator[_Pending]:
         yield _settled(items[i], last=i + 1 == len(items))
 
 
-def _rewrite(spec: NumberSpec, levels: int) -> Iterator[_Pending]:
-    """Rules (i) and (ii) over levels 0..levels-1, nothing withheld."""
-    signed = (_level_signs(spec, k) for k in range(levels))
+def _rewrite(spec: NumberSpec) -> Iterator[_Pending]:
+    """Rules (i) and (ii) over every known level, nothing withheld."""
+    signed = (_level_signs(spec, k) for k in range(spec.system.levels))
     return _fold_zeros(_collapse(spec.system, signed))
 
 
-def final_terms(spec: NumberSpec, levels: int | None = None) -> Iterator[Term]:
-    """The regular expansion over `levels` levels, built on demand: the
-    terms of `_rewrite` less those involving the last two levels (a longer
-    stream could still rewrite them) and a trailing zero.  A level's term
-    block is computed when the first released term reads it and dropped
-    once no later term can."""
-    levels = _level_count(spec, levels)
+def final_terms(spec: NumberSpec) -> Iterator[Term]:
+    """The regular expansion over the L = `spec.system.levels` known
+    levels, built on demand: the terms of `_rewrite` less those involving
+    levels L-2 and L-1 (a longer stream could still rewrite them) and a
+    trailing zero.  A level's term block is computed when the first
+    released term reads it and dropped once no later term can."""
+    levels = spec.system.levels
+    if levels < 1:
+        raise ConfigError("need at least one level")
     blocks: dict[int, TermBlock] = {}
-    for t in _rewrite(spec, levels):
+    for t in _rewrite(spec):
         if t.sign == 0 or t.level > levels - 3:
             continue
         value = t.const
@@ -368,10 +354,9 @@ def final_terms(spec: NumberSpec, levels: int | None = None) -> Iterator[Term]:
         yield Term(value, t.parts)
 
 
-def continued_fraction(spec: NumberSpec, levels: int | None = None,
-                       terms: int | None = None) -> TermStream:
+def continued_fraction(spec: NumberSpec, *, terms: int | None = None) -> TermStream:
     """The first `terms` terms of `final_terms` (all of them by default)."""
-    return TermStream(tuple(islice(final_terms(spec, levels), terms)))
+    return TermStream(tuple(islice(final_terms(spec), terms)))
 
 
 def convergents(stream: TermStream, base: int) -> list[ConvergentPair]:

@@ -22,7 +22,8 @@ rho = -(m-1)*theta + p), {"sigma": "u/v"} (sigma = rho - theta) or
 {"sigma_pair": [u, "v"]} (sigma = u*theta + v); `--upper` (or the
 config's "upper": true) picks the upper word of a degenerate intercept.
 "terminating" and "upper" are JSON booleans; digits, m, p, u and the
-config's "base" and "length" are integers or decimal strings.
+config's "base" and "length" are integers or decimal strings, which
+like every integer flag take a sign and ASCII digits only.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _fr(x: Fraction) -> str:
 def _ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers, as in --digits 1,0,2."""
     try:
-        return tuple(int(d) for d in text.split(","))
+        return tuple(read_int(d, what) for d in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"{what} must be comma-separated integers, got {text!r}") from exc
 
@@ -129,7 +130,7 @@ def cmd_word(args, cfg, system):
 def cmd_ostrowski_int(args, cfg, system):
     table = system.table
     if args.encode is not None:
-        digits = ostrowski.encode_integer(int(args.encode), table)
+        digits = ostrowski.encode_integer(args.encode, table)
         payload = {"n": str(args.encode), "digits": [str(d) for d in digits.digits]}
         _emit(payload, args.format, ",".join(payload["digits"]))
     elif args.digits:
@@ -148,7 +149,7 @@ def cmd_ostrowski_real(args, cfg, system):
     elif args.sigma_pair is not None:
         try:
             u, v = args.sigma_pair.split(",")
-            u = int(u)
+            u = read_int(u, "--sigma-pair u")
         except ValueError as exc:
             raise ConfigError(
                 f"--sigma-pair must be u,v with an integer u, got {args.sigma_pair!r}"
@@ -266,9 +267,9 @@ def cmd_verify(args, cfg, system):
 
 def cmd_boehmer(args, cfg, system):
     spec = _number_spec(cfg, system)
-    if any(system.digit(k) != 0 for k in range(1, system.levels + 1)):
+    if system.rho != (1, 0):  # rho = theta: every intercept digit is zero
         raise ConfigError("closed-form terms need the characteristic intercept")
-    upto = args.terms or (system.table.horizon - 4)
+    upto = args.terms or (system.levels - 4)
     closed = [cfrac.boehmer_term(system.table, spec.base, k) for k in range(1, upto + 1)]
     if args.check:
         stream = cfrac.continued_fraction(spec, terms=len(closed)).values()
@@ -293,16 +294,21 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text", "rle"])
     p.add_argument("--slope", help="inline slope JSON (overrides config)")
     p.add_argument("--intercept", help="inline intercept JSON or 'characteristic'")
-    p.add_argument("--base", type=int, help="number base b >= 2")
-    p.add_argument("--horizon", type=int, help="slope horizon K")
+    p.add_argument("--base", type=integer, help="number base b >= 2")
+    p.add_argument("--horizon", type=integer, help="slope horizon K")
     p.add_argument("--upper", action="store_true",
                    help="use the upper (ceiling) word")
     return p
 
 
+def integer(text: str) -> int:
+    """argparse type of the integer flags (`errors.read_int`)."""
+    return read_int(text, "integer")
+
+
 def positive_int(text: str) -> int:
     """argparse type of the --terms flags: an integer >= 1."""
-    n = int(text)
+    n = integer(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
@@ -323,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
                                     parents=[common], **kw))
 
     p = sub.add_parser("word", help="emit a word prefix")
-    p.add_argument("--length", type=int)
+    p.add_argument("--length", type=integer)
     p.add_argument("--binary", action="store_true",
                    help="length-prefixed packed bits on stdout")
     p.set_defaults(func=cmd_word)
 
     p = sub.add_parser("ostrowski-int", help="encode/decode integers")
-    p.add_argument("--encode", type=int)
+    p.add_argument("--encode", type=integer)
     p.add_argument("--digits", help="comma-separated digits to decode")
     p.set_defaults(func=cmd_ostrowski_int)
 

@@ -95,10 +95,14 @@ class InternalError(SturmianError):
 
 
 def read_int(x, what: str) -> int:
-    """x as an int, for a JSON integer or a decimal string; a float, a
-    boolean or any other type raises ConfigError.  A string that spells
-    no integer raises int()'s ValueError, for the caller to wrap."""
+    """x as an int, for a JSON integer or a decimal string (an optional
+    sign and ASCII digits); a float, a boolean or any other type raises
+    ConfigError.  Any other string raises a ValueError worded as int()'s,
+    for the caller to wrap."""
     if isinstance(x, str):
+        unsigned = x[1:] if x.startswith(("+", "-")) else x
+        if not (unsigned.isascii() and unsigned.isdigit()):
+            raise ValueError(f"invalid literal for int() with base 10: {x!r:.200}")
         return int(x)
     if type(x) is not int:
         raise ConfigError(f"{what} {x!r} is not an integer")

@@ -88,7 +88,7 @@ def nu_row(system: WordSystem, k: int) -> NuRow:
 
 def nu_table(system: WordSystem, upto: int) -> list[NuRow]:
     """Rows k = 0..upto; needs digits and convergents through upto + 2."""
-    if upto + 2 > system.levels or upto + 2 > system.table.horizon:
+    if upto + 2 > system.levels:
         raise HorizonError(f"nu table through {upto} needs level {upto + 2}")
     return [nu_row(system, k) for k in range(upto + 1)]
 

@@ -10,12 +10,12 @@ Euclid divides with `bigint.int_divmod`, which equals `divmod` and stays
 subquadratic on million-bit operands before CPython 3.12, and skips the
 division whose quotient would be thrown away: when the quotient ranges
 of the two endpoints, read from the divisors' top 64 bits, are disjoint,
-the walk ends there (the top-bits early exit).  `verify_agreement`
-doubles the digit count N from four times the deepest convergent
-denominator in play, capped at the deepest letter the intercept digits
-serve, until two consecutive prefixes reach the requested length; as a
-first pass can never stop it, it starts at the cap when its second pass
-would.
+the walk ends there (the top-bits early exit).  With L =
+`system.levels`, the depth of the number's word, `verify_agreement`
+doubles the digit count N from 4 q_{L-1} up to q_L - 1, the deepest
+letter the L known intercept digits serve, until two consecutive
+prefixes reach the requested length; as a first pass can never stop it,
+it starts at q_L - 1 when its second pass would.
 """
 
 from __future__ import annotations
@@ -187,28 +187,25 @@ class VerificationReport(NamedTuple):
     first_mismatch: int | None
 
 
-def verify_agreement(spec: NumberSpec, min_terms: int = 10,
-                     levels: int | None = None) -> VerificationReport:
+def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationReport:
     """Check the term pipeline against the certified oracle prefix.
 
-    The digit count N runs n_0, 2 n_0, 4 n_0, ..., capped at n_max =
-    q_L - 1, the deepest letter the known intercept digits serve
-    (L = min(word levels, horizon)), from n_0 = 4 q_j with
-    j = min(levels, horizon) - 1.  It stops at n_max, at the first N
-    whose prefix and the previous N's both reach min(`min_terms`,
-    pipeline length), or after 12 passes.  A first pass can never stop
-    it, so when 2 n_0 >= n_max (its second pass would be n_max) it starts
-    at n_max: one pass, not two.  Each prefix is certified regardless, so the schedule only
-    affects how many terms get compared.  `min_terms` must be >= 1.
+    With L = `spec.system.levels`, the digit count N runs n_0, 2 n_0,
+    4 n_0, ..., capped at n_max = q_L - 1, the deepest letter the L known
+    intercept digits serve, from n_0 = 4 q_{L-1}.  It stops at n_max, at
+    the first N whose prefix and the previous N's both reach
+    min(`min_terms`, pipeline length), or after 12 passes.  A first pass
+    can never stop it, so when 2 n_0 >= n_max (its second pass would be
+    n_max) it starts at n_max: one pass, not two.  Each prefix is
+    certified regardless, so the schedule only affects how many terms get
+    compared.  `min_terms` must be >= 1.
     """
     if min_terms < 1:
         raise ConfigError("min_terms must be a positive integer")
-    if levels is None:
-        levels = spec.system.levels
-    pipeline = continued_fraction(spec, levels).values()
-    horizon = spec.system.table.horizon
-    n_max = spec.system.q(min(spec.system.levels, horizon)) - 1
-    n = 4 * spec.system.q(min(levels - 1, horizon - 1))
+    pipeline = continued_fraction(spec).values()
+    system = spec.system
+    n_max = system.q(system.levels) - 1
+    n = 4 * system.q(system.levels - 1)
     if 2 * n >= n_max:
         n = n_max
     wanted = min(min_terms, len(pipeline))  # more could not be compared

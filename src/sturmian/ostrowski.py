@@ -23,6 +23,7 @@ from .errors import (
     HorizonError,
     InternalError,
     InvalidInterceptError,
+    read_int,
     validated,
 )
 from .slope import ConvergentTable, sign_linear
@@ -89,8 +90,8 @@ def parse_fraction(text: str) -> Fraction:
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return Fraction(read_int(num, "numerator"), read_int(den, "denominator"))
+        return Fraction(read_int(text, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {text!r}: {exc}") from exc
 

@@ -193,7 +193,7 @@ class WordSystem:
 
     @property
     def levels(self) -> int:
-        """Number of levels with a known intercept digit."""
+        """Number of levels with a known intercept digit: the number's depth."""
         return self.table.horizon if self.digits.terminating else len(self.digits.digits)
 
     def offset(self, k: int) -> int:

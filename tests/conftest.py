@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from sturmian import PrecisionError, SlopeSpec, SturmianError, build_table
-from sturmian.cfrac import Term, term_block
+from sturmian.cfrac import NumberSpec, Term, term_block
+from sturmian.ostrowski import InterceptDigits
 from sturmian.words import WordSystem
 
 
@@ -131,6 +132,17 @@ def slope532():
 
 def word_system(table, digits, terminating=True, **kw):
     return WordSystem.from_digits(table, digits, terminating=terminating, **kw)
+
+
+def shallower(spec, levels):
+    """`spec` known to `levels` levels only: its intercept digits 1..levels
+    as a digit prefix on the same table, with the same `upper`.  The term
+    pipeline reads no other digit, so its terms are those of `spec` over
+    `levels` levels."""
+    system = spec.system
+    digits = tuple(system.digit(k) for k in range(1, levels + 1))
+    return NumberSpec(spec.base, WordSystem(system.table, InterceptDigits(digits, False),
+                                            upper=system.upper))
 
 
 def raw_terms(spec, levels):

@@ -36,7 +36,7 @@ from sturmian.oracle import verify_agreement
 from sturmian.ostrowski import digit_prefix_value
 from sturmian.words import WordSystem, run_length
 
-from conftest import cf_convergents
+from conftest import cf_convergents, shallower
 
 SEED = 109
 
@@ -171,11 +171,11 @@ def test_criterion_3_boehmer_reproduction():
             for base in (2, 3, 10):
                 t = make_table(quotients, horizon)
                 spec = NumberSpec(base, WordSystem.characteristic(t))
-                got = list(continued_fraction(spec, levels).values())
+                got = list(continued_fraction(shallower(spec, levels)).values())
                 assert len(got) >= 12
                 want = [boehmer_term(t, base, k) for k in range(1, 13)]
                 assert got[:12] == want, (quotients, base)
-                rep = verify_agreement(spec, min_terms=10, levels=13)
+                rep = verify_agreement(shallower(spec, 13), min_terms=10)
                 assert rep.matches and rep.overlap >= 10, (quotients, base)
         ok = True
     finally:
@@ -193,9 +193,9 @@ def test_criterion_4_pipeline_oracle_corpus():
             spec = NumberSpec(base, word_of(table, digs))
             while (levels + 2 <= spec.system.levels
                    and table.q(levels + 1) <= 150_000
-                   and len(continued_fraction(spec, levels).terms) < 10):
+                   and len(continued_fraction(shallower(spec, levels)).terms) < 10):
                 levels += 2
-            rep = verify_agreement(spec, min_terms=10, levels=levels)
+            rep = verify_agreement(shallower(spec, levels), min_terms=10)
             assert rep.matches, (table.spec.preperiod, digs, base, rep)
             assert rep.overlap >= 10, (table.spec.preperiod, digs, base,
                                        rep.overlap)
@@ -243,10 +243,10 @@ def test_criterion_5_recurrence_and_matrix_identities():
             spec = NumberSpec(base, word_of(table, digs))
             for k in range(0, 11):
                 assert all(check_family_recurrences(spec, k).values())
-            final = evaluated(spec, _rewrite(spec, 12))
+            final = evaluated(spec, _rewrite(shallower(spec, 12)))
             assert (stream_matrix(raw_terms(spec, 12), base)
                     == stream_matrix(final, base))
-            pairs = convergents(continued_fraction(spec, 12), base)
+            pairs = convergents(continued_fraction(shallower(spec, 12)), base)
             for i in range(len(pairs) - 1):
                 det = pairs[i + 1].p * pairs[i].q - pairs[i].p * pairs[i + 1].q
                 assert abs(det) == (base - 1) ** 2

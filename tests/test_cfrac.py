@@ -44,6 +44,7 @@ from conftest import (
     random_slope_table,
     raw_terms,
     replace_raises_as_built,
+    shallower,
     stream_matrix,
     table_for,
     word_system,
@@ -224,7 +225,7 @@ def test_zero_elimination_matrix_preserved(rng):
         spec = NumberSpec(rng.choice([2, 3, 10]), word_system(t, digs))
         raw = raw_terms(spec, 6)
         negative_windows += any(t.value < 0 for t in raw)
-        final = evaluated(spec, _rewrite(spec, 6))
+        final = evaluated(spec, _rewrite(shallower(spec, 6)))
         assert stream_matrix(raw, spec.base) == stream_matrix(final, spec.base)
         assert all(t.value >= 1 for t in final[:-1])
     assert negative_windows >= 2  # rule (i) fires
@@ -354,6 +355,10 @@ def test_demand_driven_prefixes_equal_full_expansion():
             negative_windows += any(t.value < 0 for t in raw_terms(spec, levels))
             full = continued_fraction(spec).terms
             assert full == batch_continued_fraction(spec, levels), intercept
+            # a shallower number is a shorter digit prefix
+            for depth in range(1, levels + 1):
+                assert (continued_fraction(shallower(spec, depth)).terms
+                        == batch_continued_fraction(spec, depth)), (intercept, depth)
             for n in range(1, len(full) + 2):
                 assert tuple(islice(final_terms(spec), n)) == full[:n]
                 assert continued_fraction(spec, terms=n).terms == full[:n]
@@ -442,7 +447,7 @@ def test_only_the_levels_of_released_values_are_built(monkeypatch):
 def test_golden_pipeline_equals_boehmer():
     t = golden_table()
     spec = characteristic_spec(t, 2)
-    got = continued_fraction(spec, 20).values()
+    got = continued_fraction(shallower(spec, 20)).values()
     want = [boehmer_term(t, 2, k) for k in range(1, len(got) + 1)]
     assert list(got) == want
 
@@ -453,7 +458,7 @@ def test_pipeline_head_forms():
     t = table_for((4, 5), horizon=10)
     digs = tuple(1 for _ in range(8))
     spec = NumberSpec(2, word_system(t, digs))
-    final = continued_fraction(spec, 8)
+    final = continued_fraction(shallower(spec, 8))
     blocks = [term_block(spec, k) for k in range(4)]
     want = [blocks[0].c + 1, blocks[0].e, blocks[0].f,
             blocks[1].c, blocks[1].d, 1, blocks[1].e, blocks[1].f,
@@ -466,8 +471,8 @@ def test_pipeline_stability_under_extension(rng):
         t = random_slope_table(rng, 10, amax=3)
         digs = random_digits(rng, t, 9)
         spec = NumberSpec(2, word_system(t, digs))
-        short = continued_fraction(spec, 7).values()
-        long = continued_fraction(spec, 9).values()
+        short = continued_fraction(shallower(spec, 7)).values()
+        long = continued_fraction(shallower(spec, 9)).values()
         assert long[: len(short)] == short
 
 
@@ -482,7 +487,7 @@ def test_convergent_seeds_and_determinant(rng):
         q1 = c0 * (base - 1) + 0
         assert p1 == base - 1
         assert q1 == base ** (t.a(1) - digs[0]) - base
-        stream = continued_fraction(spec, 10)
+        stream = continued_fraction(shallower(spec, 10))
         pairs = convergents(stream, base)
         dets = {
             pairs[i + 1].p * pairs[i].q - pairs[i].p * pairs[i + 1].q
@@ -493,7 +498,7 @@ def test_convergent_seeds_and_determinant(rng):
 
 def test_golden_reduced_convergents():
     spec = characteristic_spec(golden_table(), 2)
-    pairs = convergents(continued_fraction(spec, 20), 2)
+    pairs = convergents(continued_fraction(shallower(spec, 20)), 2)
     reduced = [c.reduced() for c in pairs[:5]]
     assert reduced == [Fraction(1), Fraction(2, 3), Fraction(5, 7),
                        Fraction(22, 31), Fraction(181, 255)]
@@ -505,7 +510,7 @@ def test_pairs_match_family_fractions(rng):
         digs = random_digits(rng, t, 8)
         base = rng.choice([2, 3, 5])
         spec = NumberSpec(base, word_system(t, digs))
-        stream = continued_fraction(spec, 8)
+        stream = continued_fraction(shallower(spec, 8))
         for pair in convergents(stream, base):
             fam, k = pair.family
             frac = formal_family_fraction(spec, fam, k)
@@ -537,7 +542,7 @@ def test_term_values_in_allowed_combos(rng):
                 })
                 if k >= 1:
                     allowed.add(blocks[k - 1].e + b.c + nxt.e + 1)
-        stream = continued_fraction(spec, levels)
+        stream = continued_fraction(shallower(spec, levels))
         for term in stream.terms:
             assert term.value in allowed, (t.spec.preperiod, digs, term)
 

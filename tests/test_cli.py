@@ -15,7 +15,7 @@ import sturmian
 from sturmian import SlopeSpec, bigint, build_table, cfrac, exponent
 from sturmian.bigint import to_decimal
 from sturmian.cli import main
-from sturmian.errors import InternalError, SturmianError
+from sturmian.errors import InternalError, SturmianError, read_int
 from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
@@ -93,6 +93,29 @@ def test_boehmer_rejects_nonzero_digits(capsys):
     code, _, err = run(capsys, "--slope", S532, "--intercept",
                        '{"digits":[1,0,0,0]}', "boehmer", "--terms", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("digits", [[], [0, 0]])
+def test_boehmer_refuses_a_digit_prefix(capsys, digits):
+    # zero digits so far do not make rho = theta: the closed form would be
+    # printed for a number it need not describe, and --check would compare
+    # it against a pipeline too short to disagree
+    intercept = json.dumps({"digits": digits, "terminating": False})
+    code, out, err = run(capsys, "--slope", GOLDEN, "--intercept", intercept,
+                         "boehmer", "--check")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ConfigError",
+        "message": "closed-form terms need the characteristic intercept"}
+
+
+@pytest.mark.parametrize("sub", ["cf", "verify"])
+def test_a_word_with_no_known_level_is_refused(capsys, sub):
+    code, out, err = run(capsys, "--slope", GOLDEN, "--intercept",
+                         '{"digits":[],"terminating":false}', sub)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": "need at least one level"}
 
 
 def test_ostrowski_int_encode(capsys):
@@ -256,13 +279,28 @@ def test_flags_allowed_after_subcommand(capsys):
     ["--config", {"slope": json.loads(GOLDEN), "base": 2.9, "length": 5.5}, "cf"],
     ["--config", {"slope": json.loads(GOLDEN), "base": 2.9, "length": 5.5}, "word"],
     ["--config", {"slope": json.loads(GOLDEN), "base": True}, "cf"],
+    ["--slope", GOLDEN, "ostrowski-int", "--digits", "1_0"],
+    ["--slope", GOLDEN, "ostrowski-int", "--digits", " 7"],
+    ["--slope", GOLDEN, "ostrowski-real", "--digits", "0,\u0661"],
+    ["--slope", GOLDEN, "ostrowski-real", "--sigma-pair", "1_0,-1/2"],
+    ["--slope", GOLDEN, "ostrowski-real", "--sigma", "1_0/3"],
+    ["--slope", GOLDEN, "ostrowski-real", "--sigma", "1/ 3"],
+    ["--slope", GOLDEN, "ostrowski-real", "--sigma", "\u0663"],
+    ["--slope", GOLDEN, "--intercept", '{"digits":[" 0"]}', "cf"],
+    ["--slope", GOLDEN, "--intercept", '{"sigma":"1/1_0"}', "cf"],
+    ["--slope", '{"preperiod":["1_0"],"period":[1],"horizon":8}', "cf"],
+    ["--config", {"slope": json.loads(GOLDEN), "base": "\uff13"}, "cf"],
 ], ids=["slope-json", "slope-list", "slope-quotient", "intercept-digit",
         "int-digits", "sigma-pair", "slope-list-horizon", "slope-string-horizon",
         "slope-string", "slope-json-text", "slope-float-quotient",
         "slope-bool-quotient", "slope-float-horizon", "terminating-string",
         "upper-string", "intercept-float-digit", "intercept-bool-m",
         "intercept-bool-p", "sigma-pair-float-u", "config-float-base",
-        "config-float-length", "config-bool-base"])
+        "config-float-length", "config-bool-base", "int-digits-underscore",
+        "int-digits-space", "real-digits-non-ascii", "sigma-pair-underscore-u",
+        "sigma-underscore-numerator", "sigma-space-denominator",
+        "sigma-non-ascii", "intercept-digit-space", "intercept-sigma-underscore",
+        "slope-quotient-underscore", "config-fullwidth-base"])
 def test_malformed_input_exits_2(capsys, tmp_path, argv):
     config = tmp_path / "config.json"
     for arg in argv:
@@ -286,6 +324,36 @@ def test_terms_must_be_positive(capsys, argv):
         main(["--slope", GOLDEN, *argv])
     assert exc.value.code == 2
     assert "--terms: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--base", "1_0", "cf"],
+    ["--horizon", " 8", "cf"],
+    ["word", "--length", "\u0665"],
+    ["ostrowski-int", "--encode", "1_00"],
+    ["cf", "--terms", "+\u0662"],
+])
+def test_integer_flags_take_a_sign_and_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--slope", GOLDEN, *argv])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["x", "+-1", "", "1" * 150 + "x" * 100, "1_" * 120])
+def test_read_int_words_a_refusal_as_int_does(text):
+    with pytest.raises(ValueError) as want:
+        int(text)
+    with pytest.raises(ValueError) as got:
+        read_int(text, "value")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 7", "7\n", "\u0663"])
+def test_read_int_refuses_what_int_forgives(text):
+    int(text)  # raises nothing
+    with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: "):
+        read_int(text, "value")
 
 
 def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):

@@ -153,6 +153,17 @@ def corpus() -> list[list[str]]:
         g + _intercept({"digits": [0.9, 1.7]}) + ["word", "--length", "12"],
         g + _intercept({"m": True, "p": False}) + ["cf"],
         ["--config", "golden_float_base_config.json"] + g + ["cf"],
+        # exit 2: a digit prefix is not rho = theta, even one of zeros, and
+        # a word with no known level has no expansion
+        g + _intercept({"digits": [], "terminating": False}) + ["boehmer", "--check"],
+        g + _intercept({"digits": [0, 0], "terminating": False}) + ["boehmer", "--check"],
+        g + _intercept({"digits": [], "terminating": False}) + ["cf"],
+        g + _intercept({"digits": [], "terminating": False}) + ["verify"],
+        # exit 2: an integer is an optional sign and ASCII digits
+        g + ["ostrowski-int", "--digits", "1_0"],
+        g + ["ostrowski-real", "--sigma", "1_0/3"],
+        g + ["ostrowski-real", "--sigma-pair", " 1,-1/2"],
+        g + _intercept({"digits": ["0", " 1"]}) + ["word", "--length", "5"],
     ]
     return cmds
 

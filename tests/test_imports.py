@@ -8,6 +8,10 @@ and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
 convergent table and its two certifying functions.
 
+The depth of a number is read in one place: no function in `cfrac` or
+`oracle` takes a `levels` parameter, and neither module reads a table's
+`horizon`; both take the depth from `WordSystem.levels`.
+
 The records are NamedTuples, so importing the CLI generates no dataclass
 code and loads neither `dataclasses` nor the `inspect` it pulls in, and
 every record stays immutable.
@@ -74,6 +78,18 @@ def test_pipeline_and_theta_modules_take_nothing_from_bigint(module):
 def test_theta_arithmetic_comes_from_the_two_slope_loops(module):
     taken = package_imports(module).get("slope", set())
     assert taken <= {"ConvergentTable", "sign_linear", "floor_theta_multiple"}
+
+
+@pytest.mark.parametrize("module", ["cfrac", "oracle"])
+def test_the_depth_comes_from_the_word_system(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [f.name for f in functions
+            if any(isinstance(a, ast.arg) and a.arg == "levels"
+                   for a in ast.walk(f.args))] == []
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "horizon"]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

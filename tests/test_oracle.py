@@ -26,8 +26,8 @@ from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
 from conftest import (cf_convergents, cf_value, golden_table, lower, random_digits,
-                      random_slope_table, replace_raises_as_built, table_for, upper,
-                      width, word_system)
+                      random_slope_table, replace_raises_as_built, shallower, table_for,
+                      upper, width, word_system)
 
 
 def golden_char_spec(base=2):
@@ -307,13 +307,13 @@ def test_exponent_bracket_requires_separation():
 
 
 def test_verify_agreement_golden_and_random(rng):
-    rep = verify_agreement(golden_char_spec(), min_terms=10, levels=18)
+    rep = verify_agreement(shallower(golden_char_spec(), 18), min_terms=10)
     assert rep.matches and rep.overlap >= 10
     for _ in range(4):
         t = random_slope_table(rng, 16, amax=3)
         digs = random_digits(rng, t, 8)
         spec = NumberSpec(rng.choice([2, 3, 10]), word_system(t, digs))
-        rep = verify_agreement(spec, min_terms=6, levels=8)
+        rep = verify_agreement(shallower(spec, 8), min_terms=6)
         assert rep.matches, (t.spec.preperiod, digs, rep)
 
 
@@ -328,15 +328,13 @@ def test_verify_agreement_non_terminating_intercepts():
         assert rep.digits_used < table.q(system.levels)
 
 
-def reference_verify_agreement(spec, min_terms=10, levels=None):
+def reference_verify_agreement(spec, min_terms=10):
     """`verify_agreement` before the two-pass skip: every schedule starts
     at n_0, so a first pass whose successor is n_max still runs."""
-    if levels is None:
-        levels = spec.system.levels
-    pipeline = continued_fraction(spec, levels).values()
-    horizon = spec.system.table.horizon
-    n_max = spec.system.q(min(spec.system.levels, horizon)) - 1
-    n = min(4 * spec.system.q(min(levels - 1, horizon - 1)), n_max)
+    pipeline = continued_fraction(spec).values()
+    levels = spec.system.levels
+    n_max = spec.system.q(levels) - 1
+    n = min(4 * spec.system.q(levels - 1), n_max)
     wanted = min(min_terms, len(pipeline))
     prev_len = -1
     prefix = []
@@ -398,7 +396,7 @@ def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
         want, want_calls = _enclosures(monkeypatch, reference_verify_agreement,
                                        spec, min_terms=min_terms)
         assert rep == want, (table.spec, digits, base, min_terms)
-        n_max = system.q(min(system.levels, table.horizon)) - 1
+        n_max = system.q(system.levels) - 1
         dead = len(want_calls) == 2 and want_calls[1] == n_max
         assert calls == want_calls[dead:], (table.spec, digits, want_calls)
         seen.add((min(len(want_calls), 3), dead, digits is None, rep.matches))
@@ -465,7 +463,7 @@ def test_every_pipeline_pair_is_high_quality(rng):
         digs = random_digits(rng, t, 8)
         base = rng.choice([2, 3])
         spec = NumberSpec(base, word_system(t, digs))
-        pairs = stream_convergents(continued_fraction(spec, 8), base)
+        pairs = stream_convergents(continued_fraction(shallower(spec, 8)), base)
         enc = enclose_value(spec, 6 * t.q(7))
         for pair in pairs[:-1]:
             red = pair.reduced()
@@ -485,7 +483,7 @@ def test_oracle_convergents_complete_against_pipeline(rng):
         digs = random_digits(rng, t, 8)
         base = rng.choice([2, 3])
         spec = NumberSpec(base, word_system(t, digs))
-        pairs = stream_convergents(continued_fraction(spec, 8), base)
+        pairs = stream_convergents(continued_fraction(shallower(spec, 8)), base)
         reduced = {p.reduced(): p.family for p in pairs}
         floor = base ** t.q(4)
         prefix = certified_cf_prefix(enclose_value(spec, 6 * t.q(7)))
