@@ -142,25 +142,29 @@ class FamilyFraction(NamedTuple):
 _LEAF_LETTERS = 640
 
 
-def _bits_as_base(word: str, base: int, power=None) -> int:
-    """Positional value of a 0/1 word in base `base` (digits 0 and 1), by
-    halving.  The halves at one depth differ in length by at most one, so
-    `power`, a cache of base^e shared by the whole recursion, computes
-    each power once.  It is passed down, not closed over: a recursive
-    closure is a reference cycle that keeps the powers alive past the
-    call until the cyclic GC runs."""
-    n = len(word)
+def _bits_as_base(word: str, base: int, lo: int = 0, hi: int | None = None,
+                  power=None) -> int:
+    """Positional value of word[lo:hi], a 0/1 word, in base `base` (digits
+    0 and 1), by halving the offsets: only leaves of at most _LEAF_LETTERS
+    letters are sliced.  The halves at one depth differ in length by at
+    most one, so `power`, a cache of base^e shared by the whole recursion,
+    computes each power once.  It is passed down, not closed over: a
+    recursive closure is a reference cycle that keeps the powers alive
+    past the call until the cyclic GC runs."""
+    hi = len(word) if hi is None else hi
+    n = hi - lo
     if n <= _LEAF_LETTERS:
+        leaf = word[lo:hi]
         if base <= 36:
-            return int(word, base) if word else 0
+            return int(leaf, base) if leaf else 0
         v = 0
-        for ch in word:
+        for ch in leaf:
             v = v * base + (ch == "1")
         return v
     power = power or functools.cache(functools.partial(pow, base))
-    mid = n // 2
-    return (_bits_as_base(word[:mid], base, power) * power(n - mid)
-            + _bits_as_base(word[mid:], base, power))
+    mid = lo + n // 2
+    return (_bits_as_base(word, base, lo, mid, power) * power(hi - mid)
+            + _bits_as_base(word, base, mid, hi, power))
 
 
 def word_value(word: str, base: int) -> int:

@@ -102,10 +102,12 @@ def _build_system(cfg) -> words.WordSystem:
         slope.build_table(spec), cfg.get("intercept", "characteristic"), upper=upper)
 
 
-def _emit(payload: dict, fmt: str, text: str):
-    """The payload as sorted JSON, or `text` for the text and rle formats."""
-    sys.stdout.write((json.dumps(payload, sort_keys=True) if fmt == "json" else text)
-                     + "\n")
+def _emit(payload: dict, fmt: str, text):
+    """The payload as sorted JSON, or for the text and rle formats the
+    string that `text()` builds, called only then; each is written once,
+    with the newline after it."""
+    sys.stdout.write(json.dumps(payload, sort_keys=True) if fmt == "json" else text())
+    sys.stdout.write("\n")
 
 
 def cmd_word(args, cfg, system):
@@ -117,14 +119,13 @@ def cmd_word(args, cfg, system):
         # length-prefixed packed bits: 8-byte big-endian letter count,
         # then the letters packed MSB-first
         nbytes = (length + 7) // 8
-        padded = word.ljust(nbytes * 8, "0")
         out = sys.stdout.buffer
         out.write(length.to_bytes(8, "big"))
-        out.write(int(padded, 2).to_bytes(nbytes, "big"))
+        out.write((int(word, 2) << (8 * nbytes - length)).to_bytes(nbytes, "big"))
         out.flush()
         return
     payload = {"length": str(length), "word": word, "rle": words.run_length(word)}
-    _emit(payload, args.format, payload["rle"] if args.format == "rle" else word)
+    _emit(payload, args.format, lambda: payload["rle"] if args.format == "rle" else word)
 
 
 def cmd_ostrowski_int(args, cfg, system):
@@ -132,12 +133,12 @@ def cmd_ostrowski_int(args, cfg, system):
     if args.encode is not None:
         digits = ostrowski.encode_integer(args.encode, table)
         payload = {"n": str(args.encode), "digits": [str(d) for d in digits.digits]}
-        _emit(payload, args.format, ",".join(payload["digits"]))
+        _emit(payload, args.format, lambda: ",".join(payload["digits"]))
     elif args.digits:
         seq = _ints(args.digits, "--digits")
         n = ostrowski.decode_integer(seq, table)
         payload = {"digits": [str(d) for d in seq], "n": str(n)}
-        _emit(payload, args.format, str(n))
+        _emit(payload, args.format, lambda: str(n))
     else:
         raise ConfigError("ostrowski-int needs --encode N or --digits d1,d2,...")
 
@@ -159,7 +160,7 @@ def cmd_ostrowski_real(args, cfg, system):
         seq = _ints(args.digits, "--digits")
         lo, hi = ostrowski.decode_real(seq, table)
         payload = {"digits": [str(d) for d in seq], "lower": _fr(lo), "upper": _fr(hi)}
-        _emit(payload, args.format, f"[{_fr(lo)}, {_fr(hi)}]")
+        _emit(payload, args.format, lambda: f"[{_fr(lo)}, {_fr(hi)}]")
         return
     else:
         raise ConfigError("ostrowski-real needs --sigma, --sigma-pair or --digits")
@@ -170,7 +171,7 @@ def cmd_ostrowski_real(args, cfg, system):
         "lower": _fr(lo),
         "upper": _fr(hi),
     }
-    _emit(payload, args.format, ",".join(payload["digits"]))
+    _emit(payload, args.format, lambda: ",".join(payload["digits"]))
 
 
 def _number_spec(cfg, system) -> cfrac.NumberSpec:
@@ -188,7 +189,7 @@ def cmd_cf(args, cfg, system):
             for t in terms
         ],
     }
-    _emit(payload, args.format, " ".join(t["term"] for t in payload["terms"]))
+    _emit(payload, args.format, lambda: " ".join(t["term"] for t in payload["terms"]))
 
 
 def cmd_convergents(args, cfg, system):
@@ -205,7 +206,7 @@ def cmd_convergents(args, cfg, system):
         ],
     }
     _emit(payload, args.format,
-          " ".join(f"{c['P']}/{c['Q']}" for c in payload["convergents"]))
+          lambda: " ".join(f"{c['P']}/{c['Q']}" for c in payload["convergents"]))
 
 
 def cmd_exponent(args, cfg, system):
@@ -245,7 +246,7 @@ def cmd_exponent(args, cfg, system):
         },
         "window": {"full": list(est.window_full), "tail": list(est.window_tail)},
     }
-    _emit(payload, args.format, f"mu ~= {float(est.mu_estimate):.6f}")
+    _emit(payload, args.format, lambda: f"mu ~= {float(est.mu_estimate):.6f}")
 
 
 def cmd_verify(args, cfg, system):
@@ -261,7 +262,7 @@ def cmd_verify(args, cfg, system):
         "matches": rep.matches,
         "firstMismatchIndex": rep.first_mismatch,
     }
-    _emit(payload, args.format, "match" if rep.matches else "MISMATCH")
+    _emit(payload, args.format, lambda: "match" if rep.matches else "MISMATCH")
     return 0 if rep.matches else InternalError.exit_code
 
 
@@ -277,7 +278,7 @@ def cmd_boehmer(args, cfg, system):
         if list(closed[:overlap]) != list(stream[:overlap]):
             raise InternalError("closed form disagrees with the pipeline")
     payload = {"terms": [to_decimal(a) for a in closed]}
-    _emit(payload, args.format, " ".join(payload["terms"]))
+    _emit(payload, args.format, lambda: " ".join(payload["terms"]))
 
 
 _COMMON_DEFAULTS = {

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .bigint import int_divmod
 from .cfrac import NumberSpec, continued_fraction, word_value
-from .errors import ConfigError, PrecisionError, validated
+from .errors import ConfigError, HorizonError, PrecisionError, validated
 
 
 @validated
@@ -198,13 +198,19 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationRepor
     can never stop it, so when 2 n_0 >= n_max (its second pass would be
     n_max) it starts at n_max: one pass, not two.  Each prefix is
     certified regardless, so the schedule only affects how many terms get
-    compared.  `min_terms` must be >= 1.
+    compared.  `min_terms` must be >= 1.  A word too shallow to give a
+    pipeline term, or a digit (n_max = 0), has nothing to compare and is
+    refused with `HorizonError` before any enclosure.
     """
     if min_terms < 1:
         raise ConfigError("min_terms must be a positive integer")
     pipeline = continued_fraction(spec).values()
     system = spec.system
     n_max = system.q(system.levels) - 1
+    if not pipeline or n_max < 1:
+        raise HorizonError(
+            f"nothing to verify: {system.levels} known level(s) give "
+            f"{len(pipeline)} pipeline terms and serve {n_max} digits")
     n = 4 * system.q(system.levels - 1)
     if 2 * n >= n_max:
         n = n_max

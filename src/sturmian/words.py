@@ -1,12 +1,15 @@
 """Word construction and letter access for a slope/intercept pair.
 
 A `WordSystem` serves one binary word: the limit of the aligned words
-built from an intercept digit stream.  Small words are materialized as
-plain '0'/'1' strings (subject to a cap, since lengths grow like q_k);
-individual letters of arbitrarily deep levels are served by an O(K)
-recursive descent through the concatenation recursion, with no
-exponential storage.  The floor-formula path evaluates the same letters
-from the intercept directly, with every floor certified exactly.
+built from an intercept digit stream.  Level words are plain '0'/'1'
+strings; `aligned` and `standard` cache each level they build and refuse
+one longer than MATERIALIZE_CAP, since lengths grow like q_k.  A prefix
+descends the concatenation recursion down to levels of at most
+PREFIX_BLOCK letters and joins those cached blocks once, so its cost is
+the one copy it returns.  Single letters of arbitrarily deep levels are
+served by an O(K) descent with no storage.  The floor-formula path
+evaluates the same letters from the intercept directly, with every floor
+certified exactly.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .ostrowski import (
 from .slope import ConvergentTable, floor_theta_multiple, sign_linear
 
 MATERIALIZE_CAP = 1 << 20
+# the longest level word `prefix` materializes: a prefix of n letters is
+# joined from O(n / PREFIX_BLOCK) parts
+PREFIX_BLOCK = 1 << 14
 
 
 class Repetition(NamedTuple):
@@ -86,8 +92,7 @@ class WordSystem:
     """
 
     def __init__(self, table: ConvergentTable, digits: InterceptDigits, *,
-                 rho: tuple[int, int] | None = None, upper: bool = False,
-                 cap: int = MATERIALIZE_CAP):
+                 rho: tuple[int, int] | None = None, upper: bool = False):
         try:
             validate_real_digits(digits, table)
         except DigitRuleError as exc:
@@ -96,7 +101,6 @@ class WordSystem:
         self.table = table
         self.digits = digits
         self.upper = upper
-        self.cap = cap
         if rho is None and digits.terminating:
             u, p = digit_prefix_value(digits, table)
             rho = (u + 1, -p)
@@ -215,9 +219,9 @@ class WordSystem:
     # -- materialized words --------------------------------------------------
 
     def _check_cap(self, k: int):
-        if self.q(k) > self.cap:
+        if self.q(k) > MATERIALIZE_CAP:
             raise MaterializeCapError(
-                f"|word at level {k}| = {self.q(k)} exceeds cap {self.cap}; "
+                f"|word at level {k}| = {self.q(k)} exceeds cap {MATERIALIZE_CAP}; "
                 "use letter access"
             )
 
@@ -284,27 +288,47 @@ class WordSystem:
         return 1  # level -1 word is "1"
 
     def prefix(self, length: int) -> str:
-        """First `length` letters; built from cap-sized blocks in O(length)."""
+        """First `length` letters, joined once from cached blocks of at
+        most PREFIX_BLOCK letters; no level word longer than that is built."""
         if length == 0:
             return ""
+        k = self.table.level_covering(length)
+        # reads b_1..b_k in order, as `aligned` does: a digit prefix too
+        # short is refused at its first missing digit, whatever the length
+        self.offset(k)
         parts: list[str] = []
-        self._emit_prefix(self.table.level_covering(length), length, parts)
+        self._emit_prefix(k, length, parts, {})
         return "".join(parts)
 
-    def _emit_prefix(self, k: int, need: int, parts: list[str]) -> None:
-        # level 1 and below are always materialized (q_1 = a_1 <= cap)
-        if self.q(k) <= self.cap:
+    def _emit_prefix(self, k: int, need: int, parts: list[str], chunks: dict) -> None:
+        """Append the first `need` letters of the level-k aligned word.
+
+        A level above PREFIX_BLOCK letters is walked as its runs,
+        w_1 = 0^(gap-1) 1 0^digit and w_k = w_{k-1}^gap w_{k-2} w_{k-1}^digit
+        above it.  Copies of a small level go out in `chunks`, repeats of
+        its cached word of at most PREFIX_BLOCK letters, built once per
+        (level, copies) and shared: a whole chunk is appended, not copied.
+        """
+        if self.q(k) <= PREFIX_BLOCK:
             parts.append(self.aligned(k)[:need])
             return
-        for block_k, copies in ((k - 1, self.gap(k)), (k - 2, 1),
-                                (k - 1, self.digit(k))):
-            block_len = self.q(block_k)
-            for _ in range(copies):
-                take = min(need, block_len)
-                self._emit_prefix(block_k, take, parts)
+        gap, digit = self.gap(k), self.digit(k)
+        runs = (((0, gap - 1), (-1, 1), (0, digit)) if k == 1
+                else ((k - 1, gap), (k - 2, 1), (k - 1, digit)))
+        for j, copies in runs:
+            size = self.q(j) if j >= 0 else 1  # the level -1 word is "1"
+            per = max(PREFIX_BLOCK // size, 1)
+            while copies and need:
+                m = min(copies, per)
+                take = min(need, m * size)
+                if size > PREFIX_BLOCK:
+                    self._emit_prefix(j, take, parts, chunks)
+                else:
+                    if (j, m) not in chunks:
+                        chunks[j, m] = self.aligned(j) * m
+                    parts.append(chunks[j, m][:take])
+                copies -= m
                 need -= take
-                if need == 0:
-                    return
 
     # -- exact floor-formula letters -----------------------------------------
 

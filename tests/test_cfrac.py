@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -641,3 +643,21 @@ def test_bits_as_base_computes_each_power_once_and_frees_it(monkeypatch):
         if enabled:
             gc.enable()
     assert sorted(exponents) == [625, 626, 1250, 1251, 2501]
+
+
+def test_word_value_slices_only_leaves():
+    # the recursion passes offsets into the one word, so at the peak only
+    # the big integers are alive: 1.18 bytes per letter of a base-3 word
+    # beyond the result, 1.43 when each half was sliced.  (At base 5 the
+    # Karatsuba temporaries of the top product, 1.7 bytes per letter,
+    # hide the slices.)
+    n = 200_000
+    rng = random.Random(3)
+    word = "".join(rng.choice("01") for _ in range(n))
+    tracemalloc.start()
+    try:
+        extra = sys.getsizeof(word_value(word, 3))
+        extra = tracemalloc.get_traced_memory()[1] - extra
+    finally:
+        tracemalloc.stop()
+    assert extra < 1.3 * n

@@ -164,6 +164,13 @@ def corpus() -> list[list[str]]:
         g + ["ostrowski-real", "--sigma", "1_0/3"],
         g + ["ostrowski-real", "--sigma-pair", " 1,-1/2"],
         g + _intercept({"digits": ["0", " 1"]}) + ["word", "--length", "5"],
+        # exit 3: a word that gives no pipeline term (or no digit) has
+        # nothing to verify
+        g + _intercept({"digits": [0, 1, 0], "terminating": False}) + ["verify"],
+        g + _intercept({"digits": [0], "terminating": False}) + ["verify"],
+        # a_1 = 2^20 + 5 exceeds the materialization cap: letter a_1 is the 1
+        ["--slope", _slope([(1 << 20) + 5], [1], 5), "word", "--binary",
+         "--length", str((1 << 20) + 6)],
     ]
     return cmds
 

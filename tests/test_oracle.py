@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sturmian import (
     ConfigError,
+    HorizonError,
     PrecisionError,
     SlopeSpec,
     build_table,
@@ -330,10 +331,13 @@ def test_verify_agreement_non_terminating_intercepts():
 
 def reference_verify_agreement(spec, min_terms=10):
     """`verify_agreement` before the two-pass skip: every schedule starts
-    at n_0, so a first pass whose successor is n_max still runs."""
+    at n_0, so a first pass whose successor is n_max still runs.  A word
+    with no pipeline term or no digit is refused before any enclosure."""
     pipeline = continued_fraction(spec).values()
     levels = spec.system.levels
     n_max = spec.system.q(levels) - 1
+    if not pipeline or n_max < 1:
+        raise HorizonError("nothing to verify")
     n = min(4 * spec.system.q(levels - 1), n_max)
     wanted = min(min_terms, len(pipeline))
     prev_len = -1
@@ -355,7 +359,8 @@ def reference_verify_agreement(spec, min_terms=10):
 
 
 def _enclosures(monkeypatch, verify, spec, **kw):
-    """(report, digit counts enclosed) of one verify run."""
+    """(report, digit counts enclosed) of one verify run; the report is
+    None when it refuses with `HorizonError`."""
     calls = []
     real = oracle.enclose_value
 
@@ -365,7 +370,10 @@ def _enclosures(monkeypatch, verify, spec, **kw):
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "enclose_value", counted)
-        rep = verify(spec, **kw)
+        try:
+            rep = verify(spec, **kw)
+        except HorizonError:
+            rep = None
     return rep, calls
 
 
@@ -373,7 +381,8 @@ def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
     # the same report on 1-, 2- and >=3-pass schedules; only a two-pass
     # schedule ending at n_max loses its first enclosure
     rng = random.Random(20261020)
-    # 3 and 4 passes, and n_max = q_2 - 1 = 8 q_1 = 2 n_0 exactly
+    # 3 and 4 passes; n_max = q_2 - 1 = 8 q_1 = 2 n_0 exactly, where the
+    # K=2 word gives no pipeline term and is refused
     cases = [(table_for((2,), (9,), 5), None, 3, 3),
              (table_for((3,), (20,), 4), None, 3, 3),
              (table_for((3,), (8,), 2), None, 2, 3)]
@@ -386,7 +395,7 @@ def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
         table = table_for(pre, period, horizon)
         digits = rng.choice((None, random_digits(rng, table, horizon)))
         cases.append((table, digits, rng.randint(2, 5), rng.randint(1, 12)))
-    seen = set()
+    seen, refused = set(), 0
     for table, digits, base, min_terms in cases:
         system = (WordSystem.characteristic(table) if digits is None else
                   word_system(table, digits, terminating=rng.random() < 0.5))
@@ -399,7 +408,12 @@ def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
         n_max = system.q(system.levels) - 1
         dead = len(want_calls) == 2 and want_calls[1] == n_max
         assert calls == want_calls[dead:], (table.spec, digits, want_calls)
+        if rep is None:  # refused: the word gives no pipeline term
+            assert calls == want_calls == [] and not continued_fraction(spec).values()
+            refused += 1
+            continue
         seen.add((min(len(want_calls), 3), dead, digits is None, rep.matches))
+    assert refused == 1
     assert {(1, False), (2, True), (2, False), (3, False)} == {s[:2] for s in seen}
     assert {s[2] for s in seen} == {s[3] for s in seen} == {False, True}, seen
 
@@ -430,6 +444,17 @@ def test_verify_reports_the_last_enclosed_n_when_the_pass_cap_ends_it(monkeypatc
     assert len(rep.pipeline_terms) == 1 and rep.certified_prefix == ()
     assert calls == [8 << i for i in range(12)]
     assert rep.digits_used == calls[-1] == 16384
+
+
+def test_verify_refuses_a_word_with_nothing_to_compare(monkeypatch):
+    # golden K=16 digit prefixes: [0, 1, 0] gives no pipeline term (and
+    # passed with nothing compared), [0] not even a digit (n_max = q_1 - 1)
+    table = golden_table(16)
+    for digits in ((0, 1, 0), (0,)):
+        spec = NumberSpec(2, word_system(table, digits, terminating=False))
+        with pytest.raises(HorizonError, match="nothing to verify"):
+            verify_agreement(spec)
+        assert _enclosures(monkeypatch, verify_agreement, spec) == (None, [])
 
 
 def test_verify_agreement_needs_a_positive_term_count():
@@ -528,9 +553,9 @@ def test_pipeline_agrees_with_certified_prefix(spec):
 
 
 def test_verify_stops_once_the_whole_pipeline_is_covered(monkeypatch):
-    # an empty pipeline leaves nothing to compare: two passes, not the
-    # 12-pass cap (N = 8 ... 16,384) that `min_terms` alone would ask for
+    # an empty pipeline leaves nothing to compare: refused before any
+    # enclosure, not after the 12-pass cap (N = 8 ... 16,384) that
+    # `min_terms` alone would ask for, nor with "matches" on nothing
     spec = NumberSpec(2, WordSystem.characteristic(table_for((2,), (9000,), 2)))
-    rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
-    assert rep.pipeline_terms == () and rep.matches
-    assert len(calls) <= 2
+    assert not continued_fraction(spec).values()
+    assert _enclosures(monkeypatch, verify_agreement, spec, min_terms=50) == (None, [])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from sturmian import (
     encode_real,
 )
 from sturmian.ostrowski import decode_real
-from sturmian.words import WordSystem, formal_intercept, run_length
+from sturmian.words import PREFIX_BLOCK, WordSystem, formal_intercept, run_length
 
 from conftest import (
     golden_table,
@@ -429,11 +430,55 @@ def test_factor_count_insufficient_window(golden):
     assert not rep.window_ok
 
 
-def test_materialize_cap(golden):
-    ws = WordSystem.characteristic(golden, cap=10)
+def test_materialize_cap():
+    ws = WordSystem.characteristic(golden_table(31))
     with pytest.raises(MaterializeCapError):
-        ws.standard(7)  # q_7 = 21 > 10
-    assert ws.letter(100) in (0, 1)  # letter access unaffected
+        ws.standard(30)  # q_30 = 1,346,269 > 2^20
+    assert ws.letter(1_300_000) in (0, 1)  # letter access unaffected
+    assert ws.prefix(1_300_000)[-20:] == "".join(
+        str(ws.letter(n)) for n in range(1_299_981, 1_300_001))
+
+
+def test_prefix_matches_the_aligned_words(rng):
+    # prefixes longer than PREFIX_BLOCK descend the recursion; small levels
+    # repeated many times (a_k up to 3000) go out as shared chunks
+    checked = 0
+    while checked < 30:
+        t = random_slope_table(rng, 12, amax=rng.choice((2, 9, 3000)))
+        k = max(j for j in range(1, 12) if t.q(j) <= 300_000)
+        if t.q(k) <= PREFIX_BLOCK:
+            continue
+        for upper in (False, True):
+            ws = word_system(t, random_digits(rng, t, 12), upper=upper)
+            word = ws.aligned(k)
+            for n in (1, PREFIX_BLOCK, PREFIX_BLOCK + 1, rng.randint(1, t.q(k)), t.q(k)):
+                assert ws.prefix(n) == word[:n], (t.spec, n)
+        checked += 1
+
+
+def test_prefix_past_a_first_quotient_above_the_cap():
+    # q_1 = a_1 > 2^20: level 1 is 0^(a_1 - 1) 1 and never materialized
+    a1 = (1 << 20) + 5
+    ws = WordSystem.characteristic(table_for((a1,), (1,), 5))
+    word = ws.prefix(a1 + 3)
+    assert word.count("1") == 1
+    for n in range(a1 - 3, a1 + 4):
+        assert int(word[n - 1]) == ws.letter(n) == ws.floor_letter(n), n
+
+
+def test_prefix_peak_memory_is_its_one_copy():
+    # golden K=28, n = q_28 - 1: the returned word plus blocks of at most
+    # PREFIX_BLOCK letters; caching every level word to 2^20 peaked at 3.6 n
+    n = 514_228
+    ws = WordSystem.characteristic(golden_table(28))
+    tracemalloc.start()
+    try:
+        word = ws.prefix(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == n
+    assert peak < 1.5 * n
 
 
 def test_letters_beyond_horizon_raise(golden):
