@@ -124,8 +124,11 @@ def cmd_word(args, cfg, system):
         out.write((int(word, 2) << (8 * nbytes - length)).to_bytes(nbytes, "big"))
         out.flush()
         return
+    if args.format == "text":  # the word alone: no run-length form to build
+        _emit({}, "text", lambda: word)
+        return
     payload = {"length": str(length), "word": word, "rle": words.run_length(word)}
-    _emit(payload, args.format, lambda: payload["rle"] if args.format == "rle" else word)
+    _emit(payload, args.format, lambda: payload["rle"])
 
 
 def cmd_ostrowski_int(args, cfg, system):

@@ -2,18 +2,20 @@
 
 A `WordSystem` serves one binary word: the limit of the aligned words
 built from an intercept digit stream.  Level words are plain '0'/'1'
-strings; `aligned` and `standard` cache each level they build and refuse
-one longer than MATERIALIZE_CAP, since lengths grow like q_k.  A prefix
-descends the concatenation recursion down to levels of at most
-PREFIX_BLOCK letters and joins those cached blocks once, so its cost is
-the one copy it returns.  Single letters of arbitrarily deep levels are
-served by an O(K) descent with no storage.  The floor-formula path
-evaluates the same letters from the intercept directly, with every floor
-certified exactly.
+strings.  Only the standard words M_k are built, by one cached recursion
+that refuses a level longer than MATERIALIZE_CAP, since lengths grow like
+q_k.  The level-k aligned word is the conjugate of M_k at t_k, so aligned
+words, prefixes and single letters are all windows of M_k read from t_k.
+One descent reads such a window from cached levels of at most
+PREFIX_BLOCK letters: a prefix joins those blocks once, so its cost is the
+one copy it returns, and a letter costs O(K) with no storage.  The
+floor-formula path evaluates the same letters from the intercept
+directly, with every floor certified exactly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -65,17 +67,14 @@ class FactorCountReport(NamedTuple):
 
 
 def run_length(word: str) -> str:
-    """Run-length form: '1 0^4 1 0^5' style, single letters unexponentiated."""
-    out = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        n = j - i
-        out.append(word[i] if n == 1 else f"{word[i]}^{n}")
-        i = j
-    return " ".join(out)
+    """Run-length form of a binary word: '1 0^4 1 0^5' style, single
+    letters unexponentiated.  Runs are rewritten in their one list, so
+    no second list of the runs is held beside it."""
+    runs = re.findall(r"0+|1+", word)
+    for i, run in enumerate(runs):
+        if len(run) > 1:
+            runs[i] = f"{run[0]}^{len(run)}"
+    return " ".join(runs)
 
 
 class WordSystem:
@@ -105,7 +104,6 @@ class WordSystem:
             u, p = digit_prefix_value(digits, table)
             rho = (u + 1, -p)
         self.rho = rho
-        self._aligned = {-1: "1", 0: "0"}
         self._standard = {-1: "1", 0: "0"}
         self._offsets = [0]  # t_k prefix sums, index k
 
@@ -226,30 +224,30 @@ class WordSystem:
             )
 
     def standard(self, k: int) -> str:
-        """The standard word at level k (length q_k for k >= 0)."""
-        return self._grow(self._standard, "standard", k, self.a, lambda j: 0)
-
-    def aligned(self, k: int) -> str:
-        """The conjugate of the standard word aligned with this word's prefix."""
-        return self._grow(self._aligned, "aligned", k, self.gap, self.digit)
-
-    def _grow(self, words: dict, name: str, k: int, gap, digit) -> str:
-        """w_k = w_{k-1}^gap(k) w_{k-2} w_{k-1}^digit(k), cached in `words`.
-
-        The standard words are the aligned ones of the all-zero digits.
-        """
+        """The standard word M_k, length q_k for k >= 0: the one cached
+        recursion, M_{-1} = 1, M_0 = 0, M_1 = 0^(a_1-1) 1 and
+        M_k = M_{k-1}^(a_k) M_{k-2} above it."""
         if k < -1:
-            raise ConfigError(f"no {name} word at level {k}")
+            raise ConfigError(f"no standard word at level {k}")
         self._check_cap(max(k, 0))
+        words = self._standard
         top = max(words)
         while top < k:
             top += 1
-            g, b = gap(top), digit(top)
-            if top == 1:
-                words[1] = "0" * (g - 1) + "1" + "0" * b
-            else:
-                words[top] = words[top - 1] * g + words[top - 2] + words[top - 1] * b
+            words[top] = words[top - 1] * self._copies(top) + words[top - 2]
         return words[k]
+
+    def _copies(self, k: int) -> int:
+        """Copies of M_{k-1} ahead of M_{k-2} in M_k: a_k, or a_1 - 1 at level 1."""
+        return self.a(k) - (k == 1)
+
+    def aligned(self, k: int) -> str:
+        """The level-k aligned word: the conjugate of M_k at t_k, so it
+        starts at letter t_k of M_k and wraps; not cached.  The tests hold
+        the paper's own recursion, w_k = w_{k-1}^(a_k - b_k) w_{k-2}
+        w_{k-1}^(b_k), as the reference it must match."""
+        head, tail = self.split(k)
+        return tail + head
 
     def split(self, k: int) -> tuple[str, str]:
         """(prefix, suffix) of the standard word: lengths t_k and r_k."""
@@ -257,10 +255,11 @@ class WordSystem:
         t = self.offset(k) if k >= 1 else 0
         return w[:t], w[t:]
 
-    # -- implicit letter access ----------------------------------------------
+    # -- windows of the standard words ---------------------------------------
 
     def letter(self, n: int) -> int:
-        """Letter n (1-based) of the word, via recursive descent: O(K) time."""
+        """Letter n (1-based) of the word: letter (t_k + n - 1) mod q_k of
+        M_k for the least q_k > n, read by `_window` in O(K) time."""
         if n < 1:
             raise ConfigError(f"letters are 1-based, got {n}")
         k = self.table.level_covering(n)
@@ -268,67 +267,60 @@ class WordSystem:
             raise HorizonError(
                 f"letter {n} needs digits through level {k}, have {self.levels}"
             )
-        m = n
-        while k >= 2:
-            qk1, qk2 = self.q(k - 1), self.q(k - 2)
-            lead = self.gap(k) * qk1
-            if m <= lead:
-                m = (m - 1) % qk1 + 1
-                k -= 1
-            elif m <= lead + qk2:
-                m -= lead
-                k -= 2
-            else:
-                m = (m - lead - qk2 - 1) % qk1 + 1
-                k -= 1
-        if k == 1:
-            return 1 if m == self.gap(1) else 0
-        if k == 0:
-            return 0
-        return 1  # level -1 word is "1"
+        i = (self.offset(k) + n - 1) % self.q(k)
+        parts: list[str] = []
+        self._window(k, i, i + 1, parts, {})
+        return int(parts[0])
 
     def prefix(self, length: int) -> str:
-        """First `length` letters, joined once from cached blocks of at
-        most PREFIX_BLOCK letters; no level word longer than that is built."""
+        """First `length` letters: for the least q_k > length, letters
+        t_k..min(q_k, t_k + length) of M_k, then from its start on if the
+        window wraps.  They are joined once from cached blocks of at most
+        PREFIX_BLOCK letters; no level word longer than that is built."""
         if length == 0:
             return ""
         k = self.table.level_covering(length)
-        # reads b_1..b_k in order, as `aligned` does: a digit prefix too
-        # short is refused at its first missing digit, whatever the length
-        self.offset(k)
+        # reads b_1..b_k in order: a digit prefix too short is refused at
+        # its first missing digit, whatever the length
+        t, q = self.offset(k), self.q(k)
         parts: list[str] = []
-        self._emit_prefix(k, length, parts, {})
+        chunks: dict = {}
+        self._window(k, t, min(q, t + length), parts, chunks)
+        if t + length > q:
+            self._window(k, 0, t + length - q, parts, chunks)
         return "".join(parts)
 
-    def _emit_prefix(self, k: int, need: int, parts: list[str], chunks: dict) -> None:
-        """Append the first `need` letters of the level-k aligned word.
+    def _window(self, k: int, lo: int, hi: int, parts: list[str], chunks: dict) -> None:
+        """Append letters lo..hi-1 (0-based) of M_k to `parts`.
 
-        A level above PREFIX_BLOCK letters is walked as its runs,
-        w_1 = 0^(gap-1) 1 0^digit and w_k = w_{k-1}^gap w_{k-2} w_{k-1}^digit
-        above it.  Copies of a small level go out in `chunks`, repeats of
-        its cached word of at most PREFIX_BLOCK letters, built once per
-        (level, copies) and shared: a whole chunk is appended, not copied.
+        A level of at most PREFIX_BLOCK letters is a slice of its cached
+        word; a larger one is walked as its runs, `_copies(k)` copies of
+        M_{k-1} and then M_{k-2}.  Copies of a small level go out in
+        `chunks`, repeats of its word of at most PREFIX_BLOCK letters,
+        built once per (level, copies) and shared: a whole chunk is
+        appended, not copied.
         """
-        if self.q(k) <= PREFIX_BLOCK:
-            parts.append(self.aligned(k)[:need])
+        if self.q(k) <= PREFIX_BLOCK:  # M_{-1} too: q_{-1} = 0
+            parts.append(self.standard(k)[lo:hi])
             return
-        gap, digit = self.gap(k), self.digit(k)
-        runs = (((0, gap - 1), (-1, 1), (0, digit)) if k == 1
-                else ((k - 1, gap), (k - 2, 1), (k - 1, digit)))
-        for j, copies in runs:
-            size = self.q(j) if j >= 0 else 1  # the level -1 word is "1"
-            per = max(PREFIX_BLOCK // size, 1)
-            while copies and need:
-                m = min(copies, per)
-                take = min(need, m * size)
-                if size > PREFIX_BLOCK:
-                    self._emit_prefix(j, take, parts, chunks)
-                else:
-                    if (j, m) not in chunks:
-                        chunks[j, m] = self.aligned(j) * m
-                    parts.append(chunks[j, m][:take])
-                copies -= m
-                need -= take
+        size = self.q(k - 1)
+        lead = self._copies(k) * size
+        per = max(PREFIX_BLOCK // size, 1)
+        end = min(hi, lead)
+        while lo < end:
+            first = lo // size
+            m = min(per, (end - 1) // size + 1 - first)
+            base = first * size
+            stop = min(end, base + m * size)
+            if size > PREFIX_BLOCK:
+                self._window(k - 1, lo - base, stop - base, parts, chunks)
+            else:
+                if (k - 1, m) not in chunks:
+                    chunks[k - 1, m] = self.standard(k - 1) * m
+                parts.append(chunks[k - 1, m][lo - base:stop - base])
+            lo = stop
+        if hi > lead:
+            self._window(k - 2, max(lo - lead, 0), hi - lead, parts, chunks)
 
     # -- exact floor-formula letters -----------------------------------------
 

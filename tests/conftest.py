@@ -134,6 +134,21 @@ def word_system(table, digits, terminating=True, **kw):
     return WordSystem.from_digits(table, digits, terminating=terminating, **kw)
 
 
+def reference_aligned(system, k):
+    """The level-k aligned word by the paper's own recursion, kept apart
+    from `WordSystem`'s windows of the standard words: w_{-1} = 1,
+    w_0 = 0, w_1 = 0^(gap_1 - 1) 1 0^(b_1) and
+    w_k = w_{k-1}^(gap_k) w_{k-2} w_{k-1}^(b_k), with gap_k = a_k - b_k."""
+    words = ["1", "0"]  # levels -1 and 0
+    for j in range(1, k + 1):
+        gap, b = system.gap(j), system.digit(j)
+        if j == 1:
+            words.append("0" * (gap - 1) + "1" + "0" * b)
+        else:
+            words.append(words[-1] * gap + words[-2] + words[-1] * b)
+    return words[k + 1]
+
+
 def shallower(spec, levels):
     """`spec` known to `levels` levels only: its intercept digits 1..levels
     as a digit prefix on the same table, with the same `upper`.  The term

@@ -18,6 +18,7 @@ from sturmian import (
     encode_real,
 )
 from sturmian.ostrowski import decode_real
+from sturmian.slope import floor_theta_multiple
 from sturmian.words import PREFIX_BLOCK, WordSystem, formal_intercept, run_length
 
 from conftest import (
@@ -25,6 +26,7 @@ from conftest import (
     outcome,
     random_digits,
     random_slope_table,
+    reference_aligned,
     table_for,
     theta_value,
     word_system,
@@ -107,7 +109,7 @@ def test_split_identities_random(rng):
             assert len(head) == ws.offset(k)
             assert len(tail) == ws.suffix_len(k)
             assert head + tail == ws.standard(k)
-            assert tail + head == ws.aligned(k)
+            assert tail + head == ws.aligned(k) == reference_aligned(ws, k)
             assert len(ws.aligned(k)) == t.q(k)
 
 
@@ -434,26 +436,65 @@ def test_materialize_cap():
     ws = WordSystem.characteristic(golden_table(31))
     with pytest.raises(MaterializeCapError):
         ws.standard(30)  # q_30 = 1,346,269 > 2^20
-    assert ws.letter(1_300_000) in (0, 1)  # letter access unaffected
-    assert ws.prefix(1_300_000)[-20:] == "".join(
-        str(ws.letter(n)) for n in range(1_299_981, 1_300_001))
+    # letter and prefix access are unaffected: q_29 < 1,300,000 < q_30
+    word = reference_aligned(ws, 30)
+    assert ws.letter(1_300_000) == int(word[1_299_999])
+    assert ws.prefix(1_300_000) == word[:1_300_000]
+
+
+def lengths_to_check(rng, ws, k):
+    """Prefix lengths below q_k: 1, q_{k-1}, q_k - 1, a random one, the
+    two around PREFIX_BLOCK, and the first that wraps past the end of M_k
+    (t_k + n > q_k)."""
+    q, t = ws.q(k), ws.offset(k)
+    ns = {1, ws.q(k - 1), q - 1, rng.randint(1, q - 1), PREFIX_BLOCK,
+          PREFIX_BLOCK + 1, q - t + 1}
+    return sorted(n for n in ns if 1 <= n < q)
+
+
+def degenerate_systems(rng, table, k):
+    """The lower and upper words of a random degenerate intercept
+    rho = -(m-1) theta + p with m <= q_k: digit streams with maximal
+    patterns."""
+    m = rng.randint(1, table.q(k))
+    p = floor_theta_multiple(table, m - 1) + 1 if m > 1 else 0
+    deg = degenerate_expansions(m, p, table)
+    return [WordSystem.from_degenerate(table, deg, upper=upper) for upper in (False, True)]
 
 
 def test_prefix_matches_the_aligned_words(rng):
-    # prefixes longer than PREFIX_BLOCK descend the recursion; small levels
-    # repeated many times (a_k up to 3000) go out as shared chunks
+    # prefixes and letters of levels above PREFIX_BLOCK letters descend the
+    # standard words; small levels repeated many times (a_k up to 3000) go
+    # out as shared chunks; every length is checked against the paper's
+    # aligned recursion, wrapping windows included
     checked = 0
     while checked < 30:
         t = random_slope_table(rng, 12, amax=rng.choice((2, 9, 3000)))
         k = max(j for j in range(1, 12) if t.q(j) <= 300_000)
         if t.q(k) <= PREFIX_BLOCK:
             continue
-        for upper in (False, True):
-            ws = word_system(t, random_digits(rng, t, 12), upper=upper)
-            word = ws.aligned(k)
-            for n in (1, PREFIX_BLOCK, PREFIX_BLOCK + 1, rng.randint(1, t.q(k)), t.q(k)):
-                assert ws.prefix(n) == word[:n], (t.spec, n)
+        systems = [word_system(t, random_digits(rng, t, 12), upper=upper)
+                   for upper in (False, True)]
+        for ws in systems + degenerate_systems(rng, t, k):
+            word = reference_aligned(ws, k)
+            for n in lengths_to_check(rng, ws, k):
+                assert ws.prefix(n) == word[:n], (t.spec, ws.digits, n)
+                assert ws.letter(n) == int(word[n - 1]), (t.spec, ws.digits, n)
         checked += 1
+
+
+def test_windows_past_a_first_quotient_above_the_block(rng):
+    # a_1 > PREFIX_BLOCK: level 1, 0^(a_1 - 1) 1, is walked as its runs,
+    # and so is every level above it; digits wrap the windows at each level
+    for a1 in (PREFIX_BLOCK + 1, PREFIX_BLOCK + 2, 3 * PREFIX_BLOCK + 7):
+        t = table_for((a1, 1, 2), horizon=4)
+        systems = [word_system(t, random_digits(rng, t, 4)) for _ in range(3)]
+        for ws in systems + degenerate_systems(rng, t, 3):
+            for k in (1, 2, 3):
+                word = reference_aligned(ws, k)
+                for n in lengths_to_check(rng, ws, k):
+                    assert ws.prefix(n) == word[:n], (a1, ws.digits, n)
+                    assert ws.letter(n) == int(word[n - 1]), (a1, ws.digits, n)
 
 
 def test_prefix_past_a_first_quotient_above_the_cap():
@@ -467,18 +508,21 @@ def test_prefix_past_a_first_quotient_above_the_cap():
 
 
 def test_prefix_peak_memory_is_its_one_copy():
-    # golden K=28, n = q_28 - 1: the returned word plus blocks of at most
-    # PREFIX_BLOCK letters; caching every level word to 2^20 peaked at 3.6 n
-    n = 514_228
-    ws = WordSystem.characteristic(golden_table(28))
-    tracemalloc.start()
-    try:
-        word = ws.prefix(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(word) == n
-    assert peak < 1.5 * n
+    # the returned word plus blocks of at most PREFIX_BLOCK letters; caching
+    # every level word to 2^20 peaked at 3.6 n on golden K=28, n = q_28 - 1.
+    # (5,3,2) K=10 with digits 1,0,2,0,1 has t_10 = 234, so its window wraps
+    golden = WordSystem.characteristic(golden_table(28))
+    wrapping = word_system(table_for((5, 3, 2), horizon=10), (1, 0, 2, 0, 1))
+    assert wrapping.offset(10) + 322_000 > wrapping.q(10)
+    for ws, n in ((golden, 514_228), (wrapping, 322_000)):
+        tracemalloc.start()
+        try:
+            word = ws.prefix(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == n
+        assert peak < 1.5 * n, (ws.digits, peak / n)
 
 
 def test_letters_beyond_horizon_raise(golden):
