@@ -15,8 +15,9 @@ The fields `ConvergentPair.index`, `Repetition.count` and
 `FactorCountReport.count` shadow the tuple methods of those names.
 
 A number's depth is its word system's `levels`, the count of known
-intercept digits; the term pipeline and the oracle take no depth of
-their own, and a shallower number is a shorter digit prefix.
+intercept digits; the term pipeline, the oracle and the exponent
+functions take no depth of their own, `encode_real` always gives the
+K - 2 digits its table reaches, and a shallower number is a shorter prefix.
 
 `validate_real_digits`, like `decode_integer`, raises `DigitRuleError` at
 the first broken digit rule.  `liouville_diagnostic`,

@@ -213,14 +213,13 @@ def cmd_convergents(args, cfg, system):
 
 
 def cmd_exponent(args, cfg, system):
-    spec = _number_spec(cfg, system)
-    upto = system.levels - 2
-    rows = exponent.nu_table(system, upto)
-    est = exponent.irrationality_estimate(system, upto)
+    _number_spec(cfg, system)  # refuses a bad base, as every number command does
+    rows = exponent.nu_table(system)
+    est = exponent.irrationality_estimate(system)
     strong = []
-    for k in range(2, upto + 1):
+    for k in range(2, len(rows)):
         try:
-            records = exponent.classify_families(spec, k)
+            records = exponent.classify_families(system, k)
         except (ConfigError, HorizonError):
             # levels outside the dispatch's domain, or whose digit window
             # runs past the known digits, carry no verdict

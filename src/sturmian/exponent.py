@@ -1,11 +1,12 @@
-"""Irrationality exponent machinery.
+"""Irrationality exponent machinery, as functions of the word system alone.
 
 Each level k contributes four candidate approximants; which of them are
 true convergents, and with which approximation exponent, is decided by
-an exact digit-pattern dispatch.  The finite-horizon irrationality
-exponent estimate is the running maximum of the per-level growth ratios
-over a trailing window, reported as exact rationals; limits are never
-extrapolated.
+an exact digit-pattern dispatch.  The growth table runs to k = L - 2 for
+L = `WordSystem.levels`, and the finite-horizon irrationality exponent
+estimate is the running maximum of its ratios over a trailing window,
+reported as exact rationals; limits are never extrapolated.  No function
+takes a depth: a shallower estimate is that of a shorter digit prefix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .cfrac import _HEIGHT, NumberSpec
+from .cfrac import _HEIGHT
 from .errors import ConfigError, DigitRuleError, HorizonError, InternalError
 from .ostrowski import InterceptDigits, validate_real_digits
 from .slope import ConvergentTable
@@ -63,7 +64,7 @@ class EstimateReport(NamedTuple):
 class LiouvilleReport(NamedTuple):
     verdict: str  # "not_liouville" | "inconclusive"
     max_partial_quotient: int
-    witness: tuple[Fraction, ...]  # growth of nu_{k-2}(4) = 1 + r_k/q_{k-1}
+    witness: tuple[Fraction, ...]  # the nu4 column: 1 + r_k/q_{k-1}, k = 2..L
 
 
 class ExtremalIntercept(NamedTuple):
@@ -86,33 +87,31 @@ def nu_row(system: WordSystem, k: int) -> NuRow:
     )
 
 
-def nu_table(system: WordSystem, upto: int) -> list[NuRow]:
-    """Rows k = 0..upto; needs digits and convergents through upto + 2."""
-    if upto + 2 > system.levels:
-        raise HorizonError(f"nu table through {upto} needs level {upto + 2}")
-    return [nu_row(system, k) for k in range(upto + 1)]
+def nu_table(system: WordSystem) -> list[NuRow]:
+    """Rows k = 0..L-2 for L = `system.levels`: row k reads digits and
+    convergents through k + 2, so the table ends where the word does."""
+    return [nu_row(system, k) for k in range(system.levels - 1)]
 
 
-def classify_families(spec: NumberSpec, k: int) -> list[StrongRecord]:
+def classify_families(system: WordSystem, k: int) -> list[StrongRecord]:
     """The acceptance dispatch for the four families at level k.
 
     Valid for k >= 2 with offset(k-1) >= 1 (words that already differ
     from the characteristic one); reads digits through k + 4.
     """
-    s = spec.system
     if k < 2:
         raise ConfigError("the dispatch needs k >= 2")
-    if s.offset(k - 1) < 1:
+    if system.offset(k - 1) < 1:
         raise ConfigError(
             f"dispatch needs offset(k-1) >= 1 at k={k}; "
             "use the pipeline classification for characteristic heads"
         )
 
-    a, b, gap = s.a, s.digit, s.gap
+    a, b, gap = system.a, system.digit, system.gap
     records = []
 
     def emit(fam, accepted, rule, mu):
-        h = _HEIGHT[fam](s, k)
+        h = _HEIGHT[fam](system, k)
         err = mu * h if mu is not None else None
         if err is not None and err.denominator != 1:
             raise InternalError(f"error exponent for ({fam})_{k} is not integral")
@@ -120,52 +119,52 @@ def classify_families(spec: NumberSpec, k: int) -> list[StrongRecord]:
 
     # family (1)
     if gap(k + 1) >= 1 and gap(k + 2) >= 1:
-        emit("1", True, "gap(k+1)>=1 & gap(k+2)>=1", nu_row(s, k).nu1)
+        emit("1", True, "gap(k+1)>=1 & gap(k+2)>=1", nu_row(system, k).nu1)
     elif b(k) >= 1 and a(k + 1) == 1 and b(k + 1) == 0 and gap(k + 2) == 0:
         emit("1", True, "b_k>=1 & a_{k+1}=1 & b_{k+1}=0 & gap(k+2)=0",
-             nu_row(s, k - 1).nu3)
+             nu_row(system, k - 1).nu3)
     else:
         emit("1", False, "rejected", None)
 
     # family (2)
     if gap(k + 2) >= 1:
         if b(k + 1) >= 1:
-            emit("2", True, "gap(k+2)>=1 & b_{k+1}>=1", nu_row(s, k).nu2)
+            emit("2", True, "gap(k+2)>=1 & b_{k+1}>=1", nu_row(system, k).nu2)
         elif gap(k + 3) >= 1:
             emit("2", True, "gap(k+2)>=1 & b_{k+1}=0 & gap(k+3)>=1",
-                 nu_row(s, k).nu4)
+                 nu_row(system, k).nu4)
         else:
             emit("2", True, "gap(k+2)>=1 & b_{k+1}=0 & gap(k+3)=0",
-                 nu_row(s, k + 2).nu2)
+                 nu_row(system, k + 2).nu2)
     else:
         emit("2", False, "rejected", None)
 
     # family (3)
     if b(k + 1) >= 1 and gap(k + 2) >= 2:
-        emit("3", True, "b_{k+1}>=1 & gap(k+2)>=2", nu_row(s, k).nu3)
+        emit("3", True, "b_{k+1}>=1 & gap(k+2)>=2", nu_row(system, k).nu3)
     elif gap(k + 2) == 1 and gap(k + 3) >= 1:
-        emit("3", True, "gap(k+2)=1 & gap(k+3)>=1", nu_row(s, k + 1).nu1)
+        emit("3", True, "gap(k+2)=1 & gap(k+3)>=1", nu_row(system, k + 1).nu1)
     elif (b(k + 1) >= 1 and a(k + 2) == 1 and b(k + 2) == 0
           and gap(k + 3) == 0):
         emit("3", True, "b_{k+1}>=1 & a_{k+2}=1 & b_{k+2}=0 & gap(k+3)=0",
-             nu_row(s, k).nu3)
+             nu_row(system, k).nu3)
     else:
         emit("3", False, "rejected", None)
 
     # family (4)
     if gap(k + 2) >= 2 and gap(k + 3) >= 1:
-        emit("4", True, "gap(k+2)>=2 & gap(k+3)>=1", nu_row(s, k).nu4)
+        emit("4", True, "gap(k+2)>=2 & gap(k+3)>=1", nu_row(system, k).nu4)
     elif b(k + 1) == 0 and gap(k + 2) == 1 and gap(k + 3) >= 1:
         emit("4", True, "b_{k+1}=0 & gap(k+2)=1 & gap(k+3)>=1",
-             nu_row(s, k).nu2)
+             nu_row(system, k).nu2)
     elif gap(k + 3) == 0:
-        emit("4", True, "gap(k+3)=0", nu_row(s, k + 2).nu2)
+        emit("4", True, "gap(k+3)=0", nu_row(system, k + 2).nu2)
     else:
         emit("4", False, "rejected", None)
     return records
 
 
-def ordered_strong_sequence(spec: NumberSpec, k_lo: int, k_hi: int):
+def ordered_strong_sequence(system: WordSystem, k_lo: int, k_hi: int):
     """The strong-convergent sequence after the replacement rules.
 
     Starts from the cyclic family list over k_lo..k_hi and applies the
@@ -173,8 +172,7 @@ def ordered_strong_sequence(spec: NumberSpec, k_lo: int, k_hi: int):
     level) ids sharing one value.  Rules whose window leaves the range
     are skipped, so only the interior of the window is meaningful.
     """
-    s = spec.system
-    gap = s.gap
+    gap = system.gap
     order = [(fam, k) for k in range(k_lo, k_hi + 1) for fam in "1234"]
     group_of: dict[tuple[str, int], list] = {}
     removed: set[tuple[str, int]] = set()
@@ -191,7 +189,7 @@ def ordered_strong_sequence(spec: NumberSpec, k_lo: int, k_hi: int):
     for k in range(k_lo, k_hi + 1):
         in_range = lambda *els: all(k_lo <= kk <= k_hi for _, kk in els)
         if gap(k + 2) == 0:
-            if s.digit(k) >= 1:
+            if system.digit(k) >= 1:
                 members = [("4", k - 1), ("2", k + 1)]
                 dropped = [("1", k), ("2", k), ("3", k), ("4", k), ("1", k + 1)]
             else:
@@ -201,14 +199,14 @@ def ordered_strong_sequence(spec: NumberSpec, k_lo: int, k_hi: int):
             if in_range(*(members + dropped)):
                 make_group(members, dropped)
         elif gap(k + 2) == 1 and gap(k + 3) >= 1:
-            if s.digit(k + 1) >= 1:
+            if system.digit(k + 1) >= 1:
                 if in_range(("3", k), ("4", k), ("1", k + 1)):
                     make_group([("3", k), ("1", k + 1)], [("4", k)])
             else:
                 if in_range(("2", k), ("3", k), ("4", k), ("1", k + 1)):
                     make_group([("2", k), ("4", k)], [])
                     make_group([("3", k), ("1", k + 1)], [])
-        elif gap(k + 2) >= 2 and gap(k + 3) >= 1 and s.digit(k + 1) == 0:
+        elif gap(k + 2) >= 2 and gap(k + 3) >= 1 and system.digit(k + 1) == 0:
             if in_range(("2", k), ("3", k), ("4", k)):
                 make_group([("2", k), ("4", k)], [("3", k)])
 
@@ -227,18 +225,20 @@ def ordered_strong_sequence(spec: NumberSpec, k_lo: int, k_hi: int):
     return sequence
 
 
-def irrationality_estimate(system: WordSystem, upto: int) -> EstimateReport:
-    """Finite-horizon exponent estimate from the growth table.
+def irrationality_estimate(system: WordSystem) -> EstimateReport:
+    """Finite-horizon exponent estimate over the growth table's rows
+    k = 0..L-2, whose trailing half starts at (L-2)//2.
 
     nu(1) ranges over k with both gaps positive, nu(2) over k with
     gap(k+2) >= 1, nu(3) and nu(4) over all k; each is reported as the
-    maximum over the trailing half of the range (plus the full-range
-    maximum for disclosure).  A finite maximum is no bound on the limsup
-    from either side: the golden characteristic word gives 377/144 at
-    upto = 20, above its exponent 1 + phi.
+    maximum over the trailing half (plus the full-range maximum for
+    disclosure).  A finite maximum is no bound on the limsup from either
+    side: the golden characteristic word of 22 levels gives 377/144,
+    above its exponent 1 + phi.
     """
-    rows = nu_table(system, upto)
-    tail_lo = upto // 2
+    rows = nu_table(system)
+    last = system.levels - 2
+    tail_lo = last // 2
     gap = system.gap
     eligible = {
         1: lambda k: gap(k + 1) >= 1 and gap(k + 2) >= 1,
@@ -255,26 +255,26 @@ def irrationality_estimate(system: WordSystem, upto: int) -> EstimateReport:
     candidates = [v for v in tail_max.values() if v is not None]
     if not candidates:
         raise HorizonError("no eligible levels in the trailing window")
-    return EstimateReport((0, upto), (tail_lo, upto), full_max, tail_max,
+    return EstimateReport((0, last), (tail_lo, last), full_max, tail_max,
                           max(candidates))
 
 
-def liouville_diagnostic(system: WordSystem, upto: int) -> LiouvilleReport:
+def liouville_diagnostic(system: WordSystem) -> LiouvilleReport:
     """Bounded-slope verdict plus finite-horizon growth witnesses.
 
     A periodic slope spec has bounded partial quotients, hence the
     number is certainly not Liouville.  A finite spec can never prove
-    unboundedness, so only the observed growth is reported.
+    unboundedness, so only the observed growth is reported: the largest
+    of a_1..a_L, and the nu4 column, 1 + r_k/q_{k-1} in row k - 2.
     """
     spec = system.table.spec
-    seen = [spec.partial_quotient(k) for k in range(1, min(upto, spec.horizon) + 1)]
-    witness = tuple(
-        1 + Fraction(system.suffix_len(k), system.q(k - 1))
-        for k in range(2, upto + 1)
-    )
+    witness = tuple(row.nu4 for row in nu_table(system))
     if spec.period:
         return LiouvilleReport("not_liouville", max(spec.preperiod + spec.period),
                                witness)
+    if not system.levels:
+        raise HorizonError("no known level to read a partial quotient from")
+    seen = map(spec.partial_quotient, range(1, system.levels + 1))
     return LiouvilleReport("inconclusive", max(seen), witness)
 
 

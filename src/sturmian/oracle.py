@@ -65,9 +65,6 @@ def cf_of_rational(x: Fraction) -> list[int]:
         a, rem = int_divmod(den, num)
         terms.append(a)
         den, num = num, rem
-    if len(terms) > 2 and terms[-1] == 1:
-        terms.pop()
-        terms[-1] += 1
     return terms
 
 

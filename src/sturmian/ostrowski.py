@@ -107,7 +107,7 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
         raise ConfigError(f"only positive integers have an expansion, got {n}")
     if n >= table.q(table.horizon):
         raise HorizonError(f"{n} >= q_{table.horizon} = {table.q(table.horizon)}")
-    top = table.level_covering(n)  # q_top > n, so digits go up to index top
+    top = table.level_covering(n)  # q_top > n >= q_{top-1}: digit top is positive
     digits = [0] * top
     rem = n
     for j in range(top, 0, -1):
@@ -115,8 +115,6 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
         rem %= table.q(j - 1)
     if rem != 0:
         raise InternalError("greedy expansion left a remainder")
-    while digits and digits[-1] == 0:
-        digits.pop()
     return IntegerDigits(tuple(digits))
 
 
@@ -190,8 +188,11 @@ def _window_boundary(table: ConvergentTable, k: int, b: int) -> tuple[int, int]:
     return const, coeff
 
 
-def encode_real(sigma, table: ConvergentTable, horizon: int | None = None) -> InterceptDigits:
-    """Greedy digit extraction for sigma in [-theta, 1-theta].
+def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
+    """Greedy digit extraction for sigma in [-theta, 1-theta], always
+    max(K - 2, 1) digits: digit k compares theta with rationals of
+    convergent scale k + 2, and the last convergent pair separates theta
+    from every rational of denominator below q_{K-1} + q_K.
 
     `sigma` is an exact Fraction or a coefficient pair (u, v) standing for
     u*theta + v; floats are rejected because no floor can be certified
@@ -206,12 +207,7 @@ def encode_real(sigma, table: ConvergentTable, horizon: int | None = None) -> In
     else:
         coeff, const = 0, Fraction(sigma)
     orig_coeff, orig_const = coeff, const
-    # digit k compares theta with rationals of convergent scale k + 2, and
-    # the last convergent pair separates theta from every rational of
-    # denominator below q_{K-1} + q_K: by default stop two levels short
-    limit = max(table.horizon - 2, 1) if horizon is None else horizon
-    if limit > table.horizon:
-        raise HorizonError(f"requested {limit} digits but horizon is {table.horizon}")
+    limit = max(table.horizon - 2, 1)
 
     digits: list[int] = []
     prev = 1  # treat step 1 as if preceded by a nonzero digit: caps b_1 at a_1 - 1

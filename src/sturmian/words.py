@@ -449,26 +449,28 @@ def formal_intercept(source, table: ConvergentTable, levels: int) -> InterceptDi
     standard word matching the source's first q_k - 1 letters; candidate
     offsets differ by multiples of q_{k-1}, so each level tries at most
     a_k + 1 digit candidates and keeps the one whose candidate word
-    matches the source (verified letterwise with early exit).
+    matches the source.  Letters below q_{k-1} were matched one level
+    down, so level k compares letters q_{k-1}..q_k - 1, a `prefix` window
+    of each candidate, reading each source letter once and only as needed.
     """
     letter = source.letter if isinstance(source, WordSystem) else source
     if levels > table.horizon:
         raise HorizonError(f"{levels} levels exceed horizon {table.horizon}")
     digits: list[int] = []
     for k in range(1, levels + 1):
-        if k == 1:
-            cands = range(table.a(1))
-        elif digits[-1] >= 1:
-            cands = range(table.a(k))
-        else:
-            cands = range(table.a(k) + 1)
+        start = table.q(k - 1)
+        read: list[int] = []  # the source's letters start.., each read once
         survivors = []
-        for b in cands:
-            probe = WordSystem.from_digits(
-                table, tuple(digits) + (b,) + (0,) * (table.horizon - k),
-                terminating=False,
-            )
-            if all(probe.letter(n) == letter(n) for n in range(1, table.q(k))):
+        # b_k < a_k at k = 1 and after a nonzero digit, else b_k <= a_k
+        for b in range(table.a(k) + (k > 1 and digits[-1] == 0)):
+            probe = WordSystem.from_digits(table, (*digits, b) + (0,) * (table.horizon - k),
+                                           terminating=False)
+            for i, c in enumerate(probe.prefix(table.q(k) - 1)[start - 1:]):
+                if i == len(read):
+                    read.append(letter(start + i))
+                if int(c) != read[i]:
+                    break
+            else:
                 survivors.append(b)
         if not survivors:
             raise ConfigError(

@@ -149,15 +149,18 @@ def reference_aligned(system, k):
     return words[k + 1]
 
 
+def shallower_word(system, levels):
+    """`system` known to `levels` levels only: its intercept digits
+    1..levels as a digit prefix on the same table, with the same `upper`."""
+    digits = tuple(system.digit(k) for k in range(1, levels + 1))
+    return WordSystem(system.table, InterceptDigits(digits, False), upper=system.upper)
+
+
 def shallower(spec, levels):
-    """`spec` known to `levels` levels only: its intercept digits 1..levels
-    as a digit prefix on the same table, with the same `upper`.  The term
+    """`spec` known to `levels` levels only (`shallower_word`).  The term
     pipeline reads no other digit, so its terms are those of `spec` over
     `levels` levels."""
-    system = spec.system
-    digits = tuple(system.digit(k) for k in range(1, levels + 1))
-    return NumberSpec(spec.base, WordSystem(system.table, InterceptDigits(digits, False),
-                                            upper=system.upper))
+    return NumberSpec(spec.base, shallower_word(spec.system, levels))
 
 
 def raw_terms(spec, levels):

@@ -23,19 +23,19 @@ from sturmian.oracle import certified_cf_prefix, exponent_bracket
 from sturmian.words import WordSystem
 
 from conftest import (cf_convergents, golden_table, random_digits, random_slope_table,
-                      table_for, word_system)
+                      shallower_word, table_for, word_system)
 
 PHI = (1 + 5 ** 0.5) / 2
 
 
 def test_nu_characteristic(golden):
     ws = WordSystem.characteristic(golden)
-    for row in nu_table(ws, 8):
+    for row in nu_table(shallower_word(ws, 10)):
         k = row.k
         assert row.nu1 == 2
         assert row.nu4 == 1 + Fraction(golden.q(k + 2), golden.q(k + 1))
         assert row.nu2 == 2 + Fraction(golden.q(k), golden.q(k + 1))
-    ratios = [float(r.nu4 - 1) for r in nu_table(ws, 10)]
+    ratios = [float(r.nu4 - 1) for r in nu_table(shallower_word(ws, 12))]
     assert abs(ratios[-1] - PHI) < 1e-3
 
 
@@ -53,46 +53,48 @@ def test_nu_532_exact(slope532):
     assert all(v > 1 for v in (row.nu1, row.nu2, row.nu3, row.nu4))
 
 
-def test_nu_requires_horizon(golden):
-    ws = WordSystem.characteristic(golden)
-    with pytest.raises(HorizonError):
-        nu_table(ws, golden.horizon)
+def test_nu_table_ends_where_the_word_does(golden):
+    # row k reads digits through k + 2: rows 0..L-2 for L known levels
+    assert len(nu_table(WordSystem.characteristic(golden))) == golden.horizon - 1
+    ws = word_system(golden, (0, 1, 0, 0, 1), terminating=False)
+    assert [row.k for row in nu_table(ws)] == [0, 1, 2, 3]
+    for levels in (0, 1):
+        assert nu_table(shallower_word(ws, levels)) == []
 
 
 def test_classify_rejects_characteristic_window(golden):
-    spec = NumberSpec(2, WordSystem.characteristic(golden))
     with pytest.raises(ConfigError):
-        classify_families(spec, 4)
+        classify_families(WordSystem.characteristic(golden), 4)
 
 
 def strong_test_system(seed_digits, quotients, horizon=16):
     t = table_for(quotients, horizon=horizon)
     digs = tuple(seed_digits) + (0,) * (horizon - len(seed_digits))
-    return NumberSpec(2, word_system(t, digs, terminating=True))
+    return word_system(t, digs, terminating=True)
 
 
 def test_classify_char_like_tail():
     # nonzero head, zero tail: family (4) accepted when the gaps are wide
-    spec = strong_test_system((1, 0, 0, 0, 0, 0, 0, 0), (3, 3, 3, 3))
+    ws = strong_test_system((1, 0, 0, 0, 0, 0, 0, 0), (3, 3, 3, 3))
     for k in range(2, 6):
-        recs = {r.family: r for r in classify_families(spec, k)}
+        recs = {r.family: r for r in classify_families(ws, k)}
         assert recs["4"].accepted
-        assert recs["4"].mu == nu_row(spec.system, k).nu4
+        assert recs["4"].mu == nu_row(ws, k).nu4
 
 
 def test_classify_merge_rules_against_fractions():
     # a_{k+2} = b_{k+2} at k = 2 (digit b_4 maxed)
     t = table_for((2, 3, 2, 3), horizon=16)
     digs = (1, 0, 0, t.a(4)) + (0,) * 10
-    spec = NumberSpec(2, word_system(t, digs))
-    recs = {r.family: r for r in classify_families(spec, 2)}
+    ws = word_system(t, digs)
+    recs = {r.family: r for r in classify_families(ws, 2)}
     assert not recs["2"].accepted  # gap(k+2) = 0
     assert not recs["3"].accepted
     assert not recs["4"].accepted
     # (1)_2 falls under the second acceptance branch only if a_3 = 1; here rejected
     assert not recs["1"].accepted
     # at k = 1 the family (4) survives via the gap(k+3) = 0 branch
-    recs1 = {r.family: r for r in classify_families(spec, 3)}
+    recs1 = {r.family: r for r in classify_families(ws, 3)}
     assert recs1["2"].accepted
 
 
@@ -108,7 +110,7 @@ def test_ordered_sequence_groups_share_value(rng):
         if s.offset(3) < 1:
             continue
         k_lo, k_hi = 4, 8
-        seq = ordered_strong_sequence(spec, k_lo, k_hi)
+        seq = ordered_strong_sequence(s, k_lo, k_hi)
         made += 1
         heights = []
         for group in seq:
@@ -121,7 +123,7 @@ def test_ordered_sequence_groups_share_value(rng):
         for k in range(k_lo, k_hi + 1):
             if s.offset(k - 1) < 1 or k < 2:
                 continue
-            for r in classify_families(spec, k):
+            for r in classify_families(s, k):
                 if r.accepted and k_lo + 2 <= r.k <= k_hi - 2:
                     accepted.add(formal_family_fraction(spec, r.family, r.k).reduced())
         group_values = {
@@ -134,9 +136,10 @@ def test_ordered_sequence_groups_share_value(rng):
 
 
 def test_estimate_golden_characteristic():
-    t = golden_table(25)
+    t = golden_table(22)
     ws = WordSystem.characteristic(t)
-    est = irrationality_estimate(ws, 20)
+    est = irrationality_estimate(ws)
+    assert (est.window_full, est.window_tail) == ((0, 20), (10, 20))
     assert abs(float(est.mu_estimate) - (1 + PHI)) < 0.02
     # the tail maximum overshoots the limsup 1 + phi = (3 + sqrt 5)/2:
     # 377/144 > (3 + sqrt 5)/2 <=> 322 > 144 sqrt 5 <=> 322^2 > 5 * 144^2
@@ -146,8 +149,8 @@ def test_estimate_golden_characteristic():
 
 def test_estimate_stabilizes_on_periodic_data(slope532):
     ws = word_system(slope532, (4, 0, 2, 0, 3, 0, 5, 0, 2, 0), terminating=False)
-    e1 = irrationality_estimate(ws, 6)
-    e2 = irrationality_estimate(ws, 8)
+    e1 = irrationality_estimate(shallower_word(ws, 8))
+    e2 = irrationality_estimate(ws)
     assert e2.mu_estimate >= Fraction(2)
     assert e1.mu_estimate >= Fraction(2)
 
@@ -157,21 +160,33 @@ def test_estimates_always_at_least_two(rng):
         t = random_slope_table(rng, 12, amax=5)
         digs = random_digits(rng, t, 10)
         ws = word_system(t, digs)
-        est = irrationality_estimate(ws, 8)
+        est = irrationality_estimate(shallower_word(ws, 10))
         assert est.mu_estimate >= 2
 
 
 def test_liouville_verdicts(golden):
     ws = WordSystem.characteristic(golden)
-    rep = liouville_diagnostic(ws, 10)
+    rep = liouville_diagnostic(shallower_word(ws, 10))
     assert rep.verdict == "not_liouville"
     assert rep.max_partial_quotient == 1
     growing = build_table(SlopeSpec(tuple(range(1, 13)), (), 12))
-    ws2 = WordSystem.characteristic(growing)
-    rep2 = liouville_diagnostic(ws2, 10)
+    ws2 = shallower_word(WordSystem.characteristic(growing), 10)
+    rep2 = liouville_diagnostic(ws2)
     assert rep2.verdict == "inconclusive"
-    assert rep2.max_partial_quotient == 10
+    assert rep2.max_partial_quotient == 10  # a_1..a_L, not a_{L+1}..a_K
     assert max(rep2.witness) > 3  # growth visible in the finite window
+    with pytest.raises(HorizonError):
+        liouville_diagnostic(shallower_word(ws2, 0))
+
+
+def test_liouville_witness_is_the_growth_of_r_k(rng):
+    # the nu4 column: row k - 2 is 1 + r_k/q_{k-1}, for k = 2..L
+    for _ in range(20):
+        t = random_slope_table(rng, 12, amax=5)
+        ws = word_system(t, random_digits(rng, t, rng.randint(2, 12)),
+                         terminating=rng.random() < 0.5)
+        assert liouville_diagnostic(ws).witness == tuple(
+            1 + Fraction(ws.suffix_len(k), t.q(k - 1)) for k in range(2, ws.levels + 1))
 
 
 def test_extremal_intercept_golden():
@@ -206,11 +221,11 @@ def test_extremal_reaches_fraction_of_limsup():
     assert nu2 >= 2 + Fraction(9, 10) * limsup_est
 
 
-def test_zero_digits_obey_upper_bound(golden):
+def test_zero_digits_obey_upper_bound():
     # all-zero digits: estimate stays below 2 + limsup q_k/q_{k-1}
-    ws = WordSystem.characteristic(golden)
-    est = irrationality_estimate(ws, 20)
-    ratios = [Fraction(golden.q(k), golden.q(k - 1)) for k in range(2, 22)]
+    t = golden_table(22)
+    est = irrationality_estimate(WordSystem.characteristic(t))
+    ratios = [Fraction(t.q(k), t.q(k - 1)) for k in range(2, 22)]
     assert est.mu_estimate <= 2 + max(ratios)
 
 
@@ -237,7 +252,7 @@ def test_classification_against_oracle_small():
     enc = enclose_value(spec, n_digits)
     oracle_convs = set(cf_convergents(certified_cf_prefix(enc)))
     for k in range(3, 7):
-        for rec in classify_families(spec, k):
+        for rec in classify_families(spec.system, k):
             frac = formal_family_fraction(spec, rec.family, rec.k)
             red = frac.reduced()
             if rec.accepted:
@@ -278,6 +293,6 @@ def test_nu2_nu4_ordering(rng):
 
 def test_estimate_monotone_in_horizon(slope532):
     ws = word_system(slope532, (4, 0, 2, 0, 3, 0, 5, 0, 2, 0), terminating=False)
-    values = [irrationality_estimate(ws, upto).mu_estimate
-              for upto in range(4, 9)]
+    values = [irrationality_estimate(shallower_word(ws, levels)).mu_estimate
+              for levels in range(6, 11)]
     assert all(b >= a for a, b in zip(values, values[1:]))

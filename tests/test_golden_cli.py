@@ -171,6 +171,10 @@ def corpus() -> list[list[str]]:
         # a_1 = 2^20 + 5 exceeds the materialization cap: letter a_1 is the 1
         ["--slope", _slope([(1 << 20) + 5], [1], 5), "word", "--binary",
          "--length", str((1 << 20) + 6)],
+        # exit 2: `exponent` refuses a bad base like every number command;
+        # exit 3: a word of one level has no row in the growth table
+        g + ["--base", "1", "exponent"],
+        g + _intercept({"digits": [0], "terminating": False}) + ["exponent"],
     ]
     return cmds
 

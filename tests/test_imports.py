@@ -8,9 +8,11 @@ and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
 convergent table and its two certifying functions.
 
-The depth of a number is read in one place: no function in `cfrac` or
-`oracle` takes a `levels` parameter, and neither module reads a table's
-`horizon`; both take the depth from `WordSystem.levels`.
+The depth of a number is read in one place, `WordSystem.levels`: no
+function in `cfrac`, `oracle`, `exponent` or `ostrowski` takes a
+`levels`, `upto` or `horizon` parameter, and neither `cfrac` nor
+`oracle` reads a table's `horizon` (`exponent` and `ostrowski` read it
+where they build digits for the whole table).
 
 The records are NamedTuples, so importing the CLI generates no dataclass
 code and loads neither `dataclasses` nor the `inspect` it pulls in, and
@@ -55,7 +57,7 @@ def package_imports(module: str) -> dict[str, set[str]]:
 
 def test_package_imports_sees_every_form():
     assert package_imports("cli")["slope"] == {"*"}
-    assert package_imports("exponent")["cfrac"] == {"_HEIGHT", "NumberSpec"}
+    assert package_imports("exponent")["cfrac"] == {"_HEIGHT"}
 
 
 def test_oracle_takes_only_values_from_the_pipeline():
@@ -80,16 +82,17 @@ def test_theta_arithmetic_comes_from_the_two_slope_loops(module):
     assert taken <= {"ConvergentTable", "sign_linear", "floor_theta_multiple"}
 
 
-@pytest.mark.parametrize("module", ["cfrac", "oracle"])
+@pytest.mark.parametrize("module", ["cfrac", "oracle", "exponent", "ostrowski"])
 def test_the_depth_comes_from_the_word_system(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     functions = [node for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    assert [f.name for f in functions
-            if any(isinstance(a, ast.arg) and a.arg == "levels"
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert [getattr(f, "name", "lambda") for f in functions
+            if any(isinstance(a, ast.arg) and a.arg in {"levels", "upto", "horizon"}
                    for a in ast.walk(f.args))] == []
-    assert not [node.lineno for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr == "horizon"]
+    if module in {"cfrac", "oracle"}:
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "horizon"]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -162,25 +162,26 @@ def test_decode_real_tail_bound_wider_for_prefixes(golden):
 
 
 def test_encode_real_zero_and_symbolic(golden):
-    d = encode_real(Fraction(0), golden, 6)
-    assert d.digits == (0,) * 6 and d.terminating
-    d = encode_real((golden.q(1), -golden.p(1)), golden, 8)  # sigma = theta_1
-    assert d.digits == (0, 1, 0, 0, 0, 0, 0, 0) and d.terminating
+    d = encode_real(Fraction(0), golden)
+    assert d.digits == (0,) * 23 and d.terminating  # K - 2 digits
+    d = encode_real((golden.q(1), -golden.p(1)), golden)  # sigma = theta_1
+    assert d.digits == (0, 1) + (0,) * 21 and d.terminating
+    assert encode_real(Fraction(0), golden_table(3)).digits == (0,)  # at least one
 
 
 def test_encode_real_rejects_floats_and_out_of_range(golden):
     with pytest.raises(ConfigError):
         encode_real(0.5, golden)
     with pytest.raises(InvalidInterceptError):
-        encode_real(Fraction(-9, 10), golden, 8)  # below -theta ~ -0.618
+        encode_real(Fraction(-9, 10), golden)  # below -theta ~ -0.618
     with pytest.raises(InvalidInterceptError):
-        encode_real(Fraction(9, 10), golden, 8)  # above 1-theta ~ 0.382
+        encode_real(Fraction(9, 10), golden)  # above 1-theta ~ 0.382
 
 
 def test_encode_real_half_round_trip(golden):
     sigma_shift = Fraction(1, 2)  # rho = 1/2, sigma = 1/2 - theta
-    d = encode_real((-1, sigma_shift), golden, 12)
-    assert not d.terminating
+    d = encode_real((-1, sigma_shift), golden)
+    assert len(d.digits) == 23 and not d.terminating
     lo, hi = decode_real(d, golden)
     theta = theta_value(golden)
     assert lo < sigma_shift - theta < hi
@@ -188,14 +189,14 @@ def test_encode_real_half_round_trip(golden):
 
 def test_encode_real_ambiguous_cases(golden, slope532):
     with pytest.raises(AmbiguousExpansionError) as err:
-        encode_real((-1, 0), golden, 8)  # sigma = -theta
+        encode_real((-1, 0), golden)  # sigma = -theta
     assert (err.value.m, err.value.p) == (1, 0)
     with pytest.raises(AmbiguousExpansionError) as err:
-        encode_real((-7, 2), slope532, 10)
+        encode_real((-7, 2), slope532)
     assert (err.value.m, err.value.p) == (7, 2)
 
 
-def reference_encode_real(sigma, table, horizon=None):
+def reference_encode_real(sigma, table):
     """`encode_real` with the digit search it had before: a separate probe
     of boundary 1 settles digit 0, and a step with cap 0 skips the search."""
     if isinstance(sigma, float):
@@ -205,9 +206,7 @@ def reference_encode_real(sigma, table, horizon=None):
     else:
         coeff, const = 0, Fraction(sigma)
     orig_coeff, orig_const = coeff, const
-    limit = max(table.horizon - 2, 1) if horizon is None else horizon
-    if limit > table.horizon:
-        raise HorizonError(f"requested {limit} digits but horizon is {table.horizon}")
+    limit = max(table.horizon - 2, 1)
 
     digits = []
     prev = 1
@@ -263,12 +262,12 @@ def reference_encode_real(sigma, table, horizon=None):
     return InterceptDigits(tuple(digits), coeff == 0 and const == 0)
 
 
-def encode_outcome(encode, sigma, table, limit):
+def encode_outcome(encode, sigma, table):
     """The digits, or the error with its message and branches; a
     PrecisionError by type only, since the probe order decides which
     boundary its message names."""
     try:
-        return encode(sigma, table, limit)
+        return encode(sigma, table)
     except PrecisionError:
         return "PrecisionError"
     except AmbiguousExpansionError as exc:
@@ -310,10 +309,8 @@ def test_digit_search_matches_the_reference(rng):
             u, p = digit_prefix_value(prefix, t)
             sigmas.append((u + coeff, const - p))
         for sigma in sigmas:
-            limit = rng.choice((None, K))
-            got = encode_outcome(encode_real, sigma, t, limit)
-            assert got == encode_outcome(reference_encode_real, sigma, t, limit), (
-                t.spec, sigma, limit)
+            got = encode_outcome(encode_real, sigma, t)
+            assert got == encode_outcome(reference_encode_real, sigma, t), (t.spec, sigma)
             seen.add(_kind(got))
     assert seen == {"digits", "invalid", "PrecisionError",
                     "(0, 0)", "(0, 1)", "(j-1, j)", "(cap, cap)"}
@@ -323,7 +320,7 @@ def test_digit_search_matches_the_reference(rng):
 @given(st.data())
 def test_encode_decode_round_trip_on_digit_vectors(data):
     quotients = data.draw(st.lists(st.integers(1, 6), min_size=6, max_size=10))
-    t = build_table(SlopeSpec(tuple(quotients), tuple(quotients), 14))
+    t = build_table(SlopeSpec(tuple(quotients), tuple(quotients), 16))
     digs = []
     prev = 1
     for k in range(1, 9):
@@ -332,8 +329,8 @@ def test_encode_decode_round_trip_on_digit_vectors(data):
         digs.append(d)
         prev = d
     u, p = digit_prefix_value(digs, t)
-    got = encode_real((u, -p), t, 14)
-    assert got.terminating
+    got = encode_real((u, -p), t)  # K - 2 = 14 digits
+    assert len(got.digits) == 14 and got.terminating
     assert got.digits[: len(digs)] == tuple(digs)
     assert all(d == 0 for d in got.digits[len(digs):])
 

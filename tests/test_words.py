@@ -289,6 +289,37 @@ def test_formal_intercept_rejects_non_sturmian(golden):
         formal_intercept(fake, golden, 4)
 
 
+def test_formal_intercept_reads_each_source_letter_once(rng):
+    for _ in range(10):
+        t = random_slope_table(rng, 9, amax=4)
+        digs = random_digits(rng, t, 6)
+        ws = word_system(t, digs)
+        reads = []
+
+        def source(n):
+            reads.append(n)
+            return ws.letter(n)
+
+        assert formal_intercept(source, t, 6).digits == digs
+        assert reads == list(range(1, t.q(6)))  # in order, none twice
+
+
+def test_formal_intercept_reads_no_letter_past_every_candidate(golden):
+    # both level-5 candidates have letter 5 = 0 (windows 010 and 011 of
+    # letters 5..7), so after a flipped letter 5 no candidate needs letter
+    # 6, which this source cannot give
+    word = WordSystem.characteristic(golden).prefix(5)
+    assert word[4] == "0"
+
+    def source(n):
+        if n > len(word):
+            raise HorizonError(f"no letter {n}")
+        return int(word[n - 1]) ^ (n == 5)
+
+    with pytest.raises(ConfigError, match="at level 5"):
+        formal_intercept(source, golden, 6)
+
+
 def test_common_prefix_examples(slope532):
     ws = word_system(slope532, (4, 0, 2), terminating=False)
     w0, n0 = ws.common_prefix(0)
