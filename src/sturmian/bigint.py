@@ -14,17 +14,35 @@ so at the sizes the CLI serves those two built-ins dominate.
   Recursive Division" (MPI-I-98-1-022, 1998), and the remainder is
   a - q*b.  From CPython 3.12 on the built-in is itself subquadratic and
   faster than this recursion, so there the name is the built-in.
-* `to_decimal(n)` returns `str(n)`.  Large n are converted divide and
-  conquer (Knuth, TAOCP vol. 2, 4.4): split on bits, rebuilt exactly in
-  `decimal`, whose `str` is linear and has no digit limit.  The
-  interpreter's int-to-str limit is read, never set.
+* `to_decimals(values)` returns `[str(n) for n in values]`, and
+  `to_decimal(n)` is its one-value form.  Values are converted divide
+  and conquer (Knuth, TAOCP vol. 2, 4.4), in one of two regimes chosen
+  by the largest value of the call, whose powers all its values share:
+  - up to 48,000 bits, halving in int: n is split by `divmod` on 10^k,
+    k about half its digits, down to leaves of at most 1,200 digits (or
+    the int-to-str limit, if lower), which go to `str`;
+  - past that, the Decimal ladder: n is split on bits down to 1,024-bit
+    leaves and rebuilt exactly in `decimal`, whose products (by
+    number-theoretic transform) are then the cheaper and whose `str` is
+    linear and has no digit limit.
+  The cut and the leaf were timed on CPython 3.11.  The two regimes
+  cross at 48,000-49,000 bits, where the ladder's top product passes 256
+  libmpdec words (about 16,000 bits) and leaves Karatsuba for the
+  transform; the leaf size moves the time by under 5% anywhere from 600
+  to 2,400 digits.  Once a call has built the ladder, its smaller values
+  go down it too: there it costs about what halving does, and much less
+  on values whose bits are sparse, such as the base-2 terms of the
+  golden slope (0.09 against 0.38 ms for a 17,712-bit one).  CPython
+  3.12+ keeps the same paths.  The interpreter's int-to-str limit is
+  read, never set.
 * `continuants_to_decimal(terms, starts)` returns the strings of the
   continuants x_j = t_j*x_{j-1} + x_{j-2}, such as the convergents P_j and
   Q_j of a continued fraction.  Converting each x_j from binary would cost
-  O(M(n) log n) apiece; instead each term is converted once and the
-  recurrence runs in `decimal`, one multiplication per step (libmpdec
-  multiplies large operands by number-theoretic transform), so no x_j is
-  ever converted from binary.
+  O(M(n) log n) apiece; instead each term and seed is converted once, in
+  the regime of `to_decimals` (a halving string becomes a Decimal in
+  linear time), and the recurrence runs in `decimal`, one multiplication
+  per step (libmpdec multiplies large operands by number-theoretic
+  transform), so no x_j is ever converted from binary.
 
 Both decimal paths compute in one exact context (precision and exponent
 at their maxima, `Inexact` and `Rounded` trapped), so a rounding raises
@@ -46,8 +64,9 @@ from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexa
 _DIVISOR_BITS = 30_000
 _GUARD_BITS = 64  # divisor bits kept beyond the quotient's
 _BZ_LEAF_BITS = 8000  # the recursion hands n-bit quotients below this to divmod
-_STR_BITS = 10_000  # up to here the built-in str is as fast
-_DECIMAL_LEAF_BITS = 1024  # parts this small become Decimal directly
+_HALVING_BITS = 48_000  # up to here values are halved in int, past it laddered
+_HALVING_LEAF_DIGITS = 1200  # halves this short go to str
+_DECIMAL_LEAF_BITS = 1024  # ladder parts this small become Decimal directly
 
 # exact decimal arithmetic: a result that would need rounding raises
 # instead (`localcontext` copies this, so it is never changed)
@@ -125,16 +144,16 @@ int_divmod = divmod if sys.version_info >= (3, 12) else _int_divmod
 
 
 def to_decimal(n: int) -> str:
-    """str(n), converted divide and conquer once n is large or longer
-    than the interpreter's int-to-str limit allows."""
-    bits = n.bit_length()
-    limit = _max_str_digits()
-    if bits <= _STR_BITS and not (limit and bits // 3 + 1 > limit):
-        return str(n)
-    if n < 0:
-        return "-" + to_decimal(-n)
+    """str(n), whatever its size and the interpreter's int-to-str limit."""
+    return to_decimals([n])[0]
+
+
+def to_decimals(values: Sequence[int]) -> list[str]:
+    """[str(n) for n in values], through one set of powers built for the
+    largest of them."""
     with localcontext(_EXACT):
-        return str(_exact(n, _ladder(bits)))
+        powers = _powers(values)
+        return [_to_str(n, powers) for n in values]
 
 
 def continuants_to_decimal(terms: Sequence[int],
@@ -143,12 +162,12 @@ def continuants_to_decimal(terms: Sequence[int],
     x_1, ..., x_n, where x_j = t_j*x_{j-1} + x_{j-2} over the terms t_j.
 
     Terms and seeds must be >= 0.  Each is converted once, through one
-    power ladder; the recurrence then runs in exact `decimal`."""
+    set of powers; the recurrence then runs in exact `decimal`."""
     values = [*terms, *(x for pair in starts for x in pair)]
     if min(values, default=0) < 0:
         raise ValueError("continuant terms and seeds must be >= 0")
     with localcontext(_EXACT):
-        powers = _ladder(max(values, default=0).bit_length())
+        powers = _powers(values)
         pairs = [(_exact(a, powers), _exact(b, powers)) for a, b in starts]
         out: list[list[str]] = [[] for _ in pairs]
         for t in terms:
@@ -160,6 +179,59 @@ def continuants_to_decimal(terms: Sequence[int],
         return out
 
 
+def _powers(values: Sequence[int]) -> tuple[int, dict[int, int], list[Decimal] | None]:
+    """What converting `values` draws on: the halving's leaf size in digits,
+    a cache {k: 10^k} that the halvings fill, and, if the largest value is
+    past the cut, the ladder reaching it, which then converts every value
+    (else None).  Call it inside the `_EXACT` context.  The powers are
+    passed down the recursions, not closed over: a recursive closure is a
+    reference cycle that would keep them alive past the call until the
+    cyclic GC runs."""
+    limit = _max_str_digits()
+    leaf = min(_HALVING_LEAF_DIGITS, limit) if limit else _HALVING_LEAF_DIGITS
+    bits = max(map(int.bit_length, values), default=0)
+    return leaf, {}, (_ladder(bits) if bits > _HALVING_BITS else None)
+
+
+def _to_str(n: int, powers: tuple) -> str:
+    """str(n), from what `_powers` built.  Call it inside the `_EXACT`
+    context."""
+    if n < 0:
+        return "-" + _to_str(-n, powers)
+    leaf, tens, ladder = powers
+    if ladder is not None:
+        return str(_exact(n, powers))
+    # at least n's digits, and for n under 2^1,000,000 at most one more
+    # (0.30103 is just above log10(2))
+    return _halved(n, int(n.bit_length() * 0.30103) + 1, leaf, tens)
+
+
+def _exact(n: int, powers: tuple) -> Decimal:
+    """n >= 0 as a Decimal, from what `_powers` built.  Call it inside the
+    `_EXACT` context."""
+    if powers[2] is None:  # Decimal parses the string in linear time
+        return Decimal(_to_str(n, powers))
+    # the least j with _DECIMAL_LEAF_BITS * 2^j >= n's bits
+    j = (max(n.bit_length() - 1, 0) // _DECIMAL_LEAF_BITS).bit_length()
+    return _as_decimal(n, j, powers[2])
+
+
+def _halved(n: int, width: int, leaf: int, tens: dict[int, int]) -> str:
+    """The digits of 0 <= n < 10^width, at most `width` of them: n is split
+    on 10^k, k = width // 2, and the low half is zero-padded to k digits.
+    Leading zeros come out only where n has under width - 1 digits, as a
+    low half may; called with at most one digit to spare, as `_to_str`
+    calls it, each high part keeps at least width - 1 digits, so none is
+    zero and str(n) comes out."""
+    if width <= leaf:
+        return str(n)
+    k = width >> 1
+    if k not in tens:
+        tens[k] = 10 ** k
+    hi, lo = divmod(n, tens[k])
+    return _halved(hi, width - k, leaf, tens) + _halved(lo, k, leaf, tens).zfill(k)
+
+
 def _ladder(bits: int) -> list[Decimal]:
     """powers[j] = 2^(leaf * 2^j), each the square of the one before, for
     j < L, the least L >= 1 with leaf * 2^L >= bits."""
@@ -169,17 +241,8 @@ def _ladder(bits: int) -> list[Decimal]:
     return powers
 
 
-def _exact(n: int, powers: list[Decimal]) -> Decimal:
-    """n >= 0 as a Decimal, split on bits down the ladder `powers`, which
-    must reach n's size.  Call it inside the `_EXACT` context."""
-    # the least j with leaf * 2^j >= n's bits
-    j = (max(n.bit_length() - 1, 0) // _DECIMAL_LEAF_BITS).bit_length()
-    return _as_decimal(n, j, powers)
-
-
 def _as_decimal(x: int, j: int, powers: list[Decimal]) -> Decimal:
-    """x < 2^(leaf * 2^j) as a Decimal.  `powers` is passed down, not closed
-    over, so no reference cycle keeps the ladder alive after the call."""
+    """x < 2^(leaf * 2^j) as a Decimal, split on bits down the ladder."""
     if j == 0:
         return Decimal(x)
     j -= 1

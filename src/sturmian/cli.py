@@ -4,9 +4,10 @@ Commands: word | ostrowski-int | ostrowski-real | cf | convergents |
 exponent | verify | boehmer.  A JSON config file supplies the slope and
 intercept; flags override.  Data goes to stdout, diagnostics to stderr;
 all numeric payloads are decimal strings.  The big ones come from
-`bigint`: cf terms, boehmer terms and verify's certified prefix and
-pipeline from `to_decimal`, one value at a time; convergents P/Q from
-`continuants_to_decimal`, which runs the recurrence of
+`bigint`, all of a command's values in one call, so each power is built
+once per command: cf terms, boehmer terms and verify's certified prefix
+and pipeline (printed only in json) from `to_decimals`; convergents P/Q
+from `continuants_to_decimal`, which runs the recurrence of
 `cfrac.convergents` in decimal over the printed terms.  Both are
 subquadratic and never change the interpreter's int-to-str digit limit;
 inputs (`--encode`, `--sigma`) are held to that limit.  Exit codes:
@@ -35,7 +36,7 @@ import sys
 from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
-from .bigint import continuants_to_decimal, to_decimal
+from .bigint import continuants_to_decimal, to_decimals
 from .errors import ConfigError, HorizonError, InternalError, SturmianError, read_int
 
 
@@ -184,12 +185,13 @@ def _number_spec(cfg, system) -> cfrac.NumberSpec:
 def cmd_cf(args, cfg, system):
     spec = _number_spec(cfg, system)
     terms = cfrac.continued_fraction(spec, terms=args.terms).terms
+    values = to_decimals([t.value for t in terms])
     payload = {
         "base": str(spec.base),
         "terms": [
-            {"term": to_decimal(t.value), "family": f"({t.family[0]})_{t.family[1]}",
+            {"term": value, "family": f"({t.family[0]})_{t.family[1]}",
              "k": str(t.family[1])}
-            for t in terms
+            for t, value in zip(terms, values)
         ],
     }
     _emit(payload, args.format, lambda: " ".join(t["term"] for t in payload["terms"]))
@@ -254,16 +256,19 @@ def cmd_exponent(args, cfg, system):
 def cmd_verify(args, cfg, system):
     spec = _number_spec(cfg, system)
     rep = oracle.verify_agreement(spec, min_terms=args.terms or 10)
-    # the two lists share most terms: convert each value once
-    decimal = {t: to_decimal(t) for t in {*rep.certified_prefix, *rep.pipeline_terms}}
-    payload = {
-        "N": str(rep.digits_used),
-        "certifiedPrefix": [decimal[t] for t in rep.certified_prefix],
-        "pipeline": [decimal[t] for t in rep.pipeline_terms],
-        "overlap": rep.overlap,
-        "matches": rep.matches,
-        "firstMismatchIndex": rep.first_mismatch,
-    }
+    payload = {}
+    if args.format == "json":  # text and rle print the verdict alone
+        # the two lists share most terms: convert each value once
+        values = list(dict.fromkeys([*rep.certified_prefix, *rep.pipeline_terms]))
+        decimal = dict(zip(values, to_decimals(values)))
+        payload = {
+            "N": str(rep.digits_used),
+            "certifiedPrefix": [decimal[t] for t in rep.certified_prefix],
+            "pipeline": [decimal[t] for t in rep.pipeline_terms],
+            "overlap": rep.overlap,
+            "matches": rep.matches,
+            "firstMismatchIndex": rep.first_mismatch,
+        }
     _emit(payload, args.format, lambda: "match" if rep.matches else "MISMATCH")
     return 0 if rep.matches else InternalError.exit_code
 
@@ -279,7 +284,7 @@ def cmd_boehmer(args, cfg, system):
         overlap = min(len(stream), len(closed))
         if list(closed[:overlap]) != list(stream[:overlap]):
             raise InternalError("closed form disagrees with the pipeline")
-    payload = {"terms": [to_decimal(a) for a in closed]}
+    payload = {"terms": to_decimals(closed)}
     _emit(payload, args.format, lambda: " ".join(payload["terms"]))
 
 

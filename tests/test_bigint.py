@@ -143,36 +143,69 @@ def test_to_decimal_fixed_values():
             assert sys.get_int_max_str_digits() == limit
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(st.sampled_from(_near(3 * 640, 3 * 4300, bigint._STR_BITS, 40_000)),
-       st.data(), st.sampled_from([0, 640, 4300]), st.booleans())
-def test_to_decimal_equals_str_around_its_thresholds(bits, data, limit, negative):
-    n = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+# halving leaves: the default and the one under the lowest limit
+LEAF_DIGITS = (640, bigint._HALVING_LEAF_DIGITS)
+
+
+def sized_ints(bits=(), digits=()):
+    """Ints of one of the bit lengths `bits` or the digit counts `digits`."""
+    ranges = [(1 << (b - 1), (1 << b) - 1) for b in bits]
+    ranges += [(10 ** (d - 1), 10 ** d - 1) for d in digits]
+    return st.sampled_from(ranges).flatmap(lambda r: st.integers(*r))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sized_ints(_near(3 * 640, 3 * 4300, bigint._HALVING_BITS) + [20_000, 70_000],
+                  _near(*LEAF_DIGITS)),
+       st.sampled_from([0, 640, 4300]), st.booleans())
+def test_to_decimal_equals_str_around_its_thresholds(n, limit, negative):
+    # around the limits, the halving leaves (in digits) and the cut to the
+    # ladder (in bits), and in both regimes
     n = -n if negative else n
     want = reference_str(n)
     with int_str_limit(limit):
         assert bigint.to_decimal(n) == want
+        assert bigint.to_decimals([n, -n, 0]) == [want, reference_str(-n), "0"]
+
+
+def test_to_decimal_pads_long_zero_runs():
+    # 10^k - 1, 10^k and 10^k + 1 split into halves of all nines, or a one
+    # and a low half of zeros: the padding of each half shows
+    leaf = bigint._HALVING_LEAF_DIGITS
+    ks = sorted({k + d for k in (1, 640, 1280, leaf, 2 * leaf, 4 * leaf, 14_449)
+                 for d in (-2, -1, 0, 1, 2) if k + d > 0})
+    values = [10 ** k + d for k in ks for d in (-1, 0, 1)]
+    values += [10 ** k + 10 ** (k // 2) for k in ks]  # zeros on both sides of a 1
+    want = [reference_str(n) for n in values]
+    for limit in (0, 640, 4300):
+        with int_str_limit(limit):
+            assert bigint.to_decimals(values) == want
+            assert [bigint.to_decimal(n) for n in values] == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(-(1 << 3000), 1 << 3000))
 def test_to_decimal_recursion_with_a_small_leaf(n):
-    with patched(_STR_BITS=0, _DECIMAL_LEAF_BITS=7):
+    # both regimes with tiny leaves: halving past 2 digits up to 200 bits,
+    # the ladder of 7-bit leaves past them
+    with patched(_HALVING_BITS=200, _HALVING_LEAF_DIGITS=2, _DECIMAL_LEAF_BITS=7):
         assert bigint.to_decimal(n) == reference_str(n)
 
 
 def test_to_decimal_frees_its_power_ladder():
-    # the ladder of Decimal powers is passed down the recursion, not closed
-    # over: a self-recursive closure is a reference cycle that would keep
-    # it alive past the call until the cyclic GC
-    n = 7 ** 40_000
-    assert n.bit_length() > bigint._STR_BITS
-    want = reference_str(n)
+    # the ladder of Decimal powers and the powers of ten are passed down
+    # the recursions, not closed over: a self-recursive closure is a
+    # reference cycle that would keep them alive past the call until the
+    # cyclic GC.  One value goes down the ladder, the other is halved.
+    values = [7 ** 40_000, 7 ** 10_000]
+    assert values[0].bit_length() > bigint._HALVING_BITS > values[1].bit_length() > \
+        3.33 * bigint._HALVING_LEAF_DIGITS
+    want = [reference_str(n) for n in values]
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert bigint.to_decimal(n) == want
+        assert [bigint.to_decimal(n) for n in values] == want
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -196,11 +229,10 @@ SEEDS = [(2, 0), (0, 2), (1 << 20_000, 3 ** 5000)]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from(_near(bigint._STR_BITS, 1024, 1) + [0]), min_size=1,
-                max_size=6), st.data(), st.sampled_from([0, 640]))
-def test_continuants_equal_the_int_recurrence_around_str_bits(sizes, data, limit):
-    terms = [data.draw(st.integers(1 << (s - 1), (1 << s) - 1)) if s else 0
-             for s in sizes]
+@given(st.lists(st.just(0) | sized_ints(_near(2, 1024, bigint._HALVING_BITS),
+                                        _near(*LEAF_DIGITS)),
+                min_size=1, max_size=6), st.sampled_from([0, 640]))
+def test_continuants_equal_the_int_recurrence_around_the_cut(terms, limit):
     want = reference_continuants(terms, SEEDS)
     with int_str_limit(limit):
         assert bigint.continuants_to_decimal(terms, SEEDS) == want
@@ -211,9 +243,20 @@ def test_continuants_equal_the_int_recurrence_around_str_bits(sizes, data, limit
        st.lists(st.tuples(st.integers(0, 1 << 200), st.integers(0, 1 << 200)),
                 max_size=3))
 def test_continuants_with_a_small_leaf(terms, starts):
-    with patched(_STR_BITS=0, _DECIMAL_LEAF_BITS=7):
+    with patched(_HALVING_BITS=100, _HALVING_LEAF_DIGITS=2, _DECIMAL_LEAF_BITS=7):
         assert bigint.continuants_to_decimal(terms, starts) == \
             reference_continuants(terms, starts)
+
+
+def test_continuants_under_the_cut_build_no_ladder(monkeypatch):
+    def no_ladder(bits):
+        raise AssertionError(f"a ladder for {bits} bits")
+
+    monkeypatch.setattr(bigint, "_ladder", no_ladder)
+    terms = [(1 << bigint._HALVING_BITS) - 1, 3, 7 ** 5000]
+    seeds = [(2, 0), (0, 2), ((1 << bigint._HALVING_BITS) - 1, 10 ** 9000)]
+    assert bigint.continuants_to_decimal(terms, seeds) == reference_continuants(terms, seeds)
+    assert bigint.to_decimals(terms) == [reference_str(t) for t in terms]
 
 
 def test_continuants_with_a_zero_first_term():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sturmian
-from sturmian import SlopeSpec, bigint, build_table, cfrac, exponent
+from sturmian import SlopeSpec, build_table, cfrac, exponent
 from sturmian.bigint import to_decimal
 from sturmian.cli import main
 from sturmian.errors import InternalError, SturmianError, read_int
@@ -484,9 +484,10 @@ def test_convergents_payload_equals_the_int_recurrence(form, data):
     assert json.loads(out)["convergents"] == want
 
 
-def test_convergents_past_str_bits_under_a_low_int_str_limit():
-    # P/Q of golden K=22 b=2 reach about 10,900 bits, past bigint._STR_BITS
-    # and 3,300 digits, so the CLI prints them past a 640-digit limit
+def test_convergents_past_a_halving_leaf_under_a_low_int_str_limit():
+    # golden K=22 b=2 has terms of up to 4,200 bits (1,260 digits), which
+    # the CLI halves into leaves of at most 640 digits under a 640-digit
+    # limit, and P/Q of about 10,900 bits (3,300 digits)
     command = ({"preperiod": [1], "period": [1], "horizon": 22}, None, False, 2, None)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -497,4 +498,6 @@ def test_convergents_past_str_bits_under_a_low_int_str_limit():
     finally:
         sys.set_int_max_str_digits(old)
     assert code == 0 and json.loads(out)["convergents"] == want
-    assert len(want[-1]["Q"]) > bigint._STR_BITS * math.log10(2)
+    system = WordSystem.from_spec(build_table(SlopeSpec.from_json(command[0])))
+    terms = cfrac.continued_fraction(cfrac.NumberSpec(2, system)).values()
+    assert len(str(max(terms))) > 640 and len(want[-1]["Q"]) > 640

@@ -175,7 +175,17 @@ def corpus() -> list[list[str]]:
         # exit 3: a word of one level has no row in the growth table
         g + ["--base", "1", "exponent"],
         g + _intercept({"digits": [0], "terminating": False}) + ["exponent"],
+        # text and rle print verify's verdict alone: a match, and a
+        # shortfall of the certified prefix (exit 4)
+        g + ["--base", "2", "--format", "text", "verify"],
+        ["--slope", SLOPES["532"]["slope"], "--base", "3", "--format", "rle", "verify"],
     ]
+    # the first terms of (5,3,2) K=11 b=3: terms and P/Q of 10k-41k bits,
+    # printed through the halving regime of `bigint`
+    for intercept in (_intercept({"m": 1, "p": 0}), []):
+        for sub in ("cf", "convergents"):
+            cmds.append(["--slope", _slope([5, 3, 2], [5, 3, 2], 11), *intercept,
+                         "--base", "3", sub, "--terms", "8"])
     return cmds
 
 
