@@ -29,7 +29,6 @@ from .cfrac import (
     ConvergentPair,
     FamilyFraction,
     NumberSpec,
-    TermStream,
     boehmer_term,
     check_family_recurrences,
     continued_fraction,

@@ -21,8 +21,8 @@ The rules look only at signs, and every sign is fixed by the digits:
 c_k < 0 iff a_{k+1} = b_{k+1}, c_k = 0 iff a_{k+1} - b_{k+1} = 1,
 d_k = 0 iff t_k = 0, e_k >= 1, and f_k = 0 iff b_{k+1} = 0.  So the
 rewrite runs on signs, and each term it builds carries its value as a
-constant plus references to term-block entries (c_k + 1 + e_{k+1} for
-rule (i), x + y for rule (ii)), evaluated only when the term is released.
+constant plus the names of the raw entries it sums (c_k + 1 + e_{k+1}
+for rule (i), x + y for rule (ii)).
 
 `final_terms` is one generator: rule (i) sees one level ahead, and rule
 (ii) is a left-to-right stack pass that releases a term as soon as the
@@ -31,12 +31,12 @@ can fold into it.  Once the last known level is read, the two-level
 stability rule applies: terms involving the last two levels are
 withheld, because a longer stream could still rewrite them, and a
 trailing zero is dropped.  Everything released is final and equal to the
-corresponding term of the expansion over all known levels.  A level's
-term block is built only when a released term reads it, so `--terms N`
-pays only for the levels under its N terms, and no expansion ever builds
-its last two levels.  The depth belongs to the word system: one level per
-known intercept digit (`WordSystem.levels`), so a shallower number is a
-shorter digit prefix.
+corresponding term of the expansion over all known levels.  Each raw
+part ends up in exactly one released term, which computes the entries it
+names and nothing else: none is computed twice or kept, `--terms N` pays
+only for its N terms, and no expansion computes its last two levels.  The
+depth belongs to the word system: one level per known intercept digit
+(`WordSystem.levels`), so a shallower number is a shorter digit prefix.
 """
 
 from __future__ import annotations
@@ -98,13 +98,6 @@ class Term(NamedTuple):
         """Convergent family of this term: that of its last merged part."""
         kind, k = self.parts[-1]
         return _PART_FAMILY[kind], k
-
-
-class TermStream(NamedTuple):
-    terms: tuple[Term, ...]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(t.value for t in self.terms)
 
 
 class ConvergentPair(NamedTuple):
@@ -190,21 +183,26 @@ def _geom(base: int, step: int, count: int) -> int:
     return g
 
 
-def term_block(spec: NumberSpec, k: int) -> TermBlock:
-    """Exact term values at level k (reads intercept digit k+1)."""
+def _entry(spec: NumberSpec, kind: str, k: int) -> int:
+    """Entry `kind` (c, d, e or f) of the level-k `TermBlock`."""
     sys_, b = spec.system, spec.base
-    t, r = sys_.offset(k), sys_.suffix_len(k)
-    qk, qk1 = sys_.q(k), sys_.table.q(k - 1)
+    if kind == "d":
+        return pow(b, sys_.offset(k)) - 1
+    if kind == "e":
+        return pow(b, sys_.suffix_len(k)) - 1
+    if kind == "f":
+        return pow(b, sys_.offset(k)) * _geom(b, sys_.q(k), sys_.digit(k + 1))
+    r, qk, qk1 = sys_.suffix_len(k), sys_.q(k), sys_.table.q(k - 1)
     gap = sys_.gap(k + 1)
     if gap == 0:
         # b_k = 0 here, so r_{k-1} = r_k + q_{k-1} - q_k
-        c = -pow(b, r + qk1 - qk)
-    else:
-        c = pow(b, r + qk1) * _geom(b, qk, gap - 1)
-    d = pow(b, t) - 1
-    e = pow(b, r) - 1
-    f = pow(b, t) * _geom(b, qk, sys_.digit(k + 1))
-    return TermBlock(k, c, d, e, f)
+        return -pow(b, r + qk1 - qk)
+    return pow(b, r + qk1) * _geom(b, qk, gap - 1)
+
+
+def term_block(spec: NumberSpec, k: int) -> TermBlock:
+    """Exact term values at level k (reads intercept digit k+1)."""
+    return TermBlock(k, *(_entry(spec, kind, k) for kind in "cdef"))
 
 
 def boehmer_term(table, base: int, k: int) -> int:
@@ -219,7 +217,7 @@ def boehmer_term(table, base: int, k: int) -> int:
 
 class _Pending(NamedTuple):
     """A term inside the rewrite: its sign, and its value as `const` plus
-    the term-block entries named in `refs`, (kind, level) pairs."""
+    the entries named in `refs`, (kind, level) pairs."""
 
     sign: int
     const: int
@@ -247,7 +245,7 @@ def _level_signs(spec: NumberSpec, k: int) -> tuple[_Pending, ...]:
     gap = sys_.gap(k + 1)
     signs = (-1 if gap == 0 else int(gap > 1), int(t > 0), 1, 1,
              int(sys_.digit(k + 1) > 0))
-    # a zero part is the constant 0, so it names no block entry
+    # a zero part is the constant 0, so it names no entry
     return tuple(_Pending(1, 1, (), ((kind, k),)) if kind == "one"
                  else _Pending(sign, 0, ((kind, k),) if sign else (), ((kind, k),))
                  for kind, sign in zip(_KINDS, signs))
@@ -339,32 +337,27 @@ def final_terms(spec: NumberSpec) -> Iterator[Term]:
     """The regular expansion over the L = `spec.system.levels` known
     levels, built on demand: the terms of `_rewrite` less those involving
     levels L-2 and L-1 (a longer stream could still rewrite them) and a
-    trailing zero.  A level's term block is computed when the first
-    released term reads it and dropped once no later term can."""
+    trailing zero, each valued from the entries it names."""
     levels = spec.system.levels
     if levels < 1:
         raise ConfigError("need at least one level")
-    blocks: dict[int, TermBlock] = {}
     for t in _rewrite(spec):
-        if t.sign == 0 or t.level > levels - 3:
-            continue
-        value = t.const
-        for kind, k in t.refs:
-            if k not in blocks:
-                blocks[k] = term_block(spec, k)
-            value += getattr(blocks[k], kind)
-        for k in [k for k in blocks if k < t.level]:  # later terms start at t.level
-            del blocks[k]
-        yield Term(value, t.parts)
+        if t.sign and t.level <= levels - 3:
+            yield Term(t.const + sum(_entry(spec, kind, k) for kind, k in t.refs),
+                       t.parts)
 
 
-def continued_fraction(spec: NumberSpec, *, terms: int | None = None) -> TermStream:
+class _Terms(tuple):
+    terms = property(lambda self: self)  # the name perfbench/tracing.py reads
+
+
+def continued_fraction(spec: NumberSpec, *, terms: int | None = None) -> tuple[Term, ...]:
     """The first `terms` terms of `final_terms` (all of them by default)."""
-    return TermStream(tuple(islice(final_terms(spec), terms)))
+    return _Terms(islice(final_terms(spec), terms))
 
 
-def convergents(stream: TermStream, base: int) -> list[ConvergentPair]:
-    """Numerator/denominator pairs along the final stream.
+def convergents(terms: tuple[Term, ...], base: int) -> list[ConvergentPair]:
+    """Numerator/denominator pairs along the final terms.
 
     The CLI prints P_j, Q_j from the same recurrence run in decimal
     (`bigint.continuants_to_decimal`); this int version is the reference
@@ -372,7 +365,7 @@ def convergents(stream: TermStream, base: int) -> list[ConvergentPair]:
     pairs = []
     p_prev, q_prev = base - 1, 0  # index -1
     p_cur, q_cur = 0, base - 1  # index 0
-    for j, t in enumerate(stream.terms, start=1):
+    for j, t in enumerate(terms, start=1):
         p_prev, p_cur = p_cur, t.value * p_cur + p_prev
         q_prev, q_cur = q_cur, t.value * q_cur + q_prev
         pairs.append(ConvergentPair(p_cur, q_cur, j, t.family, t.value))

@@ -3,16 +3,16 @@
 Commands: word | ostrowski-int | ostrowski-real | cf | convergents |
 exponent | verify | boehmer.  A JSON config file supplies the slope and
 intercept; flags override.  Data goes to stdout, diagnostics to stderr;
-all numeric payloads are decimal strings.  The big ones come from
-`bigint`, all of a command's values in one call, so each power is built
-once per command: cf terms, boehmer terms and verify's certified prefix
-and pipeline (printed only in json) from `to_decimals`; convergents P/Q
-from `continuants_to_decimal`, which runs the recurrence of
-`cfrac.convergents` in decimal over the printed terms.  Both are
-subquadratic and never change the interpreter's int-to-str digit limit;
-inputs (`--encode`, `--sigma`) are held to that limit.  Exit codes:
-0 success, 2 invalid config/digits, 3 horizon or precision exhaustion,
-4 internal invariant failure.
+all numeric payloads are decimal strings.  Every printed integer comes
+from `bigint`, all of a command's values in one call, so each power is
+built once per command; P/Q from `continuants_to_decimal`, which runs
+the recurrence of `cfrac.convergents` in decimal over the printed terms,
+and the rest from `to_decimals`.  Both are subquadratic and never change
+the interpreter's int-to-str digit limit.  The only exceptions, printed
+by `str`, are level and term indices and the echoed base and length:
+inputs are held to that limit.  Exit codes: 0 success, 2 invalid
+config/digits, 3 horizon or precision exhaustion, 4 internal invariant
+failure.
 
 The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4},
 its numbers integers or decimal strings.  The intercept (parsed by
@@ -22,7 +22,8 @@ for a digit prefix), {"m": m, "p": p} (the degenerate
 rho = -(m-1)*theta + p), {"sigma": "u/v"} (sigma = rho - theta) or
 {"sigma_pair": [u, "v"]} (sigma = u*theta + v); `--upper` (or the
 config's "upper": true) picks the upper word of a degenerate intercept.
-"terminating" and "upper" are JSON booleans; digits, m, p, u and the
+"preperiod", "period", "digits" and "sigma_pair" are JSON lists, and
+"terminating" and "upper" JSON booleans; digits, m, p, u and the
 config's "base" and "length" are integers or decimal strings, which
 like every integer flag take a sign and ASCII digits only.
 """
@@ -40,8 +41,16 @@ from .bigint import continuants_to_decimal, to_decimals
 from .errors import ConfigError, HorizonError, InternalError, SturmianError, read_int
 
 
-def _fr(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _decimals(ints, fractions=()) -> dict[int, str]:
+    """The decimal strings of `ints` and of the numerators and denominators
+    of `fractions` (None skipped), each converted once, in one call."""
+    values = list(dict.fromkeys([*ints, *(n for x in fractions if x is not None
+                                          for n in (x.numerator, x.denominator))]))
+    return dict(zip(values, to_decimals(values)))
+
+
+def _fr(dec: dict[int, str], x: Fraction | None) -> str | None:
+    return None if x is None else f"{dec[x.numerator]}/{dec[x.denominator]}"
 
 
 def _ints(text: str, what: str) -> tuple[int, ...]:
@@ -135,16 +144,16 @@ def cmd_word(args, cfg, system):
 def cmd_ostrowski_int(args, cfg, system):
     table = system.table
     if args.encode is not None:
-        digits = ostrowski.encode_integer(args.encode, table)
-        payload = {"n": str(args.encode), "digits": [str(d) for d in digits.digits]}
-        _emit(payload, args.format, lambda: ",".join(payload["digits"]))
+        n, digits = args.encode, ostrowski.encode_integer(args.encode, table).digits
     elif args.digits:
-        seq = _ints(args.digits, "--digits")
-        n = ostrowski.decode_integer(seq, table)
-        payload = {"digits": [str(d) for d in seq], "n": str(n)}
-        _emit(payload, args.format, lambda: str(n))
+        digits = _ints(args.digits, "--digits")
+        n = ostrowski.decode_integer(digits, table)
     else:
         raise ConfigError("ostrowski-int needs --encode N or --digits d1,d2,...")
+    n_text, *digit_texts = to_decimals([n, *digits])
+    payload = {"n": n_text, "digits": digit_texts}
+    _emit(payload, args.format,
+          lambda: n_text if args.encode is None else ",".join(digit_texts))
 
 
 def cmd_ostrowski_real(args, cfg, system):
@@ -161,21 +170,18 @@ def cmd_ostrowski_real(args, cfg, system):
             ) from exc
         digits = ostrowski.encode_real((u, ostrowski.parse_fraction(v)), table)
     elif args.digits:
-        seq = _ints(args.digits, "--digits")
-        lo, hi = ostrowski.decode_real(seq, table)
-        payload = {"digits": [str(d) for d in seq], "lower": _fr(lo), "upper": _fr(hi)}
-        _emit(payload, args.format, lambda: f"[{_fr(lo)}, {_fr(hi)}]")
-        return
+        digits = ostrowski.InterceptDigits(_ints(args.digits, "--digits"))
     else:
         raise ConfigError("ostrowski-real needs --sigma, --sigma-pair or --digits")
     lo, hi = ostrowski.decode_real(digits, table)
-    payload = {
-        "digits": [str(d) for d in digits.digits],
-        "terminating": digits.terminating,
-        "lower": _fr(lo),
-        "upper": _fr(hi),
-    }
-    _emit(payload, args.format, lambda: ",".join(payload["digits"]))
+    dec = _decimals(digits.digits, (lo, hi))
+    payload = {"digits": [dec[d] for d in digits.digits],
+               "lower": _fr(dec, lo), "upper": _fr(dec, hi)}
+    if args.sigma is None and args.sigma_pair is None:  # decoding --digits
+        _emit(payload, args.format, lambda: f"[{payload['lower']}, {payload['upper']}]")
+    else:
+        payload["terminating"] = digits.terminating
+        _emit(payload, args.format, lambda: ",".join(payload["digits"]))
 
 
 def _number_spec(cfg, system) -> cfrac.NumberSpec:
@@ -184,7 +190,7 @@ def _number_spec(cfg, system) -> cfrac.NumberSpec:
 
 def cmd_cf(args, cfg, system):
     spec = _number_spec(cfg, system)
-    terms = cfrac.continued_fraction(spec, terms=args.terms).terms
+    terms = cfrac.continued_fraction(spec, terms=args.terms)
     values = to_decimals([t.value for t in terms])
     payload = {
         "base": str(spec.base),
@@ -199,7 +205,7 @@ def cmd_cf(args, cfg, system):
 
 def cmd_convergents(args, cfg, system):
     spec = _number_spec(cfg, system)
-    terms = cfrac.continued_fraction(spec, terms=args.terms).terms
+    terms = cfrac.continued_fraction(spec, terms=args.terms)
     # P_j and Q_j by the recurrence of `cfrac.convergents`, run in decimal
     b1 = spec.base - 1
     ps, qs = continuants_to_decimal([t.value for t in terms], [(b1, 0), (0, b1)])
@@ -218,39 +224,40 @@ def cmd_exponent(args, cfg, system):
     _number_spec(cfg, system)  # refuses a bad base, as every number command does
     rows = exponent.nu_table(system)
     est = exponent.irrationality_estimate(system)
-    strong = []
+    records = []
     for k in range(2, len(rows)):
         try:
-            records = exponent.classify_families(system, k)
+            records += exponent.classify_families(system, k)
         except (ConfigError, HorizonError):
             # levels outside the dispatch's domain, or whose digit window
             # runs past the known digits, carry no verdict
             continue
-        for r in records:
-            strong.append({
-                "family": f"({r.family})_{r.k}", "k": str(r.k),
-                "accepted": r.accepted, "rule": r.rule,
-                "mu": _fr(r.mu) if r.mu is not None else None,
-                "height": str(r.height),
-                "errorExponent": _fr(r.error_exponent)
-                if r.error_exponent is not None else None,
-            })
+    tail = [est.tail_max[j] for j in range(1, 5)]
+    huge = est.mu_estimate > sys.float_info.max  # past floats: only "mu" holds it
+    dec = _decimals((r.height for r in records), [
+        *(x for r in rows for x in r[1:]), *tail, est.mu_estimate,
+        *(x for r in records for x in (r.mu, r.error_exponent))])
     payload = {
         "nu": [
-            {"k": str(r.k), "nu1": _fr(r.nu1), "nu2": _fr(r.nu2),
-             "nu3": _fr(r.nu3), "nu4": _fr(r.nu4)}
+            {"k": str(r.k), "nu1": _fr(dec, r.nu1), "nu2": _fr(dec, r.nu2),
+             "nu3": _fr(dec, r.nu3), "nu4": _fr(dec, r.nu4)}
             for r in rows
         ],
-        "strong": strong,
+        "strong": [
+            {"family": f"({r.family})_{r.k}", "k": str(r.k),
+             "accepted": r.accepted, "rule": r.rule, "mu": _fr(dec, r.mu),
+             "height": dec[r.height], "errorExponent": _fr(dec, r.error_exponent)}
+            for r in records
+        ],
         "estimate": {
-            **{f"nu{j}": (_fr(est.tail_max[j]) if est.tail_max[j] is not None else None)
-               for j in range(1, 5)},
-            "mu": _fr(est.mu_estimate),
-            "muFloat": float(est.mu_estimate),
+            **{f"nu{j}": _fr(dec, x) for j, x in enumerate(tail, start=1)},
+            "mu": _fr(dec, est.mu_estimate),
+            "muFloat": None if huge else float(est.mu_estimate),
         },
         "window": {"full": list(est.window_full), "tail": list(est.window_tail)},
     }
-    _emit(payload, args.format, lambda: f"mu ~= {float(est.mu_estimate):.6f}")
+    _emit(payload, args.format,
+          lambda: "mu ~= inf" if huge else f"mu ~= {float(est.mu_estimate):.6f}")
 
 
 def cmd_verify(args, cfg, system):
@@ -259,8 +266,7 @@ def cmd_verify(args, cfg, system):
     payload = {}
     if args.format == "json":  # text and rle print the verdict alone
         # the two lists share most terms: convert each value once
-        values = list(dict.fromkeys([*rep.certified_prefix, *rep.pipeline_terms]))
-        decimal = dict(zip(values, to_decimals(values)))
+        decimal = _decimals([*rep.certified_prefix, *rep.pipeline_terms])
         payload = {
             "N": str(rep.digits_used),
             "certifiedPrefix": [decimal[t] for t in rep.certified_prefix],
@@ -280,9 +286,9 @@ def cmd_boehmer(args, cfg, system):
     upto = args.terms or (system.levels - 4)
     closed = [cfrac.boehmer_term(system.table, spec.base, k) for k in range(1, upto + 1)]
     if args.check:
-        stream = cfrac.continued_fraction(spec, terms=len(closed)).values()
+        stream = [t.value for t in cfrac.continued_fraction(spec, terms=len(closed))]
         overlap = min(len(stream), len(closed))
-        if list(closed[:overlap]) != list(stream[:overlap]):
+        if closed[:overlap] != stream[:overlap]:
             raise InternalError("closed form disagrees with the pipeline")
     payload = {"terms": to_decimals(closed)}
     _emit(payload, args.format, lambda: " ".join(payload["terms"]))

@@ -1,5 +1,5 @@
 """Exception hierarchy, the hook that validates records, and the one
-reader of integers from JSON input.
+readers of integers and of lists from JSON input.
 
 Exit-code mapping used by the CLI: bad configuration or bad digit data
 is exit 2, running out of horizon/precision is exit 3, and a violated
@@ -106,4 +106,13 @@ def read_int(x, what: str) -> int:
         return int(x)
     if type(x) is not int:
         raise ConfigError(f"{what} {x!r} is not an integer")
+    return x
+
+
+def read_list(obj: dict, key: str, what: str) -> list:
+    """obj[key] (missing: empty), a JSON list; a string, which would read
+    as its characters, or any other type raises ConfigError."""
+    x = obj.get(key, [])
+    if not isinstance(x, list):
+        raise ConfigError(f"{what} {key!r} must be a JSON list, got {x!r:.200}")
     return x

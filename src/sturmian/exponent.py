@@ -56,7 +56,6 @@ class EstimateReport(NamedTuple):
 
     window_full: tuple[int, int]
     window_tail: tuple[int, int]
-    full_max: dict[int, Fraction | None]
     tail_max: dict[int, Fraction | None]
     mu_estimate: Fraction
 
@@ -230,9 +229,9 @@ def irrationality_estimate(system: WordSystem) -> EstimateReport:
     k = 0..L-2, whose trailing half starts at (L-2)//2.
 
     nu(1) ranges over k with both gaps positive, nu(2) over k with
-    gap(k+2) >= 1, nu(3) and nu(4) over all k; each is reported as the
-    maximum over the trailing half (plus the full-range maximum for
-    disclosure).  A finite maximum is no bound on the limsup from either
+    gap(k+2) >= 1, nu(3) and nu(4) over all k; each is reported as its
+    maximum over the trailing half, and the estimate is the largest of
+    those.  A finite maximum is no bound on the limsup from either
     side: the golden characteristic word of 22 levels gives 377/144,
     above its exponent 1 + phi.
     """
@@ -246,17 +245,12 @@ def irrationality_estimate(system: WordSystem) -> EstimateReport:
         3: lambda k: True,
         4: lambda k: True,
     }
-    full_max: dict[int, Fraction | None] = {}
-    tail_max: dict[int, Fraction | None] = {}
-    for j in range(1, 5):
-        vals = [(r.k, r.nu(j)) for r in rows if eligible[j](r.k)]
-        full_max[j] = max((v for _, v in vals), default=None)
-        tail_max[j] = max((v for k, v in vals if k >= tail_lo), default=None)
+    tail_max = {j: max((r.nu(j) for r in rows[tail_lo:] if eligible[j](r.k)), default=None)
+                for j in range(1, 5)}
     candidates = [v for v in tail_max.values() if v is not None]
     if not candidates:
         raise HorizonError("no eligible levels in the trailing window")
-    return EstimateReport((0, last), (tail_lo, last), full_max, tail_max,
-                          max(candidates))
+    return EstimateReport((0, last), (tail_lo, last), tail_max, max(candidates))
 
 
 def liouville_diagnostic(system: WordSystem) -> LiouvilleReport:

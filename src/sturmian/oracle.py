@@ -201,7 +201,7 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationRepor
     """
     if min_terms < 1:
         raise ConfigError("min_terms must be a positive integer")
-    pipeline = continued_fraction(spec).values()
+    pipeline = tuple(t.value for t in continued_fraction(spec))
     system = spec.system
     n_max = system.q(system.levels) - 1
     if not pipeline or n_max < 1:

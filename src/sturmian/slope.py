@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (ConfigError, HorizonError, InternalError, PrecisionError, read_int,
-                     validated)
+                     read_list, validated)
 
 
 @validated
@@ -68,12 +68,13 @@ class SlopeSpec(NamedTuple):
         """The spec of a decoded slope object.
 
         The object is {"preperiod": [...], "period": [...], "horizon": K};
-        quotients and horizon are integers or decimal strings
-        (`errors.read_int`), and a missing list is empty.  Anything but a
-        dict, JSON text included, is refused.
+        the lists are JSON lists (`errors.read_list`), empty if missing,
+        and quotients and horizon integers or decimal strings
+        (`errors.read_int`).  Anything but a dict, JSON text too, is refused.
         """
         def quotients(key):
-            return tuple(read_int(a, "partial quotient") for a in obj.get(key, []))
+            return tuple(read_int(a, "partial quotient")
+                         for a in read_list(obj, key, "slope"))
 
         try:
             if not isinstance(obj, dict):

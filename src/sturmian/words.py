@@ -27,6 +27,7 @@ from .errors import (
     MaterializeCapError,
     PrecisionError,
     read_int,
+    read_list,
 )
 from .ostrowski import (
     DegenerateIntercept,
@@ -140,8 +141,9 @@ class WordSystem:
         boolean "terminating" (default true; false marks a digit prefix);
         {"m": m, "p": p}, the degenerate rho = -(m-1)*theta + p ("p"
         defaults to 0); {"sigma": "u/v"}, the rational sigma = rho - theta;
-        {"sigma_pair": [u, "v"]}, sigma = u*theta + v.  Digits, m, p
-        and u are integers or decimal strings (`errors.read_int`).
+        {"sigma_pair": [u, "v"]}, sigma = u*theta + v.  Digits and
+        sigma_pair are JSON lists (`errors.read_list`); digits, m, p and
+        u are integers or decimal strings (`errors.read_int`).
         """
         if intercept == "characteristic":
             return cls.characteristic(table, upper=upper)
@@ -154,12 +156,13 @@ class WordSystem:
                 "intercept must carry exactly one of digits/m,p/sigma/sigma_pair")
         try:
             if "digits" in intercept:
-                digits = tuple(read_int(b, "intercept digit") for b in intercept["digits"])
+                digits = tuple(read_int(b, "intercept digit")
+                               for b in read_list(intercept, "digits", "intercept"))
             elif "m" in intercept:
                 m = read_int(intercept["m"], "intercept m")
                 p = read_int(intercept.get("p", 0), "intercept p")
             elif "sigma_pair" in intercept:
-                u, v = intercept["sigma_pair"]
+                u, v = read_list(intercept, "sigma_pair", "intercept")
                 u = read_int(u, "sigma_pair u")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad intercept spec {intercept!r}: {exc}") from exc
@@ -364,24 +367,19 @@ class WordSystem:
         """Whether the level-k aligned word prefixes the level-(k+1) one.
 
         Cross-checks the direct comparison against the digit-pattern
-        criterion (the prefix fails exactly for one extremal pattern).
+        criterion: the prefix fails exactly when b_1..b_{k+1} are those of
+        the degenerate intercept m = 1, p = 0, of its lower stream for odd k
+        and of its upper stream for even k.
         """
         direct = self.aligned(k + 1)[: self.q(k)] == self.aligned(k)
-        criterion = any(self._extremal_pattern_digit(j, k) != self.digit(j)
-                        for j in range(1, k + 2))
+        deg = degenerate_expansions(1, 0, self.table)
+        extremal = deg.lower if k % 2 == 1 else deg.upper
+        criterion = any(extremal.digit(j) != self.digit(j) for j in range(1, k + 2))
         if direct != criterion:
             raise InternalError(
                 f"prefix criterion mismatch at k={k}: direct={direct}"
             )
         return direct
-
-    def _extremal_pattern_digit(self, j: int, k: int) -> int:
-        # k odd: 0, a_2, 0, a_4, ..., a_{k+1}; k even: a_1 - 1, 0, a_3, ..., a_{k+1}
-        if k % 2 == 1:
-            return self.a(j) if j % 2 == 0 else 0
-        if j == 1:
-            return self.a(1) - 1
-        return self.a(j) if j % 2 == 1 else 0
 
     def common_prefix(self, k: int) -> tuple[str, int]:
         """Longest common prefix of the two concatenation orders at level k."""

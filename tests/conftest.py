@@ -175,6 +175,23 @@ def raw_terms(spec, levels):
     return out
 
 
+def value_refs(spec, terms):
+    """The entries (kind, level) that the values of `terms` read, in
+    order: each term's parts less the constant 1s, the zero parts and the
+    interior of a rule-(i) window, whose value is c_k + 1 + e_{k+1}.
+    Signs come from `term_block`, so call it before counting entries."""
+    block = functools.cache(functools.partial(term_block, spec))
+    refs = []
+    for t in terms:
+        interior = set()
+        for kind, k in t.parts:
+            if kind == "c" and block(k).c < 0:
+                interior |= {("d", k - 1), ("e", k - 1), ("f", k - 1), ("c", k), ("d", k)}
+        refs += [(kind, k) for kind, k in t.parts if kind != "one"
+                 and getattr(block(k), kind) != 0 and (kind, k) not in interior]
+    return refs
+
+
 def evaluated(spec, pending):
     """Concrete terms of rewrite terms: each one's constant plus the
     term-block entries it names."""

@@ -49,6 +49,7 @@ from conftest import (
     shallower,
     stream_matrix,
     table_for,
+    value_refs,
     word_system,
 )
 
@@ -355,15 +356,15 @@ def test_demand_driven_prefixes_equal_full_expansion():
                                                          upper=upper))
             levels = spec.system.levels
             negative_windows += any(t.value < 0 for t in raw_terms(spec, levels))
-            full = continued_fraction(spec).terms
+            full = continued_fraction(spec)
             assert full == batch_continued_fraction(spec, levels), intercept
             # a shallower number is a shorter digit prefix
             for depth in range(1, levels + 1):
-                assert (continued_fraction(shallower(spec, depth)).terms
+                assert (continued_fraction(shallower(spec, depth))
                         == batch_continued_fraction(spec, depth)), (intercept, depth)
             for n in range(1, len(full) + 2):
                 assert tuple(islice(final_terms(spec), n)) == full[:n]
-                assert continued_fraction(spec, terms=n).terms == full[:n]
+                assert continued_fraction(spec, terms=n) == full[:n]
     assert negative_windows >= 3  # rule (i) fires in the corpus
 
 
@@ -396,29 +397,15 @@ def test_level_signs_match_term_block_values():
     assert min(seen.values()) >= 3, seen
 
 
-def _value_levels(raw, terms):
-    """Levels whose term block a released term's value reads: its parts,
-    less the constant 1s, the zero parts and the interior of a rule-(i)
-    window (whose value is c_k + 1 + e_{k+1}); `raw` maps each part to
-    its raw value."""
-    levels = set()
-    for t in terms:
-        parts = set(t.parts)
-        for kind, k in t.parts:
-            if kind == "c" and raw[kind, k] < 0:
-                parts -= {("d", k - 1), ("e", k - 1), ("f", k - 1),
-                          ("c", k), ("d", k)}
-        levels |= {k for kind, k in parts if kind != "one" and raw[kind, k] != 0}
-    return sorted(levels)
-
-
 def test_only_the_levels_of_released_values_are_built(monkeypatch):
-    built = []
-    original = term_block
+    # each released term computes the entries its value names, each once,
+    # and no other entry is computed
+    computed = []
+    original = cfrac._entry
 
-    def counted(spec, k):
-        built.append(k)
-        return original(spec, k)
+    def counted(spec, kind, k):
+        computed.append((kind, k))
+        return original(spec, kind, k)
 
     negative_c = negative_term_spec()
     cases = [
@@ -431,27 +418,26 @@ def test_only_the_levels_of_released_values_are_built(monkeypatch):
             spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
                                                          upper=upper))
             levels = spec.system.levels
-            full = continued_fraction(spec).terms
-            raw = {t.parts[0]: t.value for t in raw_terms(spec, levels)}
+            full = continued_fraction(spec)
+            wants = [value_refs(spec, full[:n]) for n in range(1, len(full) + 2)]
             with monkeypatch.context() as m:
-                m.setattr(cfrac, "term_block", counted)
-                for n in range(1, len(full) + 2):
-                    built.clear()
-                    got = continued_fraction(spec, terms=n).terms
+                m.setattr(cfrac, "_entry", counted)
+                for n, want in enumerate(wants, start=1):
+                    computed.clear()
+                    got = continued_fraction(spec, terms=n)
                     assert got == full[:n]
-                    assert built == _value_levels(raw, got), (intercept, n)
-                    assert max(built, default=-1) <= max(
-                        (t.level for t in got), default=-1)
+                    assert computed == want, (intercept, n)
+                    assert len(set(computed)) == len(computed)
             # a full expansion never reads the two withheld levels
-            assert levels - 2 not in built and levels - 1 not in built
+            assert all(k < levels - 2 for _, k in computed)
 
 
 def test_golden_pipeline_equals_boehmer():
     t = golden_table()
     spec = characteristic_spec(t, 2)
-    got = continued_fraction(shallower(spec, 20)).values()
+    got = [t.value for t in continued_fraction(shallower(spec, 20))]
     want = [boehmer_term(t, 2, k) for k in range(1, len(got) + 1)]
-    assert list(got) == want
+    assert got == want
 
 
 def test_pipeline_head_forms():
@@ -465,7 +451,7 @@ def test_pipeline_head_forms():
     want = [blocks[0].c + 1, blocks[0].e, blocks[0].f,
             blocks[1].c, blocks[1].d, 1, blocks[1].e, blocks[1].f,
             blocks[2].c]
-    assert list(final.values()[: len(want)]) == want
+    assert [t.value for t in final[: len(want)]] == want
 
 
 def test_pipeline_stability_under_extension(rng):
@@ -473,8 +459,8 @@ def test_pipeline_stability_under_extension(rng):
         t = random_slope_table(rng, 10, amax=3)
         digs = random_digits(rng, t, 9)
         spec = NumberSpec(2, word_system(t, digs))
-        short = continued_fraction(shallower(spec, 7)).values()
-        long = continued_fraction(shallower(spec, 9)).values()
+        short = [t.value for t in continued_fraction(shallower(spec, 7))]
+        long = [t.value for t in continued_fraction(shallower(spec, 9))]
         assert long[: len(short)] == short
 
 
@@ -544,8 +530,7 @@ def test_term_values_in_allowed_combos(rng):
                 })
                 if k >= 1:
                     allowed.add(blocks[k - 1].e + b.c + nxt.e + 1)
-        stream = continued_fraction(shallower(spec, levels))
-        for term in stream.terms:
+        for term in continued_fraction(shallower(spec, levels)):
             assert term.value in allowed, (t.spec.preperiod, digs, term)
 
 

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sturmian
-from sturmian import SlopeSpec, build_table, cfrac, exponent
+from sturmian import SlopeSpec, build_table, cfrac, exponent, ostrowski
 from sturmian.bigint import to_decimal
 from sturmian.cli import main
-from sturmian.errors import InternalError, SturmianError, read_int
+from sturmian.errors import ConfigError, HorizonError, InternalError, SturmianError, read_int
 from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
-from conftest import random_digits
+from conftest import random_digits, value_refs
 
 GOLDEN = '{"preperiod":[1],"period":[1],"horizon":16}'
 S532 = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":12}'
@@ -361,25 +361,31 @@ def test_read_int_refuses_what_int_forgives(text):
 def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):
     # the 8 printed terms reach level 7; the levels that settle the last
     # of them (one more level, characteristic, or the rule-(i) window of
-    # levels 8 and 9, m = 1) are read for their signs only, so no block
-    # past level 7 is built
-    built = []
-    term_block = cfrac.term_block
+    # levels 8 and 9, m = 1) are read for their signs only, so the command
+    # computes the entries the 8 values name, each once, and no other
+    computed = []
+    entry = cfrac._entry
 
-    def counted(spec, k):
-        built.append(k)
-        return term_block(spec, k)
+    def counted(spec, kind, k):
+        computed.append((kind, k))
+        return entry(spec, kind, k)
 
-    monkeypatch.setattr(cfrac, "term_block", counted)
     slope = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":11}'
-    for intercept in ([], ["--intercept", '{"m":1,"p":0}']):
-        for sub in ("cf", "convergents"):
-            built.clear()
-            code, out, _ = run(capsys, "--slope", slope, *intercept,
-                               "--base", "3", sub, "--terms", "8")
-            assert code == 0 and len(json.loads(out)[
-                "terms" if sub == "cf" else "convergents"]) == 8
-            assert built == list(range(8))
+    table = build_table(SlopeSpec.from_json(json.loads(slope)))
+    for intercept in ("characteristic", {"m": 1, "p": 0}):
+        spec = cfrac.NumberSpec(3, WordSystem.from_spec(table, intercept))
+        want = value_refs(spec, cfrac.continued_fraction(spec, terms=8))
+        assert max(k for _, k in want) == 7
+        flags = [] if intercept == "characteristic" else ["--intercept", json.dumps(intercept)]
+        with monkeypatch.context() as m:
+            m.setattr(cfrac, "_entry", counted)
+            for sub in ("cf", "convergents"):
+                computed.clear()
+                code, out, _ = run(capsys, "--slope", slope, *flags,
+                                   "--base", "3", sub, "--terms", "8")
+                assert code == 0 and len(json.loads(out)[
+                    "terms" if sub == "cf" else "convergents"]) == 8
+                assert computed == want
 
 
 def test_one_parser_serves_every_command_of_a_process(capsys):
@@ -431,7 +437,7 @@ def convergents_commands(draw, form):
     elif form in ("digits", "prefix"):
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
         digits = random_digits(rng, table, draw(st.integers(1, horizon)))
-        intercept = {"digits": digits, "terminating": form == "digits"}
+        intercept = {"digits": list(digits), "terminating": form == "digits"}
     elif form == "m":
         m = draw(st.integers(1, table.q(horizon)))
         intercept = {"m": m, "p": -floor_theta_multiple(table, 1 - m)}
@@ -499,5 +505,71 @@ def test_convergents_past_a_halving_leaf_under_a_low_int_str_limit():
         sys.set_int_max_str_digits(old)
     assert code == 0 and json.loads(out)["convergents"] == want
     system = WordSystem.from_spec(build_table(SlopeSpec.from_json(command[0])))
-    terms = cfrac.continued_fraction(cfrac.NumberSpec(2, system)).values()
+    terms = [t.value for t in cfrac.continued_fraction(cfrac.NumberSpec(2, system))]
     assert len(str(max(terms))) > 640 and len(want[-1]["Q"]) > 640
+
+
+def test_computed_integers_print_past_the_int_str_limit(capsys):
+    # partial quotients of 100 digits: under the lowest int-to-str limit
+    # the digit sums, interval ends, digits, growth ratios and heights
+    # are past it, and each prints as the integer it is
+    quotients = [str(10 ** 99 + j) for j in (1, 3, 7, 9)]
+    slope = json.dumps({"preperiod": [], "period": quotients, "horizon": 12})
+    table = build_table(SlopeSpec.from_json(json.loads(slope)))
+    commands = [["ostrowski-int", "--digits", "0,0,0,0,0,0,0,0,0,5"],
+                ["ostrowski-real", "--digits", "0,0,5"],
+                ["ostrowski-real", "--sigma", "1/3"],
+                ["--intercept", '{"digits":[1]}', "exponent"]]
+
+    def fr(x):
+        return None if x is None else f"{x.numerator}/{x.denominator}"
+
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        outs = []
+        for argv in commands:
+            code, out, err = run(capsys, "--slope", slope, *argv)
+            assert code == 0, err
+            outs.append(json.loads(out))
+        sys.set_int_max_str_digits(0)  # for the reference strings
+        got_int, got_real, got_sigma, got_exp = outs
+        assert got_int["n"] == str(5 * table.q(9)) and len(got_int["n"]) > 640
+        sigma_digits = ostrowski.encode_real(Fraction(1, 3), table)
+        assert got_sigma["digits"] == [str(d) for d in sigma_digits.digits]
+        for got, digits in ((got_real, (0, 0, 5)), (got_sigma, sigma_digits)):
+            lo, hi = ostrowski.decode_real(digits, table)
+            assert (got["lower"], got["upper"]) == (fr(lo), fr(hi))
+            assert len(got["lower"]) > 2 * 640
+        system = WordSystem.from_spec(table, {"digits": [1]})
+        rows = exponent.nu_table(system)
+        assert got_exp["nu"] == [{"k": str(r.k), **{f"nu{j}": fr(r.nu(j)) for j in range(1, 5)}}
+                                 for r in rows]
+        records = []
+        for k in range(2, len(rows)):
+            try:
+                records += exponent.classify_families(system, k)
+            except (ConfigError, HorizonError):
+                pass
+        assert [(s["height"], s["mu"], s["errorExponent"]) for s in got_exp["strong"]] == [
+            (str(r.height), fr(r.mu), fr(r.error_exponent)) for r in records]
+        assert max(len(s["height"]) for s in got_exp["strong"]) > 640
+        est = exponent.irrationality_estimate(system)
+        assert got_exp["estimate"]["mu"] == fr(est.mu_estimate)
+        assert got_exp["estimate"]["muFloat"] == float(est.mu_estimate)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--slope", '{"preperiod":"5325","horizon":4}'),
+    ("--slope", '{"preperiod":[1],"period":"532","horizon":8}'),
+    ("--intercept", '{"digits":"12"}'),
+    ("--intercept", '{"sigma_pair":"00"}'),
+], ids=["preperiod", "period", "digits", "sigma_pair"])
+def test_a_json_string_is_no_list(capsys, flag, value):
+    # a string would iterate as its characters: "5325" as 5, 3, 2, 5
+    argv = [flag, value] if flag == "--slope" else ["--slope", S532, flag, value]
+    code, out, err = run(capsys, *argv, "cf")
+    assert (code, out) == (2, "")
+    assert "must be a JSON list, got '" in json.loads(err)["message"]

@@ -186,6 +186,28 @@ def corpus() -> list[list[str]]:
         for sub in ("cf", "convergents"):
             cmds.append(["--slope", _slope([5, 3, 2], [5, 3, 2], 11), *intercept,
                          "--base", "3", sub, "--terms", "8"])
+    # exit 2: a JSON string where a list belongs is not read as its
+    # characters
+    s532 = ["--slope", SLOPES["532"]["slope"]]
+    cmds += [
+        ["--slope", '{"preperiod":"5325","horizon":4}', "cf"],
+        ["--slope", '{"preperiod":[1],"period":"532","horizon":8}', "cf"],
+        s532 + ["--intercept", '{"digits":"12"}', "cf"],
+        s532 + ["--intercept", '{"sigma_pair":"00"}', "cf"],
+    ]
+    # partial quotients of 640 digits, the most an input may have under
+    # the lowest int-to-str limit: digit sums, interval ends, growth
+    # ratios and heights of 2,500-20,000 digits, and a mu past the float
+    # range ("muFloat" null, text "mu ~= inf")
+    big = ["--slope", _slope([], [str(10 ** 639 + j) for j in (1, 3, 7, 9)], 10)]
+    cmds += [
+        big + ["ostrowski-int", "--digits", "0,0,0,0,0,0,0,0,5"],
+        big + ["ostrowski-real", "--digits", "0,0,5"],
+        big + ["--horizon", "5", "ostrowski-real", "--sigma", "1/3"],
+        big + ["exponent"],
+        big + _intercept({"digits": [1]}) + ["exponent"],
+        big + _intercept({"digits": [1]}) + ["--format", "text", "exponent"],
+    ]
     return cmds
 
 

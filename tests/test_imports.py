@@ -105,7 +105,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 RECORDS = {
-    "cfrac": {"NumberSpec", "TermBlock", "Term", "TermStream", "ConvergentPair",
+    "cfrac": {"NumberSpec", "TermBlock", "Term", "ConvergentPair",
               "FamilyFraction"},
     "exponent": {"NuRow", "StrongRecord", "EstimateReport", "LiouvilleReport",
                  "ExtremalIntercept"},

@@ -333,7 +333,7 @@ def reference_verify_agreement(spec, min_terms=10):
     """`verify_agreement` before the two-pass skip: every schedule starts
     at n_0, so a first pass whose successor is n_max still runs.  A word
     with no pipeline term or no digit is refused before any enclosure."""
-    pipeline = continued_fraction(spec).values()
+    pipeline = tuple(t.value for t in continued_fraction(spec))
     levels = spec.system.levels
     n_max = spec.system.q(levels) - 1
     if not pipeline or n_max < 1:
@@ -409,7 +409,7 @@ def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
         dead = len(want_calls) == 2 and want_calls[1] == n_max
         assert calls == want_calls[dead:], (table.spec, digits, want_calls)
         if rep is None:  # refused: the word gives no pipeline term
-            assert calls == want_calls == [] and not continued_fraction(spec).values()
+            assert calls == want_calls == [] and not continued_fraction(spec)
             refused += 1
             continue
         seen.add((min(len(want_calls), 3), dead, digits is None, rep.matches))
@@ -557,5 +557,5 @@ def test_verify_stops_once_the_whole_pipeline_is_covered(monkeypatch):
     # enclosure, not after the 12-pass cap (N = 8 ... 16,384) that
     # `min_terms` alone would ask for, nor with "matches" on nothing
     spec = NumberSpec(2, WordSystem.characteristic(table_for((2,), (9000,), 2)))
-    assert not continued_fraction(spec).values()
+    assert not continued_fraction(spec)
     assert _enclosures(monkeypatch, verify_agreement, spec, min_terms=50) == (None, [])
