@@ -26,14 +26,15 @@ so at the sizes the CLI serves those two built-ins dominate.
     number-theoretic transform) are then the cheaper and whose `str` is
     linear and has no digit limit.
   The cut and the leaf were timed on CPython 3.11.  The two regimes
-  cross at 48,000-49,000 bits, where the ladder's top product passes 256
-  libmpdec words (about 16,000 bits) and leaves Karatsuba for the
-  transform; the leaf size moves the time by under 5% anywhere from 600
-  to 2,400 digits.  Once a call has built the ladder, its smaller values
-  go down it too: there it costs about what halving does, and much less
-  on values whose bits are sparse, such as the base-2 terms of the
-  golden slope (0.09 against 0.38 ms for a 17,712-bit one).  CPython
-  3.12+ keeps the same paths.  The interpreter's int-to-str limit is
+  cross at 43,000-46,000 bits, once the high part of the ladder's top
+  split is long enough for `_mul` to pad (96 words, about 6,000 bits),
+  and up to the cut they stay within 10% of each other; from there to
+  88,000 bits the ladder is 10-30% faster.  The leaf size moves the time
+  by under 5% anywhere from 600 to 2,400 digits.  Once a call has built
+  the ladder, its smaller values go down it too: there it costs about
+  what halving does, and much less on values whose bits are sparse, such
+  as the base-2 terms of the golden slope (0.09 against 0.38 ms for a
+  17,712-bit one).  CPython 3.12+ keeps the same paths.  The interpreter's int-to-str limit is
   read, never set.
 * `continuants_to_decimal(terms, starts)` returns the strings of the
   continuants x_j = t_j*x_{j-1} + x_{j-2}, such as the convergents P_j and
@@ -43,6 +44,18 @@ so at the sizes the CLI serves those two built-ins dominate.
   linear time), and the recurrence runs in `decimal`, one multiplication
   per step (libmpdec multiplies large operands by number-theoretic
   transform), so no x_j is ever converted from binary.
+* `_mul(x, y)` is the product of two integral Decimals >= 0 that the
+  recurrence and the ladder's splits use.  libmpdec multiplies by
+  schoolbook whenever the shorter operand has at most 256 words (of 19
+  digits on 64-bit builds, 9 on 32-bit ones), however long the other is,
+  as in a 441-word term times a 202-word convergent.  When the shorter operand has 96-256 words and the longer
+  more than 256, `_mul` shifts the shorter left by z digits to 257 words,
+  multiplies by transform, and shifts the product right by z; that is
+  exact, since the z digits dropped are the zeros just added.  Timed on
+  CPython 3.11 (shorter x longer in words, plain -> padded): 64 x 2000
+  1.12 -> 1.32 ms, 80 x 1000 0.72 -> 0.72 ms, 96 x 1000 0.84 -> 0.66 ms,
+  128 x 441 0.53 -> 0.34 ms, 256 x 5000 11.5 -> 3.0 ms; padding breaks
+  even at about 80 words whatever the longer operand's size.
 
 Both decimal paths compute in one exact context (precision and exponent
 at their maxima, `Inexact` and `Rounded` trapped), so a rounding raises
@@ -67,6 +80,11 @@ _BZ_LEAF_BITS = 8000  # the recursion hands n-bit quotients below this to divmod
 _HALVING_BITS = 48_000  # up to here values are halved in int, past it laddered
 _HALVING_LEAF_DIGITS = 1200  # halves this short go to str
 _DECIMAL_LEAF_BITS = 1024  # ladder parts this small become Decimal directly
+# libmpdec's word in digits: MAX_PREC is 10^18 - 1 on 64-bit builds, whose
+# words hold 19 digits, and 425,000,000 on 32-bit ones, whose words hold 9
+_WORD_DIGITS = 19 if MAX_PREC > 425_000_000 else 9
+_SCHOOLBOOK_WORDS = 256  # libmpdec's schoolbook bound on the shorter operand
+_PAD_WORDS = 96  # shorter operands from here to the bound are padded
 
 # exact decimal arithmetic: a result that would need rounding raises
 # instead (`localcontext` copies this, so it is never changed)
@@ -173,7 +191,7 @@ def continuants_to_decimal(terms: Sequence[int],
         for t in terms:
             d = _exact(t, powers)
             for i, (prev, cur) in enumerate(pairs):
-                nxt = d * cur + prev
+                nxt = _mul(d, cur) + prev
                 pairs[i] = cur, nxt
                 out[i].append(str(nxt))
         return out
@@ -248,4 +266,28 @@ def _as_decimal(x: int, j: int, powers: list[Decimal]) -> Decimal:
     j -= 1
     k = _DECIMAL_LEAF_BITS << j
     hi = x >> k
-    return _as_decimal(hi, j, powers) * powers[j] + _as_decimal(x - (hi << k), j, powers)
+    return (_mul(_as_decimal(hi, j, powers), powers[j])
+            + _as_decimal(x - (hi << k), j, powers))
+
+
+def _padding(short: int, long: int) -> int:
+    """The zeros `_mul` appends to its shorter operand, for operands of
+    `short` <= `long` digits: enough to take it to 257 words when it has
+    _PAD_WORDS to 256 and the longer more than 256, else 0."""
+    words = (short - 1) // _WORD_DIGITS + 1
+    if _PAD_WORDS <= words <= _SCHOOLBOOK_WORDS < (long - 1) // _WORD_DIGITS + 1:
+        return _SCHOOLBOOK_WORDS * _WORD_DIGITS + 1 - short
+    return 0
+
+
+def _mul(x: Decimal, y: Decimal) -> Decimal:
+    """x*y for integral Decimals x, y >= 0, with the shorter operand
+    zero-padded past libmpdec's schoolbook bound when that is faster.
+    Call it inside the `_EXACT` context."""
+    if x.adjusted() > y.adjusted():
+        x, y = y, x
+    z = _padding(x.adjusted() + 1, y.adjusted() + 1)
+    if not z:
+        return x * y
+    # `shift` drops digits without signalling: these are the z zeros added
+    return (x.shift(z) * y).shift(-z)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import ConfigError, DigitRuleError, InternalError, validated
+from .errors import ConfigError, DigitRuleError, HorizonError, InternalError, validated
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
@@ -183,9 +183,28 @@ def _geom(base: int, step: int, count: int) -> int:
     return g
 
 
+# the most bits a power of the base may have, checked before it is
+# computed: ten times the most a test needs (1.66 million, a base-2 entry
+# at level 13) and seventy times the most a perfbench workload needs
+# (232,000).  A term near it (a_2 = 1,600,000, base 2) prints in about
+# 4 s; an a_2 of a few hundred digits would never finish.
+_MAX_POWER_BITS = 1 << 24
+
+
+def _check_power(base: int, exponent: int, what: str):
+    """Refuse with HorizonError a power base^e, e <= `exponent`, that may
+    have more than _MAX_POWER_BITS bits ((b - 1).bit_length() is the
+    ceiling of log2 b)."""
+    if exponent * (base - 1).bit_length() > _MAX_POWER_BITS:
+        raise HorizonError(f"{what} needs powers of the base past "
+                           f"{_MAX_POWER_BITS} bits")
+
+
 def _entry(spec: NumberSpec, kind: str, k: int) -> int:
-    """Entry `kind` (c, d, e or f) of the level-k `TermBlock`."""
+    """Entry `kind` (c, d, e or f) of the level-k `TermBlock`; its powers
+    of the base reach at most b^(q_{k+1})."""
     sys_, b = spec.system, spec.base
+    _check_power(b, sys_.table.q(k + 1), f"level {k}")
     if kind == "d":
         return pow(b, sys_.offset(k)) - 1
     if kind == "e":
@@ -212,6 +231,7 @@ def boehmer_term(table, base: int, k: int) -> int:
     """
     if k < 1:
         raise ConfigError("closed-form terms start at k = 1")
+    _check_power(base, table.q(k), f"closed-form term {k}")  # b^(q_k) at most
     return pow(base, table.q(k - 2)) * _geom(base, table.q(k - 1), table.a(k))
 
 

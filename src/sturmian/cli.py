@@ -68,13 +68,19 @@ def _config_int(cfg, key: str, default: int) -> int:
         raise ConfigError(f"config {key!r} must be an integer: {exc}") from exc
 
 
+# json.loads raises a plain ValueError, not JSONDecodeError, for an integer
+# literal past the int-to-str limit; the message leaves the limit out, so it
+# reads the same under any limit
+_LONG_LITERAL = "{} holds an integer literal past the int-to-str digit limit"
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # also bad UTF-8 and long literals
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -83,11 +89,15 @@ def _load_config(args) -> dict:
             cfg["slope"] = json.loads(args.slope)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"--slope is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(_LONG_LITERAL.format("--slope")) from exc
     if args.intercept:
         try:
             cfg["intercept"] = json.loads(args.intercept)
         except json.JSONDecodeError:
             cfg["intercept"] = args.intercept  # bare "characteristic"
+        except ValueError as exc:
+            raise ConfigError(_LONG_LITERAL.format("--intercept")) from exc
     if args.base is not None:
         cfg["base"] = args.base
     if args.horizon is not None:
@@ -206,7 +216,8 @@ def cmd_cf(args, cfg, system):
 def cmd_convergents(args, cfg, system):
     spec = _number_spec(cfg, system)
     terms = cfrac.continued_fraction(spec, terms=args.terms)
-    # P_j and Q_j by the recurrence of `cfrac.convergents`, run in decimal
+    # P_j and Q_j by the recurrence of `cfrac.convergents`, run in decimal,
+    # whose products `bigint._mul` keeps off libmpdec's schoolbook path
     b1 = spec.base - 1
     ps, qs = continuants_to_decimal([t.value for t in terms], [(b1, 0), (0, b1)])
     payload = {

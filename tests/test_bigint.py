@@ -8,6 +8,7 @@ int-to-str limit are made with the limit lifted, then restored.
 
 import decimal
 import gc
+import random
 import sys
 from contextlib import contextmanager
 
@@ -305,3 +306,68 @@ def test_continuants_free_their_power_ladder():
     finally:
         if enabled:
             gc.enable()
+
+
+# shorter operands in words on each side of the pad band's edges, and
+# longer ones on each side of libmpdec's schoolbook bound and past it
+SHORT_WORDS = _near(bigint._PAD_WORDS, bigint._SCHOOLBOOK_WORDS)
+LONG_WORDS = _near(bigint._SCHOOLBOOK_WORDS) + [441, 5000]
+
+
+def _in_band(short_words, long_words):
+    return (bigint._PAD_WORDS <= short_words <= bigint._SCHOOLBOOK_WORDS
+            < long_words)
+
+
+def random_decimal(rng, digits):
+    return decimal.Decimal(reference_str(rng.randrange(10 ** (digits - 1), 10 ** digits)))
+
+
+@pytest.mark.parametrize("word", [19, 9])
+def test_padding_takes_the_shorter_operand_to_257_words_in_the_band(word):
+    def words(digits):
+        return (digits - 1) // word + 1
+
+    with patched(_WORD_DIGITS=word):
+        for short in SHORT_WORDS:
+            for long in LONG_WORDS:
+                for s_digits in ((short - 1) * word + 1, short * word):
+                    z = bigint._padding(s_digits, long * word)
+                    if _in_band(short, long):  # the fewest zeros that do it
+                        assert words(s_digits + z) == 257
+                        assert words(s_digits + z - 1) == 256
+                    else:
+                        assert z == 0
+
+
+@pytest.mark.parametrize("word", [19, 9])
+def test_mul_equals_the_plain_product_around_the_band(word):
+    rng = random.Random(word)
+    with patched(_WORD_DIGITS=word), decimal.localcontext(bigint._EXACT) as ctx:
+        for short in SHORT_WORDS:
+            for long in LONG_WORDS:
+                # the shortest or the longest operand of each word count
+                x = random_decimal(rng, short * word - rng.randrange(2) * (word - 1))
+                y = random_decimal(rng, long * word - rng.randrange(2) * (word - 1))
+                want = x * y
+                for a, b in ((x, y), (y, x)):
+                    got = bigint._mul(a, b)
+                    assert got == want and str(got) == str(want)
+        assert not any(ctx.flags.values())
+
+
+@pytest.mark.parametrize("word", [19, 9])
+def test_continuants_with_operands_in_the_pad_band(word):
+    # in the band: from seeds (0, 2), t_2 (120 words) times x_1 = 2 t_1
+    # (300); from (2, 0), t_4 (441) times x_3 = 2 t_2 + 2 (120); from the
+    # third pair, t_1 (300) times its x_0 (200)
+    rng = random.Random(word)
+
+    def digits(words):
+        return rng.randrange(10 ** ((words - 1) * word), 10 ** (words * word))
+
+    terms = [digits(300), digits(120), 1, digits(441), digits(2), digits(256)]
+    starts = [(2, 0), (0, 2), (digits(96), digits(200))]
+    with patched(_WORD_DIGITS=word):
+        assert bigint.continuants_to_decimal(terms, starts) == \
+            reference_continuants(terms, starts)

@@ -10,6 +10,7 @@ import pytest
 from sturmian import (
     ConfigError,
     DigitRuleError,
+    HorizonError,
     InternalError,
     SlopeSpec,
     build_table,
@@ -118,6 +119,25 @@ def test_boehmer_terms_golden():
         assert boehmer_term(t, b, 1) == (b ** t.q(1) - 1) // (b ** t.q(0) - 1)
         for k in range(2, 10):
             assert boehmer_term(t, b, k) % (b ** t.q(k - 2)) == 0
+
+
+def test_powers_past_the_cap_are_refused_before_they_are_computed(monkeypatch):
+    # the entries of level k raise b to at most q_{k+1}, Boehmer term k to
+    # at most q_k: under a cap of q_5 * ceil(log2 b) bits, level 4 and term
+    # 5 are computed as without it, level 5 and term 6 refused
+    t = table_for((5, 3, 2), horizon=12)
+    for b in (2, 3, 10):
+        spec = characteristic_spec(t, b)
+        blocks = [term_block(spec, k) for k in range(5)]
+        closed = [boehmer_term(t, b, k) for k in range(1, 6)]
+        with monkeypatch.context() as m:
+            m.setattr(cfrac, "_MAX_POWER_BITS", t.q(5) * (b - 1).bit_length())
+            assert [term_block(spec, k) for k in range(5)] == blocks
+            assert [boehmer_term(t, b, k) for k in range(1, 6)] == closed
+            for refused in (lambda: term_block(spec, 5), lambda: boehmer_term(t, b, 6),
+                            lambda: continued_fraction(spec)):
+                with pytest.raises(HorizonError):
+                    refused()
 
 
 def division_geom(base, step, count):

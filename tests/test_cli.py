@@ -573,3 +573,23 @@ def test_a_json_string_is_no_list(capsys, flag, value):
     code, out, err = run(capsys, *argv, "cf")
     assert (code, out) == (2, "")
     assert "must be a JSON list, got '" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("where", ["slope", "intercept", "config"])
+def test_a_json_integer_literal_past_the_int_str_limit_exits_2(capsys, tmp_path, where):
+    # json.loads refuses the literal with a plain ValueError, which is no
+    # JSONDecodeError
+    literal = "1" + "0" * 4400
+    slope = '{"preperiod":[%s],"horizon":4}' % literal
+    argv = {"slope": ["--slope", slope],
+            "intercept": ["--slope", GOLDEN, "--intercept", '{"m":%s,"p":0}' % literal],
+            "config": ["--config", str(tmp_path / "config.json")]}[where]
+    (tmp_path / "config.json").write_text('{"slope":%s}' % slope)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, *argv, "cf")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ConfigError"

@@ -208,6 +208,18 @@ def corpus() -> list[list[str]]:
         big + _intercept({"digits": [1]}) + ["exponent"],
         big + _intercept({"digits": [1]}) + ["--format", "text", "exponent"],
     ]
+    # exit 2: a JSON integer literal past the int-to-str limit, 4,300
+    # digits by default and 640 at the lowest
+    literal = "1" + "0" * 4400
+    cmds += [
+        ["--slope", '{"preperiod":[%s],"horizon":4}' % literal, "cf"],
+        g + ["--intercept", '{"m":%s,"p":0}' % literal, "cf"],
+    ]
+    # exit 3: an a_2 of 640 digits makes q_2 about 10^640, so the terms of
+    # level 1 and the closed-form terms from k = 2 need powers of the base
+    # of about that many bits
+    huge = ["--slope", _slope(["10", str(10 ** 639), "1", "1"], [], 4)]
+    cmds += [huge + ["cf"], huge + ["boehmer", "--terms", "3"]]
     return cmds
 
 
