@@ -21,8 +21,10 @@ K - 2 digits its table reaches, and a shallower number is a shorter prefix.
 
 `validate_real_digits`, like `decode_integer`, raises `DigitRuleError` at
 the first broken digit rule.  `liouville_diagnostic`,
-`ordered_strong_sequence` and `formal_intercept` are library API that no
-command prints, as are the paper results the acceptance tests check.
+`ordered_strong_sequence`, `formal_intercept` and
+`check_family_recurrences`, which reads each term entry c_k, d_k, e_k and
+f_k, are library API that no command prints, as are the paper results
+the acceptance tests check.
 """
 
 from .cfrac import (
@@ -34,7 +36,6 @@ from .cfrac import (
     continued_fraction,
     convergents,
     family_fraction,
-    term_block,
     word_value,
 )
 from .errors import (

@@ -1,9 +1,9 @@
 """Continued fraction of a number whose base-b digits form a Sturmian word.
 
 The expansion is assembled per level from four integer term families
-(c, d, e, f below, plus a constant 1), giving an improper expansion that
-may contain zeros and one negative-term shape.  Two local rewrite rules
-repair it into the regular expansion:
+(c, d, e, f of `_entry`, plus a constant 1), giving an improper
+expansion that may contain zeros and one negative-term shape.  Two local
+rewrite rules repair it into the regular expansion:
 
   (i)  a negative term c_{k+1} = -e_k - 1 collapses the nine terms
        c_k, d_k, 1, e_k, f_k, c_{k+1}, d_{k+1}, 1, e_{k+1} into the
@@ -65,22 +65,6 @@ class NumberSpec(NamedTuple):
     def _check(self):
         if self.base < 2:
             raise ConfigError(f"base must be >= 2, got {self.base}")
-
-
-class TermBlock(NamedTuple):
-    """The four per-level integers feeding the improper expansion.
-
-    c = b^(r_k + q_{k-1}) (b^((a_{k+1}-b_{k+1}-1) q_k) - 1)/(b^(q_k) - 1),
-    d = b^(t_k) - 1,   e = b^(r_k) - 1,
-    f = b^(t_k) (b^(b_{k+1} q_k) - 1)/(b^(q_k) - 1).
-    c is negative exactly when a_{k+1} = b_{k+1}; d and f may vanish.
-    """
-
-    k: int
-    c: int
-    d: int
-    e: int
-    f: int
 
 
 class Term(NamedTuple):
@@ -187,7 +171,8 @@ def _geom(base: int, step: int, count: int) -> int:
 # computed: ten times the most a test needs (1.66 million, a base-2 entry
 # at level 13) and seventy times the most a perfbench workload needs
 # (232,000).  A term near it (a_2 = 1,600,000, base 2) prints in about
-# 4 s; an a_2 of a few hundred digits would never finish.
+# 4 s; an a_2 of a few hundred digits would never finish.  It caps the
+# oracle's b^N too, at most 1.63 million bits in a test or workload.
 _MAX_POWER_BITS = 1 << 24
 
 
@@ -201,8 +186,15 @@ def _check_power(base: int, exponent: int, what: str):
 
 
 def _entry(spec: NumberSpec, kind: str, k: int) -> int:
-    """Entry `kind` (c, d, e or f) of the level-k `TermBlock`; its powers
-    of the base reach at most b^(q_{k+1})."""
+    """Entry `kind` of level k, one of the four integers that feed the
+    improper expansion beside the constant 1:
+
+      c_k = b^(r_k + q_{k-1}) (b^((a_{k+1}-b_{k+1}-1) q_k) - 1)/(b^(q_k) - 1),
+      d_k = b^(t_k) - 1,   e_k = b^(r_k) - 1,
+      f_k = b^(t_k) (b^(b_{k+1} q_k) - 1)/(b^(q_k) - 1).
+
+    Signs are as the module docstring states.  Reads intercept digit
+    k+1; its powers of the base reach at most b^(q_{k+1})."""
     sys_, b = spec.system, spec.base
     _check_power(b, sys_.table.q(k + 1), f"level {k}")
     if kind == "d":
@@ -217,11 +209,6 @@ def _entry(spec: NumberSpec, kind: str, k: int) -> int:
         # b_k = 0 here, so r_{k-1} = r_k + q_{k-1} - q_k
         return -pow(b, r + qk1 - qk)
     return pow(b, r + qk1) * _geom(b, qk, gap - 1)
-
-
-def term_block(spec: NumberSpec, k: int) -> TermBlock:
-    """Exact term values at level k (reads intercept digit k+1)."""
-    return TermBlock(k, *(_entry(spec, kind, k) for kind in "cdef"))
 
 
 def boehmer_term(table, base: int, k: int) -> int:
@@ -463,7 +450,7 @@ def check_family_recurrences(spec: NumberSpec, k: int) -> dict[str, bool]:
     level k equals c_k times family (4) at k-1 plus family (3) at k-1.
     Failure is an implementation bug, not bad input.
     """
-    blk = term_block(spec, k)
+    c, d, e, f = (_entry(spec, kind, k) for kind in "cdef")
     f1 = formal_family_fraction(spec, "1", k)
     f21 = formal_family_fraction(spec, "2-1", k)
     f2 = formal_family_fraction(spec, "2", k)
@@ -479,11 +466,11 @@ def check_family_recurrences(spec: NumberSpec, k: int) -> dict[str, bool]:
 
     if k >= 1:
         f3p = formal_family_fraction(spec, "3", k - 1)
-        comp("(1)=c*(4')+(3')", f1, blk.c, f4p, f3p)
-    comp("(2-1)=d*(1)+(4')", f21, blk.d, f1, f4p)
+        comp("(1)=c*(4')+(3')", f1, c, f4p, f3p)
+    comp("(2-1)=d*(1)+(4')", f21, d, f1, f4p)
     comp("(2)=1*(2-1)+(1)", f2, 1, f21, f1)
-    comp("(3)=e*(2)+(2-1)", f3, blk.e, f2, f21)
-    comp("(4)=f*(3)+(2)", f4, blk.f, f3, f2)
+    comp("(3)=e*(2)+(2-1)", f3, e, f2, f21)
+    comp("(4)=f*(3)+(2)", f4, f, f3, f2)
     if not all(results.values()):
         bad = [name for name, ok in results.items() if not ok]
         raise InternalError(f"family recurrences failed at k={k}: {bad}")

@@ -58,7 +58,7 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(read_int(d, what) for d in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"{what} must be comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"{what} must be comma-separated integers, got {text!r:.200}") from exc
 
 
 def _config_int(cfg, key: str, default: int) -> int:
@@ -117,7 +117,7 @@ def _build_system(cfg) -> words.WordSystem:
         raise ConfigError("horizon must be at least 4")
     upper = cfg.get("upper", False)
     if not isinstance(upper, bool):
-        raise ConfigError(f"config 'upper' must be a JSON boolean, got {upper!r}")
+        raise ConfigError(f"config 'upper' must be a JSON boolean, got {upper!r:.200}")
     return words.WordSystem.from_spec(
         slope.build_table(spec), cfg.get("intercept", "characteristic"), upper=upper)
 
@@ -176,7 +176,7 @@ def cmd_ostrowski_real(args, cfg, system):
             u = read_int(u, "--sigma-pair u")
         except ValueError as exc:
             raise ConfigError(
-                f"--sigma-pair must be u,v with an integer u, got {args.sigma_pair!r}"
+                f"--sigma-pair must be u,v with an integer u, got {args.sigma_pair!r:.200}"
             ) from exc
         digits = ostrowski.encode_real((u, ostrowski.parse_fraction(v)), table)
     elif args.digits:

@@ -7,6 +7,7 @@ internal invariant is exit 4.
 """
 
 import functools
+import sys
 
 
 def validated(cls):
@@ -97,15 +98,18 @@ class InternalError(SturmianError):
 def read_int(x, what: str) -> int:
     """x as an int, for a JSON integer or a decimal string (an optional
     sign and ASCII digits); a float, a boolean or any other type raises
-    ConfigError.  Any other string raises a ValueError worded as int()'s,
-    for the caller to wrap."""
+    ConfigError.  Any other string, or one past the int-to-str limit,
+    raises a ValueError for the caller to wrap, in the same words under
+    any limit."""
     if isinstance(x, str):
         unsigned = x[1:] if x.startswith(("+", "-")) else x
         if not (unsigned.isascii() and unsigned.isdigit()):
             raise ValueError(f"invalid literal for int() with base 10: {x!r:.200}")
+        if len(unsigned) > (sys.get_int_max_str_digits() or len(unsigned)):
+            raise ValueError(f"{what} of {len(unsigned)} digits is past the int-to-str digit limit")
         return int(x)
     if type(x) is not int:
-        raise ConfigError(f"{what} {x!r} is not an integer")
+        raise ConfigError(f"{what} {x!r:.200} is not an integer")
     return x
 
 

@@ -5,7 +5,9 @@ enclosed by lo/den < x < hi/den, never-reduced integers from its digit
 prefix; continued fractions come from the Euclidean algorithm, and the
 certified prefix is the common prefix of the endpoint expansions with a
 one-term guard, from one Euclid on lo that carries hi by a cofactor.
-None of it shares code with the term pipeline it is used to check.  The
+None of it shares code with the term pipeline it is used to check but
+the cap on powers of the base, `cfrac._check_power`, which refuses an N
+whose b^N is past it before any digit is read.  The
 Euclid divides with `bigint.int_divmod`, which equals `divmod` and stays
 subquadratic on million-bit operands before CPython 3.12, and skips the
 division whose quotient would be thrown away: when the quotient ranges
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bigint import int_divmod
-from .cfrac import NumberSpec, continued_fraction, word_value
+from .cfrac import NumberSpec, _check_power, continued_fraction, word_value
 from .errors import ConfigError, HorizonError, PrecisionError, validated
 
 
@@ -46,9 +48,11 @@ class ValueEnclosure(NamedTuple):
 
 def enclose_value(spec: NumberSpec, n_digits: int) -> ValueEnclosure:
     """Bracket the number by its digit prefix: lo = partial sum,
-    hi = lo + 1, den = b^N (strict on both sides for a non-constant word)."""
+    hi = lo + 1, den = b^N (strict on both sides for a non-constant word),
+    with b^N held to the power cap."""
     if n_digits < 1:
         raise ConfigError("need at least one digit")
+    _check_power(spec.base, n_digits, "the oracle's enclosure")
     acc = word_value(spec.system.prefix(n_digits), spec.base)
     return ValueEnclosure(acc, acc + 1, spec.base ** n_digits, n_digits, spec.base)
 

@@ -93,7 +93,7 @@ def parse_fraction(text: str) -> Fraction:
             return Fraction(read_int(num, "numerator"), read_int(den, "denominator"))
         return Fraction(read_int(text, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {text!r}: {exc}") from exc
+        raise ConfigError(f"bad rational {text!r:.200}: {exc}") from exc
 
 
 def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:

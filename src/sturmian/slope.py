@@ -78,11 +78,11 @@ class SlopeSpec(NamedTuple):
 
         try:
             if not isinstance(obj, dict):
-                raise ConfigError(f"slope must be a JSON object, got {obj!r}")
+                raise ConfigError(f"slope must be a JSON object, got {obj!r:.200}")
             return cls(quotients("preperiod"), quotients("period"),
                        read_int(obj.get("horizon", 0), "horizon"))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad slope {obj!r}: {exc}") from exc
+            raise ConfigError(f"bad slope {obj!r:.200}: {exc}") from exc
 
 
 class ConvergentTable(NamedTuple):

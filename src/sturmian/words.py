@@ -148,7 +148,7 @@ class WordSystem:
         if intercept == "characteristic":
             return cls.characteristic(table, upper=upper)
         if not isinstance(intercept, dict):
-            raise ConfigError(f"bad intercept spec {intercept!r}")
+            raise ConfigError(f"bad intercept spec {intercept!r:.200}")
         forms = [key for key in ("digits", "m", "sigma", "sigma_pair")
                  if key in intercept]
         if len(forms) != 1:
@@ -165,12 +165,12 @@ class WordSystem:
                 u, v = read_list(intercept, "sigma_pair", "intercept")
                 u = read_int(u, "sigma_pair u")
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad intercept spec {intercept!r}: {exc}") from exc
+            raise ConfigError(f"bad intercept spec {intercept!r:.200}: {exc}") from exc
         if "digits" in intercept:
             terminating = intercept.get("terminating", True)
             if not isinstance(terminating, bool):
                 raise ConfigError(
-                    f"intercept 'terminating' must be a JSON boolean, got {terminating!r}")
+                    f"intercept 'terminating' must be a JSON boolean, got {terminating!r:.200}")
             return cls.from_digits(table, digits, terminating=terminating, upper=upper)
         if "m" in intercept:
             deg = degenerate_expansions(m, p, table)
@@ -443,32 +443,35 @@ class WordSystem:
 def formal_intercept(source, table: ConvergentTable, levels: int) -> InterceptDigits:
     """Recover the intercept digits of a word from its letters alone.
 
-    At each level the aligned word is the unique conjugate of the
-    standard word matching the source's first q_k - 1 letters; candidate
-    offsets differ by multiples of q_{k-1}, so each level tries at most
-    a_k + 1 digit candidates and keeps the one whose candidate word
-    matches the source.  Letters below q_{k-1} were matched one level
-    down, so level k compares letters q_{k-1}..q_k - 1, a `prefix` window
-    of each candidate, reading each source letter once and only as needed.
+    `source` is a `WordSystem` or a function giving letter n.  At each
+    level the aligned word is the unique conjugate of the standard word
+    matching the source's first q_k - 1 letters; candidate offsets differ
+    by multiples of q_{k-1}, so each level tries at most a_k + 1 digit
+    candidates and keeps the one whose candidate word matches the source.
+    Letters below q_{k-1} were matched one level down, so level k compares
+    letters q_{k-1}..q_k - 1, a `prefix` window of each candidate, with
+    the same window of the source: one `prefix` of a `WordSystem`, or the
+    letters of a function, each read once and only as needed.
     """
-    letter = source.letter if isinstance(source, WordSystem) else source
     if levels > table.horizon:
         raise HorizonError(f"{levels} levels exceed horizon {table.horizon}")
+    word_source = isinstance(source, WordSystem)
     digits: list[int] = []
     for k in range(1, levels + 1):
-        start = table.q(k - 1)
-        read: list[int] = []  # the source's letters start.., each read once
+        start, stop = table.q(k - 1), table.q(k)
+        seen = source.prefix(stop - 1)[start - 1:] if word_source else ""
         survivors = []
         # b_k < a_k at k = 1 and after a nonzero digit, else b_k <= a_k
         for b in range(table.a(k) + (k > 1 and digits[-1] == 0)):
             probe = WordSystem.from_digits(table, (*digits, b) + (0,) * (table.horizon - k),
                                            terminating=False)
-            for i, c in enumerate(probe.prefix(table.q(k) - 1)[start - 1:]):
-                if i == len(read):
-                    read.append(letter(start + i))
-                if int(c) != read[i]:
-                    break
-            else:
+            window = probe.prefix(stop - 1)[start - 1:]
+            if not word_source and window.startswith(seen):
+                for c in window[len(seen):]:  # read on while the letters agree
+                    seen += str(source(start + len(seen)))
+                    if seen[-1] != c:
+                        break
+            if window == seen:
                 survivors.append(b)
         if not survivors:
             raise ConfigError(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian import PrecisionError, SlopeSpec, SturmianError, build_table
-from sturmian.cfrac import NumberSpec, Term, term_block
+from sturmian.cfrac import NumberSpec, Term, _entry
 from sturmian.ostrowski import InterceptDigits
 from sturmian.words import WordSystem
 
@@ -165,38 +165,32 @@ def shallower(spec, levels):
 
 def raw_terms(spec, levels):
     """The improper stream c_0, d_0, 1, e_0, f_0, c_1, ... of `levels`
-    levels as concrete terms, each from its level's `term_block`."""
-    out = []
-    for k in range(levels):
-        blk = term_block(spec, k)
-        for kind, value in zip(("c", "d", "one", "e", "f"),
-                               (blk.c, blk.d, 1, blk.e, blk.f)):
-            out.append(Term(value, ((kind, k),)))
-    return out
+    levels as concrete terms, each entry from `_entry`."""
+    return [Term(1 if kind == "one" else _entry(spec, kind, k), ((kind, k),))
+            for k in range(levels) for kind in ("c", "d", "one", "e", "f")]
 
 
 def value_refs(spec, terms):
     """The entries (kind, level) that the values of `terms` read, in
     order: each term's parts less the constant 1s, the zero parts and the
     interior of a rule-(i) window, whose value is c_k + 1 + e_{k+1}.
-    Signs come from `term_block`, so call it before counting entries."""
-    block = functools.cache(functools.partial(term_block, spec))
+    Signs are read from the entries' values."""
+    entry = functools.cache(functools.partial(_entry, spec))
     refs = []
     for t in terms:
         interior = set()
         for kind, k in t.parts:
-            if kind == "c" and block(k).c < 0:
+            if kind == "c" and entry(kind, k) < 0:
                 interior |= {("d", k - 1), ("e", k - 1), ("f", k - 1), ("c", k), ("d", k)}
         refs += [(kind, k) for kind, k in t.parts if kind != "one"
-                 and getattr(block(k), kind) != 0 and (kind, k) not in interior]
+                 and entry(kind, k) != 0 and (kind, k) not in interior]
     return refs
 
 
 def evaluated(spec, pending):
     """Concrete terms of rewrite terms: each one's constant plus the
-    term-block entries it names."""
-    block = functools.cache(functools.partial(term_block, spec))
-    return [Term(t.const + sum(getattr(block(k), kind) for kind, k in t.refs),
+    entries it names."""
+    return [Term(t.const + sum(_entry(spec, kind, k) for kind, k in t.refs),
                  t.parts) for t in pending]
 
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import sys
@@ -27,6 +28,7 @@ from sturmian.cfrac import (
     Term,
     _bits_as_base,
     _collapse,
+    _entry,
     _exponents_fit,
     _fold_zeros,
     _geom,
@@ -35,7 +37,6 @@ from sturmian.cfrac import (
     _rewrite,
     final_terms,
     formal_family_fraction,
-    term_block,
     word_value,
 )
 from sturmian.words import WordSystem
@@ -88,28 +89,25 @@ def test_number_spec_replace_validates_as_the_constructor_does(golden):
 def test_term_block_level_zero(golden, slope532):
     for t, b in [(golden, 2), (slope532, 3), (slope532, 10)]:
         spec = characteristic_spec(t, b)
-        blk = term_block(spec, 0)
-        assert blk.d == 0
-        assert blk.e == b - 1
-        assert blk.c == (b ** t.a(1) - b) // (b - 1)
+        assert _entry(spec, "d", 0) == 0
+        assert _entry(spec, "e", 0) == b - 1
+        assert _entry(spec, "c", 0) == (b ** t.a(1) - b) // (b - 1)
 
 
 def test_term_block_examples():
     t = table_for((2, 2, 2), horizon=10)
     spec = characteristic_spec(t, 2)
-    assert term_block(spec, 0).c == 2  # (2^2 - 2)/(2 - 1)
+    assert _entry(spec, "c", 0) == 2  # (2^2 - 2)/(2 - 1)
     # zero digit b_{k+1} = 0 -> f_k = 0
-    assert term_block(spec, 3).f == 0
+    assert _entry(spec, "f", 3) == 0
 
 
 def test_term_block_negative_branch():
     spec = negative_term_spec()
-    blk2 = term_block(spec, 2)
-    blk3 = term_block(spec, 3)
-    assert blk3.c == -(blk2.e + 1)
-    assert blk3.c < 0
-    blk4 = term_block(spec, 4)
-    assert blk4.c >= 0  # no two consecutive negatives
+    c3 = _entry(spec, "c", 3)
+    assert c3 == -(_entry(spec, "e", 2) + 1)
+    assert c3 < 0
+    assert _entry(spec, "c", 4) >= 0  # no two consecutive negatives
 
 
 def test_boehmer_terms_golden():
@@ -128,14 +126,14 @@ def test_powers_past_the_cap_are_refused_before_they_are_computed(monkeypatch):
     t = table_for((5, 3, 2), horizon=12)
     for b in (2, 3, 10):
         spec = characteristic_spec(t, b)
-        blocks = [term_block(spec, k) for k in range(5)]
+        entries = [_entry(spec, kind, k) for k in range(5) for kind in "cdef"]
         closed = [boehmer_term(t, b, k) for k in range(1, 6)]
         with monkeypatch.context() as m:
             m.setattr(cfrac, "_MAX_POWER_BITS", t.q(5) * (b - 1).bit_length())
-            assert [term_block(spec, k) for k in range(5)] == blocks
+            assert [_entry(spec, kind, k) for k in range(5) for kind in "cdef"] == entries
             assert [boehmer_term(t, b, k) for k in range(1, 6)] == closed
-            for refused in (lambda: term_block(spec, 5), lambda: boehmer_term(t, b, 6),
-                            lambda: continued_fraction(spec)):
+            for refused in (*(functools.partial(_entry, spec, kind, 5) for kind in "cdef"),
+                            lambda: boehmer_term(t, b, 6), lambda: continued_fraction(spec)):
                 with pytest.raises(HorizonError):
                     refused()
 
@@ -207,8 +205,7 @@ def test_negative_window_shape_and_collapse():
     # matrix value preserved
     assert stream_matrix(raw, spec.base) == stream_matrix(nonneg, spec.base)
     # the merged term value is c_k + 1 + e_{k+1}
-    blk2, blk3 = term_block(spec, 2), term_block(spec, 3)
-    assert blk2.c + 1 + blk3.e in [t.value for t in nonneg]
+    assert _entry(spec, "c", 2) + 1 + _entry(spec, "e", 3) in [t.value for t in nonneg]
 
 
 def test_consecutive_negatives_rejected():
@@ -394,7 +391,7 @@ def _sign(v):
 
 def test_level_signs_match_term_block_values():
     # the rewrite reads signs from the digits alone; each must be the sign
-    # of the value term_block computes, for every level, kind and form
+    # of the value _entry computes, for every level, kind and form
     rng = random.Random(20261018)
     seen = {"c<0": 0, "c=0": 0, "d=0": 0, "f=0": 0}
     for _ in range(12):
@@ -406,14 +403,13 @@ def test_level_signs_match_term_block_values():
             spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
                                                          upper=upper))
             for k in range(spec.system.levels):
-                blk = term_block(spec, k)
-                values = (blk.c, blk.d, 1, blk.e, blk.f)
+                c, d, e, f = (_entry(spec, kind, k) for kind in "cdef")
                 signs = [t.sign for t in _level_signs(spec, k)]
-                assert signs == [_sign(v) for v in values], (intercept, k)
-                seen["c<0"] += blk.c < 0
-                seen["c=0"] += blk.c == 0
-                seen["d=0"] += blk.d == 0
-                seen["f=0"] += blk.f == 0
+                assert signs == [_sign(v) for v in (c, d, 1, e, f)], (intercept, k)
+                seen["c<0"] += c < 0
+                seen["c=0"] += c == 0
+                seen["d=0"] += d == 0
+                seen["f=0"] += f == 0
     assert min(seen.values()) >= 3, seen
 
 
@@ -467,10 +463,10 @@ def test_pipeline_head_forms():
     digs = tuple(1 for _ in range(8))
     spec = NumberSpec(2, word_system(t, digs))
     final = continued_fraction(shallower(spec, 8))
-    blocks = [term_block(spec, k) for k in range(4)]
-    want = [blocks[0].c + 1, blocks[0].e, blocks[0].f,
-            blocks[1].c, blocks[1].d, 1, blocks[1].e, blocks[1].f,
-            blocks[2].c]
+    entry = functools.partial(_entry, spec)
+    want = [entry("c", 0) + 1, entry("e", 0), entry("f", 0),
+            entry("c", 1), entry("d", 1), 1, entry("e", 1), entry("f", 1),
+            entry("c", 2)]
     assert [t.value for t in final[: len(want)]] == want
 
 
@@ -490,7 +486,7 @@ def test_convergent_seeds_and_determinant(rng):
         digs = (1, 0, 2, 0, 1, 0, 0, 1, 0, 0)
         spec = NumberSpec(base, word_system(t, digs))
         # raw-stream recurrence gives the seed pair of the improper stream
-        c0 = term_block(spec, 0).c
+        c0 = _entry(spec, "c", 0)
         p1 = c0 * 0 + (base - 1)
         q1 = c0 * (base - 1) + 0
         assert p1 == base - 1
@@ -535,21 +531,19 @@ def test_term_values_in_allowed_combos(rng):
         digs = random_digits(rng, t, 8)
         spec = NumberSpec(2, word_system(t, digs))
         levels = 8
-        blocks = [term_block(spec, k) for k in range(levels)]
+        c, d, e, f = ([_entry(spec, kind, k) for k in range(levels)] for kind in "cdef")
         allowed = {1}
         for k in range(levels):
-            b = blocks[k]
-            allowed.update({b.c, b.d, b.e, b.f, b.c + 1, b.e + 1})
+            allowed.update({c[k], d[k], e[k], f[k], c[k] + 1, e[k] + 1})
             if k + 1 < levels:
-                nxt = blocks[k + 1]
                 allowed.update({
-                    b.c + nxt.e + 1,
-                    b.e + nxt.c,
-                    b.f + nxt.d,
-                    b.e + nxt.c + 1,
+                    c[k] + e[k + 1] + 1,
+                    e[k] + c[k + 1],
+                    f[k] + d[k + 1],
+                    e[k] + c[k + 1] + 1,
                 })
                 if k >= 1:
-                    allowed.add(blocks[k - 1].e + b.c + nxt.e + 1)
+                    allowed.add(e[k - 1] + c[k] + e[k + 1] + 1)
         for term in continued_fraction(shallower(spec, levels)):
             assert term.value in allowed, (t.spec.preperiod, digs, term)
 

@@ -358,6 +358,24 @@ def test_read_int_refuses_what_int_forgives(text):
         read_int(text, "value")
 
 
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_read_int_refuses_a_string_past_the_int_str_limit_in_one_wording(limit):
+    # the limit is read, never set; 0 means no limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        if limit:
+            assert read_int("-" + "7" * limit, "value") == -int("7" * limit)
+            with pytest.raises(ValueError) as exc:
+                read_int("1" + "0" * 4400, "value")
+            assert str(exc.value) == "value of 4401 digits is past the int-to-str digit limit"
+        else:
+            assert read_int("1" + "0" * 4400, "value") == 10 ** 4400
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_prefix_builds_only_the_levels_it_needs(capsys, monkeypatch):
     # the 8 printed terms reach level 7; the levels that settle the last
     # of them (one more level, characteristic, or the rule-(i) window of
@@ -593,3 +611,33 @@ def test_a_json_integer_literal_past_the_int_str_limit_exits_2(capsys, tmp_path,
         sys.set_int_max_str_digits(old)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_the_benchmark_tracer_leaves_traced_commands_working():
+    # perfbench/tracing.py wraps the public functions of every layer from
+    # outside and reads some of the values they return; a return value it
+    # cannot read makes every traced command fail
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    s532 = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":11}'
+    argvs = [["--slope", s532, "--base", "3", "cf", "--terms", "8"],
+             ["--slope", s532, "--base", "3", "convergents", "--terms", "8"],
+             ["--slope", GOLDEN, "verify"]]
+    script = "\n".join([
+        "import io, json, sys",
+        f"sys.path[:0] = [{os.path.join(root, 'src')!r}, {os.path.join(root, 'perfbench')!r}]",
+        "import sturmian.cli as cli",
+        "from tracing import Tracer",
+        "tracer, codes, out = Tracer(), [], sys.stdout",
+        "tracer.install()",
+        "for i, argv in enumerate(json.loads(sys.argv[1])):",
+        "    tracer.begin(i, argv)",
+        "    sys.stdout = io.StringIO()",
+        "    codes.append(cli.main(argv))",
+        "out.write(json.dumps([codes, tracer.metrics()]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, metrics = json.loads(done.stdout)
+    assert codes == [0, 0, 0]
+    assert metrics["oracle.enclosures"] >= 1

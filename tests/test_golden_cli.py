@@ -220,6 +220,18 @@ def corpus() -> list[list[str]]:
     # of about that many bits
     huge = ["--slope", _slope(["10", str(10 ** 639), "1", "1"], [], 4)]
     cmds += [huge + ["cf"], huge + ["boehmer", "--terms", "3"]]
+    # exit 2: a decimal string past the int-to-str limit, refused in the
+    # same words under any limit, with at most 200 characters of the input
+    cmds += [
+        ["--slope", '{"preperiod":["%s"],"horizon":4}' % literal, "cf"],
+        g + ["--intercept", '{"digits":["%s"]}' % literal, "cf"],
+        g + ["ostrowski-real", "--sigma", "1/" + literal],
+    ]
+    # exit 3: verify's first enclosure, N = 4 q_3 = 648,036,008 digits,
+    # needs a power of the base past the cap; exit 4: N = 16,040,800 is
+    # enclosed under it, and falls short
+    cmds.append(["--slope", _slope([2], [9000], 4), "verify"])
+    cmds.append(["--slope", _slope([2], [200], 4), "verify"])
     return cmds
 
 
@@ -286,6 +298,11 @@ def test_corpus_replays_under_the_lowest_int_str_limit():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout
     assert f"{len(RECORDED)} of {len(RECORDED)} entries match" in done.stdout
+
+
+def test_every_recorded_stderr_is_short():
+    # an error echoes at most 200 characters of its input
+    assert max(len(e["stderr"].encode()) for e in RECORDED) < 400
 
 
 def check() -> int:

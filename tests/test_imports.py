@@ -1,8 +1,9 @@
 """Import boundaries inside the package, read from the source with `ast`.
 
 The oracle stays independent of the term pipeline: from the package it
-takes only the number spec, `continued_fraction` and `word_value` from
-`cfrac`, `int_divmod` from `bigint`, and errors.  The big-integer
+takes only the number spec, `continued_fraction`, `word_value` and the
+power cap `_check_power` from `cfrac`, `int_divmod` from `bigint`, and
+errors.  The big-integer
 kernels in `bigint` import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
@@ -63,7 +64,8 @@ def test_package_imports_sees_every_form():
 def test_oracle_takes_only_values_from_the_pipeline():
     imports = package_imports("oracle")
     assert set(imports) <= {"bigint", "cfrac", "errors"}
-    assert imports["cfrac"] <= {"NumberSpec", "continued_fraction", "word_value"}
+    assert imports["cfrac"] <= {"NumberSpec", "continued_fraction", "word_value",
+                                "_check_power"}
     assert imports.get("bigint", set()) <= {"int_divmod"}
 
 
@@ -105,8 +107,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 RECORDS = {
-    "cfrac": {"NumberSpec", "TermBlock", "Term", "ConvergentPair",
-              "FamilyFraction"},
+    "cfrac": {"NumberSpec", "Term", "ConvergentPair", "FamilyFraction"},
     "exponent": {"NuRow", "StrongRecord", "EstimateReport", "LiouvilleReport",
                  "ExtremalIntercept"},
     "oracle": {"ValueEnclosure", "VerificationReport"},

@@ -264,6 +264,19 @@ def test_formal_intercept_round_trip(slope532, rng):
         assert formal_intercept(ws, t, 6).digits == digs
 
 
+def test_formal_intercept_reads_a_word_system_by_one_window_per_level(slope532, monkeypatch):
+    digs = (4, 0, 2, 1, 0, 1)
+    src = word_system(slope532, digs, terminating=False)
+    lengths, prefix = [], src.prefix
+    monkeypatch.setattr(src, "letter", None)
+    monkeypatch.setattr(src, "prefix", lambda n: lengths.append(n) or prefix(n))
+    assert formal_intercept(src, slope532, 6).digits == digs
+    assert lengths == [slope532.q(k) - 1 for k in range(1, 7)]
+    # a source known to fewer levels has no window for the next one
+    with pytest.raises(HorizonError):
+        formal_intercept(src, slope532, 7)
+
+
 def test_formal_intercept_characteristic(golden):
     ws = WordSystem.characteristic(golden)
     assert formal_intercept(ws, golden, 8).digits == (0,) * 8
