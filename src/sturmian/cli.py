@@ -38,7 +38,8 @@ from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
 from .bigint import continuants_to_decimal, to_decimals
-from .errors import ConfigError, HorizonError, InternalError, SturmianError, read_int
+from .errors import (ConfigError, DigitLimitError, HorizonError, InternalError, SturmianError,
+                     read_int)
 
 
 def _decimals(ints, fractions=()) -> dict[int, str]:
@@ -57,8 +58,10 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers, as in --digits 1,0,2."""
     try:
         return tuple(read_int(d, what) for d in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be comma-separated integers, got {text!r:.200}") from exc
+    except ValueError as exc:  # the digit limit is named; a malformed integer is shown
+        why = f": {exc}" if isinstance(exc, DigitLimitError) else ""
+        raise ConfigError(
+            f"{what} must be comma-separated integers, got {text!r:.200}{why}") from exc
 
 
 def _config_int(cfg, key: str, default: int) -> int:
@@ -175,9 +178,9 @@ def cmd_ostrowski_real(args, cfg, system):
             u, v = args.sigma_pair.split(",")
             u = read_int(u, "--sigma-pair u")
         except ValueError as exc:
-            raise ConfigError(
-                f"--sigma-pair must be u,v with an integer u, got {args.sigma_pair!r:.200}"
-            ) from exc
+            why = f": {exc}" if isinstance(exc, DigitLimitError) else ""
+            raise ConfigError("--sigma-pair must be u,v with an integer u, "
+                              f"got {args.sigma_pair!r:.200}{why}") from exc
         digits = ostrowski.encode_real((u, ostrowski.parse_fraction(v)), table)
     elif args.digits:
         digits = ostrowski.InterceptDigits(_ints(args.digits, "--digits"))

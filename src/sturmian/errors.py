@@ -95,18 +95,22 @@ class InternalError(SturmianError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
+class DigitLimitError(ValueError):
+    """A decimal string past the int-to-str digit limit (`read_int`)."""
+
+
 def read_int(x, what: str) -> int:
     """x as an int, for a JSON integer or a decimal string (an optional
     sign and ASCII digits); a float, a boolean or any other type raises
-    ConfigError.  Any other string, or one past the int-to-str limit,
-    raises a ValueError for the caller to wrap, in the same words under
-    any limit."""
+    ConfigError.  Any other string raises a ValueError for the caller to
+    wrap, one past the int-to-str limit a DigitLimitError, in the same
+    words under any limit."""
     if isinstance(x, str):
         unsigned = x[1:] if x.startswith(("+", "-")) else x
         if not (unsigned.isascii() and unsigned.isdigit()):
             raise ValueError(f"invalid literal for int() with base 10: {x!r:.200}")
         if len(unsigned) > (sys.get_int_max_str_digits() or len(unsigned)):
-            raise ValueError(f"{what} of {len(unsigned)} digits is past the int-to-str digit limit")
+            raise DigitLimitError(f"{what} of {len(unsigned)} digits is past the int-to-str digit limit")
         return int(x)
     if type(x) is not int:
         raise ConfigError(f"{what} {x!r:.200} is not an integer")

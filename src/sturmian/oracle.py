@@ -195,7 +195,8 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationRepor
     4 n_0, ..., capped at n_max = q_L - 1, the deepest letter the L known
     intercept digits serve, from n_0 = 4 q_{L-1}.  It stops at n_max, at
     the first N whose prefix and the previous N's both reach
-    min(`min_terms`, pipeline length), or after 12 passes.  A first pass
+    min(`min_terms`, pipeline length), after 12 passes, or before a pass
+    past the power cap (a first one raises HorizonError).  A first pass
     can never stop it, so when 2 n_0 >= n_max (its second pass would be
     n_max) it starts at n_max: one pass, not two.  Each prefix is
     certified regardless, so the schedule only affects how many terms get
@@ -225,8 +226,11 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationRepor
             prefix = []
         if passes == 12 or n == n_max or min(len(prefix), prev_len) >= wanted:
             break
-        prev_len = len(prefix)
-        n = min(2 * n, n_max)
+        try:  # a pass past the power cap ends the schedule with the passes made
+            _check_power(spec.base, min(2 * n, n_max), "the next enclosure")
+        except HorizonError:
+            break
+        prev_len, n = len(prefix), min(2 * n, n_max)
     overlap = min(len(prefix), len(pipeline))
     mismatch = next((i for i in range(overlap) if prefix[i] != pipeline[i]), None)
     return VerificationReport(

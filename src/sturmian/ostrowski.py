@@ -5,10 +5,10 @@ by the partial quotients and the adjacency rule d_j = 0 whenever
 d_{j+1} = a_{j+1}.  Reals sigma in [-theta, 1-theta] are written as
 sigma = sum b_k theta_{k-1} under the analogous rules.  Everything here
 is exact: digit extraction works on the symbolic form A + B*theta and
-certifies each digit with sign tests against the convergent bracket, so
-a digit is never guessed.  Values lying in Z theta + Z have two
-admissible expansions; those are either produced explicitly by
-`degenerate_expansions` or reported as `AmbiguousExpansionError`.
+certifies each digit against the convergent bracket, a real one by a
+floor and a sign test, so no digit is guessed.  Values lying in
+Z theta + Z have two admissible expansions; those are either produced
+explicitly by `degenerate_expansions` or reported as `AmbiguousExpansionError`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .errors import (
     HorizonError,
     InternalError,
     InvalidInterceptError,
+    PrecisionError,
     read_int,
     validated,
 )
-from .slope import ConvergentTable, sign_linear
+from .slope import ConvergentTable, floor_ratio, sign_linear
 
 
 @validated
@@ -168,24 +169,11 @@ def decode_real(digits, table: ConvergentTable):
         digits = InterceptDigits(tuple(digits))
     validate_real_digits(digits, table)
     u, p = digit_prefix_value(digits.digits, table)
-    k = table.horizon
-    v1 = Fraction(u * table.p(k - 1), table.q(k - 1)) - p
-    v2 = Fraction(u * table.p(k), table.q(k)) - p
-    lo, hi = (v1, v2) if v1 <= v2 else (v2, v1)
+    lo, hi = sorted(Fraction(u * pk, qk) - p for pk, qk in zip(table.ps[-2:], table.qs[-2:]))
     if not digits.terminating:
         tail = Fraction(1, table.q(len(digits.digits)))
         lo, hi = lo - tail, hi + tail
     return lo, hi
-
-
-def _window_boundary(table: ConvergentTable, k: int, b: int) -> tuple[int, int]:
-    """Boundary between digits b-1 and b at step k: (b-1)theta_{k-1} - theta_k.
-
-    Returned as the coefficient pair (const, coeff) of const + coeff*theta.
-    """
-    coeff = (b - 1) * table.q(k - 1) - table.q(k)
-    const = table.p(k) - (b - 1) * table.p(k - 1)
-    return const, coeff
 
 
 def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
@@ -196,8 +184,11 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
 
     `sigma` is an exact Fraction or a coefficient pair (u, v) standing for
     u*theta + v; floats are rejected because no floor can be certified
-    from them.  Each digit is certified by exact sign tests; landing on a
-    window boundary means sigma in Z theta + Z with two admissible
+    from them.  The residual X passes the boundary between digits b - 1
+    and b exactly when y = (X + theta_k)/theta_{k-1} > b - 1, so after a
+    sign test at the bottom, -theta_{k-1}, digit k is ceil(y) by one
+    `floor_ratio`, clamped to 0..cap + 1 (past the top).  An integer y in
+    0..cap is a window boundary: sigma in Z theta + Z with two admissible
     branches, reported as AmbiguousExpansionError rather than guessed.
     """
     if isinstance(sigma, float):
@@ -210,61 +201,36 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
     limit = max(table.horizon - 2, 1)
 
     digits: list[int] = []
-    prev = 1  # treat step 1 as if preceded by a nonzero digit: caps b_1 at a_1 - 1
     for k in range(1, limit + 1):
-        if coeff == 0 and const == 0:
-            return InterceptDigits(tuple(digits + [0] * (limit - len(digits))), True)
-        cap = table.a(k) - 1 if prev >= 1 else table.a(k)
+        cap = table.a(k) - (k == 1 or digits[-1] > 0)  # b_k = a_k only after a 0
         direction = 1 if k % 2 == 1 else -1  # sign of theta_{k-1}
-
-        def above(b):
-            """+1 if the residual sits beyond boundary b in digit direction."""
-            bc, bk = _window_boundary(table, k, b)
-            s = sign_linear(table, const - bc, coeff - bk)
-            return s * direction
-
-        # Bottom of window 0 is -theta_{k-1}; top of window cap is boundary cap+1.
         s_bot = direction * sign_linear(table, const - table.p(k - 1), coeff + table.q(k - 1))
         if s_bot == 0:
             _raise_ambiguous(digits, (0, 0), orig_coeff, orig_const)
         if s_bot < 0:
             raise InvalidInterceptError(
-                f"value below -theta at digit {k}; not in [-theta, 1-theta]"
-            )
-        s_top = above(cap + 1)
-        if s_top == 0:
-            _raise_ambiguous(digits, (cap, cap), orig_coeff, orig_const)
-        if s_top > 0:
-            raise InvalidInterceptError(
-                f"value beyond the top of the digit range at digit {k}"
-            )
-        # the largest b <= cap with the residual beyond boundary b (the
-        # bottom check certifies b = 0); boundaries increase with b, so
-        # the search cannot end below boundary j without probing it
-        lo, hi = 0, cap
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            s = above(mid)
-            if s == 0:
-                _raise_ambiguous(digits, (mid - 1, mid), orig_coeff, orig_const)
-            if s > 0:
-                lo = mid
-            else:
-                hi = mid - 1
-        b_k = lo
-        digits.append(b_k)
-        const += b_k * table.p(k - 1)
-        coeff -= b_k * table.q(k - 1)
-        prev = b_k
+                f"value below -theta at digit {k}; not in [-theta, 1-theta]")
+        lo, hi = floor_ratio(table, const - table.p(k), coeff + table.q(k),
+                             -table.p(k - 1), table.q(k - 1))
+        # the digits ceil(y) may be, an unbounded side standing for its end
+        low, high = (min(max(f + 1, 0), cap + 1)
+                     for f in (-1 if lo is None else lo, cap if hi is None else hi))
+        if low > high:  # y is the integer high <= cap
+            _raise_ambiguous(digits, (high, min(low, cap)), orig_coeff, orig_const)
+        if low < high:
+            raise PrecisionError(f"digit {k} of the intercept not certified within "
+                                 f"horizon {table.horizon}; raise the slope horizon")
+        if low > cap:
+            raise InvalidInterceptError(f"value beyond the top of the digit range at digit {k}")
+        digits.append(low)
+        const, coeff = const + low * table.p(k - 1), coeff - low * table.q(k - 1)
     return InterceptDigits(tuple(digits), coeff == 0 and const == 0)
 
 
 def _raise_ambiguous(digits, branches, coeff, const):
-    m = p = None
-    if const.denominator == 1:
-        m, p = -coeff, int(const)
-        if m < 1:
-            m = p = None
+    # sigma = coeff*theta + const names its degenerate form when it is
+    # -m*theta + p with integers m >= 1 and p
+    m, p = (-coeff, int(const)) if const.denominator == 1 and coeff < 0 else (None, None)
     raise AmbiguousExpansionError(digits, branches, m=m, p=p)
 
 

@@ -5,11 +5,11 @@ fraction expansion [0; a_1, a_2, ...].  A spec either carries a periodic
 tail (covering quadratic irrationals exactly) or is a plain finite list
 with an explicit horizon.  theta itself is never stored, as a float or
 as a rational interval: every certified question about it is a sign,
-`sign_linear`, or a floor, `floor_theta_multiple`.  Both read the last
-convergent pair p_{K-1}/q_{K-1}, p_K/q_K, which encloses theta.  The
-brackets of consecutive convergents nest, so whatever a shallower pair
-certifies the last pair certifies with the same answer, and when the
-last pair cannot, PrecisionError asks for a deeper horizon.
+`sign_linear`, a floor, `floor_theta_multiple`, or bounds on a floor,
+`floor_ratio`.  All three read the last convergent pair, which encloses
+theta.  The brackets of consecutive convergents nest, so whatever a
+shallower pair certifies the last pair certifies with the same answer,
+and when the last pair cannot, PrecisionError asks for a deeper horizon.
 """
 
 from __future__ import annotations
@@ -178,3 +178,25 @@ def floor_theta_multiple(table: ConvergentTable, x: int) -> int:
         f"floor of {x}*theta not certified within horizon {table.horizon}; "
         "raise the slope horizon"
     )
+
+
+def floor_ratio(table: ConvergentTable, a, b: int, c: int, d: int) -> tuple[int | None, int | None]:
+    """Certified bounds (lo, hi) on the floor of y = (a + b*theta)/(c + d*theta),
+    for a rational a and integers b, c, d, c or d nonzero: y lies strictly
+    between its values at the last pair, so lo is the floor of the smaller
+    and hi the ceiling of the larger, less 1.  A pole -c/d at a convergent
+    leaves y unbounded on that side, and one inside the bracket on both:
+    such a bound is None.  A constant map gives its floor twice, or
+    (j, j - 1) for an integer y = j.
+    """
+    a = Fraction(a)
+    ends = [(a.numerator * q + a.denominator * b * p, a.denominator * (c * q + d * p))
+            for p, q in zip(table.ps[-2:], table.qs[-2:])]
+    (_, d0), (_, d1) = ends
+    if d0 * d1 < 0:
+        return None, None
+    # at a pole (den 0) y tends to the infinity of num * (d0 + d1); 0/0 bounds nothing
+    floors = [num // den if den else None for num, den in ends if den or num * (d0 + d1) < 0]
+    ceils = [-(-num // den) if den else None for num, den in ends if den or num * (d0 + d1) > 0]
+    return (None if None in floors else min(floors),
+            None if None in ceils else max(ceils) - 1)

@@ -15,7 +15,8 @@ import sturmian
 from sturmian import SlopeSpec, build_table, cfrac, exponent, ostrowski
 from sturmian.bigint import to_decimal
 from sturmian.cli import main
-from sturmian.errors import ConfigError, HorizonError, InternalError, SturmianError, read_int
+from sturmian.errors import (ConfigError, DigitLimitError, HorizonError, InternalError,
+                             SturmianError, read_int)
 from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
@@ -366,7 +367,8 @@ def test_read_int_refuses_a_string_past_the_int_str_limit_in_one_wording(limit):
     try:
         if limit:
             assert read_int("-" + "7" * limit, "value") == -int("7" * limit)
-            with pytest.raises(ValueError) as exc:
+            # a ValueError of its own type, so a caller can name the reason
+            with pytest.raises(DigitLimitError) as exc:
                 read_int("1" + "0" * 4400, "value")
             assert str(exc.value) == "value of 4401 digits is past the int-to-str digit limit"
         else:

@@ -232,6 +232,20 @@ def corpus() -> list[list[str]]:
     # enclosed under it, and falls short
     cmds.append(["--slope", _slope([2], [9000], 4), "verify"])
     cmds.append(["--slope", _slope([2], [200], 4), "verify"])
+    # seven partial quotients of 600 digits: each sigma digit is one
+    # certified floor, where a search over 0..a_k took seconds
+    wide = ["--slope", _slope([str(10 ** 599 + j) for j in (1, 3, 7, 9, 11, 13, 17)], [], 7)]
+    cmds += [
+        wide + ["ostrowski-real", "--sigma", "1/3"],
+        wide + _intercept({"sigma": "1/3"}) + ["word", "--length", "1000"],
+        # exit 2: on the boundary between digits 1 and 2 after b_1 = 1
+        # (sigma = 2 - 10 theta), and beyond the top of the digit range
+        s532 + ["ostrowski-real", "--sigma-pair=-10,2"],
+        s532 + ["ostrowski-real", "--sigma-pair", "2,1/2"],
+        # exit 2: an integer past the int-to-str limit, refused with why
+        g + ["ostrowski-int", "--digits", literal],
+        g + ["ostrowski-real", "--sigma-pair", literal + ",1/2"],
+    ]
     return cmds
 
 

@@ -7,7 +7,8 @@ errors.  The big-integer
 kernels in `bigint` import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
-convergent table and its two certifying functions.
+convergent table and its three certifying functions, a sign, a floor of
+a multiple of theta and bounds on the floor of a ratio.
 
 The depth of a number is read in one place, `WordSystem.levels`: no
 function in `cfrac`, `oracle`, `exponent` or `ostrowski` takes a
@@ -81,7 +82,7 @@ def test_pipeline_and_theta_modules_take_nothing_from_bigint(module):
 @pytest.mark.parametrize("module", ["words", "ostrowski", "exponent"])
 def test_theta_arithmetic_comes_from_the_two_slope_loops(module):
     taken = package_imports(module).get("slope", set())
-    assert taken <= {"ConvergentTable", "sign_linear", "floor_theta_multiple"}
+    assert taken <= {"ConvergentTable", "sign_linear", "floor_theta_multiple", "floor_ratio"}
 
 
 @pytest.mark.parametrize("module", ["cfrac", "oracle", "exponent", "ostrowski"])

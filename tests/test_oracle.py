@@ -460,6 +460,21 @@ def test_verify_reports_the_last_enclosed_n_when_the_pass_cap_ends_it(monkeypatc
     assert rep.digits_used == calls[-1] == 16384
 
 
+def test_verify_reports_the_passes_under_the_power_cap(monkeypatch):
+    # (2)(9000) K=3 b=2: no N certifies the one pipeline term, and after
+    # N = 72,004 * 2^7 = 9,216,512 the next pass, 18,433,024 digits, would
+    # pass the cap; the schedule ends there with a shortfall report, not
+    # a HorizonError, while a first pass past the cap, N = 4 q_3 on K=4,
+    # is refused
+    spec = NumberSpec(2, WordSystem.characteristic(table_for((2,), (9000,), 3)))
+    rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
+    assert calls == [72004 << i for i in range(8)]
+    assert rep.digits_used == 9216512 and not rep.matches
+    assert len(rep.pipeline_terms) == 1 and rep.certified_prefix == ()
+    deep = NumberSpec(2, WordSystem.characteristic(table_for((2,), (9000,), 4)))
+    assert _enclosures(monkeypatch, verify_agreement, deep) == (None, [648036008])
+
+
 def test_verify_refuses_a_word_with_nothing_to_compare(monkeypatch):
     # golden K=16 digit prefixes: [0, 1, 0] gives no pipeline term (and
     # passed with nothing compared), [0] not even a digit (n_max = q_1 - 1)

@@ -19,8 +19,9 @@ from sturmian import (
     encode_real,
     validate_real_digits,
 )
+from sturmian import ostrowski
 from sturmian.ostrowski import (IntegerDigits, InterceptDigits, _raise_ambiguous,
-                                 _window_boundary, digit_prefix_value)
+                                 digit_prefix_value)
 from sturmian.slope import sign_linear
 
 from conftest import (golden_table, random_digits, random_slope_table,
@@ -196,6 +197,14 @@ def test_encode_real_ambiguous_cases(golden, slope532):
     assert (err.value.m, err.value.p) == (7, 2)
 
 
+def _window_boundary(table, k, b):
+    """Boundary between digits b-1 and b at step k: (b-1)theta_{k-1} - theta_k,
+    as the coefficient pair (const, coeff) of const + coeff*theta."""
+    coeff = (b - 1) * table.q(k - 1) - table.q(k)
+    const = table.p(k) - (b - 1) * table.p(k - 1)
+    return const, coeff
+
+
 def reference_encode_real(sigma, table):
     """`encode_real` with the digit search it had before: a separate probe
     of boundary 1 settles digit 0, and a step with cap 0 skips the search."""
@@ -287,10 +296,26 @@ def _kind(result):
     return "(0, 1)" if high == 1 else "(j-1, j)"
 
 
+def _constant_map(rng, table, k, cap):
+    """(branch, residual) for a residual X = r theta_{k-1} - theta_k, on
+    which y = (X + theta_k)/theta_{k-1} is the constant r: -1, an integer
+    in 0..cap, one above cap, or a fraction of denominator q_{k-1} (the
+    coefficient of theta must be an integer).  The residual is the pair
+    (const, coeff)."""
+    q = table.q(k - 1)
+    r = rng.choice([-1, rng.randint(0, cap), cap + rng.randint(1, 3),
+                    Fraction(rng.randint(-q, (cap + 2) * q), q)])
+    branch = ("fraction" if r.denominator > 1 else "-1" if r == -1 else "cap" if r == cap
+              else "below cap" if r < cap else "above cap")
+    return branch, (table.p(k) - r * table.p(k - 1), int(r * q) - table.q(k))
+
+
 def test_digit_search_matches_the_reference(rng):
-    seen = set()
-    for _ in range(60):
-        t = random_slope_table(rng, rng.randint(4, 14))
+    seen, seen_small, built = set(), set(), set()
+    for horizon in [rng.randint(4, 14) for _ in range(60)] + [1, 2, 3] * 20:
+        # K = 1-3 on finite slopes, whose PrecisionErrors no exact theta removes
+        t = (random_slope_table(rng, horizon) if horizon > 3 else
+             table_for([rng.randint(1, 9) for _ in range(horizon)], (), horizon))
         K = t.horizon
         sigmas = []
         for _ in range(10):  # rationals inside and just outside [-theta, 1-theta]
@@ -300,20 +325,42 @@ def test_digit_search_matches_the_reference(rng):
         for _ in range(4):  # u*theta + v near anything
             sigmas.append((rng.randint(-t.q(K), t.q(K)),
                            Fraction(rng.randint(-t.q(K), t.q(K)), rng.randint(1, 9))))
-        for _ in range(16):  # a valid prefix, then a boundary of the window at step k
+        for _ in range(16):  # a valid prefix, then the bottom of the window at
+            # step k, one of its boundaries or another constant map
             k = rng.randint(1, max(K - 2, 1))
             prefix = random_digits(rng, t, k - 1)
             cap = t.a(k) - 1 if k == 1 or prefix[-1] else t.a(k)
             j = rng.randint(0, cap + 1)
-            const, coeff = (t.p(k - 1), -t.q(k - 1)) if j == 0 else _window_boundary(t, k, j)
+            if j == 0:
+                const, coeff = t.p(k - 1), -t.q(k - 1)
+            elif rng.random() < 0.5:
+                const, coeff = _window_boundary(t, k, j)
+            else:
+                branch, (const, coeff) = _constant_map(rng, t, k, cap)
+                built.add((branch, K < 4))
             u, p = digit_prefix_value(prefix, t)
             sigmas.append((u + coeff, const - p))
         for sigma in sigmas:
             got = encode_outcome(encode_real, sigma, t)
             assert got == encode_outcome(reference_encode_real, sigma, t), (t.spec, sigma)
-            seen.add(_kind(got))
-    assert seen == {"digits", "invalid", "PrecisionError",
-                    "(0, 0)", "(0, 1)", "(j-1, j)", "(cap, cap)"}
+            (seen_small if K < 4 else seen).add(_kind(got))
+    kinds = {"digits", "invalid", "PrecisionError", "(0, 0)", "(0, 1)", "(j-1, j)", "(cap, cap)"}
+    assert seen == seen_small == kinds
+    # every branch of a constant y, on K = 1-3 tables too (where the only
+    # step is k = 1 and q_0 = 1 leaves no fraction)
+    assert built == {(branch, k_small) for branch in ("-1", "below cap", "cap", "above cap")
+                     for k_small in (False, True)} | {("fraction", False)}
+
+
+def test_each_digit_takes_one_sign_test(monkeypatch):
+    # the bottom check is the one sign test of a step: 8 for 8 digits on
+    # 600-digit quotients, where the digit search took about 2,000 per digit
+    t = table_for([10 ** 599 + j for j in (1, 3, 7, 9, 11, 13, 17, 19, 21, 23)], (), 10)
+    calls = []
+    monkeypatch.setattr(ostrowski, "sign_linear",
+                        lambda *args: calls.append(args) or sign_linear(*args))
+    digits = encode_real(Fraction(1, 3), t)
+    assert len(digits.digits) == 8 and len(calls) <= 8
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

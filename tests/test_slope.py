@@ -12,7 +12,7 @@ from sturmian import (
     SlopeSpec,
     build_table,
 )
-from sturmian.slope import floor_theta_multiple, sign_linear
+from sturmian.slope import floor_ratio, floor_theta_multiple, sign_linear
 
 from conftest import (
     golden_table,
@@ -297,6 +297,106 @@ def test_bracket_walks_match_the_fraction_references():
             seen.add(("floor", isinstance(got, tuple)))
     # both functions were seen to certify and to run out of horizon
     assert seen == {(kind, fails) for kind in ("sign", "floor") for fails in (False, True)}
+
+
+def reference_floor_ratio(table, a, b, c, d):
+    """`floor_ratio` by bisection with `sign_linear`: lo is the largest m
+    with y >= m certified, hi the smallest m with y <= m certified, less
+    1, each None when no m of size up to the largest |y| at a convergent
+    is; sign(y - m) is the sign of a - m*c + (b - m*d)*theta times that
+    of the denominator, and both are None when the denominator's sign is
+    not certified (its pole is inside the bracket)."""
+    try:
+        side = sign_linear(table, c, d)
+    except PrecisionError:
+        return None, None
+
+    def holds(m, sign):
+        try:
+            return side * sign_linear(table, a - m * c, b - m * d) in (0, sign)
+        except PrecisionError:
+            return False
+
+    a = Fraction(a)
+    reach = (abs(a.numerator) + a.denominator * abs(b)) * table.q(table.horizon) + 1
+    lo = hi = None
+    if holds(-reach, 1):
+        low, high = -reach, reach  # the largest m with y >= m certified
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if holds(mid, 1) else (low, mid - 1)
+        lo = low
+    if holds(reach, -1):
+        low, high = -reach, reach  # the smallest m with y <= m certified
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (low, mid) if holds(mid, -1) else (mid + 1, high)
+        hi = low - 1
+    return lo, hi
+
+
+@st.composite
+def ratio_cases(draw):
+    """A finite or periodic slope of horizon 1..8 and a ratio (a, b, c, d):
+    a denominator j*theta_i vanishing at a convergent, K = 1 included (its
+    pole p_0/q_0 is an end of the last bracket), one vanishing at the
+    mediant of the last pair, or any denominator; a
+    numerator of any size, or a rational multiple of the denominator (a
+    constant map, integer or not)."""
+    horizon = draw(st.integers(1, 8))
+    quotients = tuple(draw(st.lists(st.integers(1, 9), min_size=horizon,
+                                    max_size=horizon)))
+    period = draw(st.sampled_from([(), quotients[-1:], quotients]))
+    t = build_table(SlopeSpec(quotients, period, horizon))
+    span = 2 * t.q(horizon)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, horizon + 1)), draw(st.sampled_from([1, -1, 2, -3]))
+        if i > horizon:  # the pole is the mediant of the last pair, inside it
+            c, d = -j * (t.p(horizon - 1) + t.p(horizon)), j * (t.q(horizon - 1) + t.q(horizon))
+        else:
+            c, d = -j * t.p(i), j * t.q(i)
+    else:
+        c, d = draw(st.integers(-span, span)), draw(st.integers(-span, span))
+        if c == d == 0:
+            d = 1
+    if draw(st.booleans()):
+        u, v = draw(st.integers(-3 * span, 3 * span)), draw(st.sampled_from([1, 1, 2, 3]))
+        a, b = Fraction(u * c, v), u * d  # y = u/v when v divides d, else not constant
+        if b % v:
+            b += draw(st.integers(-2, 2))
+        else:
+            b //= v
+    else:
+        a = Fraction(draw(st.integers(-span, span)), draw(st.integers(1, 9)))
+        b = draw(st.integers(-span, span))
+    return t, (a, b, c, d)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ratio_cases())
+def test_floor_ratio_matches_a_sign_bisection(case):
+    t, ratio = case
+    lo, hi = floor_ratio(t, *ratio)
+    assert (lo, hi) == reference_floor_ratio(t, *ratio)
+    if lo is not None and hi is not None and lo > hi:  # a constant integer y
+        a, b, c, d = ratio
+        assert lo == hi + 1 and a * d == b * c
+
+
+def test_floor_ratio_constant_maps_and_a_pole_at_a_convergent():
+    t = golden_table(1)  # theta in (0, 1): the pole of 1/theta is p_0/q_0
+    assert floor_ratio(t, 1, 0, 0, 1) == (1, None)  # 1/theta > 1
+    assert floor_ratio(t, -1, 0, 0, 1) == (None, -2)  # -1/theta < -1
+    assert floor_ratio(t, 0, 3, 0, 1) == (3, 2)  # 3theta/theta is the integer 3
+    assert floor_ratio(t, 0, 5, 0, 2) == (2, 2)  # 5/2, not an integer
+    golden = golden_table()
+    for k in range(1, golden.horizon - 1):
+        # theta_k/theta_{k-1} lies in (-1, 0)
+        assert floor_ratio(golden, -golden.p(k), golden.q(k),
+                           -golden.p(k - 1), golden.q(k - 1)) == (-1, -1)
+    # a pole inside the bracket, at the mediant of the last pair
+    assert floor_ratio(golden, 1, 0, -golden.p(25) - golden.p(24),
+                       golden.q(25) + golden.q(24)) == (None, None)
 
 
 def test_recomputed_denominator_matches_word_length(slope532):
