@@ -398,10 +398,6 @@ def formal_family_fraction(spec: NumberSpec, family: str, k: int) -> FamilyFract
     if k == -1:
         if family == "4":
             return FamilyFraction(word_value("0", b), b - 1, "4", -1, 1)
-        if family == "3":
-            # suffix at level 0 followed by the level -1 word
-            num = word_value("01", b) - word_value("0", b)
-            return FamilyFraction(num, 0, "3", -1, 0)
         raise ConfigError(f"family ({family}) undefined at k = -1")
     t_k, r_k = sys_.offset(k), sys_.suffix_len(k)
     r_k1 = sys_.suffix_len(k + 1)

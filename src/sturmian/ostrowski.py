@@ -136,6 +136,13 @@ def _check_digit_rules(seq, table: ConvergentTable, leading: str) -> None:
             raise DigitRuleError(j, "digit before a maximal digit must vanish")
 
 
+def _max_digit(table: ConvergentTable, digits) -> int:
+    """The largest admissible b_k after b_1..b_{k-1} = `digits`, the bound
+    `_check_digit_rules` enforces: a_k - 1 at k = 1 and after a nonzero
+    digit, a_k after a 0."""
+    return table.a(len(digits) + 1) - (not digits or digits[-1] > 0)
+
+
 def decode_integer(digits, table: ConvergentTable) -> int:
     """Sum d_j q_{j-1} after validating the digit rules."""
     seq = digits.digits if isinstance(digits, IntegerDigits) else tuple(digits)
@@ -202,7 +209,7 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
 
     digits: list[int] = []
     for k in range(1, limit + 1):
-        cap = table.a(k) - (k == 1 or digits[-1] > 0)  # b_k = a_k only after a 0
+        cap = _max_digit(table, digits)
         direction = 1 if k % 2 == 1 else -1  # sign of theta_{k-1}
         s_bot = direction * sign_linear(table, const - table.p(k - 1), coeff + table.q(k - 1))
         if s_bot == 0:

@@ -5,9 +5,10 @@ fraction expansion [0; a_1, a_2, ...].  A spec either carries a periodic
 tail (covering quadratic irrationals exactly) or is a plain finite list
 with an explicit horizon.  theta itself is never stored, as a float or
 as a rational interval: every certified question about it is a sign,
-`sign_linear`, a floor, `floor_theta_multiple`, or bounds on a floor,
-`floor_ratio`.  All three read the last convergent pair, which encloses
-theta.  The brackets of consecutive convergents nest, so whatever a
+`sign_linear`, or bounds on the floor of a Mobius image of theta,
+`floor_ratio`, a floor where the two bounds meet.  Both take the values
+at the last convergent pair, which encloses theta, from one reader,
+`_ends`.  The brackets of consecutive convergents nest, so whatever a
 shallower pair certifies the last pair certifies with the same answer,
 and when the last pair cannot, PrecisionError asks for a deeper horizon.
 """
@@ -139,21 +140,29 @@ def build_table(spec: SlopeSpec) -> ConvergentTable:
     return ConvergentTable(spec, tuple(ps), tuple(qs))
 
 
+def _ends(table: ConvergentTable, a, b: int, c: int, d: int) -> list[tuple[int, int]]:
+    """(a + b*x)/(c + d*x) at each x = p/q of the last pair, for a rational
+    a = n/m (an int or a Fraction): the unreduced (num, den) pair
+    (n*q + m*b*p, m*(c*q + d*p)), whose den has the sign of c + d*x.
+    The only reader of the last pair."""
+    n, m = a.numerator, a.denominator
+    return [(n * q + m * b * p, m * (c * q + d * p))
+            for p, q in zip(table.ps[-2:], table.qs[-2:])]
+
+
 def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
     """Certified sign of const + coeff * theta, for a rational const.
 
     Returns 0 exactly when const == coeff == 0 (the form is identically
-    zero); for coeff != 0 the value is irrational.  Scaled by const's
-    denominator the form is n + c*theta; n*q + c*p at each convergent
-    of the last pair is q times the form there, so when the two share a
-    weak sign (never both 0) the form at theta, strictly between, has it.
+    zero); for coeff != 0 the value is irrational.  The form's numerators
+    at the last pair (`_ends`, over positive denominators) have its sign
+    there, so when the two share a weak sign (never both 0) the form at
+    theta, strictly between, has it.
     """
     const = Fraction(const)
     if coeff == 0:
         return (const > 0) - (const < 0)
-    n, c = const.numerator, const.denominator * coeff
-    (p0, p1), (q0, q1) = table.ps[-2:], table.qs[-2:]
-    lo, hi = n * q0 + c * p0, n * q1 + c * p1
+    (lo, _), (hi, _) = _ends(table, const, coeff, 1, 0)
     if lo >= 0 and hi >= 0:
         return 1
     if lo <= 0 and hi <= 0:
@@ -164,34 +173,16 @@ def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
     )
 
 
-def floor_theta_multiple(table: ConvergentTable, x: int) -> int:
-    """Certified floor of x * theta for an integer x.
-
-    x*theta lies strictly between x*p/q and x*p'/q' at the last pair,
-    so it has their floor when the two agree.
-    """
-    (p0, p1), (q0, q1) = table.ps[-2:], table.qs[-2:]
-    f = (x * p0) // q0
-    if f == (x * p1) // q1:
-        return f
-    raise PrecisionError(
-        f"floor of {x}*theta not certified within horizon {table.horizon}; "
-        "raise the slope horizon"
-    )
-
-
 def floor_ratio(table: ConvergentTable, a, b: int, c: int, d: int) -> tuple[int | None, int | None]:
     """Certified bounds (lo, hi) on the floor of y = (a + b*theta)/(c + d*theta),
     for a rational a and integers b, c, d, c or d nonzero: y lies strictly
-    between its values at the last pair, so lo is the floor of the smaller
-    and hi the ceiling of the larger, less 1.  A pole -c/d at a convergent
-    leaves y unbounded on that side, and one inside the bracket on both:
-    such a bound is None.  A constant map gives its floor twice, or
-    (j, j - 1) for an integer y = j.
+    between its values at the last pair (`_ends`), so lo is the floor of
+    the smaller and hi the ceiling of the larger, less 1.  A pole -c/d at a
+    convergent leaves y unbounded on that side, and one inside the bracket
+    on both: such a bound is None.  A constant map gives its floor twice,
+    or (j, j - 1) for an integer y = j.
     """
-    a = Fraction(a)
-    ends = [(a.numerator * q + a.denominator * b * p, a.denominator * (c * q + d * p))
-            for p, q in zip(table.ps[-2:], table.qs[-2:])]
+    ends = _ends(table, Fraction(a), b, c, d)
     (_, d0), (_, d1) = ends
     if d0 * d1 < 0:
         return None, None

@@ -10,7 +10,8 @@ One descent reads such a window from cached levels of at most
 PREFIX_BLOCK letters: a prefix joins those blocks once, so its cost is the
 one copy it returns, and a letter costs O(K) with no storage.  The
 floor-formula path evaluates the same letters from the intercept
-directly, with every floor certified exactly.
+directly, each floor certified where the bounds of `slope.floor_ratio`
+meet.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from .errors import (
 from .ostrowski import (
     DegenerateIntercept,
     InterceptDigits,
+    _max_digit,
     degenerate_expansions,
     digit_prefix_value,
     encode_real,
     parse_fraction,
     validate_real_digits,
 )
-from .slope import ConvergentTable, floor_theta_multiple, sign_linear
+from .slope import ConvergentTable, floor_ratio
 
 MATERIALIZE_CAP = 1 << 20
 # the longest level word `prefix` materializes: a prefix of n letters is
@@ -331,13 +333,13 @@ class WordSystem:
         """s_n = floor(n theta + rho) - floor((n-1) theta + rho), certified.
 
         With rho = c*theta + d the integer d cancels, leaving
-        floor((x+1) theta) - floor(x theta) for x = n - 1 + c, each part
-        a `floor_theta_multiple`.  An upper word takes ceilings, which add
-        1 to every part but that of 0 theta.  A digit prefix has c = U + 1
-        up to its tail tau, so each part there is certified only when the
-        fractional part of y theta lies in (1/q_m, 1 - 1/q_m), where no
-        |tau| <= 1/q_m moves the floor: two `sign_linear` calls.  Else the
-        letter is refused.
+        floor((x+1) theta) - floor(x theta) for x = n - 1 + c.  A digit
+        prefix has c = U + 1 up to its tail tau, |tau| <= 1/q_m, and an
+        exact rho has tail 0.  Each part floor(y theta + tau) is certified
+        when the low bound on floor(y theta - tail) meets the high bound on
+        floor(y theta + tail), two `floor_ratio` calls; y = 0 with no tail
+        is the integer 0.  An upper word takes ceilings, which add 1 to
+        every part but that of 0 theta.  Else the letter is refused.
         """
         if n < 1:
             raise ConfigError(f"letters are 1-based, got {n}")
@@ -345,17 +347,17 @@ class WordSystem:
             c = digit_prefix_value(self.digits, self.table)[0] + 1
             tail = Fraction(1, self.q(len(self.digits.digits)))
         else:
-            c, tail = self.rho[0], None
+            c, tail = self.rho[0], 0
 
         def part(y):
-            f = floor_theta_multiple(self.table, y)
-            if tail is not None and not (
-                    sign_linear(self.table, -f - tail, y) > 0
-                    and sign_linear(self.table, tail - 1 - f, y) < 0):
-                raise PrecisionError(
-                    f"floor at n={n} not certified from the digit prefix; "
-                    "declare the intercept exactly (terminating or degenerate)"
-                )
+            f = floor_ratio(self.table, -tail, y, 1, 0)[0]
+            if f != floor_ratio(self.table, tail, y, 1, 0)[1] and (y or tail):
+                if tail:
+                    raise PrecisionError(
+                        f"floor at n={n} not certified from the digit prefix; "
+                        "declare the intercept exactly (terminating or degenerate)")
+                raise PrecisionError(f"floor of {y}*theta not certified within horizon "
+                                     f"{self.table.horizon}; raise the slope horizon")
             return f + 1 if self.upper and y else f
 
         x = n - 1 + c
@@ -461,8 +463,7 @@ def formal_intercept(source, table: ConvergentTable, levels: int) -> InterceptDi
         start, stop = table.q(k - 1), table.q(k)
         seen = source.prefix(stop - 1)[start - 1:] if word_source else ""
         survivors = []
-        # b_k < a_k at k = 1 and after a nonzero digit, else b_k <= a_k
-        for b in range(table.a(k) + (k > 1 and digits[-1] == 0)):
+        for b in range(_max_digit(table, digits) + 1):
             probe = WordSystem.from_digits(table, (*digits, b) + (0,) * (table.horizon - k),
                                            terminating=False)
             window = probe.prefix(stop - 1)[start - 1:]

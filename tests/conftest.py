@@ -106,6 +106,63 @@ def theta_value(table):
     return (a + b) / 2
 
 
+def reference_compare_with_theta(table, x):
+    """Sign of x - theta for a Fraction x: refine the convergent brackets
+    from level 0 until x falls outside one, with one Fraction comparison
+    per bracket end (kept apart from `slope`'s reading of the last pair)."""
+    for level in range(table.horizon):
+        pl, ql = table.p(level), table.q(level)
+        ph, qh = table.p(level + 1), table.q(level + 1)
+        if level % 2:  # odd level: p_l/q_l above theta
+            pl, ql, ph, qh = ph, qh, pl, ql
+        if x.numerator * ql <= pl * x.denominator:
+            return -1
+        if x.numerator * qh >= ph * x.denominator:
+            return 1
+    raise PrecisionError(
+        f"cannot separate {x} from theta within horizon {table.horizon}; "
+        "raise the slope horizon"
+    )
+
+
+def reference_sign_linear(table, const, coeff):
+    """`slope.sign_linear` by the bracket walk: the sign of const + coeff*theta."""
+    if coeff == 0:
+        if const > 0:
+            return 1
+        if const < 0:
+            return -1
+        return 0
+    x = Fraction(-const, coeff) if isinstance(const, int) else -Fraction(const) / coeff
+    c = reference_compare_with_theta(table, x)
+    return -c if coeff > 0 else c
+
+
+def reference_floor_theta_multiple(table, x):
+    """Floor of x*theta from the first convergent pair, walking up from
+    the level below q_k > |x|, whose two ends have one floor."""
+    if x == 0:
+        return 0
+    start = max(table.level_covering(abs(x)) - 1, 0) if abs(x) < table.q(table.horizon) else 0
+    for level in range(start, table.horizon):
+        pl, ql = table.p(level), table.q(level)
+        ph, qh = table.p(level + 1), table.q(level + 1)
+        f1 = (x * pl) // ql
+        f2 = (x * ph) // qh
+        if f1 == f2:
+            return f1
+    raise PrecisionError(
+        f"floor of {x}*theta not certified within horizon {table.horizon}; "
+        "raise the slope horizon"
+    )
+
+
+def degenerate_p(table, m):
+    """The p that puts the degenerate intercept rho = -(m-1) theta + p in
+    (0, 1): ceil((m-1) theta), from `reference_floor_theta_multiple`."""
+    return -reference_floor_theta_multiple(table, 1 - m)
+
+
 def outcome(fn, *args):
     """The result, or the PrecisionError's message."""
     try:

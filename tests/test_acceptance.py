@@ -36,7 +36,7 @@ from sturmian.oracle import verify_agreement
 from sturmian.ostrowski import digit_prefix_value
 from sturmian.words import WordSystem, run_length
 
-from conftest import cf_convergents, shallower
+from conftest import cf_convergents, reference_floor_theta_multiple, shallower
 
 SEED = 109
 
@@ -115,11 +115,9 @@ def test_criterion_1_recursion_equals_floor():
             limit = min(table.q(8), 5000) - 1
             word = ws.prefix(limit)
             u, _ = digit_prefix_value(digs, table)
-            from sturmian.slope import floor_theta_multiple
-
-            prev = floor_theta_multiple(table, 1 + u)
+            prev = reference_floor_theta_multiple(table, 1 + u)
             for n in range(1, limit + 1):
-                cur = floor_theta_multiple(table, n + 1 + u)
+                cur = reference_floor_theta_multiple(table, n + 1 + u)
                 assert cur - prev == int(word[n - 1]), (table.spec.preperiod,
                                                         digs, n)
                 prev = cur

@@ -17,10 +17,9 @@ from sturmian.bigint import to_decimal
 from sturmian.cli import main
 from sturmian.errors import (ConfigError, DigitLimitError, HorizonError, InternalError,
                              SturmianError, read_int)
-from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
-from conftest import random_digits, value_refs
+from conftest import degenerate_p, random_digits, value_refs
 
 GOLDEN = '{"preperiod":[1],"period":[1],"horizon":16}'
 S532 = '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":12}'
@@ -460,7 +459,7 @@ def convergents_commands(draw, form):
         intercept = {"digits": list(digits), "terminating": form == "digits"}
     elif form == "m":
         m = draw(st.integers(1, table.q(horizon)))
-        intercept = {"m": m, "p": -floor_theta_multiple(table, 1 - m)}
+        intercept = {"m": m, "p": degenerate_p(table, m)}
         upper = draw(st.booleans())
     else:  # u*theta + v inside (-theta, 1 - theta), u = 0 for sigma
         u = draw(st.integers(-2, 2)) if form == "sigma_pair" else 0

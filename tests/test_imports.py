@@ -7,8 +7,11 @@ errors.  The big-integer
 kernels in `bigint` import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
-convergent table and its three certifying functions, a sign, a floor of
-a multiple of theta and bounds on the floor of a ratio.
+convergent table and its two certifying functions, a sign and bounds on
+the floor of a ratio.  Both read the last convergent pair through one
+function, `slope._ends`, the only code in `slope` that slices the
+table's `ps` or `qs`; outside `slope` only `ostrowski.decode_real` does,
+for the rational interval that `ostrowski-real` prints.
 
 The depth of a number is read in one place, `WordSystem.levels`: no
 function in `cfrac`, `oracle`, `exponent` or `ostrowski` takes a
@@ -82,7 +85,22 @@ def test_pipeline_and_theta_modules_take_nothing_from_bigint(module):
 @pytest.mark.parametrize("module", ["words", "ostrowski", "exponent"])
 def test_theta_arithmetic_comes_from_the_two_slope_loops(module):
     taken = package_imports(module).get("slope", set())
-    assert taken <= {"ConvergentTable", "sign_linear", "floor_theta_multiple", "floor_ratio"}
+    assert taken <= {"ConvergentTable", "sign_linear", "floor_ratio"}
+
+
+def test_the_last_convergent_pair_has_one_reader():
+    slicers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for node in defs:
+                slicers |= {f"{path.stem}.{getattr(node, 'name', '')}"
+                            for sub in ast.walk(node)
+                            if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Slice)
+                            and getattr(sub.value, "attr", getattr(sub.value, "id", None))
+                            in {"ps", "qs"}}
+    assert slicers == {"slope._ends", "ostrowski.decode_real"}
 
 
 @pytest.mark.parametrize("module", ["cfrac", "oracle", "exponent", "ostrowski"])

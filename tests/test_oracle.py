@@ -23,10 +23,9 @@ from sturmian.cfrac import NumberSpec
 from sturmian import cfrac, oracle
 from sturmian.oracle import ValueEnclosure, _floor_range, verify_agreement
 from sturmian.ostrowski import InterceptDigits
-from sturmian.slope import floor_theta_multiple
 from sturmian.words import WordSystem
 
-from conftest import (cf_convergents, cf_value, golden_table, lower, random_digits,
+from conftest import (cf_convergents, cf_value, degenerate_p, golden_table, lower, random_digits,
                       random_slope_table, replace_raises_as_built, shallower, table_for,
                       upper, width, word_system)
 
@@ -566,8 +565,7 @@ def pipeline_numbers(draw):
                              terminating=draw(st.booleans()))
     else:
         m = draw(st.integers(1, table.q(horizon)))
-        p = -floor_theta_multiple(table, 1 - m)  # ceil((m-1) theta)
-        system = WordSystem.from_spec(table, {"m": m, "p": p},
+        system = WordSystem.from_spec(table, {"m": m, "p": degenerate_p(table, m)},
                                       upper=draw(st.booleans()))
     return NumberSpec(draw(st.integers(2, 10)), system)
 

@@ -24,7 +24,7 @@ from sturmian.ostrowski import (IntegerDigits, InterceptDigits, _raise_ambiguous
                                  digit_prefix_value)
 from sturmian.slope import sign_linear
 
-from conftest import (golden_table, random_digits, random_slope_table,
+from conftest import (golden_table, random_digits, random_slope_table, reference_sign_linear,
                       replace_raises_as_built, table_for, theta_value)
 
 
@@ -227,10 +227,11 @@ def reference_encode_real(sigma, table):
 
         def above(b):
             bc, bk = _window_boundary(table, k, b)
-            s = sign_linear(table, const - bc, coeff - bk)
+            s = reference_sign_linear(table, const - bc, coeff - bk)
             return s * direction
 
-        s_bot = direction * sign_linear(table, const - table.p(k - 1), coeff + table.q(k - 1))
+        s_bot = direction * reference_sign_linear(table, const - table.p(k - 1),
+                                                  coeff + table.q(k - 1))
         if s_bot == 0:
             _raise_ambiguous(digits, (0, 0), orig_coeff, orig_const)
         if s_bot < 0:

@@ -12,11 +12,13 @@ from sturmian import (
     SlopeSpec,
     build_table,
 )
-from sturmian.slope import floor_ratio, floor_theta_multiple, sign_linear
+from sturmian.slope import floor_ratio, sign_linear
 
 from conftest import (
     golden_table,
     outcome,
+    reference_floor_theta_multiple,
+    reference_sign_linear,
     replace_raises_as_built,
     slope_json,
     table_for,
@@ -122,8 +124,8 @@ def test_golden_enclosure_level_2(golden):
 
 
 def test_enclosure_width_and_nesting(golden, slope532):
-    # the nesting is why `sign_linear` and `floor_theta_multiple` read
-    # only the last pair
+    # the nesting is why `sign_linear` and `floor_ratio` read only the
+    # last pair (`slope._ends`)
     for t in (golden, slope532):
         brackets = [reference_enclosure(t, level) for level in range(t.horizon)]
         for level, (lo, hi) in enumerate(brackets):
@@ -183,7 +185,9 @@ def test_floor_paths_agree_with_high_precision(golden):
     theta = theta_value(golden)
     for x in list(range(-50, 51)) + [997, -997]:
         expect = (x * theta.numerator) // theta.denominator
-        assert floor_theta_multiple(golden, x) == expect
+        assert reference_floor_theta_multiple(golden, x) == expect
+        # bounds that meet, or (0, -1) for the integer 0*theta
+        assert floor_ratio(golden, 0, x, 1, 0) == (expect, expect - (x == 0))
 
 
 # Reference bracket walks: one Fraction comparison per bracket end, with
@@ -194,35 +198,6 @@ def reference_enclosure(table, level):
     x = Fraction(table.p(level), table.q(level))
     y = Fraction(table.p(level + 1), table.q(level + 1))
     return (x, y) if x < y else (y, x)
-
-
-def reference_compare_with_theta(table, x):
-    """Sign of x - theta: refine until x falls outside the bracket."""
-    for level in range(table.horizon):
-        pl, ql = table.p(level), table.q(level)
-        ph, qh = table.p(level + 1), table.q(level + 1)
-        if level % 2:  # odd level: p_l/q_l above theta
-            pl, ql, ph, qh = ph, qh, pl, ql
-        if x.numerator * ql <= pl * x.denominator:
-            return -1
-        if x.numerator * qh >= ph * x.denominator:
-            return 1
-    raise PrecisionError(
-        f"cannot separate {x} from theta within horizon {table.horizon}; "
-        "raise the slope horizon"
-    )
-
-
-def reference_sign_linear(table, const, coeff):
-    if coeff == 0:
-        if const > 0:
-            return 1
-        if const < 0:
-            return -1
-        return 0
-    x = Fraction(-const, coeff) if isinstance(const, int) else -Fraction(const) / coeff
-    c = reference_compare_with_theta(table, x)
-    return -c if coeff > 0 else c
 
 
 def reference_floor_linear(table, const, coeff):
@@ -242,26 +217,9 @@ def reference_floor_linear(table, const, coeff):
     )
 
 
-def reference_floor_theta_multiple(table, x):
-    if x == 0:
-        return 0
-    start = max(table.level_covering(abs(x)) - 1, 0) if abs(x) < table.q(table.horizon) else 0
-    for level in range(start, table.horizon):
-        pl, ql = table.p(level), table.q(level)
-        ph, qh = table.p(level + 1), table.q(level + 1)
-        f1 = (x * pl) // ql
-        f2 = (x * ph) // qh
-        if f1 == f2:
-            return f1
-    raise PrecisionError(
-        f"floor of {x}*theta not certified within horizon {table.horizon}; "
-        "raise the slope horizon"
-    )
-
-
 def test_bracket_walks_match_the_fraction_references():
     rng = random.Random(20261018)
-    seen = set()
+    seen, deepened = set(), set()
     for _ in range(60):
         horizon = rng.randint(4, 12)
         t = table_for([rng.randint(1, 9) for _ in range(horizon)], (), horizon)
@@ -286,34 +244,45 @@ def test_bracket_walks_match_the_fraction_references():
                 t.spec.preperiod, const, coeff)
             seen.add(("sign", isinstance(got, tuple)))
         for x in [rng.randint(-span, span) for _ in range(40)] + [qk, -qk, 0]:
-            got = outcome(floor_theta_multiple, t, x)
-            assert got == outcome(reference_floor_theta_multiple, t, x), (
-                t.spec.preperiod, x)
-            if isinstance(got, int):
-                assert got == reference_floor_linear(t, 0, x)
+            lo, hi = floor_ratio(t, 0, x, 1, 0)
+            want = outcome(reference_floor_theta_multiple, t, x)
+            where = (t.spec.preperiod, x)
+            if isinstance(want, int):
+                assert (lo, hi) == (want, want - (x == 0)), where
+                assert want == reference_floor_linear(t, 0, x)
+            elif lo == hi:
+                # an end of the last pair is the integer x*p/q, which the
+                # strict walk refuses and two more levels settle
+                assert x % qk == 0 or x % t.q(horizon - 1) == 0, where
+                deeper = table_for((*t.spec.preperiod, 1, 1), (), horizon + 2)
+                assert lo == reference_floor_theta_multiple(deeper, x), where
+                assert lo == reference_floor_linear(deeper, 0, x), where
+                deepened.add(x // qk if x % qk == 0 else None)
             else:
                 with pytest.raises(PrecisionError):
                     reference_floor_linear(t, 0, x)
-            seen.add(("floor", isinstance(got, tuple)))
-    # both functions were seen to certify and to run out of horizon
+            seen.add(("floor", lo < hi))
+    # both functions were seen to certify and to run out of horizon, and
+    # floor_ratio to settle x*theta at x = q_K and -q_K
     assert seen == {(kind, fails) for kind in ("sign", "floor") for fails in (False, True)}
+    assert {1, -1} <= deepened
 
 
 def reference_floor_ratio(table, a, b, c, d):
-    """`floor_ratio` by bisection with `sign_linear`: lo is the largest m
-    with y >= m certified, hi the smallest m with y <= m certified, less
-    1, each None when no m of size up to the largest |y| at a convergent
-    is; sign(y - m) is the sign of a - m*c + (b - m*d)*theta times that
+    """`floor_ratio` by bisection with `reference_sign_linear`: lo is the
+    largest m with y >= m certified, hi the smallest m with y <= m
+    certified, less 1, each None when no m of size up to the largest |y|
+    at a convergent is; sign(y - m) is the sign of a - m*c + (b - m*d)*theta times that
     of the denominator, and both are None when the denominator's sign is
     not certified (its pole is inside the bracket)."""
     try:
-        side = sign_linear(table, c, d)
+        side = reference_sign_linear(table, c, d)
     except PrecisionError:
         return None, None
 
     def holds(m, sign):
         try:
-            return side * sign_linear(table, a - m * c, b - m * d) in (0, sign)
+            return side * reference_sign_linear(table, a - m * c, b - m * d) in (0, sign)
         except PrecisionError:
             return False
 

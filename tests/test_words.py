@@ -18,10 +18,10 @@ from sturmian import (
     encode_real,
 )
 from sturmian.ostrowski import decode_real
-from sturmian.slope import floor_theta_multiple
 from sturmian.words import PREFIX_BLOCK, WordSystem, formal_intercept, run_length
 
 from conftest import (
+    degenerate_p,
     golden_table,
     outcome,
     random_digits,
@@ -146,6 +146,19 @@ def test_letters_match_materialized(rng):
 def test_floor_letters_characteristic(golden):
     ws = WordSystem.characteristic(golden)
     assert [ws.floor_letter(n) for n in (1, 2, 3)] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("preperiod, period", [((1,), (1,)), ((5, 3, 2), (5, 3, 2)),
+                                               ((2, 1, 3), (1, 4))],
+                         ids=["golden", "532", "213-14"])
+def test_floor_letter_at_the_last_denominator(preperiod, period):
+    # letter q_K - 1 of the characteristic word needs floor(q_K theta),
+    # whose end p_K of the last pair is an integer; at odd K the other end
+    # lies below it, and the bounds still meet at p_K - 1
+    t = table_for(preperiod, period, 7)
+    ws = WordSystem.characteristic(t)
+    n = t.q(7) - 1
+    assert ws.floor_letter(n) == ws.letter(n)
 
 
 def test_rho_zero_first_letters(golden):
@@ -501,8 +514,7 @@ def degenerate_systems(rng, table, k):
     rho = -(m-1) theta + p with m <= q_k: digit streams with maximal
     patterns."""
     m = rng.randint(1, table.q(k))
-    p = floor_theta_multiple(table, m - 1) + 1 if m > 1 else 0
-    deg = degenerate_expansions(m, p, table)
+    deg = degenerate_expansions(m, degenerate_p(table, m), table)
     return [WordSystem.from_degenerate(table, deg, upper=upper) for upper in (False, True)]
 
 
