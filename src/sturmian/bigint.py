@@ -36,14 +36,17 @@ so at the sizes the CLI serves those two built-ins dominate.
   as the base-2 terms of the golden slope (0.09 against 0.38 ms for a
   17,712-bit one).  CPython 3.12+ keeps the same paths.  The interpreter's int-to-str limit is
   read, never set.
-* `continuants_to_decimal(terms, starts)` returns the strings of the
-  continuants x_j = t_j*x_{j-1} + x_{j-2}, such as the convergents P_j and
-  Q_j of a continued fraction.  Converting each x_j from binary would cost
-  O(M(n) log n) apiece; instead each term and seed is converted once, in
-  the regime of `to_decimals` (a halving string becomes a Decimal in
-  linear time), and the recurrence runs in `decimal`, one multiplication
-  per step (libmpdec multiplies large operands by number-theoretic
-  transform), so no x_j is ever converted from binary.
+* `continuants_to_decimal(terms, starts)` yields, one row per term, the
+  strings of the continuants x_j = t_j*x_{j-1} + x_{j-2} for each seed
+  pair, such as the convergents (P_j, Q_j) of a continued fraction.
+  Converting each x_j from binary would cost O(M(n) log n) apiece;
+  instead each term and seed is converted once, in the regime of
+  `to_decimals` (a halving string becomes a Decimal in linear time), and
+  the recurrence runs in `decimal`, one multiplication per step (libmpdec
+  multiplies large operands by number-theoretic transform), so no x_j is
+  ever converted from binary.  Rows come one at a time, so a caller that
+  writes each as it comes holds only the last few: the x_j grow
+  geometrically, and the last rows are most of the output.
 * `_mul(x, y)` is the product of two integral Decimals >= 0 that the
   recurrence and the ladder's splits use.  libmpdec multiplies by
   schoolbook whenever the shorter operand has at most 256 words (of 19
@@ -59,7 +62,9 @@ so at the sizes the CLI serves those two built-ins dominate.
 
 Both decimal paths compute in one exact context (precision and exponent
 at their maxima, `Inexact` and `Rounded` trapped), so a rounding raises
-rather than passing silently, and the caller's context is left as it was.
+rather than passing silently, and the caller's context is left as it was;
+the continuant rows enter it afresh for each row, so it is never left in
+force while their generator is suspended.
 
 Nothing here imports from the package.
 """
@@ -67,7 +72,7 @@ Nothing here imports from the package.
 from __future__ import annotations
 
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 
@@ -175,26 +180,39 @@ def to_decimals(values: Sequence[int]) -> list[str]:
 
 
 def continuants_to_decimal(terms: Sequence[int],
-                           starts: Sequence[tuple[int, int]]) -> list[list[str]]:
-    """For each seed pair (x_{-1}, x_0) in `starts`, the decimal strings of
-    x_1, ..., x_n, where x_j = t_j*x_{j-1} + x_{j-2} over the terms t_j.
+                           starts: Sequence[tuple[int, int]]) -> Iterator[tuple[str, ...]]:
+    """For each term t_j in turn, the decimal strings of x_j for each seed
+    pair (x_{-1}, x_0) in `starts`, where x_j = t_j*x_{j-1} + x_{j-2}.
 
-    Terms and seeds must be >= 0.  Each is converted once, through one
-    set of powers; the recurrence then runs in exact `decimal`."""
+    Terms and seeds must be >= 0, which is checked here, as the call is
+    made; so are the seeds converted and the one set of powers built.
+    Each term is converted as its row is reached, and the recurrence runs
+    in exact `decimal`.  The rows come from a generator that enters the
+    exact context afresh for each row and leaves it before yielding, so
+    the caller's context is in force whenever the generator is suspended;
+    the powers and the last two values of each seed go with it once it is
+    exhausted."""
     values = [*terms, *(x for pair in starts for x in pair)]
     if min(values, default=0) < 0:
         raise ValueError("continuant terms and seeds must be >= 0")
     with localcontext(_EXACT):
         powers = _powers(values)
         pairs = [(_exact(a, powers), _exact(b, powers)) for a, b in starts]
-        out: list[list[str]] = [[] for _ in pairs]
-        for t in terms:
+    return _continuant_rows(terms, pairs, powers)
+
+
+def _continuant_rows(terms: Sequence[int], pairs: list[tuple[Decimal, Decimal]],
+                     powers: tuple) -> Iterator[tuple[str, ...]]:
+    """The rows of `continuants_to_decimal`, from its converted seeds."""
+    for t in terms:
+        with localcontext(_EXACT):
             d = _exact(t, powers)
+            row = []
             for i, (prev, cur) in enumerate(pairs):
                 nxt = _mul(d, cur) + prev
                 pairs[i] = cur, nxt
-                out[i].append(str(nxt))
-        return out
+                row.append(str(nxt))
+        yield tuple(row)
 
 
 def _powers(values: Sequence[int]) -> tuple[int, dict[int, int], list[Decimal] | None]:

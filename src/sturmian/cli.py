@@ -6,13 +6,15 @@ intercept; flags override.  Data goes to stdout, diagnostics to stderr;
 all numeric payloads are decimal strings.  Every printed integer comes
 from `bigint`, all of a command's values in one call, so each power is
 built once per command; P/Q from `continuants_to_decimal`, which runs
-the recurrence of `cfrac.convergents` in decimal over the printed terms,
-and the rest from `to_decimals`.  Both are subquadratic and never change
-the interpreter's int-to-str digit limit.  The only exceptions, printed
-by `str`, are level and term indices and the echoed base and length:
-inputs are held to that limit.  Exit codes: 0 success, 2 invalid
-config/digits, 3 horizon or precision exhaustion, 4 internal invariant
-failure.
+the recurrence of `cfrac.convergents` in decimal over the printed terms
+and hands over one row at a time, written as it comes, and the rest
+from `to_decimals`.  Both are subquadratic and never change the
+interpreter's int-to-str digit limit.  The only exceptions, printed by
+`str`, are level and term indices and the echoed base and length:
+inputs are held to that limit.  Every check that can refuse a command
+runs before its first byte is written, so a refused command prints
+nothing.  Exit codes: 0 success, 2 invalid config/digits, 3 horizon or
+precision exhaustion, 4 internal invariant failure.
 
 The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4},
 its numbers integers or decimal strings.  The intercept (parsed by
@@ -34,6 +36,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
@@ -125,12 +128,39 @@ def _build_system(cfg) -> words.WordSystem:
         slope.build_table(spec), cfg.get("intercept", "characteristic"), upper=upper)
 
 
+# one encoder for every field `_emit` writes; it holds no state between calls
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(payload: dict, fmt: str, text):
-    """The payload as sorted JSON, or for the text and rle formats the
-    string that `text()` builds, called only then; each is written once,
-    with the newline after it."""
-    sys.stdout.write(json.dumps(payload, sort_keys=True) if fmt == "json" else text())
-    sys.stdout.write("\n")
+    """Write the payload as `json.dumps(payload, sort_keys=True)` would,
+    one top-level field at a time, its keys strings; a field whose value
+    is an iterator is written item by item as a JSON list, so each item
+    need only exist while it is written.  For the text and rle formats,
+    write instead what `text()` returns, called only then: a string, or
+    an iterable of strings written one after another.  The newline
+    follows either."""
+    write = sys.stdout.write
+    if fmt != "json":
+        body = text()
+        for piece in [body] if isinstance(body, str) else body:
+            write(piece)
+        write("\n")
+        return
+    write("{")
+    for n, key in enumerate(sorted(payload)):
+        write(f"{', ' if n else ''}{_JSON.encode(key)}: ")
+        value = payload[key]
+        if not isinstance(value, Iterator):
+            write(_JSON.encode(value))
+            continue
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(", ")
+            write(_JSON.encode(item))
+        write("]")
+    write("}\n")
 
 
 def cmd_word(args, cfg, system):
@@ -220,18 +250,23 @@ def cmd_convergents(args, cfg, system):
     spec = _number_spec(cfg, system)
     terms = cfrac.continued_fraction(spec, terms=args.terms)
     # P_j and Q_j by the recurrence of `cfrac.convergents`, run in decimal,
-    # whose products `bigint._mul` keeps off libmpdec's schoolbook path
+    # whose products `bigint._mul` keeps off libmpdec's schoolbook path;
+    # each row is written as it comes, so only the last ones are held
     b1 = spec.base - 1
-    ps, qs = continuants_to_decimal([t.value for t in terms], [(b1, 0), (0, b1)])
+    rows = continuants_to_decimal([t.value for t in terms], [(b1, 0), (0, b1)])
     payload = {
         "base": str(spec.base),
-        "convergents": [
+        "convergents": (
             {"P": p, "Q": q, "j": str(j), "family": f"({t.family[0]})_{t.family[1]}"}
-            for j, (t, p, q) in enumerate(zip(terms, ps, qs), start=1)
-        ],
+            for j, (t, (p, q)) in enumerate(zip(terms, rows), start=1)
+        ),
     }
-    _emit(payload, args.format,
-          lambda: " ".join(f"{c['P']}/{c['Q']}" for c in payload["convergents"]))
+
+    def text():  # "P/Q P/Q ...", never joined into one string
+        for j, (p, q) in enumerate(rows):
+            yield from (" " if j else "", p, "/", q)
+
+    _emit(payload, args.format, text)
 
 
 def cmd_exponent(args, cfg, system):

@@ -10,6 +10,7 @@ import decimal
 import gc
 import random
 import sys
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -225,6 +226,14 @@ def reference_continuants(terms, starts):
     return out
 
 
+def continuant_columns(terms, starts):
+    """The rows of `continuants_to_decimal`, one per term, read out as one
+    list of strings per seed, the shape of `reference_continuants`."""
+    rows = list(bigint.continuants_to_decimal(terms, starts))
+    assert len(rows) == len(terms) and all(len(row) == len(starts) for row in rows)
+    return [[row[i] for row in rows] for i in range(len(starts))]
+
+
 # the CLI's seeds for P and Q, in base 3, plus a pair of large seeds
 SEEDS = [(2, 0), (0, 2), (1 << 20_000, 3 ** 5000)]
 
@@ -236,7 +245,7 @@ SEEDS = [(2, 0), (0, 2), (1 << 20_000, 3 ** 5000)]
 def test_continuants_equal_the_int_recurrence_around_the_cut(terms, limit):
     want = reference_continuants(terms, SEEDS)
     with int_str_limit(limit):
-        assert bigint.continuants_to_decimal(terms, SEEDS) == want
+        assert continuant_columns(terms, SEEDS) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -245,7 +254,7 @@ def test_continuants_equal_the_int_recurrence_around_the_cut(terms, limit):
                 max_size=3))
 def test_continuants_with_a_small_leaf(terms, starts):
     with patched(_HALVING_BITS=100, _HALVING_LEAF_DIGITS=2, _DECIMAL_LEAF_BITS=7):
-        assert bigint.continuants_to_decimal(terms, starts) == \
+        assert continuant_columns(terms, starts) == \
             reference_continuants(terms, starts)
 
 
@@ -256,20 +265,21 @@ def test_continuants_under_the_cut_build_no_ladder(monkeypatch):
     monkeypatch.setattr(bigint, "_ladder", no_ladder)
     terms = [(1 << bigint._HALVING_BITS) - 1, 3, 7 ** 5000]
     seeds = [(2, 0), (0, 2), ((1 << bigint._HALVING_BITS) - 1, 10 ** 9000)]
-    assert bigint.continuants_to_decimal(terms, seeds) == reference_continuants(terms, seeds)
+    assert continuant_columns(terms, seeds) == reference_continuants(terms, seeds)
     assert bigint.to_decimals(terms) == [reference_str(t) for t in terms]
 
 
 def test_continuants_with_a_zero_first_term():
     # a number below 1 opens its expansion with 0: x_1 = x_{-1}
     terms = [0, 1, 2, 7 ** 5000, 1]
-    assert bigint.continuants_to_decimal(terms, SEEDS) == \
+    assert continuant_columns(terms, SEEDS) == \
         reference_continuants(terms, SEEDS)
-    assert bigint.continuants_to_decimal([0], [(4, 9)]) == [["4"]]
-    assert bigint.continuants_to_decimal([], [(4, 9)]) == [[]]
+    assert continuant_columns([0], [(4, 9)]) == [["4"]]
+    assert continuant_columns([], [(4, 9)]) == [[]]
 
 
 def test_continuants_refuse_negative_values():
+    # as the call is made, before any row is asked for
     for terms, starts in (([1, -1], [(1, 0)]), ([1], [(0, -1)])):
         with pytest.raises(ValueError):
             bigint.continuants_to_decimal(terms, starts)
@@ -284,14 +294,14 @@ def test_continuants_leave_the_callers_decimal_context_alone():
         ctx.prec, ctx.Emax = 5, 10
         ctx.traps[decimal.Inexact] = False
         before = (ctx.prec, ctx.Emax, dict(ctx.traps))
-        assert bigint.continuants_to_decimal(terms, SEEDS) == want
+        assert continuant_columns(terms, SEEDS) == want
         assert bigint.to_decimal(7 ** 40_000) == reference_str(7 ** 40_000)
         ctx = decimal.getcontext()
         assert (ctx.prec, ctx.Emax, dict(ctx.traps)) == before
     inexact = bigint._EXACT.copy()
     inexact.prec = 50
     with patched(_EXACT=inexact), pytest.raises((decimal.Inexact, decimal.Rounded)):
-        bigint.continuants_to_decimal(terms, SEEDS)
+        continuant_columns(terms, SEEDS)
 
 
 def test_continuants_free_their_power_ladder():
@@ -301,11 +311,64 @@ def test_continuants_free_their_power_ladder():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert bigint.continuants_to_decimal(terms, SEEDS) == want
+        assert continuant_columns(terms, SEEDS) == want
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+def test_continuant_rows_leave_the_callers_context_while_suspended():
+    # each row is computed in the exact context, entered afresh for it and
+    # left before it is yielded: a suspended generator leaves none behind
+    terms = [7 ** 40_000, 5, 11 ** 2000]  # a ladder, and a term halved
+    want = reference_continuants(terms, SEEDS)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = 5, 10
+        ctx.traps[decimal.Inexact] = False
+        before = (ctx.prec, ctx.Emax, dict(ctx.traps))
+        rows = bigint.continuants_to_decimal(terms, SEEDS)
+        got = []
+        for _ in terms:
+            assert decimal.getcontext() is ctx
+            got.append(next(rows))
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.Emax, dict(ctx.traps)) == before
+            assert decimal.Decimal(1) / 3 == decimal.Decimal("0.33333")
+        assert next(rows, None) is None
+    assert [list(col) for col in zip(*got)] == want
+
+
+def test_continuant_rows_free_their_powers_once_exhausted(monkeypatch):
+    # the generator holds the ladder while rows remain and lets it go
+    # with its last row, though the generator object itself is still held
+    class Ladder(list):  # a list that takes a weak reference
+        pass
+
+    built = []
+    ladder = bigint._ladder
+
+    def tracked(bits):
+        powers = Ladder(ladder(bits))
+        built.append(weakref.ref(powers))
+        return powers
+
+    monkeypatch.setattr(bigint, "_ladder", tracked)
+    terms = [7 ** 40_000, 3, 5 ** 4000]
+    want = reference_continuants(terms, SEEDS)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = bigint.continuants_to_decimal(terms, SEEDS)
+        assert len(built) == 1 and built[0]() is not None
+        got = [next(rows) for _ in terms]
+        assert built[0]() is not None
+        assert next(rows, None) is None
+        assert built[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert [list(col) for col in zip(*got)] == want
 
 
 # shorter operands in words on each side of the pad band's edges, and
@@ -369,5 +432,5 @@ def test_continuants_with_operands_in_the_pad_band(word):
     terms = [digits(300), digits(120), 1, digits(441), digits(2), digits(256)]
     starts = [(2, 0), (0, 2), (digits(96), digits(200))]
     with patched(_WORD_DIGITS=word):
-        assert bigint.continuants_to_decimal(terms, starts) == \
+        assert continuant_columns(terms, starts) == \
             reference_continuants(terms, starts)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import sturmian
 from sturmian import SlopeSpec, build_table, cfrac, exponent, ostrowski
 from sturmian.bigint import to_decimal
-from sturmian.cli import main
+from sturmian.cli import _emit, main
 from sturmian.errors import (ConfigError, DigitLimitError, HorizonError, InternalError,
                              SturmianError, read_int)
 from sturmian.words import WordSystem
@@ -526,6 +527,65 @@ def test_convergents_past_a_halving_leaf_under_a_low_int_str_limit():
     system = WordSystem.from_spec(build_table(SlopeSpec.from_json(command[0])))
     terms = [t.value for t in cfrac.continued_fraction(cfrac.NumberSpec(2, system))]
     assert len(str(max(terms))) > 640 and len(want[-1]["Q"]) > 640
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing and counts the characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_convergents_hold_less_than_twice_what_they_write(fmt):
+    # golden K=31 b=2: 1.3 MB of P/Q, the last row 38% of it.  Written row
+    # by row, the traced peak stays under twice the output (1.3-1.7x),
+    # where keeping every row and joining them took 3.1x
+    argv = ["--slope", '{"preperiod":[1],"period":[1],"horizon":31}', "--base", "2",
+            "--format", fmt]
+    with contextlib.redirect_stdout(CountingSink()):  # the parser and lazy imports
+        assert main(argv + ["cf", "--terms", "1"]) == 0
+    sink = CountingSink()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv + ["convergents"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert code == 0 and sink.chars > 1_300_000
+    assert peak < 2 * sink.chars
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7fa\xe9\u20ac\U0001f600') | st.characters(),
+                    max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=6), st.data())
+def test_emit_writes_what_json_dumps_writes(payload, data):
+    # list fields may be passed as iterators, which `_emit` writes item by item
+    streamed = {key: (x for x in value) if isinstance(value, list) and data.draw(st.booleans())
+                else value for key, value in payload.items()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(streamed, "json", None)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_computed_integers_print_past_the_int_str_limit(capsys):

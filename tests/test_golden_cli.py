@@ -14,8 +14,9 @@ package) with
 
 The corpus covers all eight subcommands on three small slopes, every
 intercept form the CLI accepts, the three output formats, `--binary`,
-and refusals with exit codes 2 and 3.  Commands run in this directory,
-so a config file the corpus names is one kept here.
+and refusals with exit codes 2 and 3, none of which prints anything.
+Commands run in this directory, so a config file the corpus names is one
+kept here.
 """
 
 import hashlib
@@ -246,6 +247,9 @@ def corpus() -> list[list[str]]:
         g + ["ostrowski-int", "--digits", literal],
         g + ["ostrowski-real", "--sigma-pair", literal + ",1/2"],
     ]
+    # the rle form of `convergents`, which like text is written row by row
+    cmds += [["--slope", s["slope"], "--base", s["base"], "--format", "rle", "convergents"]
+             for s in SLOPES.values()]
     return cmds
 
 
@@ -317,6 +321,14 @@ def test_corpus_replays_under_the_lowest_int_str_limit():
 def test_every_recorded_stderr_is_short():
     # an error echoes at most 200 characters of its input
     assert max(len(e["stderr"].encode()) for e in RECORDED) < 400
+
+
+def test_every_recorded_refusal_prints_nothing():
+    # every check that can refuse runs before the first byte is written,
+    # so a refused command never leaves part of an output behind
+    empty = hashlib.sha256(b"").hexdigest()
+    refused = [e for e in RECORDED if e["exit"] in (2, 3)]
+    assert refused and all(e["stdout_sha256"] == empty for e in refused)
 
 
 def check() -> int:
