@@ -45,7 +45,6 @@ from .errors import (
     HorizonError,
     InternalError,
     InvalidInterceptError,
-    MaterializeCapError,
     PrecisionError,
     SturmianError,
 )

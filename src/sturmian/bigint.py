@@ -14,10 +14,10 @@ so at the sizes the CLI serves those two built-ins dominate.
   Recursive Division" (MPI-I-98-1-022, 1998), and the remainder is
   a - q*b.  From CPython 3.12 on the built-in is itself subquadratic and
   faster than this recursion, so there the name is the built-in.
-* `to_decimals(values)` returns `[str(n) for n in values]`, and
-  `to_decimal(n)` is its one-value form.  Values are converted divide
-  and conquer (Knuth, TAOCP vol. 2, 4.4), in one of two regimes chosen
-  by the largest value of the call, whose powers all its values share:
+* `to_decimals(values)` returns `[str(n) for n in values]`.  Values are
+  converted divide and conquer (Knuth, TAOCP vol. 2, 4.4), in one of two
+  regimes chosen by the largest value of the call, whose powers all its
+  values share:
   - up to 48,000 bits, halving in int: n is split by `divmod` on 10^k,
     k about half its digits, down to leaves of at most 1,200 digits (or
     the int-to-str limit, if lower), which go to `str`;
@@ -166,14 +166,10 @@ def _int_divmod(a: int, b: int) -> tuple[int, int]:
 int_divmod = divmod if sys.version_info >= (3, 12) else _int_divmod
 
 
-def to_decimal(n: int) -> str:
-    """str(n), whatever its size and the interpreter's int-to-str limit."""
-    return to_decimals([n])[0]
-
-
 def to_decimals(values: Sequence[int]) -> list[str]:
-    """[str(n) for n in values], through one set of powers built for the
-    largest of them."""
+    """[str(n) for n in values], whatever their size and the interpreter's
+    int-to-str limit, through one set of powers built for the largest of
+    them."""
     with localcontext(_EXACT):
         powers = _powers(values)
         return [_to_str(n, powers) for n in values]

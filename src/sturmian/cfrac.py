@@ -42,12 +42,13 @@ depth belongs to the word system: one level per known intercept digit
 from __future__ import annotations
 
 import functools
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import ConfigError, DigitRuleError, HorizonError, InternalError, validated
+from .errors import ConfigError, DigitRuleError, InternalError, check_budget, validated
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
@@ -167,22 +168,11 @@ def _geom(base: int, step: int, count: int) -> int:
     return g
 
 
-# the most bits a power of the base may have, checked before it is
-# computed: ten times the most a test needs (1.66 million, a base-2 entry
-# at level 13) and seventy times the most a perfbench workload needs
-# (232,000).  A term near it (a_2 = 1,600,000, base 2) prints in about
-# 4 s; an a_2 of a few hundred digits would never finish.  It caps the
-# oracle's b^N too, at most 1.63 million bits in a test or workload.
-_MAX_POWER_BITS = 1 << 24
-
-
 def _check_power(base: int, exponent: int, what: str):
     """Refuse with HorizonError a power base^e, e <= `exponent`, that may
-    have more than _MAX_POWER_BITS bits ((b - 1).bit_length() is the
-    ceiling of log2 b)."""
-    if exponent * (base - 1).bit_length() > _MAX_POWER_BITS:
-        raise HorizonError(f"{what} needs powers of the base past "
-                           f"{_MAX_POWER_BITS} bits")
+    have bits past the size budget ((b - 1).bit_length() is the ceiling
+    of log2 b)."""
+    check_budget(exponent * (base - 1).bit_length(), f"{what} needs powers of the base", "bits")
 
 
 def _entry(spec: NumberSpec, kind: str, k: int) -> int:
@@ -359,8 +349,9 @@ class _Terms(tuple):
 
 
 def continued_fraction(spec: NumberSpec, *, terms: int | None = None) -> tuple[Term, ...]:
-    """The first `terms` terms of `final_terms` (all of them by default)."""
-    return _Terms(islice(final_terms(spec), terms))
+    """The first `terms` terms of `final_terms` (all of them by default,
+    or when `terms` is past what any expansion could hold)."""
+    return _Terms(islice(final_terms(spec), None if terms is None else min(terms, sys.maxsize)))
 
 
 def convergents(terms: tuple[Term, ...], base: int) -> list[ConvergentPair]:

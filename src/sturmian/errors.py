@@ -1,5 +1,5 @@
-"""Exception hierarchy, the hook that validates records, and the one
-readers of integers and of lists from JSON input.
+"""Exception hierarchy, the hook that validates records, the size
+budget, and the one readers of integers and of lists from JSON input.
 
 Exit-code mapping used by the CLI: bad configuration or bad digit data
 is exit 2, running out of horizon/precision is exit 3, and a violated
@@ -85,14 +85,25 @@ class PrecisionError(SturmianError):
     exit_code = 3
 
 
-class MaterializeCapError(SturmianError):
-    """A word exceeds the explicit-materialization cap; use letter access."""
-
-    exit_code = 3
-
-
 class InternalError(SturmianError):
     """An internal invariant failed; indicates a bug, not bad input."""
+
+
+# the one size budget: the most bits of a power of the base (as
+# `cfrac._check_power` estimates them) or letters of a standard word or
+# prefix, refused before it is built.  Ten times the most bits a test
+# needs (1.66 million), just above the longest prefix a test reads
+# (16,040,800 letters); a term near it (a_2 = 1,600,000, base 2) prints
+# in about 4 s, and an a_2 of a few hundred digits would never finish.
+SIZE_BUDGET = 1 << 24
+
+
+def check_budget(size: int, what: str, unit: str):
+    """Refuse with HorizonError an object of `size` units past SIZE_BUDGET;
+    the message names `what` and the budget, never the size, which may be
+    past the int-to-str limit."""
+    if size > SIZE_BUDGET:
+        raise HorizonError(f"{what} past {SIZE_BUDGET} {unit}")
 
 
 class DigitLimitError(ValueError):

@@ -6,14 +6,15 @@ prefix; continued fractions come from the Euclidean algorithm, and the
 certified prefix is the common prefix of the endpoint expansions with a
 one-term guard, from one Euclid on lo that carries hi by a cofactor.
 None of it shares code with the term pipeline it is used to check but
-the cap on powers of the base, `cfrac._check_power`, which refuses an N
-whose b^N is past it before any digit is read.  The
-Euclid divides with `bigint.int_divmod`, which equals `divmod` and stays
-subquadratic on million-bit operands before CPython 3.12, and skips the
-division whose quotient would be thrown away: when the quotient ranges
-of the two endpoints, read from the divisors' top 64 bits, are disjoint,
-the walk ends there (the top-bits early exit).  With L =
-`system.levels`, the depth of the number's word, `verify_agreement`
+`cfrac._check_power`, which refuses an N whose b^N may have bits past
+the size budget of `errors` before any digit is read; its estimate of
+those bits is at least N, so the N-letter prefix is within the budget
+too.  The Euclid divides with `bigint.int_divmod`, which equals `divmod`
+and stays subquadratic on million-bit operands before CPython 3.12, and
+skips the division whose quotient would be thrown away: when the
+quotient ranges of the two endpoints, read from the divisors' top 64
+bits, are disjoint, the walk ends there (the top-bits early exit).  With
+L = `system.levels`, the depth of the number's word, `verify_agreement`
 doubles the digit count N from 4 q_{L-1} up to q_L - 1, the deepest
 letter the L known intercept digits serve, until two consecutive
 prefixes reach the requested length; as a first pass can never stop it,
@@ -49,7 +50,7 @@ class ValueEnclosure(NamedTuple):
 def enclose_value(spec: NumberSpec, n_digits: int) -> ValueEnclosure:
     """Bracket the number by its digit prefix: lo = partial sum,
     hi = lo + 1, den = b^N (strict on both sides for a non-constant word),
-    with b^N held to the power cap."""
+    with b^N held to the size budget."""
     if n_digits < 1:
         raise ConfigError("need at least one digit")
     _check_power(spec.base, n_digits, "the oracle's enclosure")
@@ -196,7 +197,7 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationRepor
     intercept digits serve, from n_0 = 4 q_{L-1}.  It stops at n_max, at
     the first N whose prefix and the previous N's both reach
     min(`min_terms`, pipeline length), after 12 passes, or before a pass
-    past the power cap (a first one raises HorizonError).  A first pass
+    past the size budget (a first one raises HorizonError).  A first pass
     can never stop it, so when 2 n_0 >= n_max (its second pass would be
     n_max) it starts at n_max: one pass, not two.  Each prefix is
     certified regardless, so the schedule only affects how many terms get
@@ -226,7 +227,7 @@ def verify_agreement(spec: NumberSpec, min_terms: int = 10) -> VerificationRepor
             prefix = []
         if passes == 12 or n == n_max or min(len(prefix), prev_len) >= wanted:
             break
-        try:  # a pass past the power cap ends the schedule with the passes made
+        try:  # a pass past the size budget ends the schedule with the passes made
             _check_power(spec.base, min(2 * n, n_max), "the next enclosure")
         except HorizonError:
             break

@@ -2,10 +2,11 @@
 
 A `WordSystem` serves one binary word: the limit of the aligned words
 built from an intercept digit stream.  Level words are plain '0'/'1'
-strings.  Only the standard words M_k are built, by one cached recursion
-that refuses a level longer than MATERIALIZE_CAP, since lengths grow like
-q_k.  The level-k aligned word is the conjugate of M_k at t_k, so aligned
-words, prefixes and single letters are all windows of M_k read from t_k.
+strings.  Only the standard words M_k are built, by one cached recursion;
+lengths grow like q_k, so a level or a prefix past the size budget
+(`errors.check_budget`) is refused before it is built.  The level-k
+aligned word is the conjugate of M_k at t_k, so aligned words, prefixes
+and single letters are all windows of M_k read from t_k.
 One descent reads such a window from cached levels of at most
 PREFIX_BLOCK letters: a prefix joins those blocks once, so its cost is the
 one copy it returns, and a letter costs O(K) with no storage.  The
@@ -25,8 +26,8 @@ from .errors import (
     DigitRuleError,
     HorizonError,
     InternalError,
-    MaterializeCapError,
     PrecisionError,
+    check_budget,
     read_int,
     read_list,
 )
@@ -42,7 +43,6 @@ from .ostrowski import (
 )
 from .slope import ConvergentTable, floor_ratio
 
-MATERIALIZE_CAP = 1 << 20
 # the longest level word `prefix` materializes: a prefix of n letters is
 # joined from O(n / PREFIX_BLOCK) parts
 PREFIX_BLOCK = 1 << 14
@@ -221,20 +221,14 @@ class WordSystem:
 
     # -- materialized words --------------------------------------------------
 
-    def _check_cap(self, k: int):
-        if self.q(k) > MATERIALIZE_CAP:
-            raise MaterializeCapError(
-                f"|word at level {k}| = {self.q(k)} exceeds cap {MATERIALIZE_CAP}; "
-                "use letter access"
-            )
-
     def standard(self, k: int) -> str:
         """The standard word M_k, length q_k for k >= 0: the one cached
         recursion, M_{-1} = 1, M_0 = 0, M_1 = 0^(a_1-1) 1 and
-        M_k = M_{k-1}^(a_k) M_{k-2} above it."""
+        M_k = M_{k-1}^(a_k) M_{k-2} above it; a level past the size
+        budget is refused before any is built."""
         if k < -1:
             raise ConfigError(f"no standard word at level {k}")
-        self._check_cap(max(k, 0))
+        check_budget(self.q(max(k, 0)), f"the standard word at level {k} is", "letters")
         words = self._standard
         top = max(words)
         while top < k:
@@ -281,13 +275,15 @@ class WordSystem:
         """First `length` letters: for the least q_k > length, letters
         t_k..min(q_k, t_k + length) of M_k, then from its start on if the
         window wraps.  They are joined once from cached blocks of at most
-        PREFIX_BLOCK letters; no level word longer than that is built."""
+        PREFIX_BLOCK letters; no level word longer than that is built, and
+        a prefix past the size budget is refused before any is joined."""
         if length == 0:
             return ""
         k = self.table.level_covering(length)
         # reads b_1..b_k in order: a digit prefix too short is refused at
         # its first missing digit, whatever the length
         t, q = self.offset(k), self.q(k)
+        check_budget(length, "the requested word prefix is", "letters")
         parts: list[str] = []
         chunks: dict = {}
         self._window(k, t, min(q, t + length), parts, chunks)

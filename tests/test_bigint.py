@@ -141,7 +141,7 @@ def test_to_decimal_fixed_values():
     want = [reference_str(n) for n in values]
     for limit in (0, 640, 4300):
         with int_str_limit(limit):
-            assert [bigint.to_decimal(n) for n in values] == want
+            assert [bigint.to_decimals([n])[0] for n in values] == want
             assert sys.get_int_max_str_digits() == limit
 
 
@@ -166,7 +166,7 @@ def test_to_decimal_equals_str_around_its_thresholds(n, limit, negative):
     n = -n if negative else n
     want = reference_str(n)
     with int_str_limit(limit):
-        assert bigint.to_decimal(n) == want
+        assert bigint.to_decimals([n])[0] == want
         assert bigint.to_decimals([n, -n, 0]) == [want, reference_str(-n), "0"]
 
 
@@ -182,7 +182,7 @@ def test_to_decimal_pads_long_zero_runs():
     for limit in (0, 640, 4300):
         with int_str_limit(limit):
             assert bigint.to_decimals(values) == want
-            assert [bigint.to_decimal(n) for n in values] == want
+            assert [bigint.to_decimals([n])[0] for n in values] == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -191,7 +191,7 @@ def test_to_decimal_recursion_with_a_small_leaf(n):
     # both regimes with tiny leaves: halving past 2 digits up to 200 bits,
     # the ladder of 7-bit leaves past them
     with patched(_HALVING_BITS=200, _HALVING_LEAF_DIGITS=2, _DECIMAL_LEAF_BITS=7):
-        assert bigint.to_decimal(n) == reference_str(n)
+        assert bigint.to_decimals([n])[0] == reference_str(n)
 
 
 def test_to_decimal_frees_its_power_ladder():
@@ -207,7 +207,7 @@ def test_to_decimal_frees_its_power_ladder():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        assert [bigint.to_decimal(n) for n in values] == want
+        assert [bigint.to_decimals([n])[0] for n in values] == want
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -295,7 +295,7 @@ def test_continuants_leave_the_callers_decimal_context_alone():
         ctx.traps[decimal.Inexact] = False
         before = (ctx.prec, ctx.Emax, dict(ctx.traps))
         assert continuant_columns(terms, SEEDS) == want
-        assert bigint.to_decimal(7 ** 40_000) == reference_str(7 ** 40_000)
+        assert bigint.to_decimals([7 ** 40_000])[0] == reference_str(7 ** 40_000)
         ctx = decimal.getcontext()
         assert (ctx.prec, ctx.Emax, dict(ctx.traps)) == before
     inexact = bigint._EXACT.copy()

@@ -22,7 +22,7 @@ from sturmian import (
     degenerate_expansions,
     family_fraction,
 )
-from sturmian import cfrac
+from sturmian import cfrac, errors
 from sturmian.cfrac import (
     NumberSpec,
     Term,
@@ -86,7 +86,7 @@ def test_number_spec_replace_validates_as_the_constructor_does(golden):
     assert spec._replace(base=2).base == 2
 
 
-def test_term_block_level_zero(golden, slope532):
+def test_entries_of_level_zero(golden, slope532):
     for t, b in [(golden, 2), (slope532, 3), (slope532, 10)]:
         spec = characteristic_spec(t, b)
         assert _entry(spec, "d", 0) == 0
@@ -94,7 +94,7 @@ def test_term_block_level_zero(golden, slope532):
         assert _entry(spec, "c", 0) == (b ** t.a(1) - b) // (b - 1)
 
 
-def test_term_block_examples():
+def test_entry_examples():
     t = table_for((2, 2, 2), horizon=10)
     spec = characteristic_spec(t, 2)
     assert _entry(spec, "c", 0) == 2  # (2^2 - 2)/(2 - 1)
@@ -102,7 +102,7 @@ def test_term_block_examples():
     assert _entry(spec, "f", 3) == 0
 
 
-def test_term_block_negative_branch():
+def test_entry_negative_branch():
     spec = negative_term_spec()
     c3 = _entry(spec, "c", 3)
     assert c3 == -(_entry(spec, "e", 2) + 1)
@@ -121,15 +121,15 @@ def test_boehmer_terms_golden():
 
 def test_powers_past_the_cap_are_refused_before_they_are_computed(monkeypatch):
     # the entries of level k raise b to at most q_{k+1}, Boehmer term k to
-    # at most q_k: under a cap of q_5 * ceil(log2 b) bits, level 4 and term
-    # 5 are computed as without it, level 5 and term 6 refused
+    # at most q_k: under a size budget of q_5 * ceil(log2 b) bits, level 4
+    # and term 5 are computed as without it, level 5 and term 6 refused
     t = table_for((5, 3, 2), horizon=12)
     for b in (2, 3, 10):
         spec = characteristic_spec(t, b)
         entries = [_entry(spec, kind, k) for k in range(5) for kind in "cdef"]
         closed = [boehmer_term(t, b, k) for k in range(1, 6)]
         with monkeypatch.context() as m:
-            m.setattr(cfrac, "_MAX_POWER_BITS", t.q(5) * (b - 1).bit_length())
+            m.setattr(errors, "SIZE_BUDGET", t.q(5) * (b - 1).bit_length())
             assert [_entry(spec, kind, k) for k in range(5) for kind in "cdef"] == entries
             assert [boehmer_term(t, b, k) for k in range(1, 6)] == closed
             for refused in (*(functools.partial(_entry, spec, kind, 5) for kind in "cdef"),
@@ -155,7 +155,7 @@ def test_geom_matches_division_reference():
     assert _geom(2, 5, -1) == 0
 
 
-def test_raw_stream_shape(golden):
+def test_level_signs_shape(golden):
     # the improper stream the rewrite reads: five signed parts per level,
     # each naming its own term-block entry unless it is a constant
     spec = characteristic_spec(golden, 2)
@@ -385,11 +385,20 @@ def test_demand_driven_prefixes_equal_full_expansion():
     assert negative_windows >= 3  # rule (i) fires in the corpus
 
 
+def test_a_term_count_past_sys_maxsize_means_every_term():
+    # islice takes counts up to sys.maxsize; a larger one asks for more
+    # terms than any expansion has
+    spec = characteristic_spec(golden_table(8), 2)
+    full = continued_fraction(spec)
+    for n in (len(full), sys.maxsize, sys.maxsize + 1, 10 ** 20):
+        assert continued_fraction(spec, terms=n) == full
+
+
 def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def test_level_signs_match_term_block_values():
+def test_level_signs_match_entry_values():
     # the rewrite reads signs from the digits alone; each must be the sign
     # of the value _entry computes, for every level, kind and form
     rng = random.Random(20261018)

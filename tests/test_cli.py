@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import sturmian
 from sturmian import SlopeSpec, build_table, cfrac, exponent, ostrowski
-from sturmian.bigint import to_decimal
+from sturmian.bigint import to_decimals
 from sturmian.cli import _emit, main
 from sturmian.errors import (ConfigError, DigitLimitError, HorizonError, InternalError,
                              SturmianError, read_int)
@@ -176,8 +176,8 @@ def test_verify_prints_each_pipeline_term_from_its_own_value(capsys, monkeypatch
     code, out, _ = run(capsys, "--slope", GOLDEN, "verify")
     payload = json.loads(out)
     assert code == InternalError.exit_code
-    assert payload["certifiedPrefix"] == [to_decimal(t) for t in prefix]
-    assert payload["pipeline"] == [to_decimal(t) for t in terms]
+    assert payload["certifiedPrefix"] == [to_decimals([t])[0] for t in prefix]
+    assert payload["pipeline"] == [to_decimals([t])[0] for t in terms]
     assert payload["firstMismatchIndex"] == 1
 
 
@@ -327,6 +327,24 @@ def test_terms_must_be_positive(capsys, argv):
         main(["--slope", GOLDEN, *argv])
     assert exc.value.code == 2
     assert "--terms: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["cf", "convergents"])
+def test_a_term_count_past_sys_maxsize_prints_every_term(capsys, sub):
+    slope = '{"preperiod":[1],"period":[1],"horizon":8}'
+    code, out, err = run(capsys, "--slope", slope, sub, "--terms", str(10 ** 20))
+    assert (code, err) == (0, "")
+    assert run(capsys, "--slope", slope, sub) == (0, out, "")
+
+
+def test_a_word_past_the_size_budget_exits_3(capsys):
+    # golden K=40 serves 39,088,169 letters; the budget is 2^24
+    slope = '{"preperiod":[1],"period":[1],"horizon":40}'
+    code, out, err = run(capsys, "--slope", slope, "word", "--length", str(2 ** 24 + 1))
+    assert (code, out) == (3, "")
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 400
+    assert json.loads(err) == {"error": "HorizonError",
+                               "message": "the requested word prefix is past 16777216 letters"}
 
 
 @pytest.mark.parametrize("argv", [

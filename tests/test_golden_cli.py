@@ -169,7 +169,7 @@ def corpus() -> list[list[str]]:
         # nothing to verify
         g + _intercept({"digits": [0, 1, 0], "terminating": False}) + ["verify"],
         g + _intercept({"digits": [0], "terminating": False}) + ["verify"],
-        # a_1 = 2^20 + 5 exceeds the materialization cap: letter a_1 is the 1
+        # a_1 = 2^20 + 5: M_1 is read in blocks, never built; letter a_1 is the 1
         ["--slope", _slope([(1 << 20) + 5], [1], 5), "word", "--binary",
          "--length", str((1 << 20) + 6)],
         # exit 2: `exponent` refuses a bad base like every number command;
@@ -250,6 +250,9 @@ def corpus() -> list[list[str]]:
     # the rle form of `convergents`, which like text is written row by row
     cmds += [["--slope", s["slope"], "--base", s["base"], "--format", "rle", "convergents"]
              for s in SLOPES.values()]
+    # exit 3: a word prefix past the size budget of 2^24 letters, refused
+    # before it is built
+    cmds.append(["--slope", _slope([1], [1], 40), "word", "--length", str((1 << 24) + 1)])
     return cmds
 
 

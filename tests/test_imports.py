@@ -1,10 +1,13 @@
 """Import boundaries inside the package, read from the source with `ast`.
 
 The oracle stays independent of the term pipeline: from the package it
-takes only the number spec, `continued_fraction`, `word_value` and the
-power cap `_check_power` from `cfrac`, `int_divmod` from `bigint`, and
-errors.  The big-integer
-kernels in `bigint` import nothing from the package, and the pipeline
+takes only the number spec, `continued_fraction`, `word_value` and
+`_check_power`, the estimate of the bits of a power of the base, from
+`cfrac`, `int_divmod` from `bigint`, and errors and the size budget from
+`errors`.  The size budget has one owner: `SIZE_BUDGET`, 2^24, is
+assigned in `errors` alone, its value written nowhere else, and the caps
+it replaced are defined nowhere.  The big-integer kernels in `bigint`
+import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
 convergent table and its two certifying functions, a sign and bounds on
@@ -71,6 +74,45 @@ def test_oracle_takes_only_values_from_the_pipeline():
     assert imports["cfrac"] <= {"NumberSpec", "continued_fraction", "word_value",
                                 "_check_power"}
     assert imports.get("bigint", set()) <= {"int_divmod"}
+
+
+def _defined_names(tree) -> set[str]:
+    """Names a module binds: assignments, functions, classes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+    return names
+
+
+def _is_budget_value(node) -> bool:
+    """`1 << 24` or the literal 16777216."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+        return (isinstance(node.left, ast.Constant) and node.left.value == 1
+                and isinstance(node.right, ast.Constant) and node.right.value == 24)
+    return isinstance(node, ast.Constant) and node.value == 1 << 24
+
+
+def test_the_size_budget_has_one_owner():
+    owners, retired, values = [], {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _defined_names(tree)
+        if any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+               and node.id == "SIZE_BUDGET" for node in ast.walk(tree)):
+            owners.append(path.stem)
+        gone = names & {"MATERIALIZE_CAP", "_MAX_POWER_BITS", "MaterializeCapError"}
+        if gone:
+            retired[path.stem] = gone
+        values += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                   if _is_budget_value(node)]
+    assert owners == ["errors"]
+    assert retired == {}
+    assert len(values) == 1 and values[0].startswith("errors:"), values
 
 
 def test_bigint_imports_nothing_from_the_package():

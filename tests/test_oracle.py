@@ -20,7 +20,7 @@ from sturmian import (
     legendre_check,
 )
 from sturmian.cfrac import NumberSpec
-from sturmian import cfrac, oracle
+from sturmian import errors, oracle
 from sturmian.oracle import ValueEnclosure, _floor_range, verify_agreement
 from sturmian.ostrowski import InterceptDigits
 from sturmian.words import WordSystem
@@ -54,17 +54,19 @@ def test_enclosures_nested_and_in_unit_interval():
 
 
 def test_an_enclosure_past_the_power_cap_is_refused_before_its_prefix(monkeypatch):
-    # under a cap of 40 * ceil(log2 b) bits, 40 digits are enclosed as
-    # without it, and 41 are refused before a letter is read
+    # under a size budget of 20,000 * ceil(log2 b) bits, 20,000 digits are
+    # enclosed as without it, and 20,001 are refused before a letter is
+    # read (20,000 is past PREFIX_BLOCK, so the prefix of 20,000 letters
+    # builds no level word longer than the budget either)
     for base in (2, 3, 10):
         spec = golden_char_spec(base)
-        enc = enclose_value(spec, 40)
+        enc = enclose_value(spec, 20_000)
         with monkeypatch.context() as m:
-            m.setattr(cfrac, "_MAX_POWER_BITS", 40 * (base - 1).bit_length())
-            assert enclose_value(spec, 40) == enc
+            m.setattr(errors, "SIZE_BUDGET", 20_000 * (base - 1).bit_length())
+            assert enclose_value(spec, 20_000) == enc
             m.setattr(spec.system, "prefix", None)
             with pytest.raises(HorizonError, match="^the oracle's enclosure needs"):
-                enclose_value(spec, 41)
+                enclose_value(spec, 20_001)
 
 
 def test_cf_of_rational_examples():

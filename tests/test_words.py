@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from sturmian import (
     ConfigError,
     HorizonError,
-    MaterializeCapError,
     PrecisionError,
     SlopeSpec,
     build_table,
@@ -17,6 +16,7 @@ from sturmian import (
     encode_integer,
     encode_real,
 )
+from sturmian import errors
 from sturmian.ostrowski import decode_real
 from sturmian.words import PREFIX_BLOCK, WordSystem, formal_intercept, run_length
 
@@ -489,11 +489,36 @@ def test_factor_count_insufficient_window(golden):
     assert not rep.window_ok
 
 
-def test_materialize_cap():
-    ws = WordSystem.characteristic(golden_table(31))
-    with pytest.raises(MaterializeCapError):
-        ws.standard(30)  # q_30 = 1,346,269 > 2^20
-    # letter and prefix access are unaffected: q_29 < 1,300,000 < q_30
+def test_materialize_cap(monkeypatch):
+    # one size budget, errors.SIZE_BUDGET = 2^24 letters, for standard
+    # words and prefixes alike
+    ws = WordSystem.characteristic(golden_table(37))
+    assert ws.q(35) <= errors.SIZE_BUDGET < ws.q(36)  # q_36 = 24,157,817
+    with pytest.raises(HorizonError, match="^the standard word at level 36 is past 16777216 letters$"):
+        ws.standard(36)
+    assert ws._standard == {-1: "1", 0: "0"}  # refused before any level is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(HorizonError, match="^the requested word prefix is past 16777216 letters$"):
+            ws.prefix(2 ** 24 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the word's 16 MB were never allocated
+    # a short digit prefix still names its first missing digit
+    short = word_system(golden_table(37), (0, 1), terminating=False)
+    with pytest.raises(HorizonError, match="^digit b_3 beyond"):
+        short.prefix(2 ** 24 + 1)
+    # the budget itself is served: under a budget of 20,000 letters (above
+    # PREFIX_BLOCK, the longest level a prefix builds) a prefix of 20,000
+    # is read as without it, one of 20,001 refused
+    word = reference_aligned(ws, 22)
+    monkeypatch.setattr(errors, "SIZE_BUDGET", 20_000)
+    assert ws.prefix(20_000) == word[:20_000]
+    with pytest.raises(HorizonError):
+        ws.prefix(20_001)
+    monkeypatch.undo()
+    # below the budget, letters and prefixes are read as before
     word = reference_aligned(ws, 30)
     assert ws.letter(1_300_000) == int(word[1_299_999])
     assert ws.prefix(1_300_000) == word[:1_300_000]
