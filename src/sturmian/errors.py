@@ -90,9 +90,10 @@ class InternalError(SturmianError):
 
 
 # the one size budget: the most bits of a power of the base (as
-# `cfrac._check_power` estimates them) or letters of a standard word or
-# prefix, refused before it is built.  Ten times the most bits a test
-# needs (1.66 million), just above the longest prefix a test reads
+# `cfrac._check_power` estimates them) or of a convergent table's p_k and
+# q_k (counted as `slope.build_table` grows it), or letters of a standard
+# word or prefix, refused before it is built.  Ten times the most bits a
+# test needs (1.66 million), just above the longest prefix a test reads
 # (16,040,800 letters); a term near it (a_2 = 1,600,000, base 2) prints
 # in about 4 s, and an a_2 of a few hundred digits would never finish.
 SIZE_BUDGET = 1 << 24

@@ -6,9 +6,9 @@ d_{j+1} = a_{j+1}.  Reals sigma in [-theta, 1-theta] are written as
 sigma = sum b_k theta_{k-1} under the analogous rules.  Everything here
 is exact: digit extraction works on the symbolic form A + B*theta and
 certifies each digit against the convergent bracket, a real one by a
-floor and a sign test, so no digit is guessed.  Values lying in
-Z theta + Z have two admissible expansions; those are either produced
-explicitly by `degenerate_expansions` or reported as `AmbiguousExpansionError`.
+floor, so no digit is guessed.  Values lying in Z theta + Z have two
+admissible expansions; those are either produced explicitly by
+`degenerate_expansions` or reported as `AmbiguousExpansionError`.
 """
 
 from __future__ import annotations
@@ -192,11 +192,15 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
     `sigma` is an exact Fraction or a coefficient pair (u, v) standing for
     u*theta + v; floats are rejected because no floor can be certified
     from them.  The residual X passes the boundary between digits b - 1
-    and b exactly when y = (X + theta_k)/theta_{k-1} > b - 1, so after a
-    sign test at the bottom, -theta_{k-1}, digit k is ceil(y) by one
-    `floor_ratio`, clamped to 0..cap + 1 (past the top).  An integer y in
-    0..cap is a window boundary: sigma in Z theta + Z with two admissible
-    branches, reported as AmbiguousExpansionError rather than guessed.
+    and b exactly when y = (X + theta_k)/theta_{k-1} > b - 1, so digit k
+    is ceil(y) by one `floor_ratio`, clamped to 0..cap + 1 (past the
+    top).  An integer y in 0..cap is a window boundary: sigma in
+    Z theta + Z with two admissible branches, reported as
+    AmbiguousExpansionError rather than guessed.  The bottom of the
+    range is tested once, sigma + theta > 0: an accepted digit b exceeds
+    y (a non-integer y rounds up, a negative one clamps to 0, an integer
+    one in range is refused), so X - b theta_{k-1} + theta_k =
+    theta_{k-1}(y - b) has the sign of theta_k and would pass the test.
     """
     if isinstance(sigma, float):
         raise ConfigError("float intercepts are rejected; pass a Fraction or (u, v) pair")
@@ -207,16 +211,14 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
     orig_coeff, orig_const = coeff, const
     limit = max(table.horizon - 2, 1)
 
+    bottom = sign_linear(table, const, coeff + 1)  # sigma + theta
+    if bottom == 0:
+        _raise_ambiguous((), (0, 0), coeff, const)
+    if bottom < 0:
+        raise InvalidInterceptError("value below -theta at digit 1; not in [-theta, 1-theta]")
     digits: list[int] = []
     for k in range(1, limit + 1):
         cap = _max_digit(table, digits)
-        direction = 1 if k % 2 == 1 else -1  # sign of theta_{k-1}
-        s_bot = direction * sign_linear(table, const - table.p(k - 1), coeff + table.q(k - 1))
-        if s_bot == 0:
-            _raise_ambiguous(digits, (0, 0), orig_coeff, orig_const)
-        if s_bot < 0:
-            raise InvalidInterceptError(
-                f"value below -theta at digit {k}; not in [-theta, 1-theta]")
         lo, hi = floor_ratio(table, const - table.p(k), coeff + table.q(k),
                              -table.p(k - 1), table.q(k - 1))
         # the digits ceil(y) may be, an unbounded side standing for its end

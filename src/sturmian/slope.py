@@ -6,9 +6,9 @@ tail (covering quadratic irrationals exactly) or is a plain finite list
 with an explicit horizon.  theta itself is never stored, as a float or
 as a rational interval: every certified question about it is a sign,
 `sign_linear`, or bounds on the floor of a Mobius image of theta,
-`floor_ratio`, a floor where the two bounds meet.  Both take the values
-at the last convergent pair, which encloses theta, from one reader,
-`_ends`.  The brackets of consecutive convergents nest, so whatever a
+`floor_ratio`, a floor where the two bounds meet.  Only `floor_ratio`
+reads the last convergent pair, which encloses theta; a sign reads its
+bounds.  The brackets of consecutive convergents nest, so whatever a
 shallower pair certifies the last pair certifies with the same answer,
 and when the last pair cannot, PrecisionError asks for a deeper horizon.
 """
@@ -19,8 +19,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (ConfigError, HorizonError, InternalError, PrecisionError, read_int,
-                     read_list, validated)
+from .errors import (ConfigError, HorizonError, InternalError, PrecisionError, check_budget,
+                     read_int, read_list, validated)
 
 
 @validated
@@ -128,47 +128,39 @@ class ConvergentTable(NamedTuple):
 
 def build_table(spec: SlopeSpec) -> ConvergentTable:
     """Evaluate the convergent recurrence through the spec horizon,
-    checking p_k q_{k-1} - p_{k-1} q_k = (-1)^(k-1) at each step."""
+    checking p_k q_{k-1} - p_{k-1} q_k = (-1)^(k-1) at each step and
+    refusing, level by level, a table past the size budget in bits."""
     ps = [1, 0]
     qs = [0, 1]
+    bits = 0
     for k in range(1, spec.horizon + 1):
         a = spec.partial_quotient(k)
         ps.append(a * ps[-1] + ps[-2])
         qs.append(a * qs[-1] + qs[-2])
+        bits += ps[-1].bit_length() + qs[-1].bit_length()
+        check_budget(bits, "the convergent table of the slope horizon is", "bits")
         if ps[-1] * qs[-2] - ps[-2] * qs[-1] != (-1) ** (k - 1):
             raise InternalError(f"determinant identity failed at k={k}")
     return ConvergentTable(spec, tuple(ps), tuple(qs))
-
-
-def _ends(table: ConvergentTable, a, b: int, c: int, d: int) -> list[tuple[int, int]]:
-    """(a + b*x)/(c + d*x) at each x = p/q of the last pair, for a rational
-    a = n/m (an int or a Fraction): the unreduced (num, den) pair
-    (n*q + m*b*p, m*(c*q + d*p)), whose den has the sign of c + d*x.
-    The only reader of the last pair."""
-    n, m = a.numerator, a.denominator
-    return [(n * q + m * b * p, m * (c * q + d * p))
-            for p, q in zip(table.ps[-2:], table.qs[-2:])]
 
 
 def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
     """Certified sign of const + coeff * theta, for a rational const.
 
     Returns 0 exactly when const == coeff == 0 (the form is identically
-    zero); for coeff != 0 the value is irrational.  The form's numerators
-    at the last pair (`_ends`, over positive denominators) have its sign
-    there, so when the two share a weak sign (never both 0) the form at
-    theta, strictly between, has it.
+    zero); for coeff != 0 the value is irrational, and its sign is a
+    reading of `floor_ratio`'s bounds on its floor: +1 when the low bound
+    is >= 0, -1 when the high bound is < 0.
     """
-    const = Fraction(const)
     if coeff == 0:
         return (const > 0) - (const < 0)
-    (lo, _), (hi, _) = _ends(table, const, coeff, 1, 0)
-    if lo >= 0 and hi >= 0:
+    lo, hi = floor_ratio(table, const, coeff, 1, 0)
+    if lo >= 0:
         return 1
-    if lo <= 0 and hi <= 0:
+    if hi < 0:
         return -1
     raise PrecisionError(
-        f"cannot separate {-const / coeff} from theta within horizon "
+        f"cannot separate {Fraction(-const, coeff)} from theta within horizon "
         f"{table.horizon}; raise the slope horizon"
     )
 
@@ -176,13 +168,15 @@ def sign_linear(table: ConvergentTable, const, coeff: int) -> int:
 def floor_ratio(table: ConvergentTable, a, b: int, c: int, d: int) -> tuple[int | None, int | None]:
     """Certified bounds (lo, hi) on the floor of y = (a + b*theta)/(c + d*theta),
     for a rational a and integers b, c, d, c or d nonzero: y lies strictly
-    between its values at the last pair (`_ends`), so lo is the floor of
-    the smaller and hi the ceiling of the larger, less 1.  A pole -c/d at a
-    convergent leaves y unbounded on that side, and one inside the bracket
-    on both: such a bound is None.  A constant map gives its floor twice,
-    or (j, j - 1) for an integer y = j.
+    between its values at the last pair, so lo is the floor of the smaller
+    and hi the ceiling of the larger, less 1.  A pole -c/d at a convergent
+    leaves y unbounded on that side, and one inside the bracket on both:
+    such a bound is None.  A constant map gives its floor twice, or
+    (j, j - 1) for an integer y = j.  The only reader of the last pair.
     """
-    ends = _ends(table, Fraction(a), b, c, d)
+    n, m = a.numerator, a.denominator  # y at x = p/q: den has the sign of c + d*x
+    ends = [(n * q + m * b * p, m * (c * q + d * p))
+            for p, q in zip(table.ps[-2:], table.qs[-2:])]
     (_, d0), (_, d1) = ends
     if d0 * d1 < 0:
         return None, None

@@ -129,9 +129,9 @@ class WordSystem:
 
     @classmethod
     def from_degenerate(cls, table: ConvergentTable, deg: DegenerateIntercept,
-                        *, upper: bool = False, **kw) -> "WordSystem":
+                        *, upper: bool = False) -> "WordSystem":
         stream = deg.upper if upper else deg.lower
-        return cls(table, stream, rho=(1 - deg.m, deg.p), upper=upper, **kw)
+        return cls(table, stream, rho=(1 - deg.m, deg.p), upper=upper)
 
     @classmethod
     def from_spec(cls, table: ConvergentTable, intercept="characteristic", *,

@@ -347,6 +347,22 @@ def test_a_word_past_the_size_budget_exits_3(capsys):
                                "message": "the requested word prefix is past 16777216 letters"}
 
 
+@pytest.mark.parametrize("sub", [["word", "--length", "5"], ["ostrowski-int", "--encode", "5"],
+                                 ["ostrowski-real", "--sigma", "1/3"], ["cf"], ["convergents"],
+                                 ["exponent"], ["verify"], ["boehmer"]])
+@pytest.mark.parametrize("horizon", [["--slope", '{"preperiod":[1],"period":[1],"horizon":100000}'],
+                                     ["--slope", GOLDEN, "--horizon", "1" + "0" * 600]])
+def test_a_horizon_past_the_table_budget_exits_3(capsys, sub, horizon):
+    # the table is refused as it grows, after about 4,900 golden levels,
+    # before any command reads it; the refusal echoes no horizon
+    code, out, err = run(capsys, *horizon, *sub)
+    assert (code, out) == (3, "")
+    assert err.endswith("\n") and err.count("\n") == 1 and len(err.encode()) < 400
+    assert json.loads(err) == {
+        "error": "HorizonError",
+        "message": "the convergent table of the slope horizon is past 16777216 bits"}
+
+
 @pytest.mark.parametrize("argv", [
     ["--base", "1_0", "cf"],
     ["--horizon", " 8", "cf"],

@@ -253,6 +253,9 @@ def corpus() -> list[list[str]]:
     # exit 3: a word prefix past the size budget of 2^24 letters, refused
     # before it is built
     cmds.append(["--slope", _slope([1], [1], 40), "word", "--length", str((1 << 24) + 1)])
+    # exit 3: a convergent table past the size budget, refused as it grows
+    # (after about 4,900 levels), however few letters are asked for
+    cmds.append(["--slope", _slope([1], [1], 100000), "word", "--length", "5"])
     return cmds
 
 

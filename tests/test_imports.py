@@ -11,10 +11,11 @@ import nothing from the package, and the pipeline
 and theta modules take nothing from them.  Certified theta arithmetic
 has one owner: the modules that need theta take from `slope` only the
 convergent table and its two certifying functions, a sign and bounds on
-the floor of a ratio.  Both read the last convergent pair through one
-function, `slope._ends`, the only code in `slope` that slices the
-table's `ps` or `qs`; outside `slope` only `ostrowski.decode_real` does,
-for the rational interval that `ostrowski-real` prints.
+the floor of a ratio.  The sign is a reading of those bounds, so one
+function, `slope.floor_ratio`, reads the last convergent pair: it is the
+only code in `slope` that slices the table's `ps` or `qs`; outside
+`slope` only `ostrowski.decode_real` does, for the rational interval
+that `ostrowski-real` prints.
 
 The depth of a number is read in one place, `WordSystem.levels`: no
 function in `cfrac`, `oracle`, `exponent` or `ostrowski` takes a
@@ -142,7 +143,7 @@ def test_the_last_convergent_pair_has_one_reader():
                             if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Slice)
                             and getattr(sub.value, "attr", getattr(sub.value, "id", None))
                             in {"ps", "qs"}}
-    assert slicers == {"slope._ends", "ostrowski.decode_real"}
+    assert slicers == {"slope.floor_ratio", "ostrowski.decode_real"}
 
 
 @pytest.mark.parametrize("module", ["cfrac", "oracle", "exponent", "ostrowski"])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sturmian import (
     ConfigError,
+    errors,
     HorizonError,
     PrecisionError,
     SlopeSpec,
@@ -29,6 +30,46 @@ from conftest import (
 def test_fibonacci_denominators():
     t = table_for((1, 1, 1, 1, 1), period=(), horizon=5)
     assert [t.q(k) for k in range(6)] == [1, 1, 2, 3, 5, 8]
+
+
+def table_bits(spec):
+    """The bits of p_1..p_K and q_1..q_K at each level K of `spec`."""
+    ps, qs, bits = [1, 0], [0, 1], [0]
+    for k in range(1, spec.horizon + 1):
+        a = spec.partial_quotient(k)
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+        bits.append(bits[-1] + ps[-1].bit_length() + qs[-1].bit_length())
+    return bits
+
+
+def test_a_table_past_the_size_budget_is_refused_as_it_grows(monkeypatch):
+    # golden K=4,000 holds 1.1e7 bits and is built; the budget's 2^24 bits
+    # run out after about 4,900 levels, so a horizon of 100,000 reads no
+    # quotient past them, and the refusal names neither horizon nor size
+    assert table_bits(SlopeSpec((1,), (1,), 4000))[-1] <= errors.SIZE_BUDGET
+    assert build_table(SlopeSpec((1,), (1,), 4000)).horizon == 4000
+    read = []
+    quotient = SlopeSpec.partial_quotient
+    monkeypatch.setattr(SlopeSpec, "partial_quotient",
+                        lambda spec, k: read.append(k) or quotient(spec, k))
+    with pytest.raises(HorizonError) as refused:
+        build_table(SlopeSpec((1,), (1,), 100_000))
+    assert str(refused.value) == "the convergent table of the slope horizon is past 16777216 bits"
+    levels = len(read)
+    assert read == list(range(1, levels + 1)) and 4_800 < levels < 5_000
+    bits = table_bits(SlopeSpec((1,), (1,), levels))
+    assert bits[-2] <= errors.SIZE_BUDGET < bits[-1]
+
+
+@pytest.mark.parametrize("pre, per", [((1,), (1,)), ((5, 3, 2), (5, 3, 2)), ((2, 1, 3), (1, 4)),
+                                      ((10 ** 639 + 7,), (1,))])
+def test_the_table_budget_refuses_the_first_level_past_it(monkeypatch, pre, per):
+    bits = table_bits(SlopeSpec(pre, per, 60))
+    monkeypatch.setattr(errors, "SIZE_BUDGET", bits[30])
+    assert build_table(SlopeSpec(pre, per, 30)).horizon == 30
+    with pytest.raises(HorizonError, match="convergent table"):
+        build_table(SlopeSpec(pre, per, 31))
 
 
 def test_paper_slope_denominators(slope532):
@@ -124,8 +165,8 @@ def test_golden_enclosure_level_2(golden):
 
 
 def test_enclosure_width_and_nesting(golden, slope532):
-    # the nesting is why `sign_linear` and `floor_ratio` read only the
-    # last pair (`slope._ends`)
+    # the nesting is why `floor_ratio`, and the signs read from its
+    # bounds, take only the last pair
     for t in (golden, slope532):
         brackets = [reference_enclosure(t, level) for level in range(t.horizon)]
         for level, (lo, hi) in enumerate(brackets):
