@@ -11,10 +11,13 @@ and hands over one row at a time, written as it comes, and the rest
 from `to_decimals`.  Both are subquadratic and never change the
 interpreter's int-to-str digit limit.  The only exceptions, printed by
 `str`, are level and term indices and the echoed base and length:
-inputs are held to that limit.  Every check that can refuse a command
-runs before its first byte is written, so a refused command prints
-nothing.  Exit codes: 0 success, 2 invalid config/digits, 3 horizon or
-precision exhaustion, 4 internal invariant failure.
+inputs are held to that limit.  `word` writes its prefix block by
+block from `WordSystem.prefix_blocks`, in every format, so no command
+holds the whole word as one string only to print it.  Every check that
+can refuse a command runs before its first byte is written, so a
+refused command prints nothing.  Exit codes: 0 success, 2 invalid
+config/digits, 3 horizon or precision exhaustion, 4 internal invariant
+failure.
 
 The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4},
 its numbers integers or decimal strings.  The intercept (parsed by
@@ -36,13 +39,14 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
 from .bigint import continuants_to_decimal, to_decimals
 from .errors import (ConfigError, DigitLimitError, HorizonError, InternalError, SturmianError,
-                     read_int)
+                     read_int, shown_int)
 
 
 def _decimals(ints, fractions=()) -> dict[int, str]:
@@ -132,14 +136,22 @@ def _build_system(cfg) -> words.WordSystem:
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
+class _Pieces(NamedTuple):
+    """A string field of `_emit` given as the pieces it concatenates."""
+
+    pieces: Iterable[str]
+
+
 def _emit(payload: dict, fmt: str, text):
     """Write the payload as `json.dumps(payload, sort_keys=True)` would,
-    one top-level field at a time, its keys strings; a field whose value
+    one top-level field at a time, its keys strings.  A field whose value
     is an iterator is written item by item as a JSON list, so each item
-    need only exist while it is written.  For the text and rle formats,
-    write instead what `text()` returns, called only then: a string, or
-    an iterable of strings written one after another.  The newline
-    follows either."""
+    need only exist while it is written; a `_Pieces` field is written
+    piece by piece as one JSON string.  JSON escapes each character on
+    its own, so the escaped pieces concatenate to the escaped string.
+    For the text and rle formats, write instead what `text()` returns,
+    called only then: a string, or an iterable of strings written one
+    after another.  The newline follows either."""
     write = sys.stdout.write
     if fmt != "json":
         body = text()
@@ -151,6 +163,12 @@ def _emit(payload: dict, fmt: str, text):
     for n, key in enumerate(sorted(payload)):
         write(f"{', ' if n else ''}{_JSON.encode(key)}: ")
         value = payload[key]
+        if isinstance(value, _Pieces):
+            write('"')
+            for piece in value.pieces:
+                write(_JSON.encode(piece)[1:-1])
+            write('"')
+            continue
         if not isinstance(value, Iterator):
             write(_JSON.encode(value))
             continue
@@ -163,25 +181,41 @@ def _emit(payload: dict, fmt: str, text):
     write("}\n")
 
 
+def _write_bits(length: int, blocks):
+    """`word --binary`: the 8-byte big-endian letter count, then the
+    letters packed MSB-first, the last byte padded with zeros.  Whole
+    bytes go out as each block fills them; fewer than 8 letters carry
+    into the next block."""
+    out = sys.stdout.buffer
+    out.write(length.to_bytes(8, "big"))
+    carry = ""
+    for block in blocks:
+        bits = carry + block
+        cut = len(bits) - len(bits) % 8
+        if cut:
+            out.write((int(bits, 2) >> (len(bits) - cut)).to_bytes(cut // 8, "big"))
+        carry = bits[cut:]
+    if carry:
+        out.write((int(carry, 2) << (8 - len(carry))).to_bytes(1, "big"))
+    out.flush()
+
+
 def cmd_word(args, cfg, system):
     length = args.length if args.length is not None else _config_int(cfg, "length", 0)
     if length < 1:
         raise ConfigError("word command needs --length >= 1")
-    word = system.prefix(length)
+    # every refusal comes here, before the first byte; each format then
+    # writes the prefix block by block, never joined into one string
+    blocks = system.prefix_blocks(length)
     if args.binary:
-        # length-prefixed packed bits: 8-byte big-endian letter count,
-        # then the letters packed MSB-first
-        nbytes = (length + 7) // 8
-        out = sys.stdout.buffer
-        out.write(length.to_bytes(8, "big"))
-        out.write((int(word, 2) << (8 * nbytes - length)).to_bytes(nbytes, "big"))
-        out.flush()
+        _write_bits(length, blocks)
         return
     if args.format == "text":  # the word alone: no run-length form to build
-        _emit({}, "text", lambda: word)
+        _emit({}, "text", lambda: blocks)
         return
-    payload = {"length": str(length), "word": word, "rle": words.run_length(word)}
-    _emit(payload, args.format, lambda: payload["rle"])
+    rle = _Pieces(words.run_length_blocks(blocks))
+    payload = {"length": str(length), "word": _Pieces(blocks), "rle": rle}
+    _emit(payload, args.format, lambda: rle.pieces)
 
 
 def cmd_ostrowski_int(args, cfg, system):
@@ -373,7 +407,7 @@ def positive_int(text: str) -> int:
     """argparse type of the --terms flags: an integer >= 1."""
     n = integer(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown_int(n)}")
     return n
 
 

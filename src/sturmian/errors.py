@@ -1,5 +1,6 @@
 """Exception hierarchy, the hook that validates records, the size
-budget, and the one readers of integers and of lists from JSON input.
+budget, the one readers of integers and of lists from JSON input, and
+the one writer of an integer into a refusal text.
 
 Exit-code mapping used by the CLI: bad configuration or bad digit data
 is exit 2, running out of horizon/precision is exit 3, and a violated
@@ -66,7 +67,7 @@ class AmbiguousExpansionError(ConfigError):
         self.branch_digits = tuple(branch_digits)
         self.m = m
         self.p = p
-        hint = f"; degenerate form m={m}, p={p}" if m is not None else ""
+        hint = f"; degenerate form m={shown_int(m)}, p={shown_int(p)}" if m is not None else ""
         super().__init__(
             f"two admissible expansions after digits {self.prefix} "
             f"(next digit {branch_digits[0]} or {branch_digits[1]}){hint}"
@@ -105,6 +106,27 @@ def check_budget(size: int, what: str, unit: str):
     past the int-to-str limit."""
     if size > SIZE_BUDGET:
         raise HorizonError(f"{what} past {SIZE_BUDGET} {unit}")
+
+
+# a refusal text echoes an integer of at most this many digits whole
+_SHOWN_DIGITS = 200
+
+
+def shown_int(n: int) -> str:
+    """n in decimal for a refusal text, or past _SHOWN_DIGITS digits its
+    digit count, as "<4001-digit integer>" (with a sign when negative): a
+    refusal stays one short line, and never converts an integer past the
+    int-to-str limit.  The count starts at most two below the truth, from
+    the bit length times log10(2) rounded down."""
+    m = abs(n)
+    if m < 10 ** _SHOWN_DIGITS:
+        return str(n)
+    count = m.bit_length() * 301029995 // 10 ** 9
+    power = 10 ** count
+    while power <= m:
+        power *= 10
+        count += 1
+    return f"{'-' if n < 0 else ''}<{count}-digit integer>"
 
 
 class DigitLimitError(ValueError):

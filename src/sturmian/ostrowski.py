@@ -25,6 +25,7 @@ from .errors import (
     InvalidInterceptError,
     PrecisionError,
     read_int,
+    shown_int,
     validated,
 )
 from .slope import ConvergentTable, floor_ratio, sign_linear
@@ -105,9 +106,9 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
     vector summing to n.
     """
     if n < 1:
-        raise ConfigError(f"only positive integers have an expansion, got {n}")
+        raise ConfigError(f"only positive integers have an expansion, got {shown_int(n)}")
     if n >= table.q(table.horizon):
-        raise HorizonError(f"{n} >= q_{table.horizon} = {table.q(table.horizon)}")
+        raise HorizonError(f"{shown_int(n)} >= q_{table.horizon} = {shown_int(table.q(table.horizon))}")
     top = table.level_covering(n)  # q_top > n >= q_{top-1}: digit top is positive
     digits = [0] * top
     rem = n
@@ -126,11 +127,11 @@ def _check_digit_rules(seq, table: ConvergentTable, leading: str) -> None:
         raise HorizonError(f"{len(seq)} digits exceed horizon {table.horizon}")
     for j, d in enumerate(seq, start=1):
         if d < 0:
-            raise DigitRuleError(j, f"negative digit {d}")
+            raise DigitRuleError(j, f"negative digit {shown_int(d)}")
         if d > table.a(j):
-            raise DigitRuleError(j, f"digit {d} exceeds a_{j} = {table.a(j)}")
+            raise DigitRuleError(j, f"digit {shown_int(d)} exceeds a_{j} = {shown_int(table.a(j))}")
     if seq and seq[0] >= table.a(1):
-        raise DigitRuleError(1, f"leading digit {seq[0]} must be {leading}")
+        raise DigitRuleError(1, f"leading digit {shown_int(seq[0])} must be {leading}")
     for j in range(1, len(seq)):
         if seq[j] == table.a(j + 1) and seq[j - 1] != 0:
             raise DigitRuleError(j, "digit before a maximal digit must vanish")
@@ -259,22 +260,22 @@ def degenerate_expansions(m: int, p: int, table: ConvergentTable) -> DegenerateI
     -theta respectively).
     """
     if m < 1:
-        raise InvalidInterceptError(f"m must be >= 1, got {m}")
+        raise InvalidInterceptError(f"m must be >= 1, got {shown_int(m)}")
     K = table.horizon
     if m == 1:
         if p != 0:
-            raise InvalidInterceptError(f"m = 1 requires p = 0 for rho in [0,1), got p={p}")
+            raise InvalidInterceptError(f"m = 1 requires p = 0 for rho in [0,1), got p={shown_int(p)}")
         level = 0
         b = [table.a(1) - 1] + _alternating_tail(table, 2)
         b_alt = _alternating_tail(table, 1)
     else:
         # rho = -(m-1) theta + p must land in (0, 1)
         if sign_linear(table, p, -(m - 1)) <= 0:
-            raise InvalidInterceptError(f"rho = -({m}-1)theta + {p} is not positive")
+            raise InvalidInterceptError(f"rho = -({shown_int(m)}-1)theta + {shown_int(p)} is not positive")
         if sign_linear(table, p - 1, -(m - 1)) >= 0:
-            raise InvalidInterceptError(f"rho = -({m}-1)theta + {p} is not below 1")
+            raise InvalidInterceptError(f"rho = -({shown_int(m)}-1)theta + {shown_int(p)} is not below 1")
         if m > table.q(K):
-            raise HorizonError(f"m = {m} exceeds q_{K} = {table.q(K)}")
+            raise HorizonError(f"m = {shown_int(m)} exceeds q_{K} = {shown_int(table.q(K))}")
         level = table.level_covering(m - 1) - 1  # q_level < m <= q_{level+1}
         x = table.q(level + 1) - m
         head = list(encode_integer(x, table).digits) if x else []

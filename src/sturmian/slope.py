@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (ConfigError, HorizonError, InternalError, PrecisionError, check_budget,
-                     read_int, read_list, validated)
+                     read_int, read_list, shown_int, validated)
 
 
 @validated
@@ -122,7 +122,7 @@ class ConvergentTable(NamedTuple):
         i = bisect_right(self.qs, n)  # first index with qs[i] > n
         k = max(i - 1, 1)
         if k > self.horizon or self.qs[k + 1] <= n:
-            raise HorizonError(f"no level with q_k > {n} within horizon {self.horizon}")
+            raise HorizonError(f"no level with q_k > {shown_int(n)} within horizon {self.horizon}")
         return k
 
 

@@ -7,17 +7,21 @@ lengths grow like q_k, so a level or a prefix past the size budget
 (`errors.check_budget`) is refused before it is built.  The level-k
 aligned word is the conjugate of M_k at t_k, so aligned words, prefixes
 and single letters are all windows of M_k read from t_k.
-One descent reads such a window from cached levels of at most
-PREFIX_BLOCK letters: a prefix joins those blocks once, so its cost is the
-one copy it returns, and a letter costs O(K) with no storage.  The
-floor-formula path evaluates the same letters from the intercept
-directly, each floor certified where the bounds of `slope.floor_ratio`
-meet.
+One descent reads such a window as blocks of at most PREFIX_BLOCK
+letters, most of them one cached string: `prefix_blocks` returns them,
+so a caller that only writes a prefix holds about one block, `prefix`
+joins them once, its cost the one copy it returns, and a letter costs
+O(K) with no storage.  `run_length_blocks` reads the run-length form
+from the same blocks, one piece per block.  The floor-formula path
+evaluates the same letters from the intercept directly, each floor
+certified where the bounds of `slope.floor_ratio` meet.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,8 +47,8 @@ from .ostrowski import (
 )
 from .slope import ConvergentTable, floor_ratio
 
-# the longest level word `prefix` materializes: a prefix of n letters is
-# joined from O(n / PREFIX_BLOCK) parts
+# the longest level word a prefix reads whole: a prefix of n letters is
+# O(n / PREFIX_BLOCK) blocks
 PREFIX_BLOCK = 1 << 14
 
 
@@ -69,15 +73,70 @@ class FactorCountReport(NamedTuple):
     window_ok: bool
 
 
+# a whole run of two or more equal letters, in a word spaced between its
+# runs (an exponent follows "^", never a space)
+_LONG_RUN = re.compile("(?<= )(?:0{2,}|1{2,})(?= )")
+
+
+def _run(letter: str, count: int) -> str:
+    return letter if count == 1 else f"{letter}^{count}"
+
+
+def _block_runs(block: str) -> tuple[str, int, str | None, str, int]:
+    """(first letter, length of the first run, the run-length form of the
+    runs between the first and the last, last letter, length of the last
+    run) of a nonempty block; the form is None when one run fills the
+    block.  A space goes between letters that differ, then each distinct
+    run of two or more is rewritten wherever it stands: C loops over the
+    block, a few passes, and no list of its runs."""
+    first, last = block[0], block[-1]
+    head = len(block) - len(block.lstrip(first))
+    if head == len(block):
+        return first, head, None, last, head
+    tail = len(block) - len(block.rstrip(last))
+    body = block[head:len(block) - tail]
+    spaced = f" {body.replace('01', '0 1').replace('10', '1 0')} "
+    while match := _LONG_RUN.search(spaced):
+        run = match.group()
+        spaced = spaced.replace(f" {run} ", f" {_run(run[0], len(run))} ")
+    return first, head, spaced[1:-1], last, tail
+
+
+def run_length_blocks(blocks) -> Iterator[str]:
+    """The run-length form of the word that `blocks` spell, in consecutive
+    pieces of at most about one block's form each.  A run that reaches
+    the end of a block is held as its letter and count, and goes out once
+    a later block ends it or the blocks end.  A prefix's blocks are a few
+    distinct strings, so each is read once, in a cache of a few entries
+    that lives as long as the pieces."""
+    runs = functools.lru_cache(maxsize=8)(_block_runs)
+    letter, count, sep = "", 0, ""
+    for block in blocks:
+        if not block:
+            continue
+        first, head, body, last, tail = runs(block)
+        if first == letter:
+            count += head
+        else:
+            if count:
+                yield sep + _run(letter, count)
+                sep = " "
+            letter, count = first, head
+        if body is None:
+            continue
+        yield sep + _run(letter, count)
+        sep = " "
+        if body:
+            yield " " + body
+        letter, count = last, tail
+    if count:
+        yield sep + _run(letter, count)
+
+
 def run_length(word: str) -> str:
     """Run-length form of a binary word: '1 0^4 1 0^5' style, single
-    letters unexponentiated.  Runs are rewritten in their one list, so
-    no second list of the runs is held beside it."""
-    runs = re.findall(r"0+|1+", word)
-    for i, run in enumerate(runs):
-        if len(run) > 1:
-            runs[i] = f"{run[0]}^{len(run)}"
-    return " ".join(runs)
+    letters unexponentiated (`run_length_blocks` of the one block)."""
+    return "".join(run_length_blocks([word]))
 
 
 class WordSystem:
@@ -272,13 +331,21 @@ class WordSystem:
         return int(parts[0])
 
     def prefix(self, length: int) -> str:
-        """First `length` letters: for the least q_k > length, letters
+        """First `length` letters, joined once from `prefix_blocks`."""
+        return "".join(self.prefix_blocks(length))
+
+    def prefix_blocks(self, length: int) -> tuple[str, ...]:
+        """First `length` letters as consecutive blocks of at most
+        PREFIX_BLOCK letters: for the least q_k > length, letters
         t_k..min(q_k, t_k + length) of M_k, then from its start on if the
-        window wraps.  They are joined once from cached blocks of at most
-        PREFIX_BLOCK letters; no level word longer than that is built, and
-        a prefix past the size budget is refused before any is joined."""
+        window wraps.  Whole levels and chunks go out as the one cached
+        string each, and only the window's ends are copies, so the blocks
+        hold a few blocks' letters per level however long the prefix.
+        Every check runs here, before any block is returned: a digit
+        prefix too short or a prefix past the size budget is refused
+        before a caller writes anything."""
         if length == 0:
-            return ""
+            return ()
         k = self.table.level_covering(length)
         # reads b_1..b_k in order: a digit prefix too short is refused at
         # its first missing digit, whatever the length
@@ -289,7 +356,7 @@ class WordSystem:
         self._window(k, t, min(q, t + length), parts, chunks)
         if t + length > q:
             self._window(k, 0, t + length - q, parts, chunks)
-        return "".join(parts)
+        return tuple(parts)
 
     def _window(self, k: int, lo: int, hi: int, parts: list[str], chunks: dict) -> None:
         """Append letters lo..hi-1 (0-based) of M_k to `parts`.

@@ -614,12 +614,13 @@ def test_word_value():
 
 
 def test_bits_as_base_matches_the_digit_loop():
-    # int(word, base) leaves up to 640 letters for bases <= 36, the loop
-    # beyond; longer words split in halves
+    # int(word, base) reads leaves of up to 640 letters for bases <= 36,
+    # bytes of 8 letters beyond (a leaf of 639 letters starts with a byte
+    # of 7); longer words split in halves
     rng = random.Random(640)
-    for n in (0, 1, 640, 641, 5000):
+    for n in (0, 1, 639, 640, 641, 1281, 5000):
         word = "".join(rng.choice("01") for _ in range(n))
-        for base in range(2, 41):
+        for base in (*range(2, 41), 1000):
             v = 0
             for ch in word:
                 v = v * base + (ch == "1")

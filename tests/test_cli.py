@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 import sturmian
 from sturmian import SlopeSpec, build_table, cfrac, exponent, ostrowski
 from sturmian.bigint import to_decimals
-from sturmian.cli import _emit, main
+from sturmian.cli import _emit, _Pieces, main
 from sturmian.errors import (ConfigError, DigitLimitError, HorizonError, InternalError,
-                             SturmianError, read_int)
+                             SturmianError, read_int, shown_int)
 from sturmian.words import WordSystem
 
 from conftest import degenerate_p, random_digits, value_refs
@@ -44,6 +44,7 @@ def test_word_rle_section4(capsys):
 def test_word_characteristic_golden(capsys, monkeypatch):
     # the text format prints the word alone and builds no run-length form
     monkeypatch.setattr(sturmian.words, "run_length", None)
+    monkeypatch.setattr(sturmian.words, "run_length_blocks", None)
     code, out, _ = run(capsys, "--slope", GOLDEN, "--format", "text",
                        "word", "--length", "5")
     assert code == 0
@@ -393,6 +394,35 @@ def test_read_int_refuses_what_int_forgives(text):
         read_int(text, "value")
 
 
+def test_shown_int_names_an_integer_past_200_digits_by_its_digit_count():
+    assert shown_int(10 ** 200 - 1) == "9" * 200
+    assert shown_int(-(10 ** 200 - 1)) == "-" + "9" * 200
+    assert shown_int(10 ** 200) == "<201-digit integer>"
+    assert shown_int(-(10 ** 200)) == "-<201-digit integer>"
+    # past the int-to-str limit too, and exact on both sides of a power of ten
+    for e in (4299, 4300, 4301, 100_000):
+        assert shown_int(10 ** e - 1) == f"<{e}-digit integer>"
+        assert shown_int(10 ** e) == f"<{e + 1}-digit integer>"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ostrowski-int", f"--encode={10 ** 639 + 7}"], "<640-digit integer> >= q_16 = 1597"),
+    (["ostrowski-int", "--digits", str(10 ** 4000)],
+     "digit rule violated at index 1: digit <4001-digit integer> exceeds a_1 = 1"),
+    (["--intercept", '{"m":%d,"p":0}' % 10 ** 4000, "cf"],
+     "rho = -(<4001-digit integer>-1)theta + 0 is not positive"),
+    (["--intercept", '{"m":1,"p":%d}' % -10 ** 4000, "cf"],
+     "m = 1 requires p = 0 for rho in [0,1), got p=-<4001-digit integer>"),
+    ([f"--base=-{10 ** 4000}", "cf"], "base must be >= 2, got -<4001-digit integer>"),
+    (["word", "--length", str(10 ** 300)], "no level with q_k > <301-digit integer> within horizon 16"),
+])
+def test_a_refusal_names_a_long_integer_by_its_digit_count(capsys, argv, message):
+    # the refusal stays one short line, whatever the integers it names
+    code, out, err = run(capsys, "--slope", GOLDEN, *argv)
+    assert code in (2, 3) and out == ""
+    assert json.loads(err)["message"] == message and len(err.encode()) < 400
+
+
 @pytest.mark.parametrize("limit", [0, 640, 4300])
 def test_read_int_refuses_a_string_past_the_int_str_limit_in_one_wording(limit):
     # the limit is read, never set; 0 means no limit
@@ -564,10 +594,12 @@ def test_convergents_past_a_halving_leaf_under_a_low_int_str_limit():
 
 
 class CountingSink(io.TextIOBase):
-    """A stdout that keeps nothing and counts the characters written."""
+    """A stdout that keeps nothing and counts the characters written; its
+    `buffer`, where `word --binary` writes, is itself and counts bytes."""
 
     def __init__(self):
         self.chars = 0
+        self.buffer = self
 
     def writable(self):
         return True
@@ -601,6 +633,30 @@ def test_convergents_hold_less_than_twice_what_they_write(fmt):
     assert peak < 2 * sink.chars
 
 
+@pytest.mark.parametrize("flags", [["--format", "json"], ["--format", "text"],
+                                   ["--format", "rle"], ["--binary"]])
+def test_word_writes_a_million_letters_in_under_half_a_megabyte(flags):
+    # the prefix goes out block by block, and its blocks are a few shared
+    # strings: the traced peak is 0.04-0.13 MB on (5,3,2) K=12, where the
+    # joined word and its list of runs took 1.0-15.3 MB
+    argv = ["--slope", S532, "word", *flags, "--length"]
+    with contextlib.redirect_stdout(CountingSink()):  # the parser and lazy imports
+        assert main(argv + ["5"]) == 0
+    sink = CountingSink()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv + ["1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert code == 0 and sink.chars > 125_000
+    assert peak < 500_000
+
+
 # strings with quotes, backslashes, control and non-ASCII characters
 JSON_TEXT = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7fa\xe9\u20ac\U0001f600') | st.characters(),
                     max_size=8)
@@ -613,13 +669,34 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=6), st.data())
 def test_emit_writes_what_json_dumps_writes(payload, data):
-    # list fields may be passed as iterators, which `_emit` writes item by item
-    streamed = {key: (x for x in value) if isinstance(value, list) and data.draw(st.booleans())
-                else value for key, value in payload.items()}
+    # list fields may be passed as iterators, which `_emit` writes item by
+    # item, and string fields as `_Pieces`, written piece by piece
+    def streamed_value(value):
+        if isinstance(value, list) and data.draw(st.booleans()):
+            return (x for x in value)
+        if isinstance(value, str) and data.draw(st.booleans()):
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(value)), max_size=4)))
+            return _Pieces([value[i:j] for i, j in zip([0, *cuts], [*cuts, len(value)])])
+        return value
+
+    streamed = {key: streamed_value(value) for key, value in payload.items()}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit(streamed, "json", None)
     assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_emit_writes_a_string_of_pieces_as_json_dumps_writes_the_string():
+    # JSON escapes each character on its own, so cut anywhere, even
+    # between a character that needs a surrogate pair and the next, the
+    # escaped pieces concatenate to the escaped string
+    text = 'a"b\\c\x00\x1f\n\t\x7f\xe9\u20ac\U0001f600 ' * 2
+    want = json.dumps({"n": "1", "w": text}, sort_keys=True) + "\n"
+    for cut in range(len(text) + 1):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit({"w": _Pieces(iter([text[:cut], "", text[cut:]])), "n": "1"}, "json", None)
+        assert out.getvalue() == want, cut
 
 
 def test_computed_integers_print_past_the_int_str_limit(capsys):

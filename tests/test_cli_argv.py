@@ -5,11 +5,12 @@ A derandomized property test over argv: all eight subcommands, every
 intercept form, the three output formats, valid and invalid slopes,
 huge integer literals, huge partial quotients and huge horizons.  A
 refusal (exit 2 or 3) writes one JSON error object, of the error class
-its exit code names, to stderr and nothing to stdout; a command that
-runs writes to stdout alone.  Sizes stay those of the benchmark's seeded sweep (q_K <= 3,000,
-bases up to 36), except in the inputs that must be refused.  Argv that
-argparse itself rejects, such as `--terms 0`, ends in argparse's usage
-text and is not drawn here (`test_cli.py` covers it).
+its exit code names and under 400 bytes, to stderr and nothing to
+stdout; a command that runs writes to stdout alone.  Sizes stay those
+of the benchmark's seeded sweep (q_K <= 3,000, bases up to 36), except
+in the inputs that must be refused.  Argv that argparse itself rejects,
+such as `--terms 0`, ends in argparse's usage text and is not drawn
+here (`test_cli.py` covers it).
 """
 
 import json
@@ -193,6 +194,7 @@ def test_every_command_exits_0_2_or_3_and_refuses_in_one_json_line(sub, data):
     code, out, err = execute(argv)
     if code in (2, 3):
         assert out == b"" and err.endswith("\n") and err.count("\n") == 1
+        assert len(err.encode()) < 400  # integers past 200 digits go by their digit count
         refusal = json.loads(err)
         assert set(refusal) == {"error", "message"}
         assert REFUSALS[refusal["error"]] == code

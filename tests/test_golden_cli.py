@@ -256,6 +256,24 @@ def corpus() -> list[list[str]]:
     # exit 3: a convergent table past the size budget, refused as it grows
     # (after about 4,900 levels), however few letters are asked for
     cmds.append(["--slope", _slope([1], [1], 100000), "word", "--length", "5"])
+    # word prefixes longer than one block of 16,384 letters, in every
+    # format: runs and packed bits carry across blocks; the digits'
+    # window at t_k = 18,210 wraps past q_k for both lengths
+    s532_12 = ["--slope", _slope([5, 3, 2], [5, 3, 2], 12), "--base", "3"]
+    for intercept in ([], _intercept({"digits": [4, 0, 2, 0, 3, 0, 1, 2, 0, 3]}),
+                      _intercept({"m": 1, "p": 0}) + ["--upper"]):
+        for length in ("16385", "50003"):
+            cmds += [s532_12 + intercept + fmt + ["word", *flag, "--length", length]
+                     for fmt, flag in (([], []), (["--format", "text"], []),
+                                       (["--format", "rle"], []), ([], ["--binary"]))]
+    # exit 3, with nothing written, not even the --binary header: past the
+    # size budget, and a digit prefix too short for the length
+    big_g = ["--slope", _slope([1], [1], 40)]
+    short = g + _intercept({"digits": [0, 1], "terminating": False})
+    cmds += [big_g + ["word", "--binary", "--length", str((1 << 24) + 1)],
+             big_g + ["--format", "text", "word", "--length", str((1 << 24) + 1)],
+             short + ["word", "--binary", "--length", "30"],
+             short + ["--format", "text", "word", "--length", "30"]]
     return cmds
 
 

@@ -26,6 +26,10 @@ where they build digits for the whole table).
 The records are NamedTuples, so importing the CLI generates no dataclass
 code and loads neither `dataclasses` nor the `inspect` it pulls in, and
 every record stays immutable.
+
+The CLI prints a word prefix from `WordSystem.prefix_blocks`, block by
+block, and never reads `WordSystem.prefix`, which joins the whole word
+into one string.
 """
 
 import ast
@@ -157,6 +161,12 @@ def test_the_depth_comes_from_the_word_system(module):
     if module in {"cfrac", "oracle"}:
         assert not [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "horizon"]
+
+
+def test_the_cli_never_joins_a_word_prefix():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "prefix_blocks" in read and "prefix" not in read
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,8 @@ from sturmian import (
 )
 from sturmian import errors
 from sturmian.ostrowski import decode_real
-from sturmian.words import PREFIX_BLOCK, WordSystem, formal_intercept, run_length
+from sturmian.words import (PREFIX_BLOCK, WordSystem, formal_intercept, run_length,
+                            run_length_blocks)
 
 from conftest import (
     degenerate_p,
@@ -604,6 +606,43 @@ def test_prefix_peak_memory_is_its_one_copy():
             tracemalloc.stop()
         assert len(word) == n
         assert peak < 1.5 * n, (ws.digits, peak / n)
+
+
+def test_prefix_blocks_spell_the_prefix_from_a_few_shared_strings():
+    # the windows of the test above: the blocks join to the prefix, none
+    # is longer than PREFIX_BLOCK, and 39-55 blocks are 3-5 strings
+    golden = WordSystem.characteristic(golden_table(28))
+    wrapping = word_system(table_for((5, 3, 2), horizon=10), (1, 0, 2, 0, 1))
+    for ws, n in ((golden, 514_228), (wrapping, 322_000)):
+        blocks = ws.prefix_blocks(n)
+        assert isinstance(blocks, tuple) and "".join(blocks) == ws.prefix(n)
+        assert all(0 < len(block) <= PREFIX_BLOCK for block in blocks)
+        assert len({id(block) for block in blocks}) <= 5 < len(blocks) // 5
+    assert golden.prefix_blocks(0) == ()
+
+
+def reference_run_length(word: str) -> str:
+    return " ".join(run if len(run) == 1 else f"{run[0]}^{len(run)}"
+                    for run in re.findall("0+|1+", word))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.text("01", max_size=12), max_size=8))
+def test_run_length_blocks_carry_runs_across_blocks(blocks):
+    # any split of a word, empty blocks and repeated blocks included, and
+    # runs longer than a block, gives the form of the whole word
+    for split in (blocks, blocks * 3):
+        word = "".join(split)
+        assert "".join(run_length_blocks(split)) == reference_run_length(word)
+        assert run_length(word) == reference_run_length(word)
+
+
+def test_run_length_exponents_are_never_read_as_runs():
+    # "0^100" holds "00" and "1^11" holds "11", but after a "^", never a space
+    word = "0" * 100 + "1" * 11 + "0" * 1000 + "1" + "0" * 100
+    assert run_length(word) == "0^100 1^11 0^1000 1 0^100"
+    split = [word[i:i + 7] for i in range(0, len(word), 7)]
+    assert "".join(run_length_blocks(split)) == run_length(word)
 
 
 def test_letters_beyond_horizon_raise(golden):
