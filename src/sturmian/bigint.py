@@ -14,47 +14,36 @@ so at the sizes the CLI serves those two built-ins dominate.
   Recursive Division" (MPI-I-98-1-022, 1998), and the remainder is
   a - q*b.  From CPython 3.12 on the built-in is itself subquadratic and
   faster than this recursion, so there the name is the built-in.
-* `to_decimals(values)` returns `[str(n) for n in values]`.  Values are
-  converted divide and conquer (Knuth, TAOCP vol. 2, 4.4), in one of two
-  regimes chosen by the largest value of the call, whose powers all its
-  values share:
-  - up to 48,000 bits, halving in int: n is split by `divmod` on 10^k,
-    k about half its digits, down to leaves of at most 1,200 digits (or
-    the int-to-str limit, if lower), which go to `str`;
-  - past that, the Decimal ladder: n is split on bits down to 1,024-bit
-    leaves and rebuilt exactly in `decimal`, whose products (by
-    number-theoretic transform) are then the cheaper and whose `str` is
-    linear and has no digit limit.
-  The cut and the leaf were timed on CPython 3.11.  The two regimes
-  cross at 43,000-46,000 bits, once the high part of the ladder's top
-  split is long enough for `_mul` to pad (96 words, about 6,000 bits),
-  and up to the cut they stay within 10% of each other; from there to
-  88,000 bits the ladder is 10-30% faster.  The leaf size moves the time
-  by under 5% anywhere from 600 to 2,400 digits.  Once a call has built
-  the ladder, its smaller values go down it too: there it costs about
-  what halving does, and much less on values whose bits are sparse, such
-  as the base-2 terms of the golden slope (0.09 against 0.38 ms for a
-  17,712-bit one).  CPython 3.12+ keeps the same paths.  The interpreter's int-to-str limit is
-  read, never set.
+* `to_decimals(values)` returns `[str(n) for n in values]`, whatever
+  their size, converted divide and conquer (Knuth, TAOCP vol. 2, 4.4)
+  down one ladder of powers 2^(1024*2^j), held as Decimals and built for
+  the largest value of the call: n is split on bits, which costs shifts
+  only, and rebuilt exactly in `decimal`, whose products (by
+  number-theoretic transform, through `_mul`) are subquadratic and whose
+  `str` is linear and has no digit limit.  A value of at most 1,024
+  bits, the ladder's leaf, goes to `str` whole: it has at most 309
+  digits, under the lowest int-to-str limit CPython accepts (640), so
+  the limit is never read here.  Splitting on bits also makes a value
+  whose bits are sparse, such as a base-2 term of the golden slope,
+  cheaper than dividing it by powers of ten would.
 * `continuants_to_decimal(terms, starts)` yields, one row per term, the
   strings of the continuants x_j = t_j*x_{j-1} + x_{j-2} for each seed
   pair, such as the convergents (P_j, Q_j) of a continued fraction.
   Converting each x_j from binary would cost O(M(n) log n) apiece;
-  instead each term and seed is converted once, in the regime of
-  `to_decimals` (a halving string becomes a Decimal in linear time), and
-  the recurrence runs in `decimal`, one multiplication per step (libmpdec
-  multiplies large operands by number-theoretic transform), so no x_j is
-  ever converted from binary.  Rows come one at a time, so a caller that
-  writes each as it comes holds only the last few: the x_j grow
-  geometrically, and the last rows are most of the output.
+  instead each term and seed goes down the ladder of `to_decimals` once,
+  and the recurrence runs in `decimal`, one multiplication per step, so
+  no x_j is ever converted from binary.  Rows come one at a time, so a
+  caller that writes each as it comes holds only the last few: the x_j
+  grow geometrically, and the last rows are most of the output.
 * `_mul(x, y)` is the product of two integral Decimals >= 0 that the
   recurrence and the ladder's splits use.  libmpdec multiplies by
   schoolbook whenever the shorter operand has at most 256 words (of 19
   digits on 64-bit builds, 9 on 32-bit ones), however long the other is,
-  as in a 441-word term times a 202-word convergent.  When the shorter operand has 96-256 words and the longer
-  more than 256, `_mul` shifts the shorter left by z digits to 257 words,
-  multiplies by transform, and shifts the product right by z; that is
-  exact, since the z digits dropped are the zeros just added.  Timed on
+  as in a 441-word term times a 202-word convergent.  When the shorter
+  operand has 96-256 words and the longer more than 256, `_mul` shifts
+  the shorter left by z digits to 257 words, multiplies by transform,
+  and shifts the product right by z; that is exact, since the z digits
+  dropped are the zeros just added.  Timed on
   CPython 3.11 (shorter x longer in words, plain -> padded): 64 x 2000
   1.12 -> 1.32 ms, 80 x 1000 0.72 -> 0.72 ms, 96 x 1000 0.84 -> 0.66 ms,
   128 x 441 0.53 -> 0.34 ms, 256 x 5000 11.5 -> 3.0 ms; padding breaks
@@ -82,9 +71,7 @@ from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexa
 _DIVISOR_BITS = 30_000
 _GUARD_BITS = 64  # divisor bits kept beyond the quotient's
 _BZ_LEAF_BITS = 8000  # the recursion hands n-bit quotients below this to divmod
-_HALVING_BITS = 48_000  # up to here values are halved in int, past it laddered
-_HALVING_LEAF_DIGITS = 1200  # halves this short go to str
-_DECIMAL_LEAF_BITS = 1024  # ladder parts this small become Decimal directly
+_DECIMAL_LEAF_BITS = 1024  # ladder parts this small become Decimal, or str, directly
 # libmpdec's word in digits: MAX_PREC is 10^18 - 1 on 64-bit builds, whose
 # words hold 19 digits, and 425,000,000 on 32-bit ones, whose words hold 9
 _WORD_DIGITS = 19 if MAX_PREC > 425_000_000 else 9
@@ -95,8 +82,6 @@ _PAD_WORDS = 96  # shorter operands from here to the bound are padded
 # instead (`localcontext` copies this, so it is never changed)
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX,
                  traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
-
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
@@ -168,11 +153,10 @@ int_divmod = divmod if sys.version_info >= (3, 12) else _int_divmod
 
 def to_decimals(values: Sequence[int]) -> list[str]:
     """[str(n) for n in values], whatever their size and the interpreter's
-    int-to-str limit, through one set of powers built for the largest of
-    them."""
+    int-to-str limit, down one ladder built for the largest of them."""
     with localcontext(_EXACT):
-        powers = _powers(values)
-        return [_to_str(n, powers) for n in values]
+        ladder = _ladder(max(map(int.bit_length, values), default=0))
+        return [_to_str(n, ladder) for n in values]
 
 
 def continuants_to_decimal(terms: Sequence[int],
@@ -181,28 +165,28 @@ def continuants_to_decimal(terms: Sequence[int],
     pair (x_{-1}, x_0) in `starts`, where x_j = t_j*x_{j-1} + x_{j-2}.
 
     Terms and seeds must be >= 0, which is checked here, as the call is
-    made; so are the seeds converted and the one set of powers built.
-    Each term is converted as its row is reached, and the recurrence runs
-    in exact `decimal`.  The rows come from a generator that enters the
-    exact context afresh for each row and leaves it before yielding, so
-    the caller's context is in force whenever the generator is suspended;
-    the powers and the last two values of each seed go with it once it is
+    made; so are the seeds converted and the one ladder built.  Each term
+    is converted as its row is reached, and the recurrence runs in exact
+    `decimal`.  The rows come from a generator that enters the exact
+    context afresh for each row and leaves it before yielding, so the
+    caller's context is in force whenever the generator is suspended; the
+    ladder and the last two values of each seed go with it once it is
     exhausted."""
     values = [*terms, *(x for pair in starts for x in pair)]
     if min(values, default=0) < 0:
         raise ValueError("continuant terms and seeds must be >= 0")
     with localcontext(_EXACT):
-        powers = _powers(values)
-        pairs = [(_exact(a, powers), _exact(b, powers)) for a, b in starts]
-    return _continuant_rows(terms, pairs, powers)
+        ladder = _ladder(max(map(int.bit_length, values), default=0))
+        pairs = [(_exact(a, ladder), _exact(b, ladder)) for a, b in starts]
+    return _continuant_rows(terms, pairs, ladder)
 
 
 def _continuant_rows(terms: Sequence[int], pairs: list[tuple[Decimal, Decimal]],
-                     powers: tuple) -> Iterator[tuple[str, ...]]:
+                     ladder: list[Decimal]) -> Iterator[tuple[str, ...]]:
     """The rows of `continuants_to_decimal`, from its converted seeds."""
     for t in terms:
         with localcontext(_EXACT):
-            d = _exact(t, powers)
+            d = _exact(t, ladder)
             row = []
             for i, (prev, cur) in enumerate(pairs):
                 nxt = _mul(d, cur) + prev
@@ -211,57 +195,22 @@ def _continuant_rows(terms: Sequence[int], pairs: list[tuple[Decimal, Decimal]],
         yield tuple(row)
 
 
-def _powers(values: Sequence[int]) -> tuple[int, dict[int, int], list[Decimal] | None]:
-    """What converting `values` draws on: the halving's leaf size in digits,
-    a cache {k: 10^k} that the halvings fill, and, if the largest value is
-    past the cut, the ladder reaching it, which then converts every value
-    (else None).  Call it inside the `_EXACT` context.  The powers are
-    passed down the recursions, not closed over: a recursive closure is a
-    reference cycle that would keep them alive past the call until the
-    cyclic GC runs."""
-    limit = _max_str_digits()
-    leaf = min(_HALVING_LEAF_DIGITS, limit) if limit else _HALVING_LEAF_DIGITS
-    bits = max(map(int.bit_length, values), default=0)
-    return leaf, {}, (_ladder(bits) if bits > _HALVING_BITS else None)
+def _to_str(n: int, ladder: list[Decimal]) -> str:
+    """str(n), by `str` at most at the ladder's leaf size, else down the
+    ladder.  Call it inside the `_EXACT` context."""
+    if n.bit_length() <= _DECIMAL_LEAF_BITS:
+        return str(n)
+    return ("-" if n < 0 else "") + str(_exact(abs(n), ladder))
 
 
-def _to_str(n: int, powers: tuple) -> str:
-    """str(n), from what `_powers` built.  Call it inside the `_EXACT`
-    context."""
-    if n < 0:
-        return "-" + _to_str(-n, powers)
-    leaf, tens, ladder = powers
-    if ladder is not None:
-        return str(_exact(n, powers))
-    # at least n's digits, and for n under 2^1,000,000 at most one more
-    # (0.30103 is just above log10(2))
-    return _halved(n, int(n.bit_length() * 0.30103) + 1, leaf, tens)
-
-
-def _exact(n: int, powers: tuple) -> Decimal:
-    """n >= 0 as a Decimal, from what `_powers` built.  Call it inside the
-    `_EXACT` context."""
-    if powers[2] is None:  # Decimal parses the string in linear time
-        return Decimal(_to_str(n, powers))
+def _exact(n: int, ladder: list[Decimal]) -> Decimal:
+    """n >= 0 as a Decimal, down the ladder.  Call it inside the `_EXACT`
+    context.  The ladder is passed down the recursion, not closed over: a
+    recursive closure is a reference cycle that would keep it alive past
+    the call until the cyclic GC runs."""
     # the least j with _DECIMAL_LEAF_BITS * 2^j >= n's bits
     j = (max(n.bit_length() - 1, 0) // _DECIMAL_LEAF_BITS).bit_length()
-    return _as_decimal(n, j, powers[2])
-
-
-def _halved(n: int, width: int, leaf: int, tens: dict[int, int]) -> str:
-    """The digits of 0 <= n < 10^width, at most `width` of them: n is split
-    on 10^k, k = width // 2, and the low half is zero-padded to k digits.
-    Leading zeros come out only where n has under width - 1 digits, as a
-    low half may; called with at most one digit to spare, as `_to_str`
-    calls it, each high part keeps at least width - 1 digits, so none is
-    zero and str(n) comes out."""
-    if width <= leaf:
-        return str(n)
-    k = width >> 1
-    if k not in tens:
-        tens[k] = 10 ** k
-    hi, lo = divmod(n, tens[k])
-    return _halved(hi, width - k, leaf, tens) + _halved(lo, k, leaf, tens).zfill(k)
+    return _as_decimal(n, j, ladder)
 
 
 def _ladder(bits: int) -> list[Decimal]:

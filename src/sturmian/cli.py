@@ -8,10 +8,11 @@ from `bigint`, all of a command's values in one call, so each power is
 built once per command; P/Q from `continuants_to_decimal`, which runs
 the recurrence of `cfrac.convergents` in decimal over the printed terms
 and hands over one row at a time, written as it comes, and the rest
-from `to_decimals`.  Both are subquadratic and never change the
-interpreter's int-to-str digit limit.  The only exceptions, printed by
-`str`, are level and term indices and the echoed base and length:
-inputs are held to that limit.  `word` writes its prefix block by
+from `to_decimals`.  Both are subquadratic and never read the
+interpreter's int-to-str digit limit, let alone change it.  The only
+exceptions, printed by `str`, are level and term indices and the echoed
+base and length: inputs are held to that limit, which `errors.read_int`
+alone reads.  `word` writes its prefix block by
 block from `WordSystem.prefix_blocks`, in every format, so no command
 holds the whole word as one string only to print it.  Every check that
 can refuse a command runs before its first byte is written, so a

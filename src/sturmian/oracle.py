@@ -3,8 +3,8 @@
 Everything here goes the long way around on purpose: the number is
 enclosed by lo/den < x < hi/den, never-reduced integers from its digit
 prefix; continued fractions come from the Euclidean algorithm, and the
-certified prefix is the common prefix of the endpoint expansions with a
-one-term guard, from one Euclid on lo that carries hi by a cofactor.
+certified prefix is the common prefix of the endpoint expansions, from
+one Euclid on lo that carries hi by a cofactor.
 None of it shares code with the term pipeline it is used to check but
 `cfrac._check_power`, which refuses an N whose b^N may have bits past
 the size budget of `errors` before any digit is read; its estimate of
@@ -97,12 +97,16 @@ def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
     are bounded from the top 64 bits of their divisors, and the walk
     stops without dividing when the two ranges are disjoint (the last
     step's quotient, thrown away, is often the largest).  Stops at the
-    first disagreement and drops the last agreeing term, a guard against
-    the [..., a] vs [..., a-1, 1] ambiguity of rational endpoints.
+    first disagreement and keeps every agreeing term a_1..a_n, all of them
+    certified: each endpoint's expansion begins a_1..a_n, and may end
+    there.  The reals whose expansion begins a_1..a_n are the image of
+    the complete quotient x_(n+1) in (1, inf] under a monotone Moebius
+    map, x_(n+1) = inf where the expansion ends at a_n; that image is an
+    interval, so every value between the endpoints shares a_1..a_n.
     Returns a_1, a_2, ... (unreduced endpoints give the quotients of
-    reduced ones).
+    reduced ones); an enclosure that certifies none is refused.
     """
-    common = [0]
+    common: list[int] = []
     w = enc.hi - enc.lo
     den, r, s, t_prev, t = enc.den, enc.lo, enc.hi, 0, 1
     while r and s:
@@ -118,13 +122,16 @@ def certified_cf_prefix(enc: ValueEnclosure) -> list[int]:
             break
         common.append(a)
         den, r, s = r, rem, s_next
-    if len(common) <= 2:
+    if not common:
         raise PrecisionError("enclosure too wide to certify any partial quotient; raise N")
-    return common[1:-1]
+    return common
 
 
 def _offsets(p: int, q: int, enc: ValueEnclosure) -> tuple[int, int, int]:
-    """(v, e1, e2) with p/q = u/v reduced and e1, e2 = (lo, hi)*v - u*den."""
+    """(v, e1, e2) with p/q = u/v reduced and e1, e2 = (lo, hi)*v - u*den;
+    q must be positive."""
+    if q < 1:
+        raise ConfigError("denominator must be positive")
     x = Fraction(p, q)
     u, v = x.numerator, x.denominator
     return v, enc.lo * v - u * enc.den, enc.hi * v - u * enc.den
@@ -136,8 +143,6 @@ def legendre_check(p: int, q: int, enc: ValueEnclosure) -> str:
     "yes" when |value - p/q| < 1/(2q^2) holds against the worst endpoint,
     "no" when |value - p/q| > 1/q^2 holds against the best endpoint, else
     "inconclusive" (also when the enclosure is wider than 1/(4q^2))."""
-    if q < 1:
-        raise ConfigError("denominator must be positive")
     v, e1, e2 = _offsets(p, q, enc)
     qq, scale = v * v, enc.den * v
     if 4 * qq * (enc.hi - enc.lo) < enc.den:  # narrower than 1/(4q^2)

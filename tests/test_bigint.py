@@ -145,8 +145,11 @@ def test_to_decimal_fixed_values():
             assert sys.get_int_max_str_digits() == limit
 
 
-# halving leaves: the default and the one under the lowest limit
-LEAF_DIGITS = (640, bigint._HALVING_LEAF_DIGITS)
+# digit counts around the lowest int-to-str limit and 1,200, and bit
+# lengths around the ladder's leaf, its first square and 48,000: the sizes
+# where an earlier int-halving conversion had its leaves and its cut
+LEAF_DIGITS = (640, 1200)
+LADDER_BITS = (bigint._DECIMAL_LEAF_BITS, 2 * bigint._DECIMAL_LEAF_BITS, 48_000)
 
 
 def sized_ints(bits=(), digits=()):
@@ -157,12 +160,12 @@ def sized_ints(bits=(), digits=()):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(sized_ints(_near(3 * 640, 3 * 4300, bigint._HALVING_BITS) + [20_000, 70_000],
+@given(sized_ints(_near(3 * 640, 3 * 4300, *LADDER_BITS) + [20_000, 70_000],
                   _near(*LEAF_DIGITS)),
        st.sampled_from([0, 640, 4300]), st.booleans())
 def test_to_decimal_equals_str_around_its_thresholds(n, limit, negative):
-    # around the limits, the halving leaves (in digits) and the cut to the
-    # ladder (in bits), and in both regimes
+    # around the limits, the ladder's leaf and first square, and the sizes
+    # listed above, each under every limit
     n = -n if negative else n
     want = reference_str(n)
     with int_str_limit(limit):
@@ -171,10 +174,10 @@ def test_to_decimal_equals_str_around_its_thresholds(n, limit, negative):
 
 
 def test_to_decimal_pads_long_zero_runs():
-    # 10^k - 1, 10^k and 10^k + 1 split into halves of all nines, or a one
-    # and a low half of zeros: the padding of each half shows
-    leaf = bigint._HALVING_LEAF_DIGITS
-    ks = sorted({k + d for k in (1, 640, 1280, leaf, 2 * leaf, 4 * leaf, 14_449)
+    # 10^k - 1, 10^k and 10^k + 1 print as all nines, or as a one and a run
+    # of zeros that a ladder part must keep; 10^308 < 2^1024 < 10^309
+    # straddles the leaf
+    ks = sorted({k + d for k in (1, 308, 640, 1200, 1280, 2400, 4800, 14_449)
                  for d in (-2, -1, 0, 1, 2) if k + d > 0})
     values = [10 ** k + d for k in ks for d in (-1, 0, 1)]
     values += [10 ** k + 10 ** (k // 2) for k in ks]  # zeros on both sides of a 1
@@ -188,26 +191,45 @@ def test_to_decimal_pads_long_zero_runs():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(-(1 << 3000), 1 << 3000))
 def test_to_decimal_recursion_with_a_small_leaf(n):
-    # both regimes with tiny leaves: halving past 2 digits up to 200 bits,
-    # the ladder of 7-bit leaves past them
-    with patched(_HALVING_BITS=200, _HALVING_LEAF_DIGITS=2, _DECIMAL_LEAF_BITS=7):
+    # the ladder of 7-bit leaves, many levels deep
+    with patched(_DECIMAL_LEAF_BITS=7):
         assert bigint.to_decimals([n])[0] == reference_str(n)
 
 
-def test_to_decimal_frees_its_power_ladder():
-    # the ladder of Decimal powers and the powers of ten are passed down
-    # the recursions, not closed over: a self-recursive closure is a
-    # reference cycle that would keep them alive past the call until the
-    # cyclic GC.  One value goes down the ladder, the other is halved.
-    values = [7 ** 40_000, 7 ** 10_000]
-    assert values[0].bit_length() > bigint._HALVING_BITS > values[1].bit_length() > \
-        3.33 * bigint._HALVING_LEAF_DIGITS
+def track_ladders(monkeypatch):
+    """Weak references to every ladder `bigint` builds from here on."""
+    class Ladder(list):  # a list that takes a weak reference
+        pass
+
+    built = []
+    ladder = bigint._ladder
+
+    def tracked(bits):
+        powers = Ladder(ladder(bits))
+        built.append(weakref.ref(powers))
+        return powers
+
+    monkeypatch.setattr(bigint, "_ladder", tracked)
+    return built
+
+
+def test_to_decimal_frees_its_power_ladder(monkeypatch):
+    # the ladder of Decimal powers is passed down the recursion, not closed
+    # over: a self-recursive closure is a reference cycle that would keep
+    # it alive past the call until the cyclic GC.  A ladder is built for
+    # each value alone, then one for the three together; the smallest value
+    # is a leaf, which goes to str.
+    values = [7 ** 40_000, 7 ** 10_000, 7 ** 300]
+    assert values[2].bit_length() <= bigint._DECIMAL_LEAF_BITS < values[1].bit_length()
     want = [reference_str(n) for n in values]
+    built = track_ladders(monkeypatch)
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
         assert [bigint.to_decimals([n])[0] for n in values] == want
+        assert bigint.to_decimals(values) == want
+        assert len(built) == 4 and all(ref() is None for ref in built)
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -239,8 +261,7 @@ SEEDS = [(2, 0), (0, 2), (1 << 20_000, 3 ** 5000)]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.lists(st.just(0) | sized_ints(_near(2, 1024, bigint._HALVING_BITS),
-                                        _near(*LEAF_DIGITS)),
+@given(st.lists(st.just(0) | sized_ints(_near(2, *LADDER_BITS), _near(*LEAF_DIGITS)),
                 min_size=1, max_size=6), st.sampled_from([0, 640]))
 def test_continuants_equal_the_int_recurrence_around_the_cut(terms, limit):
     want = reference_continuants(terms, SEEDS)
@@ -253,20 +274,9 @@ def test_continuants_equal_the_int_recurrence_around_the_cut(terms, limit):
        st.lists(st.tuples(st.integers(0, 1 << 200), st.integers(0, 1 << 200)),
                 max_size=3))
 def test_continuants_with_a_small_leaf(terms, starts):
-    with patched(_HALVING_BITS=100, _HALVING_LEAF_DIGITS=2, _DECIMAL_LEAF_BITS=7):
+    with patched(_DECIMAL_LEAF_BITS=7):
         assert continuant_columns(terms, starts) == \
             reference_continuants(terms, starts)
-
-
-def test_continuants_under_the_cut_build_no_ladder(monkeypatch):
-    def no_ladder(bits):
-        raise AssertionError(f"a ladder for {bits} bits")
-
-    monkeypatch.setattr(bigint, "_ladder", no_ladder)
-    terms = [(1 << bigint._HALVING_BITS) - 1, 3, 7 ** 5000]
-    seeds = [(2, 0), (0, 2), ((1 << bigint._HALVING_BITS) - 1, 10 ** 9000)]
-    assert continuant_columns(terms, seeds) == reference_continuants(terms, seeds)
-    assert bigint.to_decimals(terms) == [reference_str(t) for t in terms]
 
 
 def test_continuants_with_a_zero_first_term():
@@ -321,7 +331,7 @@ def test_continuants_free_their_power_ladder():
 def test_continuant_rows_leave_the_callers_context_while_suspended():
     # each row is computed in the exact context, entered afresh for it and
     # left before it is yielded: a suspended generator leaves none behind
-    terms = [7 ** 40_000, 5, 11 ** 2000]  # a ladder, and a term halved
+    terms = [7 ** 40_000, 5, 11 ** 2000]  # the ladder's top, a leaf and a term between
     want = reference_continuants(terms, SEEDS)
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax = 5, 10
@@ -342,18 +352,7 @@ def test_continuant_rows_leave_the_callers_context_while_suspended():
 def test_continuant_rows_free_their_powers_once_exhausted(monkeypatch):
     # the generator holds the ladder while rows remain and lets it go
     # with its last row, though the generator object itself is still held
-    class Ladder(list):  # a list that takes a weak reference
-        pass
-
-    built = []
-    ladder = bigint._ladder
-
-    def tracked(bits):
-        powers = Ladder(ladder(bits))
-        built.append(weakref.ref(powers))
-        return powers
-
-    monkeypatch.setattr(bigint, "_ladder", tracked)
+    built = track_ladders(monkeypatch)
     terms = [7 ** 40_000, 3, 5 ** 4000]
     want = reference_continuants(terms, SEEDS)
     enabled = gc.isenabled()

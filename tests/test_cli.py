@@ -153,16 +153,28 @@ def test_verify_matches(capsys):
     assert payload["firstMismatchIndex"] is None
 
 
+@pytest.mark.parametrize("horizon", [8, 10, 12])
+def test_verify_certifies_the_last_term_of_a_shallow_golden_word(capsys, horizon):
+    # the oracle keeps every term both endpoints agree on, the last one
+    # included, so the few terms of these words are all certified
+    slope = '{"preperiod":[1],"period":[1],"horizon":%d}' % horizon
+    assert run(capsys, "--slope", slope, "--base", "2", "--format", "text", "verify") == \
+        (0, "match\n", "")
+
+
 def test_verify_shortfall_returns_4_with_its_report(capsys):
-    code, out, err = run(capsys, "--slope",
-                         '{"preperiod":[5,3,2],"period":[5,3,2],"horizon":10}',
-                         "--base", "3", "verify")
-    # the oracle certifies 7 of the 8 pipeline terms within its digit cap:
-    # a shortfall, not a disagreement
+    command = ("--slope", '{"preperiod":[2,1,3],"period":[1,4],"horizon":10}',
+               "--base", "5", "--intercept", '{"m":1,"p":0}')
+    code, out, err = run(capsys, *command, "verify")
+    # the oracle certifies 7 of the 8 pipeline terms at N = q_10 - 1 =
+    # 2,750, the deepest letter the word's 10 levels serve: a shortfall,
+    # not a disagreement
     payload = json.loads(out)
     assert (code, err) == (4, "")
-    assert (payload["matches"], payload["overlap"]) == (False, 7)
-    assert payload["firstMismatchIndex"] is None
+    assert (payload["N"], payload["matches"], payload["overlap"]) == ("2750", False, 7)
+    assert len(payload["pipeline"]) == 8 and payload["firstMismatchIndex"] is None
+    for fmt in ("text", "rle"):  # the verdict alone
+        assert run(capsys, "--format", fmt, *command, "verify") == (4, "MISMATCH\n", "")
 
 
 def test_verify_prints_each_pipeline_term_from_its_own_value(capsys, monkeypatch):
@@ -574,10 +586,10 @@ def test_convergents_payload_equals_the_int_recurrence(form, data):
     assert json.loads(out)["convergents"] == want
 
 
-def test_convergents_past_a_halving_leaf_under_a_low_int_str_limit():
-    # golden K=22 b=2 has terms of up to 4,200 bits (1,260 digits), which
-    # the CLI halves into leaves of at most 640 digits under a 640-digit
-    # limit, and P/Q of about 10,900 bits (3,300 digits)
+def test_convergents_past_the_lowest_int_str_limit():
+    # golden K=22 b=2 has terms of up to 4,200 bits (1,260 digits) and P/Q
+    # of about 10,900 bits (3,300 digits), which the CLI prints under a
+    # 640-digit limit without lifting it
     command = ({"preperiod": [1], "period": [1], "horizon": 22}, None, False, 2, None)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -7,8 +7,10 @@ the data and says which entries moved.  Re-record with
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 
-and replay the corpus without pytest (on any interpreter that runs the
-package) with
+which prints each entry whose record changed (its index, its old and
+new exit code and its argv) and then their count, so the list of moved
+entries comes from the tool.  Replay the corpus without pytest (on any
+interpreter that runs the package) with
 
     PYTHONPATH=src python tests/test_golden_cli.py --check
 
@@ -176,13 +178,13 @@ def corpus() -> list[list[str]]:
         # exit 3: a word of one level has no row in the growth table
         g + ["--base", "1", "exponent"],
         g + _intercept({"digits": [0], "terminating": False}) + ["exponent"],
-        # text and rle print verify's verdict alone: a match, and a
-        # shortfall of the certified prefix (exit 4)
+        # text and rle print verify's verdict alone, here a match on both
+        # (`test_cli` prints a shortfall's)
         g + ["--base", "2", "--format", "text", "verify"],
         ["--slope", SLOPES["532"]["slope"], "--base", "3", "--format", "rle", "verify"],
     ]
     # the first terms of (5,3,2) K=11 b=3: terms and P/Q of 10k-41k bits,
-    # printed through the halving regime of `bigint`
+    # printed down the ladder of `bigint`
     for intercept in (_intercept({"m": 1, "p": 0}), []):
         for sub in ("cf", "convergents"):
             cmds.append(["--slope", _slope([5, 3, 2], [5, 3, 2], 11), *intercept,
@@ -229,8 +231,8 @@ def corpus() -> list[list[str]]:
         g + ["ostrowski-real", "--sigma", "1/" + literal],
     ]
     # exit 3: verify's first enclosure, N = 4 q_3 = 648,036,008 digits,
-    # needs a power of the base past the cap; exit 4: N = 16,040,800 is
-    # enclosed under it, and falls short
+    # needs a power of the base past the cap; exit 0: two passes, the
+    # second of N = 641,616 digits, certify both pipeline terms under it
     cmds.append(["--slope", _slope([2], [9000], 4), "verify"])
     cmds.append(["--slope", _slope([2], [200], 4), "verify"])
     # seven partial quotients of 600 digits: each sigma digit is one
@@ -373,11 +375,28 @@ def check() -> int:
     return bad
 
 
+def record_all() -> int:
+    """Re-record the corpus, print each entry whose record changed (a new
+    entry has no old exit code) and their count; return the count."""
+    entries = [record(argv) for argv in corpus()]
+    changed = 0
+    for i, entry in enumerate(entries):
+        old = RECORDED[i] if i < len(RECORDED) else None
+        if entry != old:
+            changed += 1
+            was = "new" if old is None else f"exit {old['exit']}"
+            print(f"{i:03d} changed: {was} -> exit {entry['exit']} {' '.join(entry['argv'])}")
+    with open(DATA, "w") as fh:
+        fh.write("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")
+    dropped = max(len(RECORDED) - len(entries), 0)
+    print(f"{changed} of {len(entries)} entries changed"
+          + (f", {dropped} dropped from the end" if dropped else ""))
+    return changed
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
         sys.exit(1 if check() else 0)
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    entries = [json.dumps(record(argv)) for argv in corpus()]
-    with open(DATA, "w") as fh:
-        fh.write("[\n" + ",\n".join(entries) + "\n]\n")
+    record_all()

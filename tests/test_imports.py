@@ -30,6 +30,11 @@ every record stays immutable.
 The CLI prints a word prefix from `WordSystem.prefix_blocks`, block by
 block, and never reads `WordSystem.prefix`, which joins the whole word
 into one string.
+
+The interpreter's int-to-str limit has one reader: `get_int_max_str_digits`
+is named in `errors` alone, where `read_int` holds inputs to the limit;
+decimal output (`bigint`) prints every value whatever the limit, without
+reading it.
 """
 
 import ast
@@ -167,6 +172,17 @@ def test_the_cli_never_joins_a_word_prefix():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "prefix_blocks" in read and "prefix" not in read
+
+
+def test_the_int_str_limit_has_one_reader():
+    # an attribute, a bare name or a string (as for `getattr`) all count
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "get_int_max_str_digits" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                            getattr(node, "value", None)):
+                readers.add(path.stem)
+    assert readers == {"errors"}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -170,19 +170,19 @@ def _euclid_divisions(monkeypatch, spec):
 
 
 def test_euclid_skips_the_division_whose_quotient_is_discarded(monkeypatch):
-    # one division per agreeing step, i.e. per certified term plus the
-    # dropped guard term; without the early exit there is one more
+    # one division per agreeing step, i.e. per certified term; without the
+    # early exit there is one more
     for pre, per, horizon, base in (((1,), (1,), 28, 2), ((2, 1, 3), (1, 4), 16, 5)):
         table = build_table(SlopeSpec(pre, per, horizon))
         spec = NumberSpec(base, WordSystem.characteristic(table))
         divisions, certified = _euclid_divisions(monkeypatch, spec)
-        assert divisions == certified + 1, (pre, divisions, certified)
-    # the (5,3,2) K=10 b=3 shortfall: lo's and hi's quotients differ by
-    # exactly 1 there, so the ranges overlap and the division runs
+        assert divisions == certified, (pre, divisions, certified)
+    # (5,3,2) K=10 b=3: lo's and hi's quotients differ by exactly 1 after
+    # the last certified term, so the ranges overlap and the division runs
     table = build_table(SlopeSpec((5, 3, 2), (5, 3, 2), 10))
     spec = NumberSpec(3, WordSystem.characteristic(table))
     divisions, certified = _euclid_divisions(monkeypatch, spec)
-    assert divisions == certified + 2
+    assert divisions == certified + 1
 
 
 def test_early_exit_fires_exactly_when_the_quotient_ranges_are_disjoint(monkeypatch):
@@ -237,7 +237,7 @@ def test_enclosure_rejects_bad_endpoints():
 def reference_cf_prefix(lower: Fraction, upper: Fraction) -> list[int]:
     """The two-endpoint lockstep: a reduced-fraction Euclid on each endpoint,
     one divmod each per step, stopping at the first disagreement and
-    dropping the last agreeing quotient."""
+    keeping every agreeing quotient."""
     if not 0 <= lower < 1:
         raise ConfigError("expected an enclosure inside [0, 1)")
     common = [0]
@@ -251,11 +251,11 @@ def reference_cf_prefix(lower: Fraction, upper: Fraction) -> list[int]:
         common.append(a1)
         d1, n1 = n1, r1
         d2, n2 = n2, r2
-    if len(common) <= 2:
+    if len(common) == 1:
         raise PrecisionError(
             "enclosure too wide to certify any partial quotient; raise N"
         )
-    return common[1:-1]
+    return common[1:]
 
 
 def _prefix_or_error(fn, *args):
@@ -289,9 +289,54 @@ def test_certified_prefix_matches_two_endpoint_reference():
             reference_cf_prefix, Fraction(lo, den), Fraction(hi, den))
         assert got == want, (lo, hi, den, g)
         outcomes[kind].add(got is PrecisionError)
-    # an endpoint at 0 or 1, or a width above 1/2, leaves nothing to certify
-    assert all(outcomes.pop(kind) == {True} for kind in ("lo=0", "hi=den", "wide"))
+        if kind == "hi=den":  # both first quotients are 1 when lo/den > 1/2
+            assert got == ([1] if 2 * lo > den else PrecisionError), (lo, den)
+    # an endpoint at 0, or a width above 1/2 (lo/den < 1/2 < hi/den), leaves
+    # nothing to certify; an endpoint at 1 certifies [1] or nothing
+    assert all(outcomes.pop(kind) == {True} for kind in ("lo=0", "wide"))
     assert all(seen == {False, True} for seen in outcomes.values()), outcomes
+
+
+def _interior_rationals(rng, lo, hi, den):
+    """Rationals strictly between lo/den and hi/den: a few of each small
+    denominator drawn, nearest the endpoints, and a few of large ones."""
+    out = []
+    for w in rng.sample(range(1, 200), 12):
+        first = lo * w // den + 1  # the least u with u/w > lo/den
+        last = -(-hi * w // den) - 1  # the largest u with u/w < hi/den
+        out += [Fraction(u, w) for u in {first, first + 1, last - 1, last}
+                if first <= u <= last]
+    for _ in range(4):
+        k = rng.randint(2, 1 << 40)
+        out.append(Fraction(lo * k + rng.randint(1, (hi - lo) * k - 1), den * k))
+    return out
+
+
+def test_every_interior_rational_begins_with_the_certified_prefix():
+    # soundness: a value strictly inside the enclosure, here a rational,
+    # has an expansion that begins with every certified term.  Two thirds
+    # of the enclosures have an endpoint at a rational u/v with v <= 60,
+    # whose expansion ends where the certified prefix may end
+    rng = random.Random(20261021)
+    points = certified = 0
+    for i in range(3000):
+        v = rng.randint(1, 60)
+        den = v * rng.randint(1, 1 << rng.choice((2, 10, 40)))
+        width = rng.randint(1, max(1, den >> rng.choice((1, 3, 8, 20, 40))))
+        short = rng.randint(0, v) * (den // v)
+        lo = (short, short - width, rng.randrange(den))[i % 3]
+        lo, hi = max(lo, 0), min(lo + width, den)
+        if not lo < hi:
+            continue
+        prefix = _prefix_or_error(certified_cf_prefix, ValueEnclosure(lo, hi, den, 1, 2))
+        if prefix is PrecisionError:
+            continue
+        certified += 1
+        for x in _interior_rationals(rng, lo, hi, den):
+            assert Fraction(lo, den) < x < Fraction(hi, den)
+            assert cf_of_rational(x)[1:len(prefix) + 1] == prefix, (lo, hi, den, x)
+            points += 1
+    assert certified > 1500 and points > 30_000, (certified, points)
 
 
 def test_legendre_examples():
@@ -320,6 +365,16 @@ def test_exponent_bracket_requires_separation():
     mid = (lower(enc) + upper(enc)) / 2
     with pytest.raises(PrecisionError):
         exponent_bracket(mid.numerator, mid.denominator, enc)
+
+
+def test_a_non_positive_denominator_is_refused():
+    # by one check both functions share, not by a ZeroDivisionError or a
+    # refusal of the logarithm's argument
+    enc = enclose_value(golden_char_spec(), 12)
+    for q in (0, -3):
+        for fn in (legendre_check, exponent_bracket):
+            with pytest.raises(ConfigError, match="^denominator must be positive$"):
+                fn(1, q, enc)
 
 
 def test_verify_agreement_golden_and_random(rng):
@@ -359,7 +414,7 @@ def reference_verify_agreement(spec, min_terms=10):
     prefix = []
     for passes in range(1, 13):
         try:
-            prefix = certified_cf_prefix(oracle.enclose_value(spec, n))
+            prefix = oracle.certified_cf_prefix(oracle.enclose_value(spec, n))
         except PrecisionError:
             prefix = []
         if passes == 12 or n == n_max or min(len(prefix), prev_len) >= wanted:
@@ -371,6 +426,19 @@ def reference_verify_agreement(spec, min_terms=10):
     return oracle.VerificationReport(
         n, tuple(prefix), tuple(pipeline), overlap,
         mismatch is None and overlap >= wanted, mismatch)
+
+
+def _certifies_nothing(enc):
+    raise PrecisionError("certifies nothing")
+
+
+def _one_term_fewer(enc):
+    """`certified_cf_prefix` less its last term: a weaker certifier, whose
+    schedules run longer."""
+    prefix = certified_cf_prefix(enc)[:-1]
+    if not prefix:
+        raise PrecisionError("certifies nothing")
+    return prefix
 
 
 def _enclosures(monkeypatch, verify, spec, **kw):
@@ -394,10 +462,12 @@ def _enclosures(monkeypatch, verify, spec, **kw):
 
 def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
     # the same report on 1-, 2- and >=3-pass schedules; only a two-pass
-    # schedule ending at n_max loses its first enclosure
+    # schedule ending at n_max loses its first enclosure.  The oracle
+    # certifies these words' terms by the second pass, so the first two
+    # cases take 3 and 4 passes under a certifier one term weaker, which
+    # both sides then use; n_max = q_2 - 1 = 8 q_1 = 2 n_0 exactly, where
+    # the K=2 word gives no pipeline term and is refused
     rng = random.Random(20261020)
-    # 3 and 4 passes; n_max = q_2 - 1 = 8 q_1 = 2 n_0 exactly, where the
-    # K=2 word gives no pipeline term and is refused
     cases = [(table_for((2,), (9,), 5), None, 3, 3),
              (table_for((3,), (20,), 4), None, 3, 3),
              (table_for((3,), (8,), 2), None, 2, 3)]
@@ -411,14 +481,19 @@ def test_verify_agreement_matches_the_reference_schedule(monkeypatch):
         digits = rng.choice((None, random_digits(rng, table, horizon)))
         cases.append((table, digits, rng.randint(2, 5), rng.randint(1, 12)))
     seen, refused = set(), 0
-    for table, digits, base, min_terms in cases:
+    for i, (table, digits, base, min_terms) in enumerate(cases):
         system = (WordSystem.characteristic(table) if digits is None else
                   word_system(table, digits, terminating=rng.random() < 0.5))
         spec = NumberSpec(base, system)
-        rep, calls = _enclosures(monkeypatch, verify_agreement, spec,
-                                 min_terms=min_terms)
-        want, want_calls = _enclosures(monkeypatch, reference_verify_agreement,
-                                       spec, min_terms=min_terms)
+        with monkeypatch.context() as m:
+            if i < 2:
+                m.setattr(oracle, "certified_cf_prefix", _one_term_fewer)
+            rep, calls = _enclosures(monkeypatch, verify_agreement, spec,
+                                     min_terms=min_terms)
+            want, want_calls = _enclosures(monkeypatch, reference_verify_agreement,
+                                           spec, min_terms=min_terms)
+        if i < 2:
+            assert len(calls) == 3 + i, calls
         assert rep == want, (table.spec, digits, base, min_terms)
         n_max = system.q(system.levels) - 1
         dead = len(want_calls) == 2 and want_calls[1] == n_max
@@ -450,11 +525,15 @@ def test_verify_encloses_once_on_the_two_pass_commands(monkeypatch):
 
 
 def test_verify_reports_the_last_enclosed_n_when_the_pass_cap_ends_it(monkeypatch):
-    # (1,1)(9000) K=3: n_0 = 4 q_2 = 8 and n_max = q_3 - 1 = 18,000, and no
-    # N up to 16,384 certifies the one pipeline term, so the twelfth pass
-    # ends the doubling at 8 * 2^11 with neither bound reached
+    # (1,1)(9000) K=3: n_0 = 4 q_2 = 8 and n_max = q_3 - 1 = 18,000.  Both
+    # passes certify the one pipeline term by N = 16; under a certifier
+    # that certifies nothing, the twelfth pass ends the doubling at
+    # 8 * 2^11 with neither bound reached
     table = table_for((1, 1), (9000,), 3)
     spec = NumberSpec(2, WordSystem.characteristic(table))
+    rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
+    assert calls == [8, 16] and rep.matches and rep.overlap == 1
+    monkeypatch.setattr(oracle, "certified_cf_prefix", _certifies_nothing)
     rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
     assert len(rep.pipeline_terms) == 1 and rep.certified_prefix == ()
     assert calls == [8 << i for i in range(12)]
@@ -462,12 +541,16 @@ def test_verify_reports_the_last_enclosed_n_when_the_pass_cap_ends_it(monkeypatc
 
 
 def test_verify_reports_the_passes_under_the_power_cap(monkeypatch):
-    # (2)(9000) K=3 b=2: no N certifies the one pipeline term, and after
+    # (2)(9000) K=3 b=2: the one pipeline term is certified by the second
+    # pass, N = 144,008.  Under a certifier that certifies nothing, after
     # N = 72,004 * 2^7 = 9,216,512 the next pass, 18,433,024 digits, would
     # pass the cap; the schedule ends there with a shortfall report, not
     # a HorizonError, while a first pass past the cap, N = 4 q_3 on K=4,
     # is refused
     spec = NumberSpec(2, WordSystem.characteristic(table_for((2,), (9000,), 3)))
+    rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
+    assert calls == [72004, 144008] and rep.matches and rep.overlap == 1
+    monkeypatch.setattr(oracle, "certified_cf_prefix", _certifies_nothing)
     rep, calls = _enclosures(monkeypatch, verify_agreement, spec, min_terms=50)
     assert calls == [72004 << i for i in range(8)]
     assert rep.digits_used == 9216512 and not rep.matches
