@@ -20,7 +20,7 @@ functions take no depth of their own, `encode_real` always gives the
 K - 2 digits its table reaches, and a shallower number is a shorter prefix.
 
 `validate_real_digits`, like `decode_integer`, raises `DigitRuleError` at
-the first broken digit rule.  `liouville_diagnostic`,
+the first broken digit, in index order.  `liouville_diagnostic`,
 `ordered_strong_sequence`, `formal_intercept` and
 `check_family_recurrences`, which reads each term entry c_k, d_k, e_k and
 f_k, are library API that no command prints, as are the paper results

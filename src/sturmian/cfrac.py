@@ -122,7 +122,7 @@ _LEAF_LETTERS = 640
 
 
 def _bits_as_base(word: str, base: int, lo: int = 0, hi: int | None = None,
-                  power=None, octets=None) -> int:
+                  power=None) -> int:
     """Positional value of word[lo:hi], a 0/1 word, in base `base` (digits
     0 and 1), by halving the offsets: only leaves of at most _LEAF_LETTERS
     letters are sliced.  The halves at one depth differ in length by at
@@ -130,30 +130,21 @@ def _bits_as_base(word: str, base: int, lo: int = 0, hi: int | None = None,
     computes each power once.  It is passed down, not closed over: a
     recursive closure is a reference cycle that keeps the powers alive
     past the call until the cyclic GC runs.  A leaf is read by `int` up
-    to base 36; past it, 8 letters at a time, as the bytes of its base-2
-    value: `octets`, built once and passed down like `power`, holds the
-    base-b values of the 256 bytes, and each byte is one Horner step by
-    b^8."""
+    to base 36, letter by letter past it."""
     hi = len(word) if hi is None else hi
     n = hi - lo
-    if base > 36 and octets is None:
-        octets = [0]
-        for _ in range(8):
-            octets = [v * base + bit for v in octets for bit in (0, 1)]
     if n <= _LEAF_LETTERS:
-        if not n:
-            return 0
         leaf = word[lo:hi]
-        if octets is None:
-            return int(leaf, base)
-        step, v = base ** 8, 0
-        for byte in int(leaf, 2).to_bytes((n + 7) // 8, "big"):
-            v = v * step + octets[byte]
+        if base <= 36:
+            return int(leaf, base) if leaf else 0
+        v = 0
+        for ch in leaf:
+            v = v * base + (ch == "1")
         return v
     power = power or functools.cache(functools.partial(pow, base))
     mid = lo + n // 2
-    return (_bits_as_base(word, base, lo, mid, power, octets) * power(hi - mid)
-            + _bits_as_base(word, base, mid, hi, power, octets))
+    return (_bits_as_base(word, base, lo, mid, power) * power(hi - mid)
+            + _bits_as_base(word, base, mid, hi, power))
 
 
 def word_value(word: str, base: int) -> int:

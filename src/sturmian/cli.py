@@ -18,7 +18,10 @@ holds the whole word as one string only to print it.  Every check that
 can refuse a command runs before its first byte is written, so a
 refused command prints nothing.  Exit codes: 0 success, 2 invalid
 config/digits, 3 horizon or precision exhaustion, 4 internal invariant
-failure.
+failure.  In text and rle `verify` prints its verdict alone: "match"
+(exit 0), "shortfall" when every compared term agrees but fewer than
+the wanted terms were certified, or "MISMATCH" when a term disagrees
+(both exit 4).
 
 The slope is {"preperiod": [...], "period": [...], "horizon": K >= 4},
 its numbers integers or decimal strings.  The intercept (parsed by
@@ -359,7 +362,9 @@ def cmd_verify(args, cfg, system):
             "matches": rep.matches,
             "firstMismatchIndex": rep.first_mismatch,
         }
-    _emit(payload, args.format, lambda: "match" if rep.matches else "MISMATCH")
+    verdict = ("match" if rep.matches else
+               "shortfall" if rep.first_mismatch is None else "MISMATCH")
+    _emit(payload, args.format, lambda: verdict)
     return 0 if rep.matches else InternalError.exit_code
 
 

@@ -121,20 +121,24 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
 
 
 def _check_digit_rules(seq, table: ConvergentTable, leading: str) -> None:
-    """Raise DigitRuleError at the first digit breaking d_1 < a_1, d_j <= a_j
-    or the adjacency rule; `leading` is the text of the first rule."""
+    """Raise DigitRuleError at the first broken digit, in index order: one
+    pass checks digit j for its sign, for d_j <= a_j, for d_1 < a_1
+    (`leading` is that rule's text) and, when d_j = a_j, for d_{j-1} = 0,
+    a rule reported at index j - 1."""
     if len(seq) > table.horizon:
         raise HorizonError(f"{len(seq)} digits exceed horizon {table.horizon}")
+    prev = 0
     for j, d in enumerate(seq, start=1):
+        a = table.a(j)
         if d < 0:
             raise DigitRuleError(j, f"negative digit {shown_int(d)}")
-        if d > table.a(j):
-            raise DigitRuleError(j, f"digit {shown_int(d)} exceeds a_{j} = {shown_int(table.a(j))}")
-    if seq and seq[0] >= table.a(1):
-        raise DigitRuleError(1, f"leading digit {shown_int(seq[0])} must be {leading}")
-    for j in range(1, len(seq)):
-        if seq[j] == table.a(j + 1) and seq[j - 1] != 0:
-            raise DigitRuleError(j, "digit before a maximal digit must vanish")
+        if d > a:
+            raise DigitRuleError(j, f"digit {shown_int(d)} exceeds a_{j} = {shown_int(a)}")
+        if d == a and j == 1:
+            raise DigitRuleError(1, f"leading digit {shown_int(d)} must be {leading}")
+        if d == a and prev:
+            raise DigitRuleError(j - 1, "digit before a maximal digit must vanish")
+        prev = d
 
 
 def _max_digit(table: ConvergentTable, digits) -> int:

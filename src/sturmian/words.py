@@ -219,28 +219,23 @@ class WordSystem:
             if "digits" in intercept:
                 digits = tuple(read_int(b, "intercept digit")
                                for b in read_list(intercept, "digits", "intercept"))
-            elif "m" in intercept:
+                terminating = intercept.get("terminating", True)
+                if not isinstance(terminating, bool):
+                    raise ConfigError(
+                        f"intercept 'terminating' must be a JSON boolean, got {terminating!r:.200}")
+                return cls.from_digits(table, digits, terminating=terminating, upper=upper)
+            if "m" in intercept:
                 m = read_int(intercept["m"], "intercept m")
                 p = read_int(intercept.get("p", 0), "intercept p")
-            elif "sigma_pair" in intercept:
-                u, v = read_list(intercept, "sigma_pair", "intercept")
-                u = read_int(u, "sigma_pair u")
+                return cls.from_degenerate(table, degenerate_expansions(m, p, table), upper=upper)
+            if "sigma" in intercept:
+                return cls(table, encode_real(parse_fraction(str(intercept["sigma"])), table),
+                           upper=upper)
+            u, v = read_list(intercept, "sigma_pair", "intercept")
+            sigma = (read_int(u, "sigma_pair u"), parse_fraction(str(v)))
+            return cls(table, encode_real(sigma, table), upper=upper)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad intercept spec {intercept!r:.200}: {exc}") from exc
-        if "digits" in intercept:
-            terminating = intercept.get("terminating", True)
-            if not isinstance(terminating, bool):
-                raise ConfigError(
-                    f"intercept 'terminating' must be a JSON boolean, got {terminating!r:.200}")
-            return cls.from_digits(table, digits, terminating=terminating, upper=upper)
-        if "m" in intercept:
-            deg = degenerate_expansions(m, p, table)
-            return cls.from_degenerate(table, deg, upper=upper)
-        if "sigma" in intercept:
-            sigma = parse_fraction(str(intercept["sigma"]))
-        else:
-            sigma = (u, parse_fraction(str(v)))
-        return cls.from_digits(table, encode_real(sigma, table), upper=upper)
 
     # -- basic quantities ----------------------------------------------------
 
@@ -317,14 +312,12 @@ class WordSystem:
 
     def letter(self, n: int) -> int:
         """Letter n (1-based) of the word: letter (t_k + n - 1) mod q_k of
-        M_k for the least q_k > n, read by `_window` in O(K) time."""
+        M_k for the least q_k > n, read by `_window` in O(K) time.  The
+        offset t_k reads b_1..b_k, so a digit prefix too short is refused,
+        as in `prefix_blocks`, at its first missing digit."""
         if n < 1:
             raise ConfigError(f"letters are 1-based, got {n}")
         k = self.table.level_covering(n)
-        if k > self.levels:
-            raise HorizonError(
-                f"letter {n} needs digits through level {k}, have {self.levels}"
-            )
         i = (self.offset(k) + n - 1) % self.q(k)
         parts: list[str] = []
         self._window(k, i, i + 1, parts, {})

@@ -174,7 +174,7 @@ def test_verify_shortfall_returns_4_with_its_report(capsys):
     assert (payload["N"], payload["matches"], payload["overlap"]) == ("2750", False, 7)
     assert len(payload["pipeline"]) == 8 and payload["firstMismatchIndex"] is None
     for fmt in ("text", "rle"):  # the verdict alone
-        assert run(capsys, "--format", fmt, *command, "verify") == (4, "MISMATCH\n", "")
+        assert run(capsys, "--format", fmt, *command, "verify") == (4, "shortfall\n", "")
 
 
 def test_verify_prints_each_pipeline_term_from_its_own_value(capsys, monkeypatch):
@@ -192,6 +192,9 @@ def test_verify_prints_each_pipeline_term_from_its_own_value(capsys, monkeypatch
     assert payload["certifiedPrefix"] == [to_decimals([t])[0] for t in prefix]
     assert payload["pipeline"] == [to_decimals([t])[0] for t in terms]
     assert payload["firstMismatchIndex"] == 1
+    for fmt in ("text", "rle"):  # a term that disagrees is no shortfall
+        assert run(capsys, "--format", fmt, "--slope", GOLDEN, "verify") == \
+            (InternalError.exit_code, "MISMATCH\n", "")
 
 
 def test_exponent_report(capsys):

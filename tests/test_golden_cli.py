@@ -276,6 +276,11 @@ def corpus() -> list[list[str]]:
              big_g + ["--format", "text", "word", "--length", str((1 << 24) + 1)],
              short + ["word", "--binary", "--length", "30"],
              short + ["--format", "text", "word", "--length", "30"]]
+    # exit 2: digits 5,0,9 on (5,3,2) break the leading rule at index 1
+    # and the bound a_3 = 2 at index 3; the first in index order is named
+    cmds += [s532 + _intercept({"digits": [5, 0, 9]}) + ["word", "--length", "5"],
+             s532 + ["ostrowski-int", "--digits", "5,0,9"],
+             s532 + ["ostrowski-real", "--digits", "5,0,9"]]
     return cmds
 
 

@@ -31,6 +31,10 @@ The CLI prints a word prefix from `WordSystem.prefix_blocks`, block by
 block, and never reads `WordSystem.prefix`, which joins the whole word
 into one string.
 
+The Ostrowski digit rules have one owner: inside `ostrowski` only
+`_check_digit_rules` and `IntegerDigits._check`, the positive top digit
+of an integer, construct a `DigitRuleError`.
+
 The interpreter's int-to-str limit has one reader: `get_int_max_str_digits`
 is named in `errors` alone, where `read_int` holds inputs to the limit;
 decimal output (`bigint`) prints every value whatever the limit, without
@@ -172,6 +176,21 @@ def test_the_cli_never_joins_a_word_prefix():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "prefix_blocks" in read and "prefix" not in read
+
+
+def test_the_digit_rules_have_one_owner():
+    # a DigitRuleError raised anywhere else in `ostrowski` would state a
+    # rule a second time
+    tree = ast.parse((PACKAGE / "ostrowski.py").read_text())
+    builders = set()
+    for top in tree.body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            name = getattr(node, "name", f"line {node.lineno}")
+            if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "DigitRuleError"
+                   for sub in ast.walk(node)):
+                builders.add(name if node is top else f"{top.name}.{name}")
+    assert builders == {"_check_digit_rules", "IntegerDigits._check"}
 
 
 def test_the_int_str_limit_has_one_reader():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sturmian import (
     AmbiguousExpansionError,
@@ -142,6 +142,39 @@ def test_integer_and_real_rules_differ_only_in_the_leading_digit(slope532):
             assert (err.value.index, err.value.rule) == (index, rule)
         with pytest.raises(HorizonError):
             check((0,) * 13, slope532)
+
+
+def first_broken_rule(digits, table, leading):
+    """(index, rule) of the first broken digit in index order, or None:
+    digit j breaks its sign, its bound a_j, the leading rule at j = 1, or
+    (reported at j - 1) adjacency, when d_j = a_j follows a nonzero digit."""
+    for j, d in enumerate(digits, start=1):
+        if d < 0:
+            return j, f"negative digit {d}"
+        if d > table.a(j):
+            return j, f"digit {d} exceeds a_{j} = {table.a(j)}"
+        if j == 1 and d == table.a(1):
+            return 1, f"leading digit {d} must be {leading}"
+        if j > 1 and d == table.a(j) and digits[j - 2] != 0:
+            return j - 1, "digit before a maximal digit must vanish"
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-2, 7), max_size=8))
+@example([5, 0, 9])  # leading rule at 1 before the bound at 3
+@example([1, 3, -1])  # adjacency at 1 before the sign at 3
+def test_the_first_broken_digit_is_reported_in_index_order(digits):
+    t = table_for((5, 3, 2), horizon=8)
+    for check, leading in ((decode_integer, "< a_1 = 5"),
+                           (validate_real_digits, "<= a_1 - 1")):
+        want = first_broken_rule(digits, t, leading)
+        if want is None:
+            check(digits, t)
+            continue
+        with pytest.raises(DigitRuleError) as err:
+            check(digits, t)
+        assert (err.value.index, err.value.rule) == want
 
 
 def test_decode_real_examples(golden, slope532):

@@ -646,9 +646,17 @@ def test_run_length_exponents_are_never_read_as_runs():
 
 
 def test_letters_beyond_horizon_raise(golden):
+    # a letter and a prefix read b_1..b_k through the same offset, so a
+    # digit prefix too short is refused alike, at its first missing digit
     ws = word_system(golden, (0, 1), terminating=False)
-    with pytest.raises(HorizonError):
-        ws.letter(golden.q(2))
+    assert ws.letter(golden.q(2) - 1) == int(ws.prefix(golden.q(2) - 1)[-1])
+    for n in (golden.q(2), golden.q(2) + 1, golden.q(9)):
+        with pytest.raises(HorizonError) as by_letter:
+            ws.letter(n)
+        with pytest.raises(HorizonError) as by_prefix:
+            ws.prefix_blocks(n)
+        assert str(by_letter.value) == str(by_prefix.value) == \
+            "digit b_3 beyond stored prefix of length 2"
 
 
 def test_run_length_round_trip():
