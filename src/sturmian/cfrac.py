@@ -48,8 +48,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import (ConfigError, DigitRuleError, InternalError, check_budget, shown_int,
-                     validated)
+from .errors import (ConfigError, DigitRuleError, InternalError, check_budget, check_int,
+                     shown_int, validated)
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
@@ -65,6 +65,7 @@ class NumberSpec(NamedTuple):
     system: WordSystem
 
     def _check(self):
+        check_int(self.base, "base")
         if self.base < 2:
             raise ConfigError(f"base must be >= 2, got {shown_int(self.base)}")
 

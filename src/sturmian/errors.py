@@ -146,9 +146,15 @@ def read_int(x, what: str) -> int:
         if len(unsigned) > (sys.get_int_max_str_digits() or len(unsigned)):
             raise DigitLimitError(f"{what} of {len(unsigned)} digits is past the int-to-str digit limit")
         return int(x)
+    check_int(x, what)
+    return x
+
+
+def check_int(x, what: str) -> None:
+    """Refuse with ConfigError an `x` whose type is not int (a bool is
+    not): a library argument is never truncated or compared as a float."""
     if type(x) is not int:
         raise ConfigError(f"{what} {x!r:.200} is not an integer")
-    return x
 
 
 def read_list(obj: dict, key: str, what: str) -> list:

@@ -2,15 +2,24 @@
 
 Each level k contributes four candidate approximants; which of them are
 true convergents, and with which approximation exponent, is decided by
-an exact digit-pattern dispatch.  The growth table runs to k = L - 2 for
-L = `WordSystem.levels`, and the finite-horizon irrationality exponent
-estimate is the running maximum of its ratios over a trailing window,
-reported as exact rationals; limits are never extrapolated.  No function
-takes a depth: a shallower estimate is that of a shorter digit prefix.
+an exact digit-pattern dispatch.  The dispatch is data, patterns over
+the digits such as "gap(k+2)>=1 & b_{k+1}=0": the acceptance rules of
+each family (`_ACCEPT`), the replacement rules that merge convergents of
+one value (`_REPLACE`) and the levels at which a growth ratio enters the
+estimate (`_ELIGIBLE`).  One reader, `_holds`, tests them, so the rule a
+record prints is the pattern that was tested.  The growth table runs to
+k = L - 2 for L = `WordSystem.levels`, and the finite-horizon
+irrationality exponent estimate is the running maximum of its ratios
+over a trailing window, reported as exact rationals; limits are never
+extrapolated.  No function takes a depth: a shallower estimate is that
+of a shorter digit prefix.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -92,8 +101,69 @@ def nu_table(system: WordSystem) -> list[NuRow]:
     return [nu_row(system, k) for k in range(system.levels - 1)]
 
 
+# A pattern is atoms joined by " & ", each a read at a level relative to
+# k (gap(k+i) = a_{k+i} - b_{k+i}, a_{k+i} or b_{k+i}, with k for k+0)
+# and a bound (">=n" or "=n"); it holds when every atom does, the atoms
+# read in the order written up to the first that fails.
+
+# per family, its acceptance rules in order: (pattern, shift, j) accepts
+# with mu = nu_j in the growth row of level k + shift
+_ACCEPT = {
+    "1": (("gap(k+1)>=1 & gap(k+2)>=1", 0, 1),
+          ("b_k>=1 & a_{k+1}=1 & b_{k+1}=0 & gap(k+2)=0", -1, 3)),
+    "2": (("gap(k+2)>=1 & b_{k+1}>=1", 0, 2),
+          ("gap(k+2)>=1 & b_{k+1}=0 & gap(k+3)>=1", 0, 4),
+          ("gap(k+2)>=1 & b_{k+1}=0 & gap(k+3)=0", 2, 2)),
+    "3": (("b_{k+1}>=1 & gap(k+2)>=2", 0, 3),
+          ("gap(k+2)=1 & gap(k+3)>=1", 1, 1),
+          ("b_{k+1}>=1 & a_{k+2}=1 & b_{k+2}=0 & gap(k+3)=0", 0, 3)),
+    "4": (("gap(k+2)>=2 & gap(k+3)>=1", 0, 4),
+          ("b_{k+1}=0 & gap(k+2)=1 & gap(k+3)>=1", 0, 2),
+          ("gap(k+3)=0", 2, 2)),
+}
+
+# the replacement rules, at most one per level: (pattern, groups,
+# dropped), each id a (family, level - k); a group's ids share one value
+_REPLACE = (
+    ("gap(k+2)=0 & b_k>=1", ((("4", -1), ("2", 1)),),
+     (("1", 0), ("2", 0), ("3", 0), ("4", 0), ("1", 1))),
+    ("gap(k+2)=0 & b_k=0", ((("2", -1), ("4", -1), ("2", 1)),),
+     (("3", -1), ("1", 0), ("2", 0), ("3", 0), ("4", 0), ("1", 1))),
+    ("gap(k+2)=1 & gap(k+3)>=1 & b_{k+1}>=1", ((("3", 0), ("1", 1)),), (("4", 0),)),
+    ("gap(k+2)=1 & gap(k+3)>=1 & b_{k+1}=0", ((("2", 0), ("4", 0)), (("3", 0), ("1", 1))), ()),
+    ("gap(k+2)>=2 & gap(k+3)>=1 & b_{k+1}=0", ((("2", 0), ("4", 0)),), (("3", 0),)),
+)
+
+# the levels k whose nu_j enters the estimate; nu3 and nu4 enter at every k
+_ELIGIBLE = {1: "gap(k+1)>=1 & gap(k+2)>=1", 2: "gap(k+2)>=1"}
+
+_ATOM = re.compile(r"(?:(gap)\(k(\+\d+)?\)|([ab])_(?:k|\{k(\+\d+)\}))(>=|=)(\d+)")
+
+
+@functools.cache
+def _atoms(pattern: str) -> tuple:
+    """A pattern as its atoms (read, shift, compare, bound), each read
+    an unbound `WordSystem` method; a text that is no pattern raises."""
+    reads = {"gap": WordSystem.gap, "a": WordSystem.a, "b": WordSystem.digit}
+    found = [_ATOM.fullmatch(text) for text in pattern.split(" & ")]
+    if None in found:
+        raise InternalError(f"unreadable rule pattern {pattern!r}")
+    return tuple((reads[m[1] or m[3]], int(m[2] or m[4] or 0),
+                  operator.ge if m[5] == ">=" else operator.eq, int(m[6])) for m in found)
+
+
+def _holds(system: WordSystem, k: int, pattern: str) -> bool:
+    """Whether `pattern` holds at level k, its atoms read in order."""
+    for read, i, compare, bound in _atoms(pattern):
+        if not compare(read(system, k + i), bound):
+            return False
+    return True
+
+
 def classify_families(system: WordSystem, k: int) -> list[StrongRecord]:
-    """The acceptance dispatch for the four families at level k.
+    """The acceptance dispatch for the four families at level k: each
+    family takes the first of its `_ACCEPT` rules that holds, and is
+    rejected when none does.
 
     Valid for k >= 2 with offset(k-1) >= 1 (words that already differ
     from the characteristic one); reads digits through k + 4.
@@ -105,132 +175,57 @@ def classify_families(system: WordSystem, k: int) -> list[StrongRecord]:
             f"dispatch needs offset(k-1) >= 1 at k={k}; "
             "use the pipeline classification for characteristic heads"
         )
-
-    a, b, gap = system.a, system.digit, system.gap
     records = []
-
-    def emit(fam, accepted, rule, mu):
+    for fam, rules in _ACCEPT.items():
+        rule, mu = "rejected", None
+        for pattern, shift, j in rules:
+            if _holds(system, k, pattern):
+                rule, mu = pattern, nu_row(system, k + shift).nu(j)
+                break
         h = _HEIGHT[fam](system, k)
-        err = mu * h if mu is not None else None
+        err = None if mu is None else mu * h
         if err is not None and err.denominator != 1:
             raise InternalError(f"error exponent for ({fam})_{k} is not integral")
-        records.append(StrongRecord(fam, k, accepted, rule, mu, h, err))
-
-    # family (1)
-    if gap(k + 1) >= 1 and gap(k + 2) >= 1:
-        emit("1", True, "gap(k+1)>=1 & gap(k+2)>=1", nu_row(system, k).nu1)
-    elif b(k) >= 1 and a(k + 1) == 1 and b(k + 1) == 0 and gap(k + 2) == 0:
-        emit("1", True, "b_k>=1 & a_{k+1}=1 & b_{k+1}=0 & gap(k+2)=0",
-             nu_row(system, k - 1).nu3)
-    else:
-        emit("1", False, "rejected", None)
-
-    # family (2)
-    if gap(k + 2) >= 1:
-        if b(k + 1) >= 1:
-            emit("2", True, "gap(k+2)>=1 & b_{k+1}>=1", nu_row(system, k).nu2)
-        elif gap(k + 3) >= 1:
-            emit("2", True, "gap(k+2)>=1 & b_{k+1}=0 & gap(k+3)>=1",
-                 nu_row(system, k).nu4)
-        else:
-            emit("2", True, "gap(k+2)>=1 & b_{k+1}=0 & gap(k+3)=0",
-                 nu_row(system, k + 2).nu2)
-    else:
-        emit("2", False, "rejected", None)
-
-    # family (3)
-    if b(k + 1) >= 1 and gap(k + 2) >= 2:
-        emit("3", True, "b_{k+1}>=1 & gap(k+2)>=2", nu_row(system, k).nu3)
-    elif gap(k + 2) == 1 and gap(k + 3) >= 1:
-        emit("3", True, "gap(k+2)=1 & gap(k+3)>=1", nu_row(system, k + 1).nu1)
-    elif (b(k + 1) >= 1 and a(k + 2) == 1 and b(k + 2) == 0
-          and gap(k + 3) == 0):
-        emit("3", True, "b_{k+1}>=1 & a_{k+2}=1 & b_{k+2}=0 & gap(k+3)=0",
-             nu_row(system, k).nu3)
-    else:
-        emit("3", False, "rejected", None)
-
-    # family (4)
-    if gap(k + 2) >= 2 and gap(k + 3) >= 1:
-        emit("4", True, "gap(k+2)>=2 & gap(k+3)>=1", nu_row(system, k).nu4)
-    elif b(k + 1) == 0 and gap(k + 2) == 1 and gap(k + 3) >= 1:
-        emit("4", True, "b_{k+1}=0 & gap(k+2)=1 & gap(k+3)>=1",
-             nu_row(system, k).nu2)
-    elif gap(k + 3) == 0:
-        emit("4", True, "gap(k+3)=0", nu_row(system, k + 2).nu2)
-    else:
-        emit("4", False, "rejected", None)
+        records.append(StrongRecord(fam, k, mu is not None, rule, mu, h, err))
     return records
 
 
 def ordered_strong_sequence(system: WordSystem, k_lo: int, k_hi: int):
     """The strong-convergent sequence after the replacement rules.
 
-    Starts from the cyclic family list over k_lo..k_hi and applies the
-    three merge rules; returns a list of groups, each a list of (family,
-    level) ids sharing one value.  Rules whose window leaves the range
-    are skipped, so only the interior of the window is meaningful.
+    Starts from the cyclic family list over k_lo..k_hi; at each level k
+    the first `_REPLACE` rule that holds merges its groups, each a list
+    of (family, level) ids sharing one value, and drops its other ids.
+    Returns the groups in family order.  A rule whose ids leave the range
+    is skipped, so only the interior of the window is meaningful.
     """
-    gap = system.gap
-    order = [(fam, k) for k in range(k_lo, k_hi + 1) for fam in "1234"]
-    group_of: dict[tuple[str, int], list] = {}
+    group_of: dict[tuple[str, int], tuple] = {}
     removed: set[tuple[str, int]] = set()
-
-    def make_group(members, dropped):
-        for el in members + dropped:
-            if el in group_of or el in removed:
-                raise InternalError(f"replacement rules overlap at {el}")
-        g = list(members)
-        for el in members:
-            group_of[el] = g
-        removed.update(dropped)
-
     for k in range(k_lo, k_hi + 1):
-        in_range = lambda *els: all(k_lo <= kk <= k_hi for _, kk in els)
-        if gap(k + 2) == 0:
-            if system.digit(k) >= 1:
-                members = [("4", k - 1), ("2", k + 1)]
-                dropped = [("1", k), ("2", k), ("3", k), ("4", k), ("1", k + 1)]
-            else:
-                members = [("2", k - 1), ("4", k - 1), ("2", k + 1)]
-                dropped = [("3", k - 1), ("1", k), ("2", k), ("3", k),
-                           ("4", k), ("1", k + 1)]
-            if in_range(*(members + dropped)):
-                make_group(members, dropped)
-        elif gap(k + 2) == 1 and gap(k + 3) >= 1:
-            if system.digit(k + 1) >= 1:
-                if in_range(("3", k), ("4", k), ("1", k + 1)):
-                    make_group([("3", k), ("1", k + 1)], [("4", k)])
-            else:
-                if in_range(("2", k), ("3", k), ("4", k), ("1", k + 1)):
-                    make_group([("2", k), ("4", k)], [])
-                    make_group([("3", k), ("1", k + 1)], [])
-        elif gap(k + 2) >= 2 and gap(k + 3) >= 1 and system.digit(k + 1) == 0:
-            if in_range(("2", k), ("3", k), ("4", k)):
-                make_group([("2", k), ("4", k)], [("3", k)])
-
-    sequence = []
-    seen = set()
-    for el in order:
-        if el in removed:
-            continue
-        if el in group_of:
-            g = tuple(group_of[el])
-            if g not in seen:
-                seen.add(g)
-                sequence.append(list(g))
-        else:
-            sequence.append([el])
-    return sequence
+        for pattern, groups, dropped in _REPLACE:
+            if _holds(system, k, pattern):
+                groups = [tuple((fam, k + i) for fam, i in g) for g in groups]
+                dropped = [(fam, k + i) for fam, i in dropped]
+                ids = [el for g in groups for el in g] + dropped
+                if all(k_lo <= kk <= k_hi for _, kk in ids):
+                    if any(el in group_of or el in removed for el in ids):
+                        raise InternalError(f"replacement rules overlap at level {k}")
+                    group_of.update((el, g) for g in groups for el in g)
+                    removed.update(dropped)
+                break
+    order = [(fam, k) for k in range(k_lo, k_hi + 1) for fam in "1234"]
+    # the group of each id not dropped (an ungrouped id alone), once, at its first id
+    return [list(g) for g in dict.fromkeys(group_of.get(el, (el,)) for el in order
+                                           if el not in removed)]
 
 
 def irrationality_estimate(system: WordSystem) -> EstimateReport:
     """Finite-horizon exponent estimate over the growth table's rows
     k = 0..L-2, whose trailing half starts at (L-2)//2.
 
-    nu(1) ranges over k with both gaps positive, nu(2) over k with
-    gap(k+2) >= 1, nu(3) and nu(4) over all k; each is reported as its
-    maximum over the trailing half, and the estimate is the largest of
+    nu(1) and nu(2) range over the k where their `_ELIGIBLE` pattern
+    holds, nu(3) and nu(4) over all k; each is reported as its maximum
+    over the trailing half, and the estimate is the largest of
     those.  A finite maximum is no bound on the limsup from either
     side: the golden characteristic word of 22 levels gives 377/144,
     above its exponent 1 + phi.
@@ -238,14 +233,9 @@ def irrationality_estimate(system: WordSystem) -> EstimateReport:
     rows = nu_table(system)
     last = system.levels - 2
     tail_lo = last // 2
-    gap = system.gap
-    eligible = {
-        1: lambda k: gap(k + 1) >= 1 and gap(k + 2) >= 1,
-        2: lambda k: gap(k + 2) >= 1,
-        3: lambda k: True,
-        4: lambda k: True,
-    }
-    tail_max = {j: max((r.nu(j) for r in rows[tail_lo:] if eligible[j](r.k)), default=None)
+    tail_max = {j: max((r.nu(j) for r in rows[tail_lo:]
+                        if j not in _ELIGIBLE or _holds(system, r.k, _ELIGIBLE[j])),
+                       default=None)
                 for j in range(1, 5)}
     candidates = [v for v in tail_max.values() if v is not None]
     if not candidates:

@@ -24,6 +24,7 @@ from .errors import (
     InternalError,
     InvalidInterceptError,
     PrecisionError,
+    check_int,
     read_int,
     shown_int,
     validated,
@@ -105,6 +106,7 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
     bounds and the adjacency rule, and the result is the unique valid
     vector summing to n.
     """
+    check_int(n, "integer to expand")
     if n < 1:
         raise ConfigError(f"only positive integers have an expansion, got {shown_int(n)}")
     if n >= table.q(table.horizon):
@@ -122,14 +124,16 @@ def encode_integer(n: int, table: ConvergentTable) -> IntegerDigits:
 
 def _check_digit_rules(seq, table: ConvergentTable, leading: str) -> None:
     """Raise DigitRuleError at the first broken digit, in index order: one
-    pass checks digit j for its sign, for d_j <= a_j, for d_1 < a_1
-    (`leading` is that rule's text) and, when d_j = a_j, for d_{j-1} = 0,
-    a rule reported at index j - 1."""
+    pass checks digit j for its type (an int, not a bool), for its sign,
+    for d_j <= a_j, for d_1 < a_1 (`leading` is that rule's text) and,
+    when d_j = a_j, for d_{j-1} = 0, a rule reported at index j - 1."""
     if len(seq) > table.horizon:
         raise HorizonError(f"{len(seq)} digits exceed horizon {table.horizon}")
     prev = 0
     for j, d in enumerate(seq, start=1):
         a = table.a(j)
+        if type(d) is not int:
+            raise DigitRuleError(j, f"digit {d!r:.200} is not an integer")
         if d < 0:
             raise DigitRuleError(j, f"negative digit {shown_int(d)}")
         if d > a:
@@ -263,6 +267,8 @@ def degenerate_expansions(m: int, p: int, table: ConvergentTable) -> DegenerateI
     closed forms when m = 1, where the two streams expand 1-theta and
     -theta respectively).
     """
+    check_int(m, "intercept m")
+    check_int(p, "intercept p")
     if m < 1:
         raise InvalidInterceptError(f"m must be >= 1, got {shown_int(m)}")
     K = table.horizon

@@ -32,8 +32,10 @@ from .errors import (
     InternalError,
     PrecisionError,
     check_budget,
+    check_int,
     read_int,
     read_list,
+    shown_int,
 )
 from .ostrowski import (
     DegenerateIntercept,
@@ -180,8 +182,7 @@ class WordSystem:
     def from_digits(cls, table: ConvergentTable, digits, *, terminating=None,
                     **kw) -> "WordSystem":
         if not isinstance(digits, InterceptDigits):
-            digits = InterceptDigits(tuple(int(b) for b in digits),
-                                     bool(terminating))
+            digits = InterceptDigits(tuple(digits), bool(terminating))
         elif terminating is not None:
             digits = InterceptDigits(digits.digits, bool(terminating))
         return cls(table, digits, **kw)
@@ -315,8 +316,9 @@ class WordSystem:
         M_k for the least q_k > n, read by `_window` in O(K) time.  The
         offset t_k reads b_1..b_k, so a digit prefix too short is refused,
         as in `prefix_blocks`, at its first missing digit."""
+        check_int(n, "letter index")
         if n < 1:
-            raise ConfigError(f"letters are 1-based, got {n}")
+            raise ConfigError(f"letters are 1-based, got {shown_int(n)}")
         k = self.table.level_covering(n)
         i = (self.offset(k) + n - 1) % self.q(k)
         parts: list[str] = []
@@ -337,6 +339,9 @@ class WordSystem:
         Every check runs here, before any block is returned: a digit
         prefix too short or a prefix past the size budget is refused
         before a caller writes anything."""
+        check_int(length, "prefix length")
+        if length < 0:
+            raise ConfigError(f"prefix length {shown_int(length)} is negative")
         if length == 0:
             return ()
         k = self.table.level_covering(length)
@@ -397,8 +402,9 @@ class WordSystem:
         is the integer 0.  An upper word takes ceilings, which add 1 to
         every part but that of 0 theta.  Else the letter is refused.
         """
+        check_int(n, "letter index")
         if n < 1:
-            raise ConfigError(f"letters are 1-based, got {n}")
+            raise ConfigError(f"letters are 1-based, got {shown_int(n)}")
         if self.rho is None:
             c = digit_prefix_value(self.digits, self.table)[0] + 1
             tail = Fraction(1, self.q(len(self.digits.digits)))

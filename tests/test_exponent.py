@@ -5,6 +5,7 @@ import pytest
 from sturmian import (
     ConfigError,
     HorizonError,
+    InternalError,
     SlopeSpec,
     build_table,
     classify_families,
@@ -18,7 +19,7 @@ from sturmian import (
     ordered_strong_sequence,
 )
 from sturmian.cfrac import NumberSpec, formal_family_fraction
-from sturmian.exponent import ExtremalIntercept
+from sturmian.exponent import _ACCEPT, _ELIGIBLE, _REPLACE, ExtremalIntercept, _atoms, _holds
 from sturmian.oracle import certified_cf_prefix, exponent_bracket
 from sturmian.words import WordSystem
 
@@ -296,3 +297,49 @@ def test_estimate_monotone_in_horizon(slope532):
     values = [irrationality_estimate(shallower_word(ws, levels)).mu_estimate
               for levels in range(6, 11)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+TABLE_PATTERNS = [
+    *(pattern for rules in _ACCEPT.values() for pattern, _, _ in rules),
+    *(pattern for pattern, _, _ in _REPLACE),
+    *_ELIGIBLE.values(),
+]
+
+
+@pytest.mark.parametrize("pattern", TABLE_PATTERNS)
+def test_every_table_pattern_is_read_in_full(pattern):
+    # `_atoms` matches each " & "-separated atom whole, so a pattern that
+    # parses is read to its last character, one atom per part
+    assert len(_atoms(pattern)) == pattern.count(" & ") + 1
+
+
+@pytest.mark.parametrize("text", ["gap(k+2)>1", "gap(k+2)>=1 and b_{k+1}=0",
+                                  "b_{k+1}>=1 &gap(k+2)>=2", "c_k=0", "b_k+1=0", ""])
+def test_a_text_that_is_no_pattern_is_refused(text):
+    with pytest.raises(InternalError):
+        _atoms(text)
+
+
+def test_every_rule_fires_and_takes_precedence_in_order(rng):
+    # periodic slopes with random valid digits: each acceptance rule, each
+    # family's rejection and each replacement rule holds somewhere, and an
+    # accepted record's rule holds while no earlier rule of its family does
+    fired = set()
+    for _ in range(60):
+        t = random_slope_table(rng, 12, amax=3)
+        ws = word_system(t, random_digits(rng, t, 12))
+        for k in range(2, 11):
+            try:
+                records = classify_families(ws, k)
+            except (ConfigError, HorizonError):  # as `exponent` skips a level
+                continue
+            for r in records:
+                patterns = [pattern for pattern, _, _ in _ACCEPT[r.family]]
+                earlier = patterns[:patterns.index(r.rule)] if r.accepted else patterns
+                assert not any(_holds(ws, k, p) for p in earlier), (r, t.spec.period)
+                assert not r.accepted or _holds(ws, k, r.rule)
+                fired.add((r.family, r.rule))
+            fired.update(("replace", p) for p, _, _ in _REPLACE if _holds(ws, k, p))
+    assert fired == {*((fam, p) for fam, rules in _ACCEPT.items() for p, _, _ in rules),
+                     *((fam, "rejected") for fam in _ACCEPT),
+                     *(("replace", p) for p, _, _ in _REPLACE)}

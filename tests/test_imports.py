@@ -35,6 +35,10 @@ The Ostrowski digit rules have one owner: inside `ostrowski` only
 `_check_digit_rules` and `IntegerDigits._check`, the positive top digit
 of an integer, construct a `DigitRuleError`.
 
+The exponent dispatch has one reader of the digits: inside `exponent`
+only `_atoms`, the parse of a rule pattern, names `gap` or `digit`, so
+every digit-pattern decision is a pattern in a rule table.
+
 The interpreter's int-to-str limit has one reader: `get_int_max_str_digits`
 is named in `errors` alone, where `read_int` holds inputs to the limit;
 decimal output (`bigint`) prints every value whatever the limit, without
@@ -191,6 +195,18 @@ def test_the_digit_rules_have_one_owner():
                    for sub in ast.walk(node)):
                 builders.add(name if node is top else f"{top.name}.{name}")
     assert builders == {"_check_digit_rules", "IntegerDigits._check"}
+
+
+def test_the_digit_patterns_have_one_reader():
+    # a gap or a digit read anywhere else in `exponent` would test a
+    # digit pattern outside the rule tables, one no record prints
+    tree = ast.parse((PACKAGE / "exponent.py").read_text())
+    readers = set()
+    for top in tree.body:
+        if any(getattr(sub, "attr", getattr(sub, "id", None)) in ("gap", "digit")
+               for sub in ast.walk(top) if isinstance(sub, (ast.Attribute, ast.Name))):
+            readers.add(getattr(top, "name", f"line {top.lineno}"))
+    assert readers == {"_atoms"}
 
 
 def test_the_int_str_limit_has_one_reader():

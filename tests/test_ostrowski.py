@@ -19,7 +19,7 @@ from sturmian import (
     encode_real,
     validate_real_digits,
 )
-from sturmian import ostrowski
+from sturmian import NumberSpec, WordSystem, ostrowski
 from sturmian.ostrowski import (IntegerDigits, InterceptDigits, _raise_ambiguous,
                                  digit_prefix_value)
 from sturmian.slope import sign_linear
@@ -482,3 +482,39 @@ def test_degenerate_rejects_bad_pairs(golden):
         degenerate_expansions(3, 9, golden)
     with pytest.raises(InvalidInterceptError):
         degenerate_expansions(0, 0, golden)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, ws: decode_integer((0.5, 2.5), t),
+    lambda t, ws: decode_integer((1, True), t),
+    lambda t, ws: validate_real_digits((1.5,), t),
+    lambda t, ws: validate_real_digits((0, 1, "2"), t),
+    lambda t, ws: WordSystem.from_digits(t, [0.9, 1.7]),
+    lambda t, ws: encode_integer(7.0, t),
+    lambda t, ws: encode_integer(True, t),
+    lambda t, ws: degenerate_expansions(1.0, 0, t),
+    lambda t, ws: degenerate_expansions(2, 1.0, t),
+    lambda t, ws: NumberSpec(2.5, ws),
+    lambda t, ws: NumberSpec(Fraction(3), ws),
+    lambda t, ws: ws.letter(2.0),
+    lambda t, ws: ws.floor_letter(2.0),
+    lambda t, ws: ws.prefix(3.5),
+    lambda t, ws: ws.prefix_blocks(True),
+    lambda t, ws: ws.prefix_blocks(-3),
+    lambda t, ws: ws.letter(-10 ** 5000),
+], ids=["decode-float", "decode-bool", "validate-float", "validate-str", "from-digits",
+        "encode-float", "encode-bool", "degenerate-m", "degenerate-p", "base-float",
+        "base-fraction", "letter", "floor-letter", "prefix", "prefix-blocks-bool",
+        "prefix-blocks-negative", "letter-huge-negative"])
+def test_a_non_integer_or_out_of_range_argument_is_refused(call, slope532):
+    # a library call answers exactly or refuses with a typed error: never a
+    # value from truncated or float digits, never TypeError, AttributeError
+    # or the ValueError of an integer past the int-to-str limit
+    with pytest.raises(ConfigError):
+        call(slope532, WordSystem.characteristic(slope532))
+
+
+def test_a_non_integer_digit_is_refused_at_its_index(slope532):
+    with pytest.raises(DigitRuleError) as err:
+        validate_real_digits((0, 1, 2.0, -1), slope532)
+    assert (err.value.index, err.value.rule) == (3, "digit 2.0 is not an integer")
