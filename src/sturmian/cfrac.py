@@ -15,7 +15,11 @@ Both rules are elementary 2x2 matrix identities, so the value of the
 expansion is preserved exactly at every step; tests check the matrix
 products.  Every term carries provenance: which raw parts were merged
 into it and hence which convergent family the corresponding convergent
-belongs to.
+belongs to.  The convergent after each part of the block c_k, d_k, 1,
+e_k, f_k is a family fraction, (1)_k, (2-1)_k, (2)_k, (3)_k and (4)_k in
+turn, and each family but (2-1) is the value of the eventually periodic
+word that its `_WORDS` pair (x, y) gives, y followed by x's rest forever;
+(2-1) is (2) minus (1).
 
 The rules look only at signs, and every sign is fixed by the digits:
 c_k < 0 iff a_{k+1} = b_{k+1}, c_k = 0 iff a_{k+1} - b_{k+1} = 1,
@@ -65,9 +69,7 @@ class NumberSpec(NamedTuple):
     system: WordSystem
 
     def _check(self):
-        check_int(self.base, "base")
-        if self.base < 2:
-            raise ConfigError(f"base must be >= 2, got {shown_int(self.base)}")
+        check_int(self.base, "base", least=2)
 
 
 class Term(NamedTuple):
@@ -209,6 +211,8 @@ def boehmer_term(table, base: int, k: int) -> int:
 
     Only valid for the characteristic word (all intercept digits zero).
     """
+    check_int(base, "base", least=2)
+    check_int(k, "level")
     if k < 1:
         raise ConfigError("closed-form terms start at k = 1")
     _check_power(base, table.q(k), f"closed-form term {k}")  # b^(q_k) at most
@@ -354,6 +358,8 @@ class _Terms(tuple):
 def continued_fraction(spec: NumberSpec, *, terms: int | None = None) -> tuple[Term, ...]:
     """The first `terms` terms of `final_terms` (all of them by default,
     or when `terms` is past what any expansion could hold)."""
+    if terms is not None:
+        check_int(terms, "terms", least=0)
     return _Terms(islice(final_terms(spec), None if terms is None else min(terms, sys.maxsize)))
 
 
@@ -376,91 +382,80 @@ def convergents(terms: tuple[Term, ...], base: int) -> list[ConvergentPair]:
 # height of each family's approximant at level k, shared with `exponent`
 _HEIGHT = {
     "1": lambda s, k: s.suffix_len(k + 1),
-    "2-1": lambda s, k: s.suffix_len(k + 1) + s.offset(k),
     "2": lambda s, k: s.suffix_len(k + 1) + s.offset(k),
     "3": lambda s, k: s.suffix_len(k + 1) + s.q(k),
     "4": lambda s, k: s.q(k + 1),
 }
 
+# the words (x, y) of each family at level k, y a prefix of x: the family
+# fraction is (V(x) - V(y))/(b^|x| - b^|y|), the value of y w^omega where
+# x = y w; (2-1) is (2) minus (1)
+_WORDS = {
+    "1": lambda s, k: (s.split(k + 1)[1], s.split(k)[1]),
+    "2": lambda s, k: (s.split(k + 1)[1] + s.split(k)[0], ""),
+    "3": lambda s, k: (s.split(k + 1)[1] + s.standard(k), s.split(k + 1)[1]),
+    "4": lambda s, k: (s.aligned(k + 1), ""),
+}
+
 
 def formal_family_fraction(spec: NumberSpec, family: str, k: int) -> FamilyFraction:
     """Family fraction without sign restrictions (numerator and denominator
-    may be negative or zero in the formal edge cases)."""
-    sys_, b = spec.system, spec.base
-    if family not in _HEIGHT:
+    may be negative or zero in the formal edge cases).  Only (4) is
+    defined at k = -1, where aligned(0) = "0" gives 0/(b - 1)."""
+    if family not in _PART_FAMILY.values():
         raise ConfigError(f"unknown family {family!r}")
-    if k == -1:
-        if family == "4":
-            return FamilyFraction(word_value("0", b), b - 1, "4", -1, 1)
-        raise ConfigError(f"family ({family}) undefined at k = -1")
-    t_k, r_k = sys_.offset(k), sys_.suffix_len(k)
-    r_k1 = sys_.suffix_len(k + 1)
-    if family == "1":
-        num = word_value(sys_.split(k + 1)[1], b) - word_value(sys_.split(k)[1], b)
-        den = pow(b, r_k1) - pow(b, r_k)
-        return FamilyFraction(num, den, "1", k, _HEIGHT["1"](sys_, k))
-    if family == "2":
-        num = word_value(sys_.split(k + 1)[1] + sys_.split(k)[0], b)
-        den = pow(b, r_k1 + t_k) - 1
-        return FamilyFraction(num, den, "2", k, _HEIGHT["2"](sys_, k))
+    check_int(k, "level")
+    if k < -1 or k == -1 and family != "4":
+        raise ConfigError(f"family ({family}) undefined at k = {shown_int(k)}")
     if family == "2-1":
-        f2 = formal_family_fraction(spec, "2", k)
-        f1 = formal_family_fraction(spec, "1", k)
-        return FamilyFraction(f2.numerator - f1.numerator,
-                              f2.denominator - f1.denominator,
-                              "2-1", k, _HEIGHT["2-1"](sys_, k))
-    if family == "3":
-        rw = sys_.split(k + 1)[1]
-        num = word_value(rw + sys_.standard(k), b) - word_value(rw, b)
-        den = pow(b, r_k1) * (pow(b, sys_.q(k)) - 1)
-        return FamilyFraction(num, den, "3", k, _HEIGHT["3"](sys_, k))
-    num = word_value(sys_.aligned(k + 1), b)
-    den = pow(b, sys_.q(k + 1)) - 1
-    return FamilyFraction(num, den, "4", k, _HEIGHT["4"](sys_, k))
+        two, one = (formal_family_fraction(spec, j, k) for j in "21")
+        return two._replace(numerator=two.numerator - one.numerator,
+                            denominator=two.denominator - one.denominator, family="2-1")
+    b = spec.base
+    x, y = _WORDS[family](spec.system, k)
+    return FamilyFraction(word_value(x, b) - word_value(y, b), pow(b, len(x)) - pow(b, len(y)),
+                          family, k, _HEIGHT[family](spec.system, k))
 
 
 def family_fraction(spec: NumberSpec, family: str, k: int) -> FamilyFraction:
-    """Family fraction as a genuine positive-denominator approximant."""
-    if family == "1" and k >= 0:
-        sys_ = spec.system
-        if sys_.suffix_len(k + 1) <= sys_.suffix_len(k):
-            raise ConfigError(
-                f"family (1) at k={k} needs a_{k + 1} - b_{k + 1} >= 1"
-            )
+    """Family fraction as a genuine positive-denominator approximant.  The
+    denominator of (1) is b^(r_{k+1}) - b^(r_k), positive exactly when
+    a_{k+1} - b_{k+1} >= 1."""
     frac = formal_family_fraction(spec, family, k)
-    if frac.denominator <= 0:
-        raise ConfigError(f"family ({family}) at k={k} is only formal here")
-    return frac
+    if frac.denominator > 0:
+        return frac
+    if family == "1":
+        raise ConfigError(f"family (1) at k={k} needs a_{k + 1} - b_{k + 1} >= 1")
+    raise ConfigError(f"family ({family}) at k={k} is only formal here")
 
 
 def check_family_recurrences(spec: NumberSpec, k: int) -> dict[str, bool]:
     """Verify the five per-level recurrences between family fractions.
 
-    Each states numerator and denominator separately, e.g. family (1) at
-    level k equals c_k times family (4) at k-1 plus family (3) at k-1.
-    Failure is an implementation bug, not bad input.
+    The families are the convergents after each part of the level block,
+    so one walk in block order, from (3) and (4) at level k-1, checks that
+    each equals its entry times the previous family plus the one before,
+    numerator and denominator apart: (1) at k is c_k times (4) at k-1 plus
+    (3) at k-1, and so on up to (4) at k.  At k = 0 the (1) check is
+    skipped, (3) being undefined at -1.  Failure is an implementation
+    bug, not bad input.
     """
-    c, d, e, f = (_entry(spec, kind, k) for kind in "cdef")
-    f1 = formal_family_fraction(spec, "1", k)
-    f21 = formal_family_fraction(spec, "2-1", k)
-    f2 = formal_family_fraction(spec, "2", k)
-    f3 = formal_family_fraction(spec, "3", k)
-    f4 = formal_family_fraction(spec, "4", k)
-    f4p = formal_family_fraction(spec, "4", k - 1)
+    check_int(k, "level")
+    entries = {kind: _entry(spec, kind, k) for kind in "cdef"} | {"one": 1}
+    walk = [("3'", formal_family_fraction(spec, "3", k - 1) if k else None),
+            ("4'", formal_family_fraction(spec, "4", k - 1))]
     results = {}
-
-    def comp(name, left, coeff, mid, right):
-        ok = (left.numerator == coeff * mid.numerator + right.numerator
-              and left.denominator == coeff * mid.denominator + right.denominator)
-        results[name] = ok
-
-    if k >= 1:
-        f3p = formal_family_fraction(spec, "3", k - 1)
-        comp("(1)=c*(4')+(3')", f1, c, f4p, f3p)
-    comp("(2-1)=d*(1)+(4')", f21, d, f1, f4p)
-    comp("(2)=1*(2-1)+(1)", f2, 1, f21, f1)
-    comp("(3)=e*(2)+(2-1)", f3, e, f2, f21)
-    comp("(4)=f*(3)+(2)", f4, f, f3, f2)
+    for kind in _KINDS:
+        (older_name, older), (last_name, last) = walk[-2:]
+        family = _PART_FAMILY[kind]
+        frac = formal_family_fraction(spec, family, k)
+        if older is not None:
+            coeff = entries[kind]
+            name = f"({family})={coeff if kind == 'one' else kind}*({last_name})+({older_name})"
+            results[name] = (
+                frac.numerator == coeff * last.numerator + older.numerator
+                and frac.denominator == coeff * last.denominator + older.denominator)
+        walk.append((family, frac))
     if not all(results.values()):
         bad = [name for name, ok in results.items() if not ok]
         raise InternalError(f"family recurrences failed at k={k}: {bad}")

@@ -150,11 +150,14 @@ def read_int(x, what: str) -> int:
     return x
 
 
-def check_int(x, what: str) -> None:
+def check_int(x, what: str, least: int | None = None) -> None:
     """Refuse with ConfigError an `x` whose type is not int (a bool is
-    not): a library argument is never truncated or compared as a float."""
+    not): a library argument is never truncated or compared as a float.
+    With `least`, refuse an x below it too."""
     if type(x) is not int:
         raise ConfigError(f"{what} {x!r:.200} is not an integer")
+    if least is not None and x < least:
+        raise ConfigError(f"{what} must be >= {least}, got {shown_int(x)}")
 
 
 def read_list(obj: dict, key: str, what: str) -> list:

@@ -39,6 +39,9 @@ class IntegerDigits(NamedTuple):
     digits: tuple[int, ...]
 
     def _check(self):
+        for j, d in enumerate(self.digits, start=1):
+            if type(d) is not int:
+                raise DigitRuleError(j, f"digit {d!r:.200} is not an integer")
         if not self.digits or self.digits[-1] <= 0:
             raise DigitRuleError(len(self.digits), "top digit must be positive")
 
@@ -198,8 +201,9 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
     convergent scale k + 2, and the last convergent pair separates theta
     from every rational of denominator below q_{K-1} + q_K.
 
-    `sigma` is an exact Fraction or a coefficient pair (u, v) standing for
-    u*theta + v; floats are rejected because no floor can be certified
+    `sigma` is an exact Fraction (or int) or a coefficient pair (u, v)
+    standing for u*theta + v, u an int and v an int or a Fraction; floats,
+    and any other type, are refused because no floor can be certified
     from them.  The residual X passes the boundary between digits b - 1
     and b exactly when y = (X + theta_k)/theta_{k-1} > b - 1, so digit k
     is ceil(y) by one `floor_ratio`, clamped to 0..cap + 1 (past the
@@ -213,10 +217,11 @@ def encode_real(sigma, table: ConvergentTable) -> InterceptDigits:
     """
     if isinstance(sigma, float):
         raise ConfigError("float intercepts are rejected; pass a Fraction or (u, v) pair")
-    if isinstance(sigma, tuple):
-        coeff, const = int(sigma[0]), Fraction(sigma[1])
-    else:
-        coeff, const = 0, Fraction(sigma)
+    coeff, const = sigma if isinstance(sigma, tuple) and len(sigma) == 2 else (0, sigma)
+    check_int(coeff, "intercept coefficient u")
+    if type(const) not in (int, Fraction):
+        raise ConfigError(f"intercept constant {const!r:.200} is not an int or a Fraction")
+    const = Fraction(const)
     orig_coeff, orig_const = coeff, const
     limit = max(table.horizon - 2, 1)
 

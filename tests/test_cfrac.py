@@ -1,6 +1,7 @@
 import functools
 import gc
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -565,6 +566,9 @@ def test_family_fraction_edges(golden, slope532):
         f = family_fraction(spec, "4", k)
         assert f.numerator == word_value(spec.system.standard(k + 1), 2)
         assert f.denominator == 2 ** golden.q(k + 1) - 1
+    for b in (3, 5):
+        f = family_fraction(characteristic_spec(golden, b), "4", -1)
+        assert (f.numerator, f.denominator, f.height) == (0, b - 1, 1)
     with pytest.raises(ConfigError):
         # at k = 0 with a_1 - b_1 = 1 the family-(1) denominator vanishes
         family_fraction(spec, "1", 0)
@@ -595,6 +599,20 @@ def test_family_recurrences_examples(slope532):
     neg = negative_term_spec()
     for k in range(0, 6):
         assert all(check_family_recurrences(neg, k).values())
+
+
+def test_family_recurrences_walk_the_level_block(slope532):
+    spec = characteristic_spec(slope532, 3)
+    names = ["(1)=c*(4')+(3')", "(2-1)=d*(1)+(4')", "(2)=1*(2-1)+(1)",
+             "(3)=e*(2)+(2-1)", "(4)=f*(3)+(2)"]
+    assert list(check_family_recurrences(spec, 2)) == names
+    assert list(check_family_recurrences(spec, 0)) == names[1:]
+    for family in ("1", "2-1", "2", "3", "4"):
+        for k in (-2, -1) if family != "4" else (-2,):
+            for fraction in (formal_family_fraction, family_fraction):
+                with pytest.raises(ConfigError,
+                                   match=re.escape(f"family ({family}) undefined at k = {k}")):
+                    fraction(spec, family, k)
 
 
 def test_family_recurrences_random(rng):

@@ -19,7 +19,9 @@ from sturmian import (
     encode_real,
     validate_real_digits,
 )
-from sturmian import NumberSpec, WordSystem, ostrowski
+from sturmian import (NumberSpec, WordSystem, boehmer_term, check_family_recurrences,
+                      continued_fraction, family_fraction, ostrowski)
+from sturmian.cfrac import formal_family_fraction
 from sturmian.ostrowski import (IntegerDigits, InterceptDigits, _raise_ambiguous,
                                  digit_prefix_value)
 from sturmian.slope import sign_linear
@@ -502,10 +504,26 @@ def test_degenerate_rejects_bad_pairs(golden):
     lambda t, ws: ws.prefix_blocks(True),
     lambda t, ws: ws.prefix_blocks(-3),
     lambda t, ws: ws.letter(-10 ** 5000),
+    lambda t, ws: encode_real((0.5, Fraction(0)), t),
+    lambda t, ws: encode_real((0, 0.1), t),
+    lambda t, ws: encode_real(("1", Fraction(0)), t),
+    lambda t, ws: IntegerDigits(("x",)),
+    lambda t, ws: IntegerDigits((1.5,)),
+    lambda t, ws: formal_family_fraction(NumberSpec(2, ws), "4", 1.0),
+    lambda t, ws: family_fraction(NumberSpec(2, ws), "4", True),
+    lambda t, ws: check_family_recurrences(NumberSpec(2, ws), 1.0),
+    lambda t, ws: boehmer_term(t, 2.0, 1),
+    lambda t, ws: boehmer_term(t, 2, 1.0),
+    lambda t, ws: continued_fraction(NumberSpec(2, ws), terms=2.5),
+    lambda t, ws: continued_fraction(NumberSpec(2, ws), terms=-1),
 ], ids=["decode-float", "decode-bool", "validate-float", "validate-str", "from-digits",
         "encode-float", "encode-bool", "degenerate-m", "degenerate-p", "base-float",
         "base-fraction", "letter", "floor-letter", "prefix", "prefix-blocks-bool",
-        "prefix-blocks-negative", "letter-huge-negative"])
+        "prefix-blocks-negative", "letter-huge-negative", "encode-real-float-u",
+        "encode-real-float-v", "encode-real-str-u", "integer-digits-str",
+        "integer-digits-float", "formal-family-float-k", "family-bool-k",
+        "recurrences-float-k", "boehmer-float-base", "boehmer-float-k", "terms-float",
+        "terms-negative"])
 def test_a_non_integer_or_out_of_range_argument_is_refused(call, slope532):
     # a library call answers exactly or refuses with a typed error: never a
     # value from truncated or float digits, never TypeError, AttributeError
@@ -518,3 +536,6 @@ def test_a_non_integer_digit_is_refused_at_its_index(slope532):
     with pytest.raises(DigitRuleError) as err:
         validate_real_digits((0, 1, 2.0, -1), slope532)
     assert (err.value.index, err.value.rule) == (3, "digit 2.0 is not an integer")
+    with pytest.raises(DigitRuleError) as err:
+        IntegerDigits((1, True, 0))
+    assert (err.value.index, err.value.rule) == (2, "digit True is not an integer")
