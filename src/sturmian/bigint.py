@@ -26,30 +26,46 @@ so at the sizes the CLI serves those two built-ins dominate.
   the limit is never read here.  Splitting on bits also makes a value
   whose bits are sparse, such as a base-2 term of the golden slope,
   cheaper than dividing it by powers of ten would.
+* `forms_to_decimal(base, terms)` returns, as exact integral Decimals,
+  the values of terms given as closed forms: a constant plus forms
+  (s, x, z, y, c0), each s*b^x*G(b^z, y) + c0 with G(X, y) = 1 + X + ...
+  + X^(y-1), the shape of every partial quotient the CLI prints (see
+  `cfrac`).  Every power of b is built in `decimal` by squaring, once
+  per call, and G by the halving of `cfrac._geom`, so no term is ever
+  converted from binary.  The first eight terms of (5,3,2) K=11 b=3
+  (m = 1, p = 0; at most 8,384 digits) take 0.95 ms this way, against
+  0.44 ms to build them as ints and 1.55 ms more for `to_decimals` of
+  those (CPython 3.11.7, 2 vCPUs, medians of 15).
 * `continuants_to_decimal(terms, starts)` yields, one row per term, the
   strings of the continuants x_j = t_j*x_{j-1} + x_{j-2} for each seed
-  pair, such as the convergents (P_j, Q_j) of a continued fraction.
-  Converting each x_j from binary would cost O(M(n) log n) apiece;
-  instead each term and seed goes down the ladder of `to_decimals` once,
-  and the recurrence runs in `decimal`, one multiplication per step, so
-  no x_j is ever converted from binary.  Rows come one at a time, so a
-  caller that writes each as it comes holds only the last few: the x_j
-  grow geometrically, and the last rows are most of the output.
+  pair, such as the convergents (P_j, Q_j) of a continued fraction.  The
+  terms come as Decimals, those of `forms_to_decimal`, and the
+  recurrence runs in `decimal`, one multiplication per step, so no x_j
+  is ever converted from binary (which would cost O(M(n) log n) apiece).
+  Rows come one at a time, so a caller that writes each as it comes
+  holds only the last few: the x_j grow geometrically, and the last
+  rows are most of the output.
 * `_mul(x, y)` is the product of two integral Decimals >= 0 that the
-  recurrence and the ladder's splits use.  libmpdec multiplies by
-  schoolbook whenever the shorter operand has at most 256 words (of 19
-  digits on 64-bit builds, 9 on 32-bit ones), however long the other is,
-  as in a 441-word term times a 202-word convergent.  When the shorter
-  operand has 96-256 words and the longer more than 256, `_mul` shifts
-  the shorter left by z digits to 257 words, multiplies by transform,
-  and shifts the product right by z; that is exact, since the z digits
-  dropped are the zeros just added.  Timed on
-  CPython 3.11 (shorter x longer in words, plain -> padded): 64 x 2000
-  1.12 -> 1.32 ms, 80 x 1000 0.72 -> 0.72 ms, 96 x 1000 0.84 -> 0.66 ms,
-  128 x 441 0.53 -> 0.34 ms, 256 x 5000 11.5 -> 3.0 ms; padding breaks
-  even at about 80 words whatever the longer operand's size.
+  recurrence, the powers and the ladder's splits use.  libmpdec
+  multiplies by schoolbook whenever the shorter operand has at most 256
+  words (of 19 digits on 64-bit builds, 9 on 32-bit ones), however long
+  the other is, as in a 441-word term times a 202-word convergent.  When
+  the shorter operand has 96-256 words and the longer more than 256,
+  `_mul` shifts the shorter left by z digits to 257 words, multiplies by
+  transform, and shifts the product right by z; that is exact, since the
+  z digits dropped are the zeros just added.  Timed on CPython 3.11
+  (shorter x longer in words, plain -> padded): 64 x 2000 1.12 -> 1.32
+  ms, 80 x 1000 0.72 -> 0.72 ms, 96 x 1000 0.84 -> 0.66 ms, 128 x 441
+  0.53 -> 0.34 ms, 256 x 5000 11.5 -> 3.0 ms; padding breaks even at
+  about 80 words whatever the longer operand's size.  When both have at
+  most 256 words, as in squaring a power of the base, the transform of
+  two operands padded to 257 words costs about 0.2 ms whatever their
+  size, and schoolbook about 0.011 us per pair of words, so both are
+  padded from 20,000 pairs on (CPython 3.11.7, plain -> padded): 120 x
+  120 0.160 -> 0.188 ms, 140 x 140 0.223 -> 0.211 ms, 100 x 200 0.233 ->
+  0.212 ms, 256 x 256 0.674 -> 0.182 ms.
 
-Both decimal paths compute in one exact context (precision and exponent
+All decimal paths compute in one exact context (precision and exponent
 at their maxima, `Inexact` and `Rounded` trapped), so a rounding raises
 rather than passing silently, and the caller's context is left as it was;
 the continuant rows enter it afresh for each row, so it is never left in
@@ -61,7 +77,7 @@ Nothing here imports from the package.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import (MAX_EMAX, MAX_PREC, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 
@@ -77,6 +93,7 @@ _DECIMAL_LEAF_BITS = 1024  # ladder parts this small become Decimal, or str, dir
 _WORD_DIGITS = 19 if MAX_PREC > 425_000_000 else 9
 _SCHOOLBOOK_WORDS = 256  # libmpdec's schoolbook bound on the shorter operand
 _PAD_WORDS = 96  # shorter operands from here to the bound are padded
+_PAD_PRODUCT = 20_000  # operands both within the bound are padded from here
 
 # exact decimal arithmetic: a result that would need rounding raises
 # instead (`localcontext` copies this, so it is never changed)
@@ -159,39 +176,87 @@ def to_decimals(values: Sequence[int]) -> list[str]:
         return [_to_str(n, ladder) for n in values]
 
 
-def continuants_to_decimal(terms: Sequence[int],
+def forms_to_decimal(base: int, terms: Iterable[tuple[int, Iterable[Sequence[int]]]]) -> list[Decimal]:
+    """For each term (const, forms), const plus the values of its forms as
+    one exact integral Decimal, a form (s, x, z, y, c0) being
+    s*b^x*G(b^z, y) + c0 with G(X, y) = 1 + X + ... + X^(y-1), zero for
+    y <= 0.  Nothing is converted from binary: every power of b is built
+    in `decimal`, once per call, and G as `cfrac._geom` computes it."""
+    with localcontext(_EXACT):
+        powers = {0: Decimal(1)}
+        return [sum((_form_value(base, form, powers) for form in forms), Decimal(const))
+                for const, forms in terms]
+
+
+def _form_value(base: int, form: Sequence[int], powers: dict[int, Decimal]) -> Decimal:
+    """The value of one form.  Call it inside the `_EXACT` context."""
+    s, x, z, y, c0 = form
+    v = _mul(_power(base, x, powers), _geom(base, z, y, powers))
+    return (v if s > 0 else -v) + c0
+
+
+def _power(base: int, e: int, powers: dict[int, Decimal]) -> Decimal:
+    """b^e from the cache `powers`, by squaring the cached b^(e // 2)."""
+    p = powers.get(e)
+    if p is None:
+        h = _power(base, e >> 1, powers)
+        p = powers[e] = _mul(h, h) * base if e & 1 else _mul(h, h)
+    return p
+
+
+def _geom(base: int, step: int, count: int, powers: dict[int, Decimal]) -> Decimal:
+    """G(b^step, count) by halving, as `cfrac._geom` computes it in ints.
+    Call it inside the `_EXACT` context."""
+    if count <= 1:
+        return Decimal(max(count, 0))
+    half = count >> 1
+    g = _mul(_geom(base, step, half, powers), _power(base, half * step, powers) + 1)
+    if count & 1:
+        g += _power(base, 2 * half * step, powers)
+    return g
+
+
+def continuants_to_decimal(terms: Sequence[Decimal],
                            starts: Sequence[tuple[int, int]]) -> Iterator[tuple[str, ...]]:
     """For each term t_j in turn, the decimal strings of x_j for each seed
     pair (x_{-1}, x_0) in `starts`, where x_j = t_j*x_{j-1} + x_{j-2}.
 
-    Terms and seeds must be >= 0, which is checked here, as the call is
-    made; so are the seeds converted and the one ladder built.  Each term
-    is converted as its row is reached, and the recurrence runs in exact
-    `decimal`.  The rows come from a generator that enters the exact
-    context afresh for each row and leaves it before yielding, so the
-    caller's context is in force whenever the generator is suspended; the
-    ladder and the last two values of each seed go with it once it is
-    exhausted."""
-    values = [*terms, *(x for pair in starts for x in pair)]
-    if min(values, default=0) < 0:
+    The terms are integral Decimals, such as those of `forms_to_decimal`,
+    and the seeds ints.  Terms and seeds must be >= 0, which is checked
+    here, as the call is made; so are the seeds converted, a seed past
+    the ladder's leaf size down a ladder built for it alone.  The
+    recurrence runs in exact `decimal`.  The rows come from a generator
+    that enters the exact context afresh for each row and leaves it
+    before yielding, so the caller's context is in force whenever the
+    generator is suspended.  It holds the terms still to come, a copy of
+    `terms` from which each is dropped as its row is computed, and the
+    last two values of each seed, which go with it once it is exhausted;
+    a caller that keeps no reference of its own to `terms` so holds no
+    term past its row."""
+    seeds = [x for pair in starts for x in pair]
+    if min([*terms, *seeds], default=0) < 0:
         raise ValueError("continuant terms and seeds must be >= 0")
     with localcontext(_EXACT):
-        ladder = _ladder(max(map(int.bit_length, values), default=0))
-        pairs = [(_exact(a, ladder), _exact(b, ladder)) for a, b in starts]
-    return _continuant_rows(terms, pairs, ladder)
+        ladder = _ladder(max(map(int.bit_length, seeds), default=0))
+        pairs = [tuple(Decimal(x) if x.bit_length() <= _DECIMAL_LEAF_BITS else _exact(x, ladder)
+                       for x in pair) for pair in starts]
+    return _continuant_rows(list(reversed(terms)), pairs)
 
 
-def _continuant_rows(terms: Sequence[int], pairs: list[tuple[Decimal, Decimal]],
-                     ladder: list[Decimal]) -> Iterator[tuple[str, ...]]:
-    """The rows of `continuants_to_decimal`, from its converted seeds."""
-    for t in terms:
+def _continuant_rows(pending: list[Decimal],
+                     pairs: list[tuple[Decimal, Decimal]]) -> Iterator[tuple[str, ...]]:
+    """The rows of `continuants_to_decimal`, from its converted seeds and
+    its terms in reverse order, each popped, and so let go, as its row is
+    computed."""
+    while pending:
+        t = pending.pop()
         with localcontext(_EXACT):
-            d = _exact(t, ladder)
             row = []
             for i, (prev, cur) in enumerate(pairs):
-                nxt = _mul(d, cur) + prev
+                nxt = _mul(t, cur) + prev
                 pairs[i] = cur, nxt
                 row.append(str(nxt))
+        del t  # let go before the row is handed over
         yield tuple(row)
 
 
@@ -233,24 +298,28 @@ def _as_decimal(x: int, j: int, powers: list[Decimal]) -> Decimal:
             + _as_decimal(x - (hi << k), j, powers))
 
 
-def _padding(short: int, long: int) -> int:
-    """The zeros `_mul` appends to its shorter operand, for operands of
-    `short` <= `long` digits: enough to take it to 257 words when it has
-    _PAD_WORDS to 256 and the longer more than 256, else 0."""
+def _padding(short: int, long: int) -> tuple[int, int]:
+    """The zeros `_mul` appends to its operands of `short` <= `long` digits,
+    each padded operand taken to 257 words: the shorter alone when it has
+    _PAD_WORDS to 256 words and the longer more than 256; both when both
+    have at most 256 and the product of their word counts is at least
+    _PAD_PRODUCT; else neither."""
     words = (short - 1) // _WORD_DIGITS + 1
-    if _PAD_WORDS <= words <= _SCHOOLBOOK_WORDS < (long - 1) // _WORD_DIGITS + 1:
-        return _SCHOOLBOOK_WORDS * _WORD_DIGITS + 1 - short
-    return 0
+    long_words = (long - 1) // _WORD_DIGITS + 1
+    top = _SCHOOLBOOK_WORDS * _WORD_DIGITS + 1
+    if long_words <= _SCHOOLBOOK_WORDS:
+        return (top - short, top - long) if words * long_words >= _PAD_PRODUCT else (0, 0)
+    return (top - short, 0) if _PAD_WORDS <= words <= _SCHOOLBOOK_WORDS else (0, 0)
 
 
 def _mul(x: Decimal, y: Decimal) -> Decimal:
-    """x*y for integral Decimals x, y >= 0, with the shorter operand
-    zero-padded past libmpdec's schoolbook bound when that is faster.
-    Call it inside the `_EXACT` context."""
+    """x*y for integral Decimals x, y >= 0, with operands zero-padded past
+    libmpdec's schoolbook bound when that is faster.  Call it inside the
+    `_EXACT` context."""
     if x.adjusted() > y.adjusted():
         x, y = y, x
-    z = _padding(x.adjusted() + 1, y.adjusted() + 1)
-    if not z:
+    zx, zy = _padding(x.adjusted() + 1, y.adjusted() + 1)
+    if not zx:
         return x * y
-    # `shift` drops digits without signalling: these are the z zeros added
-    return (x.shift(z) * y).shift(-z)
+    # `shift` drops digits without signalling: these are the zeros added
+    return (x.shift(zx) * y.shift(zy)).shift(-zx - zy)

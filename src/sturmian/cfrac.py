@@ -21,6 +21,16 @@ turn, and each family but (2-1) is the value of the eventually periodic
 word that its `_WORDS` pair (x, y) gives, y followed by x's rest forever;
 (2-1) is (2) minus (1).
 
+Every entry is a closed form (s, x, z, y, c0), the value
+s*b^x*G(b^z, y) + c0 with G(X, y) = 1 + X + ... + X^(y-1), and so is
+each of Böhmer's closed-form terms: `_entry` and `boehmer_form` write
+them, and `_evaluate` alone values one as an int.  A released term
+(`TermForm`) is its constant plus the forms of the entries it sums.
+`continued_fraction` values it as an int (`Term`), which the oracle and
+the library's references use; the CLI prints it from its forms in exact
+decimal (`bigint.forms_to_decimal`), so no printed term is converted
+from binary.
+
 The rules look only at signs, and every sign is fixed by the digits:
 c_k < 0 iff a_{k+1} = b_{k+1}, c_k = 0 iff a_{k+1} - b_{k+1} = 1,
 d_k = 0 iff t_k = 0, e_k >= 1, and f_k = 0 iff b_{k+1} = 0.  So the
@@ -36,11 +46,12 @@ stability rule applies: terms involving the last two levels are
 withheld, because a longer stream could still rewrite them, and a
 trailing zero is dropped.  Everything released is final and equal to the
 corresponding term of the expansion over all known levels.  Each raw
-part ends up in exactly one released term, which computes the entries it
-names and nothing else: none is computed twice or kept, `--terms N` pays
-only for its N terms, and no expansion computes its last two levels.  The
-depth belongs to the word system: one level per known intercept digit
-(`WordSystem.levels`), so a shallower number is a shorter digit prefix.
+part ends up in exactly one released term, which builds the forms of the
+entries it names and nothing else: none is built twice or kept,
+`--terms N` pays only for its N terms, and no expansion builds its last
+two levels.  The depth belongs to the word system: one level per known
+intercept digit (`WordSystem.levels`), so a shallower number is a
+shorter digit prefix.
 """
 
 from __future__ import annotations
@@ -53,12 +64,18 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import (ConfigError, DigitRuleError, InternalError, check_budget, check_int,
-                     shown_int, validated)
+                     check_type, shown_int, validated)
+from .slope import ConvergentTable
 from .words import WordSystem
 
 # Family tag of a surviving raw part: position in the 5-term level block.
 _PART_FAMILY = {"c": "1", "d": "2-1", "one": "2", "e": "3", "f": "4"}
 _KINDS = tuple(_PART_FAMILY)
+
+# Each entry of the improper expansion, and each Böhmer term, is a form
+# (s, x, z, y, c0): the value s * b^x * G(b^z, y) + c0, where the geometric
+# sum G(X, y) = 1 + X + ... + X^(y-1) is 0 for y <= 0
+Form = tuple[int, int, int, int, int]
 
 
 @validated
@@ -70,6 +87,13 @@ class NumberSpec(NamedTuple):
 
     def _check(self):
         check_int(self.base, "base", least=2)
+        check_type(self.system, WordSystem, "system")
+
+
+# the deepest level of a term's raw parts, and its convergent family: that
+# of its last merged part
+_LEVEL = property(lambda self: max(k for _, k in self.parts))
+_FAMILY = property(lambda self: (_PART_FAMILY[self.parts[-1][0]], self.parts[-1][1]))
 
 
 class Term(NamedTuple):
@@ -78,15 +102,23 @@ class Term(NamedTuple):
     value: int
     parts: tuple[tuple[str, int], ...]
 
-    @property
-    def level(self) -> int:
-        return max(k for _, k in self.parts)
+    level = _LEVEL
+    family = _FAMILY
 
-    @property
-    def family(self) -> tuple[str, int]:
-        """Convergent family of this term: that of its last merged part."""
-        kind, k = self.parts[-1]
-        return _PART_FAMILY[kind], k
+
+class TermForm(NamedTuple):
+    """One stream term as its closed form, `const` plus the `Form`s of the
+    entries it sums, with the raw parts merged into it."""
+
+    const: int
+    forms: tuple[Form, ...]
+    parts: tuple[tuple[str, int], ...]
+
+    level = _LEVEL
+    family = _FAMILY
+
+    def value(self, base: int) -> int:
+        return self.const + sum(_evaluate(f, base) for f in self.forms)
 
 
 class ConvergentPair(NamedTuple):
@@ -158,7 +190,8 @@ def word_value(word: str, base: int) -> int:
 
 
 def _geom(base: int, step: int, count: int) -> int:
-    """1 + x + ... + x^(count-1) with x = b^step, zero when count <= 0.
+    """G(b^step, count) = 1 + x + ... + x^(count-1) with x = b^step, zero
+    when count <= 0.
 
     Multiplications only, by halving: G(2m) = G(m) (x^m + 1) and
     G(2m+1) = G(2m) + x^(2m).
@@ -173,6 +206,13 @@ def _geom(base: int, step: int, count: int) -> int:
     return g
 
 
+def _evaluate(form: Form, base: int) -> int:
+    """The int value of a form, s * b^x * G(b^z, y) + c0."""
+    s, x, z, y, c0 = form
+    v = pow(base, x) if y == 1 else pow(base, x) * _geom(base, z, y)
+    return (v if s > 0 else -v) + c0
+
+
 def _check_power(base: int, exponent: int, what: str):
     """Refuse with HorizonError a power base^e, e <= `exponent`, that may
     have bits past the size budget ((b - 1).bit_length() is the ceiling
@@ -180,43 +220,51 @@ def _check_power(base: int, exponent: int, what: str):
     check_budget(exponent * (base - 1).bit_length(), f"{what} needs powers of the base", "bits")
 
 
-def _entry(spec: NumberSpec, kind: str, k: int) -> int:
+def _entry(spec: NumberSpec, kind: str, k: int) -> Form:
     """Entry `kind` of level k, one of the four integers that feed the
-    improper expansion beside the constant 1:
+    improper expansion beside the constant 1, as its form:
 
-      c_k = b^(r_k + q_{k-1}) (b^((a_{k+1}-b_{k+1}-1) q_k) - 1)/(b^(q_k) - 1),
+      c_k = b^(r_k + q_{k-1}) G(b^(q_k), a_{k+1} - b_{k+1} - 1),
+            or -b^(r_k + q_{k-1} - q_k) when a_{k+1} = b_{k+1},
       d_k = b^(t_k) - 1,   e_k = b^(r_k) - 1,
-      f_k = b^(t_k) (b^(b_{k+1} q_k) - 1)/(b^(q_k) - 1).
+      f_k = b^(t_k) G(b^(q_k), b_{k+1}).
 
     Signs are as the module docstring states.  Reads intercept digit
     k+1; its powers of the base reach at most b^(q_{k+1})."""
     sys_, b = spec.system, spec.base
     _check_power(b, sys_.table.q(k + 1), f"level {k}")
     if kind == "d":
-        return pow(b, sys_.offset(k)) - 1
+        return 1, sys_.offset(k), 0, 1, -1
     if kind == "e":
-        return pow(b, sys_.suffix_len(k)) - 1
+        return 1, sys_.suffix_len(k), 0, 1, -1
     if kind == "f":
-        return pow(b, sys_.offset(k)) * _geom(b, sys_.q(k), sys_.digit(k + 1))
+        return 1, sys_.offset(k), sys_.q(k), sys_.digit(k + 1), 0
     r, qk, qk1 = sys_.suffix_len(k), sys_.q(k), sys_.table.q(k - 1)
     gap = sys_.gap(k + 1)
     if gap == 0:
         # b_k = 0 here, so r_{k-1} = r_k + q_{k-1} - q_k
-        return -pow(b, r + qk1 - qk)
-    return pow(b, r + qk1) * _geom(b, qk, gap - 1)
+        return -1, r + qk1 - qk, 0, 1, 0
+    return 1, r + qk1, qk, gap - 1, 0
 
 
-def boehmer_term(table, base: int, k: int) -> int:
-    """Closed-form partial quotient (b^(q_k) - b^(q_{k-2}))/(b^(q_{k-1}) - 1).
+def boehmer_form(table, base: int, k: int) -> Form:
+    """The form of Böhmer's closed-form partial quotient
+    (b^(q_k) - b^(q_{k-2}))/(b^(q_{k-1}) - 1) = b^(q_{k-2}) G(b^(q_{k-1}), a_k).
 
     Only valid for the characteristic word (all intercept digits zero).
     """
+    check_type(table, ConvergentTable, "table")
     check_int(base, "base", least=2)
     check_int(k, "level")
     if k < 1:
         raise ConfigError("closed-form terms start at k = 1")
     _check_power(base, table.q(k), f"closed-form term {k}")  # b^(q_k) at most
-    return pow(base, table.q(k - 2)) * _geom(base, table.q(k - 1), table.a(k))
+    return 1, table.q(k - 2), table.q(k - 1), table.a(k), 0
+
+
+def boehmer_term(table, base: int, k: int) -> int:
+    """The value of `boehmer_form`."""
+    return _evaluate(boehmer_form(table, base, k), base)
 
 
 class _Pending(NamedTuple):
@@ -337,18 +385,27 @@ def _rewrite(spec: NumberSpec) -> Iterator[_Pending]:
     return _fold_zeros(_collapse(spec.system, signed))
 
 
-def final_terms(spec: NumberSpec) -> Iterator[Term]:
+def final_terms(spec: NumberSpec) -> Iterator[TermForm]:
     """The regular expansion over the L = `spec.system.levels` known
     levels, built on demand: the terms of `_rewrite` less those involving
     levels L-2 and L-1 (a longer stream could still rewrite them) and a
-    trailing zero, each valued from the entries it names."""
+    trailing zero, each as the forms of the entries it names."""
     levels = spec.system.levels
     if levels < 1:
         raise ConfigError("need at least one level")
     for t in _rewrite(spec):
         if t.sign and t.level <= levels - 3:
-            yield Term(t.const + sum(_entry(spec, kind, k) for kind, k in t.refs),
-                       t.parts)
+            yield TermForm(t.const, tuple(_entry(spec, kind, k) for kind, k in t.refs),
+                           t.parts)
+
+
+def term_forms(spec: NumberSpec, *, terms: int | None = None) -> tuple[TermForm, ...]:
+    """The first `terms` terms of `final_terms` (all of them by default,
+    or when `terms` is past what any expansion could hold)."""
+    check_type(spec, NumberSpec, "spec")
+    if terms is not None:
+        check_int(terms, "terms", least=0)
+    return tuple(islice(final_terms(spec), None if terms is None else min(terms, sys.maxsize)))
 
 
 class _Terms(tuple):
@@ -356,11 +413,8 @@ class _Terms(tuple):
 
 
 def continued_fraction(spec: NumberSpec, *, terms: int | None = None) -> tuple[Term, ...]:
-    """The first `terms` terms of `final_terms` (all of them by default,
-    or when `terms` is past what any expansion could hold)."""
-    if terms is not None:
-        check_int(terms, "terms", least=0)
-    return _Terms(islice(final_terms(spec), None if terms is None else min(terms, sys.maxsize)))
+    """The terms of `term_forms`, valued as ints."""
+    return _Terms(Term(t.value(spec.base), t.parts) for t in term_forms(spec, terms=terms))
 
 
 def convergents(terms: tuple[Term, ...], base: int) -> list[ConvergentPair]:
@@ -369,6 +423,9 @@ def convergents(terms: tuple[Term, ...], base: int) -> list[ConvergentPair]:
     The CLI prints P_j, Q_j from the same recurrence run in decimal
     (`bigint.continuants_to_decimal`); this int version is the reference
     its output is tested against."""
+    check_int(base, "base", least=2)
+    if not isinstance(terms, (tuple, list)) or not all(isinstance(t, Term) for t in terms):
+        raise ConfigError(f"terms {terms!r:.200} is not a sequence of Term records")
     pairs = []
     p_prev, q_prev = base - 1, 0  # index -1
     p_cur, q_cur = 0, base - 1  # index 0
@@ -402,8 +459,9 @@ def formal_family_fraction(spec: NumberSpec, family: str, k: int) -> FamilyFract
     """Family fraction without sign restrictions (numerator and denominator
     may be negative or zero in the formal edge cases).  Only (4) is
     defined at k = -1, where aligned(0) = "0" gives 0/(b - 1)."""
+    check_type(spec, NumberSpec, "spec")
     if family not in _PART_FAMILY.values():
-        raise ConfigError(f"unknown family {family!r}")
+        raise ConfigError(f"unknown family {family!r:.200}")
     check_int(k, "level")
     if k < -1 or k == -1 and family != "4":
         raise ConfigError(f"family ({family}) undefined at k = {shown_int(k)}")
@@ -440,8 +498,9 @@ def check_family_recurrences(spec: NumberSpec, k: int) -> dict[str, bool]:
     skipped, (3) being undefined at -1.  Failure is an implementation
     bug, not bad input.
     """
+    check_type(spec, NumberSpec, "spec")
     check_int(k, "level")
-    entries = {kind: _entry(spec, kind, k) for kind in "cdef"} | {"one": 1}
+    entries = {kind: _evaluate(_entry(spec, kind, k), spec.base) for kind in "cdef"} | {"one": 1}
     walk = [("3'", formal_family_fraction(spec, "3", k - 1) if k else None),
             ("4'", formal_family_fraction(spec, "4", k - 1))]
     results = {}

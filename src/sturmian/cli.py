@@ -5,16 +5,21 @@ exponent | verify | boehmer.  A JSON config file supplies the slope and
 intercept; flags override.  Data goes to stdout, diagnostics to stderr;
 all numeric payloads are decimal strings.  Every printed integer comes
 from `bigint`, all of a command's values in one call, so each power is
-built once per command; P/Q from `continuants_to_decimal`, which runs
-the recurrence of `cfrac.convergents` in decimal over the printed terms
-and hands over one row at a time, written as it comes, and the rest
-from `to_decimals`.  Both are subquadratic and never read the
+built once per command.  The terms of `cf`, `convergents` and `boehmer`
+are never built as ints: `cfrac` gives each as its closed forms
+(`cfrac.term_forms`, `cfrac.boehmer_form`), and `forms_to_decimal`
+evaluates those in exact decimal, once per command, `boehmer --check`
+comparing the two lists of Decimals.  P/Q come from
+`continuants_to_decimal`, which runs the recurrence of
+`cfrac.convergents` in decimal over those terms and hands over one row
+at a time, written as it comes; every other value goes through
+`to_decimals`.  All of them are subquadratic and never read the
 interpreter's int-to-str digit limit, let alone change it.  The only
 exceptions, printed by `str`, are level and term indices and the echoed
 base and length: inputs are held to that limit, which `errors.read_int`
-alone reads.  `word` writes its prefix block by
-block from `WordSystem.prefix_blocks`, in every format, so no command
-holds the whole word as one string only to print it.  Every check that
+alone reads.  `word` writes its prefix block by block from
+`WordSystem.prefix_blocks`, in every format, so no command holds the
+whole word as one string only to print it.  Every check that
 can refuse a command runs before its first byte is written, so a
 refused command prints nothing.  Exit codes: 0 success, 2 invalid
 config/digits, 3 horizon or precision exhaustion, 4 internal invariant
@@ -48,7 +53,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import cfrac, exponent, oracle, ostrowski, slope, words
-from .bigint import continuants_to_decimal, to_decimals
+from .bigint import continuants_to_decimal, forms_to_decimal, to_decimals
 from .errors import (ConfigError, DigitLimitError, HorizonError, InternalError, SturmianError,
                      read_int, shown_int)
 
@@ -147,42 +152,48 @@ class _Pieces(NamedTuple):
 
 
 def _emit(payload: dict, fmt: str, text):
-    """Write the payload as `json.dumps(payload, sort_keys=True)` would,
-    one top-level field at a time, its keys strings.  A field whose value
-    is an iterator is written item by item as a JSON list, so each item
-    need only exist while it is written; a `_Pieces` field is written
-    piece by piece as one JSON string.  JSON escapes each character on
-    its own, so the escaped pieces concatenate to the escaped string.
-    For the text and rle formats, write instead what `text()` returns,
-    called only then: a string, or an iterable of strings written one
-    after another.  The newline follows either."""
+    """Write the payload as `json.dumps(payload, sort_keys=True)` would
+    (`_write_json`).  For the text and rle formats, write instead what
+    `text()` returns, called only then: a string, or an iterable of
+    strings written one after another.  The newline follows either."""
     write = sys.stdout.write
     if fmt != "json":
         body = text()
         for piece in [body] if isinstance(body, str) else body:
             write(piece)
-        write("\n")
-        return
-    write("{")
-    for n, key in enumerate(sorted(payload)):
-        write(f"{', ' if n else ''}{_JSON.encode(key)}: ")
-        value = payload[key]
-        if isinstance(value, _Pieces):
-            write('"')
-            for piece in value.pieces:
-                write(_JSON.encode(piece)[1:-1])
-            write('"')
-            continue
-        if not isinstance(value, Iterator):
-            write(_JSON.encode(value))
-            continue
+    else:
+        _write_json(payload, write)
+    write("\n")
+
+
+def _write_json(value, write):
+    """Write `value` as `json.dumps(value, sort_keys=True)` would: a dict
+    field by field, its keys strings, so that the JSON text of its largest
+    field is the most of it that exists at once, and an iterator item by
+    item, so that each item need only exist while it is written.  A
+    `_Pieces` value is written piece by piece as one JSON string: JSON
+    escapes each character on its own, so the escaped pieces concatenate
+    to the escaped string."""
+    if isinstance(value, dict):
+        write("{")
+        for n, key in enumerate(sorted(value)):
+            write(f"{', ' if n else ''}{_JSON.encode(key)}: ")
+            _write_json(value[key], write)
+        write("}")
+    elif isinstance(value, Iterator):
         write("[")
         for i, item in enumerate(value):
             if i:
                 write(", ")
-            write(_JSON.encode(item))
+            _write_json(item, write)
         write("]")
-    write("}\n")
+    elif isinstance(value, _Pieces):
+        write('"')
+        for piece in value.pieces:
+            write(_JSON.encode(piece)[1:-1])
+        write('"')
+    else:
+        write(_JSON.encode(value))
 
 
 def _write_bits(length: int, blocks):
@@ -269,16 +280,20 @@ def _number_spec(cfg, system) -> cfrac.NumberSpec:
     return cfrac.NumberSpec(_config_int(cfg, "base", 2), system)
 
 
+def _term_values(spec: cfrac.NumberSpec, terms) -> list:
+    """The exact Decimal values of `cfrac.TermForm`s, from their forms."""
+    return forms_to_decimal(spec.base, ((t.const, t.forms) for t in terms))
+
+
 def cmd_cf(args, cfg, system):
     spec = _number_spec(cfg, system)
-    terms = cfrac.continued_fraction(spec, terms=args.terms)
-    values = to_decimals([t.value for t in terms])
+    terms = cfrac.term_forms(spec, terms=args.terms)
     payload = {
         "base": str(spec.base),
         "terms": [
-            {"term": value, "family": f"({t.family[0]})_{t.family[1]}",
+            {"term": str(value), "family": f"({t.family[0]})_{t.family[1]}",
              "k": str(t.family[1])}
-            for t, value in zip(terms, values)
+            for t, value in zip(terms, _term_values(spec, terms))
         ],
     }
     _emit(payload, args.format, lambda: " ".join(t["term"] for t in payload["terms"]))
@@ -286,12 +301,12 @@ def cmd_cf(args, cfg, system):
 
 def cmd_convergents(args, cfg, system):
     spec = _number_spec(cfg, system)
-    terms = cfrac.continued_fraction(spec, terms=args.terms)
+    terms = cfrac.term_forms(spec, terms=args.terms)
     # P_j and Q_j by the recurrence of `cfrac.convergents`, run in decimal,
     # whose products `bigint._mul` keeps off libmpdec's schoolbook path;
     # each row is written as it comes, so only the last ones are held
     b1 = spec.base - 1
-    rows = continuants_to_decimal([t.value for t in terms], [(b1, 0), (0, b1)])
+    rows = continuants_to_decimal(_term_values(spec, terms), [(b1, 0), (0, b1)])
     payload = {
         "base": str(spec.base),
         "convergents": (
@@ -372,14 +387,20 @@ def cmd_boehmer(args, cfg, system):
     spec = _number_spec(cfg, system)
     if system.rho != (1, 0):  # rho = theta: every intercept digit is zero
         raise ConfigError("closed-form terms need the characteristic intercept")
+    table = system.table
     upto = args.terms or (system.levels - 4)
-    closed = [cfrac.boehmer_term(system.table, spec.base, k) for k in range(1, upto + 1)]
-    if args.check:
-        stream = [t.value for t in cfrac.continued_fraction(spec, terms=len(closed))]
-        overlap = min(len(stream), len(closed))
-        if closed[:overlap] != stream[:overlap]:
-            raise InternalError("closed form disagrees with the pipeline")
-    payload = {"terms": to_decimals(closed)}
+    if upto > table.horizon:  # term k reads q_k
+        raise HorizonError(f"closed-form term {shown_int(upto)} is past the horizon "
+                           f"K = {table.horizon}")
+    closed = [(0, (cfrac.boehmer_form(table, spec.base, k),)) for k in range(1, upto + 1)]
+    stream = cfrac.term_forms(spec, terms=len(closed)) if args.check else ()
+    # both in one call, so the two share their powers of the base
+    values = forms_to_decimal(spec.base, [*closed, *((t.const, t.forms) for t in stream)])
+    closed, stream = values[:len(closed)], values[len(closed):]
+    overlap = min(len(stream), len(closed))
+    if closed[:overlap] != stream[:overlap]:
+        raise InternalError("closed form disagrees with the pipeline")
+    payload = {"terms": [str(v) for v in closed]}
     _emit(payload, args.format, lambda: " ".join(payload["terms"]))
 
 

@@ -160,6 +160,12 @@ def check_int(x, what: str, least: int | None = None) -> None:
         raise ConfigError(f"{what} must be >= {least}, got {shown_int(x)}")
 
 
+def check_type(x, cls: type, what: str) -> None:
+    """Refuse with ConfigError an `x` that is not a `cls`."""
+    if not isinstance(x, cls):
+        raise ConfigError(f"{what} {x!r:.200} is not a {cls.__name__}")
+
+
 def read_list(obj: dict, key: str, what: str) -> list:
     """obj[key] (missing: empty), a JSON list; a string, which would read
     as its characters, or any other type raises ConfigError."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian import PrecisionError, SlopeSpec, SturmianError, build_table
-from sturmian.cfrac import NumberSpec, Term, _entry
+from sturmian.cfrac import NumberSpec, Term, _entry, _evaluate
 from sturmian.ostrowski import InterceptDigits
 from sturmian.words import WordSystem
 
@@ -220,10 +220,16 @@ def shallower(spec, levels):
     return NumberSpec(spec.base, shallower_word(spec.system, levels))
 
 
+def entry_value(spec, kind, k):
+    """The int value of entry `kind` of level k, from the form `_entry`
+    gives."""
+    return _evaluate(_entry(spec, kind, k), spec.base)
+
+
 def raw_terms(spec, levels):
     """The improper stream c_0, d_0, 1, e_0, f_0, c_1, ... of `levels`
     levels as concrete terms, each entry from `_entry`."""
-    return [Term(1 if kind == "one" else _entry(spec, kind, k), ((kind, k),))
+    return [Term(1 if kind == "one" else entry_value(spec, kind, k), ((kind, k),))
             for k in range(levels) for kind in ("c", "d", "one", "e", "f")]
 
 
@@ -232,7 +238,7 @@ def value_refs(spec, terms):
     order: each term's parts less the constant 1s, the zero parts and the
     interior of a rule-(i) window, whose value is c_k + 1 + e_{k+1}.
     Signs are read from the entries' values."""
-    entry = functools.cache(functools.partial(_entry, spec))
+    entry = functools.cache(functools.partial(entry_value, spec))
     refs = []
     for t in terms:
         interior = set()
@@ -247,7 +253,7 @@ def value_refs(spec, terms):
 def evaluated(spec, pending):
     """Concrete terms of rewrite terms: each one's constant plus the
     entries it names."""
-    return [Term(t.const + sum(_entry(spec, kind, k) for kind, k in t.refs),
+    return [Term(t.const + sum(entry_value(spec, kind, k) for kind, k in t.refs),
                  t.parts) for t in pending]
 
 

@@ -248,10 +248,16 @@ def reference_continuants(terms, starts):
     return out
 
 
+def decimals(terms):
+    """Int terms as the integral Decimals `continuants_to_decimal` takes."""
+    return [decimal.Decimal(t) for t in terms]
+
+
 def continuant_columns(terms, starts):
-    """The rows of `continuants_to_decimal`, one per term, read out as one
-    list of strings per seed, the shape of `reference_continuants`."""
-    rows = list(bigint.continuants_to_decimal(terms, starts))
+    """The rows of `continuants_to_decimal` over int `terms`, one per term,
+    read out as one list of strings per seed, the shape of
+    `reference_continuants`."""
+    rows = list(bigint.continuants_to_decimal(decimals(terms), starts))
     assert len(rows) == len(terms) and all(len(row) == len(starts) for row in rows)
     return [[row[i] for row in rows] for i in range(len(starts))]
 
@@ -337,7 +343,7 @@ def test_continuant_rows_leave_the_callers_context_while_suspended():
         ctx.prec, ctx.Emax = 5, 10
         ctx.traps[decimal.Inexact] = False
         before = (ctx.prec, ctx.Emax, dict(ctx.traps))
-        rows = bigint.continuants_to_decimal(terms, SEEDS)
+        rows = bigint.continuants_to_decimal(decimals(terms), SEEDS)
         got = []
         for _ in terms:
             assert decimal.getcontext() is ctx
@@ -350,24 +356,42 @@ def test_continuant_rows_leave_the_callers_context_while_suspended():
 
 
 def test_continuant_rows_free_their_powers_once_exhausted(monkeypatch):
-    # the generator holds the ladder while rows remain and lets it go
-    # with its last row, though the generator object itself is still held
+    # the terms come as Decimals, so the only ladder is the one built for
+    # the seed past the leaf, and it goes as the call returns, before any
+    # row; the generator holds the last two values of each seed alone
     built = track_ladders(monkeypatch)
     terms = [7 ** 40_000, 3, 5 ** 4000]
     want = reference_continuants(terms, SEEDS)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        rows = bigint.continuants_to_decimal(terms, SEEDS)
-        assert len(built) == 1 and built[0]() is not None
+        rows = bigint.continuants_to_decimal(decimals(terms), SEEDS)
+        assert len(built) == 1 and built[0]() is None
         got = [next(rows) for _ in terms]
-        assert built[0]() is not None
         assert next(rows, None) is None
-        assert built[0]() is None
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
     assert [list(col) for col in zip(*got)] == want
+
+
+def test_continuant_rows_let_each_term_go_after_its_row():
+    # a caller that keeps no reference to its terms, as the CLI, holds none
+    # past its row: the last rows, the largest, run beside no earlier term
+    class Term(decimal.Decimal):  # a Decimal that takes a weak reference
+        pass
+
+    values = [7 ** 3000, 5, 11 ** 2000]
+    terms = [Term(t) for t in values]
+    refs = [weakref.ref(t) for t in terms]
+    rows = bigint.continuants_to_decimal(terms, SEEDS)
+    del terms
+    got = []
+    for i in range(len(values)):
+        got.append(next(rows))
+        assert [ref() is None for ref in refs] == [j <= i for j in range(len(values))]
+    assert [list(col) for col in zip(*got)] == reference_continuants(values, SEEDS)
 
 
 # shorter operands in words on each side of the pad band's edges, and
@@ -385,21 +409,37 @@ def random_decimal(rng, digits):
     return decimal.Decimal(reference_str(rng.randrange(10 ** (digits - 1), 10 ** digits)))
 
 
+def _both_padded(short_words, long_words):
+    return long_words <= bigint._SCHOOLBOOK_WORDS and short_words * long_words >= bigint._PAD_PRODUCT
+
+
 @pytest.mark.parametrize("word", [19, 9])
 def test_padding_takes_the_shorter_operand_to_257_words_in_the_band(word):
+    # and both operands, when both are within the schoolbook bound and
+    # the product of their word counts reaches _PAD_PRODUCT
     def words(digits):
         return (digits - 1) // word + 1
 
+    def padded_to_257(digits, z):  # the fewest zeros that do it
+        return words(digits + z) == 257 and words(digits + z - 1) == 256
+
+    # word counts on each side of the product bound, both within the bound
+    near_product = [(78, 256), (79, 256), (141, 141), (142, 142), (100, 200), (99, 200)]
+    assert [_both_padded(*pair) for pair in near_product] == [False, True, False, True,
+                                                              True, False]
     with patched(_WORD_DIGITS=word):
-        for short in SHORT_WORDS:
-            for long in LONG_WORDS:
-                for s_digits in ((short - 1) * word + 1, short * word):
-                    z = bigint._padding(s_digits, long * word)
-                    if _in_band(short, long):  # the fewest zeros that do it
-                        assert words(s_digits + z) == 257
-                        assert words(s_digits + z - 1) == 256
-                    else:
-                        assert z == 0
+        pairs = [*((short, long) for short in SHORT_WORDS for long in LONG_WORDS
+                   if short <= long), *near_product]
+        for short, long in pairs:
+            for s_digits in ((short - 1) * word + 1, short * word):
+                l_digits = long * word
+                zs, zl = bigint._padding(s_digits, l_digits)
+                if _in_band(short, long):
+                    assert padded_to_257(s_digits, zs) and zl == 0
+                elif _both_padded(short, long):
+                    assert padded_to_257(s_digits, zs) and padded_to_257(l_digits, zl)
+                else:
+                    assert (zs, zl) == (0, 0)
 
 
 @pytest.mark.parametrize("word", [19, 9])

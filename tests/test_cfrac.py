@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sturmian import (
     ConfigError,
@@ -15,6 +16,7 @@ from sturmian import (
     HorizonError,
     InternalError,
     SlopeSpec,
+    SturmianError,
     build_table,
     boehmer_term,
     check_family_recurrences,
@@ -29,7 +31,6 @@ from sturmian.cfrac import (
     Term,
     _bits_as_base,
     _collapse,
-    _entry,
     _exponents_fit,
     _fold_zeros,
     _geom,
@@ -37,12 +38,14 @@ from sturmian.cfrac import (
     _Pending,
     _rewrite,
     final_terms,
+    term_forms,
     formal_family_fraction,
     word_value,
 )
 from sturmian.words import WordSystem
 
 from conftest import (
+    entry_value,
     evaluated,
     golden_table,
     random_digits,
@@ -90,25 +93,25 @@ def test_number_spec_replace_validates_as_the_constructor_does(golden):
 def test_entries_of_level_zero(golden, slope532):
     for t, b in [(golden, 2), (slope532, 3), (slope532, 10)]:
         spec = characteristic_spec(t, b)
-        assert _entry(spec, "d", 0) == 0
-        assert _entry(spec, "e", 0) == b - 1
-        assert _entry(spec, "c", 0) == (b ** t.a(1) - b) // (b - 1)
+        assert entry_value(spec, "d", 0) == 0
+        assert entry_value(spec, "e", 0) == b - 1
+        assert entry_value(spec, "c", 0) == (b ** t.a(1) - b) // (b - 1)
 
 
 def test_entry_examples():
     t = table_for((2, 2, 2), horizon=10)
     spec = characteristic_spec(t, 2)
-    assert _entry(spec, "c", 0) == 2  # (2^2 - 2)/(2 - 1)
+    assert entry_value(spec, "c", 0) == 2  # (2^2 - 2)/(2 - 1)
     # zero digit b_{k+1} = 0 -> f_k = 0
-    assert _entry(spec, "f", 3) == 0
+    assert entry_value(spec, "f", 3) == 0
 
 
 def test_entry_negative_branch():
     spec = negative_term_spec()
-    c3 = _entry(spec, "c", 3)
-    assert c3 == -(_entry(spec, "e", 2) + 1)
+    c3 = entry_value(spec, "c", 3)
+    assert c3 == -(entry_value(spec, "e", 2) + 1)
     assert c3 < 0
-    assert _entry(spec, "c", 4) >= 0  # no two consecutive negatives
+    assert entry_value(spec, "c", 4) >= 0  # no two consecutive negatives
 
 
 def test_boehmer_terms_golden():
@@ -127,13 +130,13 @@ def test_powers_past_the_cap_are_refused_before_they_are_computed(monkeypatch):
     t = table_for((5, 3, 2), horizon=12)
     for b in (2, 3, 10):
         spec = characteristic_spec(t, b)
-        entries = [_entry(spec, kind, k) for k in range(5) for kind in "cdef"]
+        entries = [entry_value(spec, kind, k) for k in range(5) for kind in "cdef"]
         closed = [boehmer_term(t, b, k) for k in range(1, 6)]
         with monkeypatch.context() as m:
             m.setattr(errors, "SIZE_BUDGET", t.q(5) * (b - 1).bit_length())
-            assert [_entry(spec, kind, k) for k in range(5) for kind in "cdef"] == entries
+            assert [entry_value(spec, kind, k) for k in range(5) for kind in "cdef"] == entries
             assert [boehmer_term(t, b, k) for k in range(1, 6)] == closed
-            for refused in (*(functools.partial(_entry, spec, kind, 5) for kind in "cdef"),
+            for refused in (*(functools.partial(entry_value, spec, kind, 5) for kind in "cdef"),
                             lambda: boehmer_term(t, b, 6), lambda: continued_fraction(spec)):
                 with pytest.raises(HorizonError):
                     refused()
@@ -206,7 +209,7 @@ def test_negative_window_shape_and_collapse():
     # matrix value preserved
     assert stream_matrix(raw, spec.base) == stream_matrix(nonneg, spec.base)
     # the merged term value is c_k + 1 + e_{k+1}
-    assert _entry(spec, "c", 2) + 1 + _entry(spec, "e", 3) in [t.value for t in nonneg]
+    assert entry_value(spec, "c", 2) + 1 + entry_value(spec, "e", 3) in [t.value for t in nonneg]
 
 
 def test_consecutive_negatives_rejected():
@@ -381,7 +384,9 @@ def test_demand_driven_prefixes_equal_full_expansion():
                 assert (continued_fraction(shallower(spec, depth))
                         == batch_continued_fraction(spec, depth)), (intercept, depth)
             for n in range(1, len(full) + 2):
-                assert tuple(islice(final_terms(spec), n)) == full[:n]
+                forms = tuple(islice(final_terms(spec), n))
+                assert term_forms(spec, terms=n) == forms
+                assert [Term(t.value(base), t.parts) for t in forms] == list(full[:n])
                 assert continued_fraction(spec, terms=n) == full[:n]
     assert negative_windows >= 3  # rule (i) fires in the corpus
 
@@ -401,7 +406,7 @@ def _sign(v):
 
 def test_level_signs_match_entry_values():
     # the rewrite reads signs from the digits alone; each must be the sign
-    # of the value _entry computes, for every level, kind and form
+    # of the value of the form _entry gives, for every level, kind and form
     rng = random.Random(20261018)
     seen = {"c<0": 0, "c=0": 0, "d=0": 0, "f=0": 0}
     for _ in range(12):
@@ -413,7 +418,7 @@ def test_level_signs_match_entry_values():
             spec = NumberSpec(base, WordSystem.from_spec(table, intercept,
                                                          upper=upper))
             for k in range(spec.system.levels):
-                c, d, e, f = (_entry(spec, kind, k) for kind in "cdef")
+                c, d, e, f = (entry_value(spec, kind, k) for kind in "cdef")
                 signs = [t.sign for t in _level_signs(spec, k)]
                 assert signs == [_sign(v) for v in (c, d, 1, e, f)], (intercept, k)
                 seen["c<0"] += c < 0
@@ -473,7 +478,7 @@ def test_pipeline_head_forms():
     digs = tuple(1 for _ in range(8))
     spec = NumberSpec(2, word_system(t, digs))
     final = continued_fraction(shallower(spec, 8))
-    entry = functools.partial(_entry, spec)
+    entry = functools.partial(entry_value, spec)
     want = [entry("c", 0) + 1, entry("e", 0), entry("f", 0),
             entry("c", 1), entry("d", 1), 1, entry("e", 1), entry("f", 1),
             entry("c", 2)]
@@ -496,7 +501,7 @@ def test_convergent_seeds_and_determinant(rng):
         digs = (1, 0, 2, 0, 1, 0, 0, 1, 0, 0)
         spec = NumberSpec(base, word_system(t, digs))
         # raw-stream recurrence gives the seed pair of the improper stream
-        c0 = _entry(spec, "c", 0)
+        c0 = entry_value(spec, "c", 0)
         p1 = c0 * 0 + (base - 1)
         q1 = c0 * (base - 1) + 0
         assert p1 == base - 1
@@ -541,7 +546,7 @@ def test_term_values_in_allowed_combos(rng):
         digs = random_digits(rng, t, 8)
         spec = NumberSpec(2, word_system(t, digs))
         levels = 8
-        c, d, e, f = ([_entry(spec, kind, k) for k in range(levels)] for kind in "cdef")
+        c, d, e, f = ([entry_value(spec, kind, k) for k in range(levels)] for kind in "cdef")
         allowed = {1}
         for k in range(levels):
             allowed.update({c[k], d[k], e[k], f[k], c[k] + 1, e[k] + 1})
@@ -688,3 +693,58 @@ def test_word_value_slices_only_leaves():
     finally:
         tracemalloc.stop()
     assert extra < 1.3 * n
+
+
+def test_wrong_type_arguments_are_refused(slope532):
+    # each once raised TypeError or AttributeError, or returned a result
+    spec = characteristic_spec(slope532, 3)
+    terms = continued_fraction(spec, terms=3)
+    for call in (lambda: convergents(terms, 1), lambda: convergents(terms, True),
+                 lambda: convergents(terms, 2.5), lambda: NumberSpec(3, "x"),
+                 lambda: continued_fraction("x"), lambda: continued_fraction("x", terms=0),
+                 lambda: boehmer_term(None, 3, 2)):
+        with pytest.raises(ConfigError):
+            call()
+
+
+# values of a wrong type for any argument of the cfrac exports; None is
+# the default of `continued_fraction`'s `terms`, so not drawn there
+WRONG = [2.5, 2.0, True, False, "x", "3", Fraction(3), Fraction(5, 2), None]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_cfrac_export_refuses_a_wrong_type_argument(data):
+    table = table_for((5, 3, 2), horizon=8)
+    spec = characteristic_spec(table, 3)
+    terms = continued_fraction(spec, terms=3)
+    calls = {
+        "continued_fraction": (continued_fraction, [spec, 3]),
+        "convergents": (convergents, [terms, 3]),
+        "boehmer_term": (boehmer_term, [table, 3, 2]),
+        "family_fraction": (family_fraction, [spec, "3", 2]),
+        "formal_family_fraction": (formal_family_fraction, [spec, "3", 2]),
+        "check_family_recurrences": (check_family_recurrences, [spec, 2]),
+        "NumberSpec": (NumberSpec, [3, spec.system]),
+    }
+    name = data.draw(st.sampled_from(sorted(calls)))
+    fn, args = calls[name]
+    i = data.draw(st.integers(0, len(args) - 1))
+    wrong = data.draw(st.sampled_from(WRONG))
+    if name == "continued_fraction":
+        args, kwargs = args[:1], {"terms": args[1]}
+        if i:
+            if wrong is None:
+                return
+            kwargs["terms"] = wrong
+        else:
+            args = [wrong]
+    else:
+        args, kwargs = args[:i] + [wrong] + args[i + 1:], {}
+    if name.endswith("family_fraction") and i == 1 and wrong == "3":
+        return  # family (3) is a valid family
+    try:
+        result = fn(*args, **kwargs)
+    except SturmianError:
+        return
+    pytest.fail(f"{name}{tuple(args)} {kwargs} returned {result!r:.200}")

@@ -231,7 +231,7 @@ def test_exponent_reports_internal_errors(capsys, monkeypatch):
 
 
 def test_boehmer_disagreement_is_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(cfrac, "boehmer_term", lambda table, base, k: 0)
+    monkeypatch.setattr(cfrac, "boehmer_form", lambda table, base, k: (1, 0, 0, 0, 0))
     code, _, err = run(capsys, "--slope", GOLDEN, "--base", "2",
                        "boehmer", "--terms", "6", "--check")
     assert code == 4

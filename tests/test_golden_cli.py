@@ -281,6 +281,11 @@ def corpus() -> list[list[str]]:
     cmds += [s532 + _intercept({"digits": [5, 0, 9]}) + ["word", "--length", "5"],
              s532 + ["ostrowski-int", "--digits", "5,0,9"],
              s532 + ["ostrowski-real", "--digits", "5,0,9"]]
+    # exit 3: a closed-form term past the horizon K = 8 is refused before
+    # any term is computed, naming the term; term K = 8 is the last one
+    cmds += [s532 + ["--base", "3", "boehmer", "--terms", "50"],
+             s532 + ["--base", "3", "boehmer", "--terms", "9", "--check"],
+             s532 + ["--base", "3", "--format", "text", "boehmer", "--terms", "8", "--check"]]
     return cmds
 
 

@@ -230,7 +230,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 RECORDS = {
-    "cfrac": {"NumberSpec", "Term", "ConvergentPair", "FamilyFraction"},
+    "cfrac": {"NumberSpec", "Term", "TermForm", "ConvergentPair", "FamilyFraction"},
     "exponent": {"NuRow", "StrongRecord", "EstimateReport", "LiouvilleReport",
                  "ExtremalIntercept"},
     "oracle": {"ValueEnclosure", "VerificationReport"},
@@ -263,3 +263,36 @@ def test_record_fields_cannot_be_assigned(module, name):
             setattr(record, field, 0)
     with pytest.raises(AttributeError):
         record.other = 0  # no instance dict to take new attributes
+
+
+def _names_by_function(module: str) -> dict[str, set[str]]:
+    """{top-level function or Class.method: the names and attributes it
+    reads} of a package module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = {}
+    for top in tree.body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            if isinstance(node, ast.FunctionDef):
+                name = node.name if node is top else f"{top.name}.{node.name}"
+                found[name] = {getattr(sub, "id", getattr(sub, "attr", None))
+                               for sub in ast.walk(node)
+                               if isinstance(sub, (ast.Name, ast.Attribute))}
+    return found
+
+
+def test_the_entry_formulas_are_written_once():
+    # `_entry` and `boehmer_form` write every form, each checking its
+    # powers against the size budget where it is built; `_evaluate` alone
+    # (through `_geom`) values a form as an int, and word values and the
+    # family fractions read from them are the only other powers of the base
+    names = _names_by_function("cfrac")
+    readers = lambda name: {f for f, read in names.items() if name in read}  # noqa: E731
+    assert readers("_check_power") == {"_entry", "boehmer_form"}
+    assert readers("_geom") == {"_geom", "_evaluate"}
+    assert readers("pow") == {"_geom", "_evaluate", "_bits_as_base", "formal_family_fraction"}
+    # the commands that print terms take them as forms, valued in decimal
+    cli = _names_by_function("cli")
+    for command in ("cmd_cf", "cmd_convergents", "cmd_boehmer"):
+        assert not cli[command] & {"to_decimals", "continued_fraction", "boehmer_term",
+                                   "_evaluate", "pow"}, command
